@@ -5,16 +5,12 @@ collision-free plan at a large step size; a decentralized sequential-convex
 stage then refines it into a smooth, kinematically exact joint trajectory.
 """
 from fleetplan.geometry import (
-    ControlInput,
     OrientedBox,
     State,
     VehicleParams,
-    disc_centers,
     footprint,
     normalize_angle,
-    pair_distance,
     sat_overlap,
-    step_kinematics,
 )
 from fleetplan.instance import (
     AgentTask,
@@ -31,21 +27,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentTask",
-    "ControlInput",
     "MvtpInstance",
     "OrientedBox",
     "Plan",
     "State",
     "VehicleParams",
     "VerificationReport",
-    "disc_centers",
     "footprint",
     "generate_random_instance",
     "normalize_angle",
-    "pair_distance",
     "parse_instance",
     "sat_overlap",
     "serialize_instance",
-    "step_kinematics",
     "validate_plan",
 ]

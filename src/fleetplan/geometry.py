@@ -1,8 +1,21 @@
-"""Vehicle geometry: kinematic stepping, footprints and collision predicates.
+"""Vehicle geometry: the shared motion kernels, footprints and collision tests.
 
-All poses are rear-axle poses (x, y, theta) with theta in (-pi, pi].
-A state adds the steering angle phi; controls are (v, omega) with
-omega the steering rate.
+The search, the refinement and the verifier share one version of each of
+three kernels:
+
+- `advance_arc`: exact advance along a constant-curvature arc by a signed
+  length.  The search's motion primitives and goal shots, the Reeds-Shepp
+  word check and refinement's resampling of the coarse plan all use it.
+- `euler_step`: one forward-Euler step of the kinematic bicycle model over
+  (..., 4) states.  Refinement linearizes and rolls out with it; the verifier
+  re-simulates every plan step with it.
+- `disc_center_distance`: the minimum distance between the covering-disc
+  centres of two vehicles at matching times.  It is the coarse search's
+  conflict test, refinement's neighbour filter and the verifier's broadphase.
+
+Poses are rear-axle poses (x, y, theta).  A state adds the steering angle
+phi; controls are (v, omega) with omega the steering rate.  The kernels leave
+headings unwrapped; instances and the search keep theta in (-pi, pi].
 """
 from __future__ import annotations
 
@@ -14,15 +27,14 @@ import numpy as np
 __all__ = [
     "VehicleParams",
     "State",
-    "ControlInput",
     "OrientedBox",
     "normalize_angle",
-    "step_kinematics",
+    "advance_arc",
+    "euler_step",
+    "disc_center_distance",
     "footprint",
     "box_corners",
     "sat_overlap",
-    "disc_centers",
-    "pair_distance",
 ]
 
 
@@ -96,20 +108,40 @@ class State:
         return np.array([self.x, self.y, self.theta, self.phi])
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    v: float
-    omega: float
+def advance_arc(x, y, th, kappa, s):
+    """Exact advance by signed arc length s at constant curvature kappa.
 
-
-def step_kinematics(z: State, u: ControlInput, dt: float, params: VehicleParams) -> State:
-    """One forward-Euler step of the kinematic bicycle model."""
-    return State(
-        z.x + u.v * math.cos(z.theta) * dt,
-        z.y + u.v * math.sin(z.theta) * dt,
-        normalize_angle(z.theta + u.v * math.tan(z.phi) / params.L * dt),
-        z.phi + u.omega * dt,
+    kappa = 0 is a straight line and s < 0 drives in reverse; the returned
+    heading is th plus the turned angle, not wrapped.
+    """
+    if kappa == 0.0:
+        return x + s * math.cos(th), y + s * math.sin(th), th
+    dth = kappa * s
+    return (
+        x + (math.sin(th + dth) - math.sin(th)) / kappa,
+        y - (math.cos(th + dth) - math.cos(th)) / kappa,
+        th + dth,
     )
+
+
+def euler_step(z, u, dt: float, wheelbase: float) -> np.ndarray:
+    """One forward-Euler step of the kinematic bicycle model.
+
+    z holds states (..., 4) as (x, y, theta, phi) and u controls (..., 2) as
+    (v, omega); the result has the states' shape, heading not wrapped.
+    """
+    # unpacking the transpose keeps a single state on numpy scalars, which
+    # the per-step rollout loop needs to stay cheap
+    x, y, th, ph = np.asarray(z, dtype=float).T
+    v, omega = np.asarray(u, dtype=float).T
+    return np.array(
+        [
+            x + v * np.cos(th) * dt,
+            y + v * np.sin(th) * dt,
+            th + v * np.tan(ph) / wheelbase * dt,
+            ph + omega * dt,
+        ]
+    ).T
 
 
 @dataclass(frozen=True)
@@ -174,33 +206,8 @@ def sat_overlap(a: OrientedBox, b: OrientedBox) -> bool:
     return True
 
 
-def disc_centers(z: State, params: VehicleParams) -> np.ndarray:
-    """Centers of the two covering discs, shape (2, 2): front row first."""
-    c, s = math.cos(z.theta), math.sin(z.theta)
-    f, r = params.front_disc_offset, params.rear_disc_offset
-    return np.array([[z.x + f * c, z.y + f * s], [z.x + r * c, z.y + r * s]])
-
-
-def pair_distance(zi: State, zj: State, params: VehicleParams) -> float:
-    """Conservative clearance between two vehicles.
-
-    Minimum over the four disc-center pairs minus both disc radii; positive
-    values certify that the footprints do not intersect.
-    """
-    ci = disc_centers(zi, params)
-    cj = disc_centers(zj, params)
-    d = np.hypot(
-        ci[:, None, 0] - cj[None, :, 0], ci[:, None, 1] - cj[None, :, 1]
-    )
-    return float(d.min()) - 2.0 * params.disc_radius
-
-
 # ---------------------------------------------------------------------------
 # vectorized variants used in the planner hot paths
-
-
-def states_to_array(states: list[State]) -> np.ndarray:
-    return np.array([[z.x, z.y, z.theta, z.phi] for z in states])
 
 
 def footprint_params_arr(poses: np.ndarray, params: VehicleParams) -> np.ndarray:
@@ -295,15 +302,26 @@ def boxes_hit_boxes(
 
 
 def disc_centers_arr(poses: np.ndarray, params: VehicleParams) -> np.ndarray:
-    """Disc centers for poses (N, >=3) -> (N, 2, 2), front disc first."""
-    c, s = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    """Disc centers for poses (..., >=3) -> (..., 2, 2), front disc first."""
+    c, s = np.cos(poses[..., 2]), np.sin(poses[..., 2])
     f, r = params.front_disc_offset, params.rear_disc_offset
-    out = np.empty((poses.shape[0], 2, 2))
-    out[:, 0, 0] = poses[:, 0] + f * c
-    out[:, 0, 1] = poses[:, 1] + f * s
-    out[:, 1, 0] = poses[:, 0] + r * c
-    out[:, 1, 1] = poses[:, 1] + r * s
+    out = np.empty(poses.shape[:-1] + (2, 2))
+    out[..., 0, 0] = poses[..., 0] + f * c
+    out[..., 0, 1] = poses[..., 1] + f * s
+    out[..., 1, 0] = poses[..., 0] + r * c
+    out[..., 1, 1] = poses[..., 1] + r * s
     return out
+
+
+def disc_center_distance(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Time-aligned clearance kernel: disc centers (T, 2, 2) of two vehicles
+    -> (T,) minimum over the four center pairs at each time.
+
+    Subtracting 2 r_v gives the conservative clearance; a positive value
+    certifies that the footprints do not intersect.
+    """
+    d = da[:, :, None, :] - db[:, None, :, :]
+    return np.sqrt((d * d).sum(axis=-1)).min(axis=(1, 2))
 
 
 def discs_hit_aabbs(

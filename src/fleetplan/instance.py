@@ -19,7 +19,9 @@ from fleetplan.geometry import (
     boxes_hit_aabbs,
     boxes_outside_map,
     boxes_hit_boxes,
+    disc_center_distance,
     disc_centers_arr,
+    euler_step,
     footprint,
     normalize_angle,
     sat_overlap,
@@ -440,14 +442,10 @@ def validate_plan(instance: MvtpInstance, plan: Plan, dt: float | None = None) -
                 rep.violations.append(Violation("boundary", task.id, t_chk, max(dp, da)))
         # kinematic consistency: one exact step from each sample
         if T > 1:
-            c, s = np.cos(zs[:-1, 2]), np.sin(zs[:-1, 2])
-            px = zs[:-1, 0] + us[:, 0] * c * dt
-            py = zs[:-1, 1] + us[:, 0] * s * dt
-            pth = zs[:-1, 2] + us[:, 0] * np.tan(zs[:-1, 3]) / v.L * dt
-            pphi = zs[:-1, 3] + us[:, 1] * dt
+            pz = euler_step(zs[:-1], us, dt, v.L)
             err = np.maximum(
-                np.hypot(px - zs[1:, 0], py - zs[1:, 1]),
-                np.maximum(_ang_diff(pth, zs[1:, 2]), np.abs(pphi - zs[1:, 3])),
+                np.hypot(pz[:, 0] - zs[1:, 0], pz[:, 1] - zs[1:, 1]),
+                np.maximum(_ang_diff(pz[:, 2], zs[1:, 2]), np.abs(pz[:, 3] - zs[1:, 3])),
             )
             for t in np.nonzero(err > KINEMATIC_EPS)[0]:
                 rep.violations.append(Violation("kinematic", task.id, int(t) + 1, float(err[t])))
@@ -471,12 +469,11 @@ def validate_plan(instance: MvtpInstance, plan: Plan, dt: float | None = None) -
 
     # pairwise collisions, disc-distance broadphase first
     if plan.n_agents > 1:
-        discs = np.stack([disc_centers_arr(zs, v) for zs in plan.states])  # (M,T,2,2)
+        discs = disc_centers_arr(np.stack(plan.states), v)  # (M,T,2,2)
         two_rv = 2.0 * v.disc_radius
         for i in range(plan.n_agents):
             for j in range(i + 1, plan.n_agents):
-                d = discs[i][:, :, None, :] - discs[j][:, None, :, :]
-                dmin = np.sqrt((d * d).sum(axis=-1)).min(axis=(1, 2))
+                dmin = disc_center_distance(discs[i], discs[j])
                 for t in np.nonzero(dmin <= two_rv)[0]:
                     hit = boxes_hit_boxes(
                         plan.states[i][t : t + 1], plan.states[j][t : t + 1], v

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .geometry import advance_arc
 
 _EPS = 1e-10
 _HPI = math.pi / 2.0
@@ -165,26 +165,14 @@ class RsCurve:
     length: float      # total unsigned length
 
 
-def _advance(pose, curv, slen):
-    x, y, th = pose
-    if abs(curv) < _EPS:
-        return x + slen * math.cos(th), y + slen * math.sin(th), th
-    dth = curv * slen
-    return (
-        x + (math.sin(th + dth) - math.sin(th)) / curv,
-        y - (math.cos(th + dth) - math.cos(th)) / curv,
-        th + dth,
-    )
-
-
 def _reaches(types: str, lengths: list[float], x, y, phi) -> bool:
-    pose = (0.0, 0.0, 0.0)
+    px = py = pth = 0.0
     for ch, l in zip(types, lengths):
-        pose = _advance(pose, _CURV[ch], l)
+        px, py, pth = advance_arc(px, py, pth, _CURV[ch], l)
     return (
-        abs(pose[0] - x) < 1e-6
-        and abs(pose[1] - y) < 1e-6
-        and abs(_mod2pi(pose[2] - phi)) < 1e-6
+        abs(px - x) < 1e-6
+        and abs(py - y) < 1e-6
+        and abs(_mod2pi(pth - phi)) < 1e-6
     )
 
 
@@ -259,15 +247,3 @@ def path_length(start, goal, radius: float) -> float:
     curve = shortest_path(start, goal, radius)
     return math.inf if curve is None else curve.length
 
-
-def sample_curve(start, curve: RsCurve, ds: float) -> np.ndarray:
-    """Poses every ds meters of travel along the curve, endpoint included."""
-    poses = [(start[0], start[1], start[2])]
-    pose = poses[0]
-    for seg in curve.segments:
-        n = max(1, int(math.ceil(abs(seg.length) / ds - 1e-9)))
-        step = seg.length / n
-        for _ in range(n):
-            pose = _advance(pose, seg.curvature, step)
-            poses.append(pose)
-    return np.array(poses)

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import VehicleParams, disc_centers_arr
+from .geometry import (
+    VehicleParams,
+    advance_arc,
+    disc_center_distance,
+    disc_centers_arr,
+    euler_step,
+)
 from .instance import MvtpInstance, Plan, validate_plan
 from .qp import QpProblem, solve as qp_solve
 
@@ -89,20 +95,6 @@ class InterpolatedPlan:
         )
 
 
-def _arc_sample(x, y, th, direction, steer, s, wheelbase):
-    # exact constant-curvature advance, heading left unwrapped
-    if direction == 0.0 or s == 0.0:
-        return x, y, th
-    ds = direction * s
-    if steer == 0.0:
-        return x + ds * math.cos(th), y + ds * math.sin(th), th
-    kappa = math.tan(steer) / wheelbase
-    dth = kappa * ds
-    nx = x + (math.sin(th + dth) - math.sin(th)) / kappa
-    ny = y - (math.cos(th + dth) - math.cos(th)) / kappa
-    return nx, ny, th + dth
-
-
 def interpolate(trajs_by_id, params: VehicleParams, cfg: RefineConfig,
                 order=None) -> InterpolatedPlan:
     """Resample each coarse trajectory along its exact arcs.
@@ -129,12 +121,13 @@ def interpolate(trajs_by_id, params: VehicleParams, cfg: RefineConfig,
         for seg in tr.segments:
             step = seg.length / sub
             v = seg.direction * step / dt
+            kappa = math.tan(seg.steer) / params.L
             x0, y0, th0 = x, y, th
             for j in range(sub):
                 controls[m, idx, 0] = v
                 states[m, idx, 3] = 0.0 if seg.is_wait else seg.steer
-                x, y, th = _arc_sample(x0, y0, th0, seg.direction, seg.steer,
-                                       (j + 1) * step, params.L)
+                x, y, th = advance_arc(x0, y0, th0, kappa,
+                                       seg.direction * ((j + 1) * step))
                 idx += 1
                 states[m, idx, :3] = (x, y, th)
         if idx + 1 < T:
@@ -243,17 +236,6 @@ def classify_guess(plan: InterpolatedPlan, instance: MvtpInstance) -> dict:
 # neighbor pairs and separating planes
 
 
-def _all_discs(plan: InterpolatedPlan, params) -> np.ndarray:
-    return np.stack([disc_centers_arr(plan.states[m], params)
-                     for m in range(plan.states.shape[0])])  # (M,T,2,2)
-
-
-def _pair_min_dist(da, db):
-    # (T,2,2) x (T,2,2) -> (T,) min over the four disc-center combinations
-    d = da[:, :, None, :] - db[:, None, :, :]
-    return np.sqrt((d * d).sum(axis=-1)).min(axis=(1, 2))
-
-
 def find_neighbor_pairs(plan: InterpolatedPlan, params: VehicleParams,
                         cfg: RefineConfig):
     """All (i, j, t), i < j, whose clearance is at most 2*sqrt(2)*R_trust.
@@ -265,7 +247,7 @@ def find_neighbor_pairs(plan: InterpolatedPlan, params: VehicleParams,
     center_gap = thresh + 2.0 * params.disc_radius
     M, T = plan.states.shape[:2]
     ids = plan.agent_ids
-    discs = _all_discs(plan, params)
+    discs = disc_centers_arr(plan.states, params)   # (M, T, 2, 2)
     out = []
     if M < 2:
         return out
@@ -287,7 +269,7 @@ def find_neighbor_pairs(plan: InterpolatedPlan, params: VehicleParams,
                     if a < b:
                         cand.add((a, b))
     for a, b in sorted(cand):
-        dmin = _pair_min_dist(discs[a], discs[b]) - 2.0 * params.disc_radius
+        dmin = disc_center_distance(discs[a], discs[b]) - 2.0 * params.disc_radius
         for t in np.nonzero(dmin <= thresh)[0]:
             out.append((ids[a], ids[b], int(t)))
     out.sort()
@@ -310,7 +292,7 @@ def build_separation(pairs, plan: InterpolatedPlan, params: VehicleParams,
     """Perpendicular-bisector planes for every neighbor pair, offset by the
     disc radius toward the owning agent; each agent of the pair gets the
     mirrored constraint, so the planes partition the gap."""
-    discs = _all_discs(plan, params)
+    discs = disc_centers_arr(plan.states, params)   # (M, T, 2, 2)
     offset = params.disc_radius
     planes = {a: defaultdict(list) for a in plan.agent_ids}
     for (i, j, t) in pairs:
@@ -467,15 +449,6 @@ class LinearDynamics:
     e: np.ndarray   # (T, 4)      disc-map remainders
 
 
-def _euler_step_arr(z, u, L, dt):
-    out = np.empty_like(z)
-    out[:, 0] = z[:, 0] + u[:, 0] * np.cos(z[:, 2]) * dt
-    out[:, 1] = z[:, 1] + u[:, 0] * np.sin(z[:, 2]) * dt
-    out[:, 2] = z[:, 2] + u[:, 0] * np.tan(z[:, 3]) / L * dt
-    out[:, 3] = z[:, 3] + u[:, 1] * dt
-    return out
-
-
 def linearize_dynamics(states, controls, params: VehicleParams, dt) -> LinearDynamics:
     """Exact Jacobians of the Euler step and of the state->disc map at the
     iterate, with remainders chosen so the affine models reproduce the
@@ -494,7 +467,7 @@ def linearize_dynamics(states, controls, params: VehicleParams, dt) -> LinearDyn
     B[:, 1, 0] = np.sin(th) * dt
     B[:, 2, 0] = np.tan(ph) / L * dt
     B[:, 3, 1] = dt
-    f = _euler_step_arr(z[:-1], u, L, dt)
+    f = euler_step(z[:-1], u, dt, L)
     c = f - np.einsum("tij,tj->ti", A, z[:-1]) - np.einsum("tij,tj->ti", B, u)
 
     tha = z[:, 2]
@@ -654,15 +627,12 @@ def rollout_controls(start, controls, params: VehicleParams, dt):
     z = np.empty((T1 + 1, 4))
     z[0] = (start[0], start[1], start[2], 0.0)
     for t in range(T1):
-        x, y, th, ph = z[t]
+        ph = z[t, 3]
         v = min(max(u[t, 0], -params.v_max), params.v_max)
         w = min(max(u[t, 1], -params.omega_max), params.omega_max)
         w = min(max(w, (-params.phi_max - ph) / dt), (params.phi_max - ph) / dt)
         u[t] = (v, w)
-        z[t + 1] = (x + v * math.cos(th) * dt,
-                    y + v * math.sin(th) * dt,
-                    th + v * math.tan(ph) / params.L * dt,
-                    ph + w * dt)
+        z[t + 1] = euler_step(z[t], u[t], dt, params.L)
     return z, u
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import disc_center_distance, disc_centers_arr
 from .search_low import (
     CoarseTrajectory,
     DynamicObstacleSet,
@@ -77,19 +78,7 @@ def _pair_conflict_times(sa, sb, params, first_only=False):
     covering discs allow.  The disc metric (min center distance < 2 r_v) is
     what the downstream separating planes require, so the coarse stage polices
     exactly the clearance the refinement stage will need."""
-    f = params.front_disc_offset
-    r = params.rear_disc_offset
-    ca, sa_ = np.cos(sa[:, 2]), np.sin(sa[:, 2])
-    cb, sb_ = np.cos(sb[:, 2]), np.sin(sb[:, 2])
-    pa = sa[:, :2]
-    pb = sb[:, :2]
-    da = np.stack([ca, sa_], axis=1)
-    db = np.stack([cb, sb_], axis=1)
-    dmin = np.full(sa.shape[0], np.inf)
-    for oa in (f, r):
-        for ob in (f, r):
-            d = np.hypot(*(pa + oa * da - pb - ob * db).T)
-            dmin = np.minimum(dmin, d)
+    dmin = disc_center_distance(disc_centers_arr(sa, params), disc_centers_arr(sb, params))
     hits = np.nonzero(dmin < 2.0 * params.disc_radius - 1e-9)[0]
     out = [int(t) for t in hits]
     return out[:1] if first_only else out
@@ -289,14 +278,3 @@ def solve(instance, grid: GridSpec, strategy: str = "depth_first",
                               worse_child_first=worse_child_first)
     return searcher.solve(time_budget)
 
-
-def generate_root(instance, grid: GridSpec, warm_start: bool = True) -> PbsNode | None:
-    return PrioritySearch(instance, grid, warm_start=warm_start).generate_root()
-
-
-def update_plan(node: PbsNode, new_pair, instance, grid: GridSpec) -> PbsNode | None:
-    return PrioritySearch(instance, grid).update_plan(node, new_pair)
-
-
-def expand(node: PbsNode, conflict, instance, grid: GridSpec) -> list[PbsNode]:
-    return PrioritySearch(instance, grid).expand(node, conflict)

@@ -23,6 +23,7 @@ import numpy as np
 from . import reeds_shepp as rs
 from .geometry import (
     VehicleParams,
+    advance_arc,
     discs_hit_aabbs,
     discs_hit_discs,
     discs_outside_map,
@@ -122,20 +123,6 @@ class CoarseTrajectory:
         return len(self.segments) * self.quantum
 
 
-def advance_pose(x, y, th, direction, steer, length, wheelbase):
-    """Exact constant-curvature advance by a signed arc length."""
-    if direction == 0.0 or length == 0.0:
-        return x, y, th
-    s = direction * length
-    if steer == 0.0:
-        return x + s * math.cos(th), y + s * math.sin(th), th
-    kappa = math.tan(steer) / wheelbase
-    dth = kappa * s
-    nx = x + (math.sin(th + dth) - math.sin(th)) / kappa
-    ny = y - (math.cos(th + dth) - math.cos(th)) / kappa
-    return nx, ny, normalize_angle(th + dth)
-
-
 class DynamicObstacleSet:
     """Higher-priority trajectories indexed by time quantum, parked at their
     final state beyond their own horizon."""
@@ -167,23 +154,6 @@ class DynamicObstacleSet:
         return self.poses[:, t0:, :].reshape(-1, 3)
 
 
-@dataclass
-class CurveToGoal:
-    curve: rs.RsCurve
-    samples: np.ndarray
-
-
-def analytic_expand(z, goal, params: VehicleParams, ds_sample: float = 0.5) -> CurveToGoal | None:
-    """Minimal bounded-curvature curve to the goal, finely sampled; the caller
-    is responsible for collision-checking it before accepting."""
-    curve = rs.shortest_path((z.x, z.y, z.theta), (goal.x, goal.y, goal.theta),
-                             params.min_turn_radius)
-    if curve is None:
-        return None
-    samples = rs.sample_curve((z.x, z.y, z.theta), curve, ds_sample)
-    return CurveToGoal(curve, samples)
-
-
 def _split_curve(curve: rs.RsCurve, delta_s: float, wheelbase: float):
     """Cut a curve at cusps and delta_s marks into (direction, steer, length)
     pieces, each at most delta_s long (one time quantum each)."""
@@ -211,13 +181,8 @@ def _primitive_table(grid: GridSpec, params: VehicleParams):
     sigma = np.arange(1, n + 1) * (grid.delta_s / n)
     for direction in (1.0, -1.0):
         for steer in (0.0, params.phi_max, -params.phi_max):
-            s = direction * sigma
-            if steer == 0.0:
-                local = np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=1)
-            else:
-                kappa = math.tan(steer) / params.L
-                ths = kappa * s
-                local = np.stack([np.sin(ths) / kappa, (1.0 - np.cos(ths)) / kappa, ths], axis=1)
+            kappa = math.tan(steer) / params.L
+            local = np.array([advance_arc(0.0, 0.0, 0.0, kappa, s) for s in direction * sigma])
             acts.append(_Primitive(direction, steer, local))
     acts.append(_Primitive(0.0, 0.0, np.zeros((1, 3))))  # wait
     return acts
@@ -374,7 +339,7 @@ class LowLevelPlanner:
                 timed.append(p)
             if it + len(timed) > grid.max_steps:
                 return None
-            fine, _ = _piece_poses(x, y, th, pieces, grid.sample_ds, par.L)
+            fine = _piece_poses(x, y, th, pieces, grid.sample_ds, par.L)
             if fine.shape[0]:
                 if discs_outside_map(fine, par, self.inst.map_width, self.inst.map_height).any():
                     return None
@@ -383,7 +348,8 @@ class LowLevelPlanner:
             if dyn.count:
                 px, py, pth = x, y, th
                 for m, (d, steer, ln) in enumerate(timed):
-                    px, py, pth = advance_pose(px, py, pth, d, steer, ln, par.L)
+                    px, py, pth = advance_arc(px, py, pth, math.tan(steer) / par.L, d * ln)
+                    pth = normalize_angle(pth)
                     if discs_hit_discs(np.array([[px, py, pth]]), dyn.at(it + 1 + m), par).any():
                         return None
                 # staying parked at the goal must remain safe for all later times
@@ -405,7 +371,8 @@ class LowLevelPlanner:
                                        grid.delta_s if p.direction else 0.0)
             x, y, th = states[-1][0], states[-1][1], states[-1][2]
             for d, steer, ln in pieces:
-                x, y, th = advance_pose(x, y, th, d, steer, ln, par.L)
+                x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
+                th = normalize_angle(th)
                 states.append((x, y, th, 0.0))
                 segments.append(Segment(d, steer, ln))
             traj = CoarseTrajectory(agent_id, np.array(states, dtype=float),
@@ -476,34 +443,27 @@ class LowLevelPlanner:
 
 
 def _piece_poses(x, y, th, pieces, ds, wheelbase):
-    """Fine poses along curve pieces (for static checks) and piece endpoints."""
-    fine, ends = [], []
+    """Fine poses along curve pieces, every piece's endpoint included."""
+    fine = []
     for d, steer, ln in pieces:
+        kappa = math.tan(steer) / wheelbase
         n = max(1, int(math.ceil(ln / ds - 1e-9)))
         for m in range(1, n + 1):
-            fine.append(advance_pose(x, y, th, d, steer, ln * m / n, wheelbase))
+            px, py, pth = advance_arc(x, y, th, kappa, d * (ln * m / n))
+            fine.append((px, py, normalize_angle(pth)))
         x, y, th = fine[-1]
-        ends.append((x, y, th))
-    if not fine:
-        return np.zeros((0, 3)), np.zeros((0, 3))
-    return np.array(fine), np.array(ends)
+    return np.array(fine).reshape(-1, 3)
 
 
 def _replay_check(traj: CoarseTrajectory, params: VehicleParams):
     """Forward-simulating the segments must reproduce the stored states."""
     x, y, th = traj.states[0, 0], traj.states[0, 1], traj.states[0, 2]
     for t, seg in enumerate(traj.segments):
-        x, y, th = advance_pose(x, y, th, seg.direction, seg.steer, seg.length, params.L)
+        x, y, th = advance_arc(x, y, th, math.tan(seg.steer) / params.L,
+                               seg.direction * seg.length)
+        th = normalize_angle(th)
         s = traj.states[t + 1]
         dth = abs(normalize_angle(th - s[2]))
         if max(abs(x - s[0]), abs(y - s[1]), dth) > 1e-9:
             raise RuntimeError("coarse trajectory replay mismatch")
 
-
-def plan_single(instance, agent_id: int, dyn: DynamicObstacleSet | None,
-                grid: GridSpec, time_budget: float | None = None,
-                planner: LowLevelPlanner | None = None) -> LowLevelResult:
-    """One-shot single-agent search; reuse a LowLevelPlanner when calling repeatedly."""
-    if planner is None:
-        planner = LowLevelPlanner(instance, grid)
-    return planner.plan(agent_id, dyn, time_budget=time_budget)

@@ -8,48 +8,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetplan.geometry import (
-    ControlInput,
     OrientedBox,
     State,
     VehicleParams,
+    advance_arc,
     boxes_hit_aabbs,
     boxes_hit_boxes,
     box_corners,
-    disc_centers,
+    disc_center_distance,
+    disc_centers_arr,
+    euler_step,
     footprint,
     normalize_angle,
-    pair_distance,
     sat_overlap,
-    step_kinematics,
 )
-from oracles import brute_pair_distance, point_in_box, sampled_overlap
+from fleetplan.reeds_shepp import RsSegment
+from oracles import brute_pair_distance, point_in_box, rollout_curve, sampled_overlap
+
+
+def step(z, u, dt, params):
+    return euler_step(np.array(z, dtype=float), np.array(u, dtype=float), dt, params.L)
 
 
 def test_step_straight():
-    z = step_kinematics(State(0, 0, 0, 0), ControlInput(1, 0), 0.1, VehicleParams(L=1))
-    assert z == State(0.1, 0.0, 0.0, 0.0)
+    z = step((0, 0, 0, 0), (1, 0), 0.1, VehicleParams(L=1))
+    assert z.tolist() == [0.1, 0.0, 0.0, 0.0]
 
 
 def test_step_rotated_straight():
-    z = step_kinematics(State(0, 0, math.pi / 2, 0), ControlInput(1, 0), 0.1, VehicleParams(L=1))
-    assert abs(z.x) < 1e-15
-    assert abs(z.y - 0.1) < 1e-15
-    assert z.theta == math.pi / 2
+    z = step((0, 0, math.pi / 2, 0), (1, 0), 0.1, VehicleParams(L=1))
+    assert abs(z[0]) < 1e-15
+    assert abs(z[1] - 0.1) < 1e-15
+    assert z[2] == math.pi / 2
 
 
 def test_step_curved_substitution():
     # frozen from a direct substitution into the discrete model
-    z = step_kinematics(State(0, 0, 0, 0.3), ControlInput(1, 0.1), 0.05, VehicleParams(L=2.0))
-    assert z.x == pytest.approx(0.05, abs=1e-15)
-    assert z.y == pytest.approx(0.0, abs=1e-15)
-    assert z.theta == pytest.approx(0.007733406240240582, abs=1e-15)
-    assert z.phi == pytest.approx(0.305, abs=1e-15)
+    z = step((0, 0, 0, 0.3), (1, 0.1), 0.05, VehicleParams(L=2.0))
+    assert z[0] == pytest.approx(0.05, abs=1e-15)
+    assert z[1] == pytest.approx(0.0, abs=1e-15)
+    assert z[2] == pytest.approx(0.007733406240240582, abs=1e-15)
+    assert z[3] == pytest.approx(0.305, abs=1e-15)
 
 
 def test_step_identity():
-    z0 = State(3.0, -2.0, 0.7, 0.2)
-    z1 = step_kinematics(z0, ControlInput(0, 0), 0.5, VehicleParams())
-    assert z1 == z0
+    z0 = (3.0, -2.0, 0.7, 0.2)
+    z1 = step(z0, (0, 0), 0.5, VehicleParams())
+    assert z1.tolist() == list(z0)
 
 
 @given(
@@ -62,13 +67,40 @@ def test_step_identity():
 def test_step_rotational_equivariance(x, y, th, phi, v, om, alpha):
     p = VehicleParams()
     dt = 0.3
-    stepped = step_kinematics(State(x, y, th, phi), ControlInput(v, om), dt, p)
+    stepped = step((x, y, th, phi), (v, om), dt, p)
     c, s = math.cos(alpha), math.sin(alpha)
-    rot = State(x * c - y * s, x * s + y * c, normalize_angle(th + alpha), phi)
-    rot_stepped = step_kinematics(rot, ControlInput(v, om), dt, p)
-    assert rot_stepped.x == pytest.approx(stepped.x * c - stepped.y * s, abs=1e-9)
-    assert rot_stepped.y == pytest.approx(stepped.x * s + stepped.y * c, abs=1e-9)
-    assert abs(normalize_angle(rot_stepped.theta - stepped.theta - alpha)) < 1e-9
+    rot = (x * c - y * s, x * s + y * c, normalize_angle(th + alpha), phi)
+    rot_stepped = step(rot, (v, om), dt, p)
+    assert rot_stepped[0] == pytest.approx(stepped[0] * c - stepped[1] * s, abs=1e-9)
+    assert rot_stepped[1] == pytest.approx(stepped[0] * s + stepped[1] * c, abs=1e-9)
+    assert abs(normalize_angle(rot_stepped[2] - stepped[2] - alpha)) < 1e-9
+
+
+def test_step_single_state_matches_batch():
+    rng = np.random.default_rng(7)
+    z = rng.uniform([-5, -5, -math.pi, -0.6], [5, 5, math.pi, 0.6], size=(50, 4))
+    u = rng.uniform([-1, -1], [1, 1], size=(50, 2))
+    batch = euler_step(z, u, 0.25, 1.5)
+    assert batch.shape == (50, 4)
+    for n in range(50):
+        assert np.array_equal(euler_step(z[n], u[n], 0.25, 1.5), batch[n])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.4, -1.0 / 2.5])
+@pytest.mark.parametrize("s", [0.0, 1.3, -2.7, 9.0])
+def test_arc_matches_turn_center_rollout(kappa, s):
+    start = (1.5, -2.0, 2.8)
+    got = advance_arc(*start, kappa, s)
+    want = rollout_curve(start, [RsSegment(kappa, s)])
+    assert got == pytest.approx(want, abs=1e-12)
+    if s == 0.0:
+        assert got == start
+
+
+def test_arc_heading_unwrapped():
+    # three quarter turns leave the heading past pi rather than wrapping it
+    _, _, th = advance_arc(0.0, 0.0, 3.0, 1.0, 1.5 * math.pi)
+    assert th == 3.0 + 1.5 * math.pi
 
 
 def test_normalize_angle_range():
@@ -143,17 +175,21 @@ def test_sat_vs_sampling_oracle_small():
     sat_vs_sampling(1000)
 
 
+def discs(z, p):
+    return disc_centers_arr(np.array([[z.x, z.y, z.theta]]), p)
+
+
 def test_disc_centers_substitution():
     p = VehicleParams(L_F=2, L_B=1, W=2)
     assert p.front_disc_offset == 1.25
     assert p.rear_disc_offset == -0.25
-    y = disc_centers(State(0, 0, 0), p)
+    y = discs(State(0, 0, 0), p)[0]
     assert np.allclose(y, [[1.25, 0.0], [-0.25, 0.0]])
 
 
 def test_disc_centers_symmetric_body():
     p = VehicleParams(L_F=1.5, L_B=1.5, W=2)
-    y = disc_centers(State(0, 0, 0.4), p)
+    y = discs(State(0, 0, 0.4), p)[0]
     assert np.allclose(y[0], -y[1])
 
 
@@ -163,7 +199,7 @@ def disc_coverage(n_states: int, seed: int = 1) -> None:
     for _ in range(n_states):
         z = State(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
         fp = footprint(z, p)
-        centers = disc_centers(z, p)
+        centers = discs(z, p)[0]
         corners = box_corners(fp)
         edges = []
         for k in range(4):
@@ -177,6 +213,10 @@ def disc_coverage(n_states: int, seed: int = 1) -> None:
 
 def test_disc_coverage_small():
     disc_coverage(500)
+
+
+def pair_distance(zi, zj, p):
+    return float(disc_center_distance(discs(zi, p), discs(zj, p))[0]) - 2.0 * p.disc_radius
 
 
 def test_pair_distance_identical():
@@ -198,6 +238,19 @@ def test_pair_distance_head_to_head_enumeration():
     zi = State(0, 0, 0)
     zj = State(6.0, 0.5, math.pi)
     assert pair_distance(zi, zj, p) == pytest.approx(brute_pair_distance(zi, zj, p), abs=1e-12)
+
+
+def test_disc_distance_over_time_matches_enumeration():
+    p = VehicleParams()
+    rng = np.random.default_rng(5)
+    lo, hi = [-6, -6, -math.pi], [6, 6, math.pi]
+    sa = rng.uniform(lo, hi, size=(40, 3))
+    sb = rng.uniform(lo, hi, size=(40, 3))
+    got = disc_center_distance(disc_centers_arr(sa, p), disc_centers_arr(sb, p))
+    assert got.shape == (40,)
+    for t in range(40):
+        want = brute_pair_distance(State(*sa[t]), State(*sb[t]), p) + 2.0 * p.disc_radius
+        assert got[t] == pytest.approx(want, abs=1e-12)
 
 
 @given(

@@ -130,17 +130,3 @@ def test_segment_count_and_word_shape():
             assert seg.curvature in (-1.0, 0.0, 1.0)
             assert seg.length != 0.0
 
-
-def test_sampling_spacing_and_endpoint():
-    start = (0.5, -1.0, 0.3)
-    goal = (6.0, 4.0, -2.0)
-    curve = rs.shortest_path(start, goal, 2.0)
-    pts = rs.sample_curve(start, curve, ds=0.25)
-    assert pts.shape[1] == 3
-    # endpoint is the goal pose
-    assert math.hypot(pts[-1, 0] - goal[0], pts[-1, 1] - goal[1]) < 1e-6
-    dth = (pts[-1, 2] - goal[2] + math.pi) % (2 * math.pi) - math.pi
-    assert abs(dth) < 1e-6
-    # consecutive samples never farther apart than the requested spacing
-    chords = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-    assert np.all(chords <= 0.25 + 1e-9)

@@ -283,11 +283,12 @@ def test_update_plan_cascades_in_topological_order():
     assert ordered_pairs_clean(n2, inst.vehicle)
 
 
-def test_update_plan_module_wrapper():
+def test_update_plan_adds_pair_to_cold_root():
     inst = cascade_instance()
     grid = GridSpec()
-    root = sh.generate_root(inst, grid, warm_start=False)
-    child = sh.update_plan(root, (1, 2), inst, grid)
+    s = sh.PrioritySearch(inst, grid, warm_start=False)
+    root = s.generate_root()
+    child = s.update_plan(root, (1, 2))
     assert child is not None
     assert child.orders == frozenset({(1, 2)})
 

@@ -5,7 +5,12 @@ import pytest
 
 from fleetplan.geometry import OrientedBox, State, VehicleParams, boxes_hit_aabbs
 from fleetplan.instance import AgentTask, MvtpInstance, Plan, validate_plan
+from fleetplan import reeds_shepp as rs
 from fleetplan import search_low as sl
+
+
+def plan_agent(inst, agent_id, dyn, grid, time_budget=None):
+    return sl.LowLevelPlanner(inst, grid).plan(agent_id, dyn, time_budget=time_budget)
 
 
 def empty_instance(size=60.0, agents=None):
@@ -60,22 +65,30 @@ def test_discretize_roundtrip_property():
 
 # --- analytic expansion ---------------------------------------------------
 
+def shot_poses(z, goal, params):
+    """The search's goal shot: the shortest curve, cut into quanta and sampled."""
+    curve = rs.shortest_path((z.x, z.y, z.theta), (goal.x, goal.y, goal.theta),
+                             params.min_turn_radius)
+    pieces = sl._split_curve(curve, sl.GridSpec().delta_s, params.L)
+    return curve, sl._piece_poses(z.x, z.y, z.theta, pieces, 0.5, params.L)
+
+
 def test_analytic_expand_zero_and_straight(params):
     z = State(5.0, 5.0, 0.3)
-    out = sl.analytic_expand(z, z, params)
-    assert out.curve.length == 0.0
+    curve, _ = shot_poses(z, z, params)
+    assert curve.length == 0.0
     goal = State(5.0 + 5.0 * math.cos(0.3), 5.0 + 5.0 * math.sin(0.3), 0.3)
-    out = sl.analytic_expand(z, goal, params)
-    assert out.curve.length == pytest.approx(5.0, abs=1e-9)
-    assert len(out.curve.segments) == 1
-    assert math.hypot(out.samples[-1, 0] - goal.x, out.samples[-1, 1] - goal.y) < 1e-6
+    curve, samples = shot_poses(z, goal, params)
+    assert curve.length == pytest.approx(5.0, abs=1e-9)
+    assert len(curve.segments) == 1
+    assert math.hypot(samples[-1, 0] - goal.x, samples[-1, 1] - goal.y) < 1e-6
 
 
-# --- plan_single ----------------------------------------------------------
+# --- single-agent planning ------------------------------------------------
 
 def test_goal_equals_start():
     inst = empty_instance(agents=[AgentTask(0, State(10, 10, 0.5), State(10, 10, 0.5))])
-    res = sl.plan_single(inst, 0, None, sl.GridSpec())
+    res = plan_agent(inst, 0, None, sl.GridSpec())
     assert res.ok
     assert res.trajectory.horizon == 0
     assert res.trajectory.makespan_s == 0.0
@@ -95,7 +108,7 @@ def straight_task_check(n_tasks, seed):
         start = State(x0, y0, th)
         goal = State(x0 + d * math.cos(th), y0 + d * math.sin(th), th)
         inst = empty_instance(agents=[AgentTask(0, start, goal)])
-        res = sl.plan_single(inst, 0, None, grid)
+        res = plan_agent(inst, 0, None, grid)
         assert res.ok
         bound = d / par.v_max + grid.delta_s / par.v_max
         assert res.trajectory.makespan_s <= bound + 1e-9
@@ -109,7 +122,7 @@ def test_empty_map_10m():
     inst = MvtpInstance(20.0, 20.0, [],
                         [AgentTask(0, State(5.0, 10.0, 0.0), State(15.0, 10.0, 0.0))],
                         VehicleParams())
-    res = sl.plan_single(inst, 0, None, sl.GridSpec())
+    res = plan_agent(inst, 0, None, sl.GridSpec())
     assert res.ok
     assert res.trajectory.makespan_s <= 10.0 + 2.0 + 1e-9
     # endpoint reaches the goal pose
@@ -139,8 +152,8 @@ def test_static_detour():
 
 def test_deterministic_replanning():
     inst = detour_instance()
-    a = sl.plan_single(inst, 0, None, sl.GridSpec())
-    b = sl.plan_single(inst, 0, None, sl.GridSpec())
+    a = plan_agent(inst, 0, None, sl.GridSpec())
+    b = plan_agent(inst, 0, None, sl.GridSpec())
     assert np.array_equal(a.trajectory.states, b.trajectory.states)
     assert a.trajectory.segments == b.trajectory.segments
 
@@ -166,7 +179,7 @@ def test_blocked_corridor_waits_or_detours():
     inst = corridor_instance()
     blocker = blocker_states()
     dyn = sl.DynamicObstacleSet([blocker])
-    res = sl.plan_single(inst, 1, dyn, sl.GridSpec(), time_budget=30.0)
+    res = plan_agent(inst, 1, dyn, sl.GridSpec(), time_budget=30.0)
     assert res.ok
     traj = res.trajectory
     waited = any(s.is_wait for s in traj.segments)
@@ -191,20 +204,20 @@ def test_exhausted_when_goal_sealed():
     inst = MvtpInstance(14.0, 14.0, walls,
                         [AgentTask(0, State(3.0, 3.0, 0.0), State(12.0, 12.0, 0.0))],
                         VehicleParams())
-    res = sl.plan_single(inst, 0, None, sl.GridSpec(max_steps=10))
+    res = plan_agent(inst, 0, None, sl.GridSpec(max_steps=10))
     assert res.status == "exhausted"
     assert res.trajectory is None
 
 
 def test_timeout_reported():
     inst = detour_instance()
-    res = sl.plan_single(inst, 0, None, sl.GridSpec(), time_budget=0.0)
+    res = plan_agent(inst, 0, None, sl.GridSpec(), time_budget=0.0)
     assert res.status == "timeout"
 
 
 def test_replay_check_catches_corruption():
     inst = detour_instance()
-    res = sl.plan_single(inst, 0, None, sl.GridSpec())
+    res = plan_agent(inst, 0, None, sl.GridSpec())
     traj = res.trajectory
     sl._replay_check(traj, inst.vehicle)  # clean trajectory passes
     traj.states[2, 0] += 1e-6
