@@ -742,9 +742,9 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
                 sol = qp_solve(qp, warm=warm.get(aid),
                                eps_abs=1e-5, eps_rel=1e-5, max_iters=4000)
                 tele.qp_time_s += time.monotonic() - t0
-            if sol is None or sol.status == "primal_infeasible":
-                # an over-constrained agent keeps its iterate this round;
-                # neighbors still move, which often unblocks it later
+            if sol is None or sol.status != "optimal":
+                # an over-constrained or unconverged agent keeps its iterate
+                # this round; neighbors still move, which often unblocks it
                 tele.qp_rejections.append((aid, k))
                 new_s[m], new_u[m] = cur_s[m], cur_u[m]
                 continue
@@ -767,6 +767,6 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
             break
     if tele.qp_rejections:
         agent, k = tele.qp_rejections[0]
-        return fail("qp_infeasible", agent, k, "QP primal infeasible")
+        return fail("qp_infeasible", agent, k, "QP infeasible or not converged")
     return fail("not_feasible", None, tele.iterations,
                 "iterate converged or capped while still infeasible")
