@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -94,6 +94,14 @@ class InstanceError(ValueError):
 
 
 def _check_instance(inst: MvtpInstance) -> None:
+    sizes = [("map width", inst.map_width), ("map height", inst.map_height)]
+    sizes += [(f"vehicle {f.name}", getattr(inst.vehicle, f.name)) for f in fields(VehicleParams)]
+    for name, val in sizes:
+        if not (math.isfinite(val) and val > 0.0):
+            raise InstanceError(f"{name} must be finite and positive, got {val!r}")
+    if any(o.heading != 0.0 for o in inst.obstacles):
+        # every collision test treats obstacles as axis-aligned boxes
+        raise InstanceError("obstacles must be axis-aligned (heading 0)")
     if inst.n_agents < 1:
         raise InstanceError("instance needs at least one agent")
     ids = [a.id for a in inst.agents]
@@ -167,7 +175,8 @@ def parse_instance(text: str) -> MvtpInstance:
     if not isinstance(doc, dict):
         raise InstanceError("instance document is not a mapping")
     try:
-        m = doc["map"]
+        width = float(doc["map"]["width"])
+        height = float(doc["map"]["height"])
         vd = doc["vehicle"]
         vehicle = VehicleParams(
             L=float(vd["L"]),
@@ -179,7 +188,8 @@ def parse_instance(text: str) -> MvtpInstance:
             phi_max=float(vd["phi_max"]),
         )
         obstacles = [
-            OrientedBox(float(o["cx"]), float(o["cy"]), float(o["hx"]), float(o["hy"]))
+            OrientedBox(float(o["cx"]), float(o["cy"]), float(o["hx"]), float(o["hy"]),
+                        float(o.get("heading", 0.0)))
             for o in doc.get("obstacles") or []
         ]
         agents = []
@@ -193,9 +203,9 @@ def parse_instance(text: str) -> MvtpInstance:
                     State(gx, gy, normalize_angle(gth)),
                 )
             )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InstanceError(f"missing or malformed field: {e}") from e
-    inst = MvtpInstance(float(m["width"]), float(m["height"]), obstacles, agents, vehicle)
+    inst = MvtpInstance(width, height, obstacles, agents, vehicle)
     _check_instance(inst)
     return inst
 
@@ -305,15 +315,22 @@ def generate_room_instance(
     n_agents: int,
     vehicle: VehicleParams | None = None,
     rooms: int = 4,
-    door: float = 2.0,
+    door: float = 3.5,
     wall: float = 0.3,
     clearance: float = 1.5,
     end_margin: float = 0.15,
 ) -> MvtpInstance:
-    """Room-grid scenario: a rooms x rooms wall lattice with one random door per edge."""
+    """Room-grid scenario: a rooms x rooms wall lattice with one random door per edge.
+
+    A door must be wider than the covering-disc diameter, or no plan can
+    cross it.
+    """
     if n_agents < 1:
         raise InstanceError("n_agents must be >= 1")
     vehicle = vehicle or VehicleParams()
+    if door <= 2.0 * vehicle.disc_radius:
+        raise InstanceError(
+            f"door {door} m is not wider than the covering discs ({2.0 * vehicle.disc_radius} m)")
     rng = np.random.default_rng(seed)
     pitch = size / rooms
     hw = wall / 2.0

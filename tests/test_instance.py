@@ -47,6 +47,33 @@ def test_parse_rejects_empty_agents():
         parse_instance(MINIMAL.replace("- {id: 0, start: [5, 5, 0], goal: [15, 15, 0]}", "[]").replace("agents:\n", "agents: "))
 
 
+def test_parse_missing_map_width():
+    with pytest.raises(InstanceError, match="width"):
+        parse_instance(MINIMAL.replace("width: 20, ", ""))
+
+
+@pytest.mark.parametrize("old,new", [
+    ("v_max: 1.0", "v_max: 0"),
+    ("L: 1.5", "L: -1.5"),
+    ("width: 20", "width: .nan"),
+    ("height: 20", "height: .inf"),
+    ("W: 2.0", "W: 0.0"),
+    ("phi_max: 0.6", "phi_max: -0.6"),
+    ("omega_max: 1.0", "omega_max: .nan"),
+])
+def test_parse_rejects_bad_sizes(old, new):
+    assert old in MINIMAL
+    with pytest.raises(InstanceError, match="finite and positive"):
+        parse_instance(MINIMAL.replace(old, new))
+
+
+def test_parse_rejects_rotated_obstacle():
+    box = "obstacles:\n- {cx: 10, cy: 3, hx: 1, hy: 1, heading: %s}"
+    assert parse_instance(MINIMAL.replace("obstacles: []", box % "0.0")).obstacles
+    with pytest.raises(InstanceError, match="axis-aligned"):
+        parse_instance(MINIMAL.replace("obstacles: []", box % "0.3"))
+
+
 def test_roundtrip_equality():
     for seed in range(5):
         inst = generate_random_instance(seed, 30.0, 6, 3)
@@ -83,6 +110,12 @@ def test_room_generator_valid():
     inst = generate_room_instance(3, 50.0, 4)
     assert len(inst.obstacles) > 10
     assert inst.n_agents == 4
+
+
+def test_room_generator_rejects_impassable_door():
+    # 2.0 m is the body width but narrower than the 2.5 m covering discs
+    with pytest.raises(InstanceError, match="door"):
+        generate_room_instance(3, 50.0, 4, door=2.0)
 
 
 def _hold_plan(inst, T=6, dt=0.5):
