@@ -246,4 +246,3 @@ def shortest_path(start, goal, radius: float) -> RsCurve | None:
 def path_length(start, goal, radius: float) -> float:
     curve = shortest_path(start, goal, radius)
     return math.inf if curve is None else curve.length
-

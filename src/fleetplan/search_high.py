@@ -277,4 +277,3 @@ def solve(instance, grid: GridSpec, strategy: str = "depth_first",
                               warm_start=warm_start,
                               worse_child_first=worse_child_first)
     return searcher.solve(time_budget)
-

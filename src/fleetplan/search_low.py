@@ -466,4 +466,3 @@ def _replay_check(traj: CoarseTrajectory, params: VehicleParams):
         dth = abs(normalize_angle(th - s[2]))
         if max(abs(x - s[0]), abs(y - s[1]), dth) > 1e-9:
             raise RuntimeError("coarse trajectory replay mismatch")
-

@@ -129,4 +129,3 @@ def test_segment_count_and_word_shape():
         for seg in c.segments:
             assert seg.curvature in (-1.0, 0.0, 1.0)
             assert seg.length != 0.0
-

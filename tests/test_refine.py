@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from fleetplan import refine
 from fleetplan.geometry import VehicleParams, disc_centers_arr, euler_step
