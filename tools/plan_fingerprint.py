@@ -7,10 +7,13 @@ bit-identical.  Dump one record per checkout, then compare them:
     python3 tools/plan_fingerprint.py compare <a.pkl> <b.pkl>
 
 Per instance of pbs50, rooms40 and refine30 a record holds the search
-status, PBS nodes expanded, low-level calls and every coarse trajectory's
-states and segments; on refine30 also the `sqp_refine` status, iterations,
-residuals, rejections and failure, and each QP's status, ADMM iteration count
-and solution vector.  `compare` exits 1 on any difference.
+status, PBS nodes expanded, low-level calls, each `LowLevelPlanner.plan`
+call's (agent, status, expansions) in call order, and every coarse
+trajectory's states and segments; on refine30 also the `sqp_refine` status,
+iterations, residuals, rejections and failure, and each QP's status, ADMM
+iteration count and solution vector.  The per-call record makes `compare`
+catch a change that reorders or lengthens the search even when the final
+plans match.  `compare` exits 1 on any difference.
 """
 from __future__ import annotations
 
@@ -24,18 +27,29 @@ import numpy as np
 def dump(checkout: Path, out: Path) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
-    from fleetplan import refine
+    from fleetplan import refine, search_low
 
+    low_calls = []
+    plan = search_low.LowLevelPlanner.plan
+
+    def recorded_plan(self, agent_id, *args, **kwargs):
+        res = plan(self, agent_id, *args, **kwargs)
+        low_calls.append((agent_id, res.status, res.expansions))
+        return res
+
+    search_low.LowLevelPlanner.plan = recorded_plan
     records = {}
     for name, wl in workloads.WORKLOADS.items():
         for k, inst in enumerate(workloads.generate(wl)):
             search = workloads.make_searchers(wl, [inst])[0]
+            low_calls.clear()
             res = search.solve(time_budget=workloads.SEARCH_BUDGET_S)
             trajs = res.trajectories
             rec = {
                 "status": res.status,
                 "nodes": res.telemetry.nodes_expanded,
                 "low_calls": res.telemetry.low_level_calls,
+                "low": list(low_calls),
                 "states": {a: t.states.copy() for a, t in trajs.items()},
                 "segments": {a: [(s.direction, s.steer, s.length) for s in t.segments]
                              for a, t in trajs.items()},
