@@ -176,9 +176,9 @@ def _reaches(types: str, lengths: list[float], x, y, phi) -> bool:
     )
 
 
-def _candidates(x: float, y: float, phi: float) -> list[tuple[str, list[float]]]:
-    """All valid (types, unit-scaled signed lengths) words reaching (x, y, phi)."""
-    out = []
+def _solutions(x: float, y: float, phi: float):
+    """Every formula branch's (types, unit-scaled signed lengths) for (x, y, phi),
+    in enumeration order and not yet checked against the goal with _reaches."""
     xb = x * math.cos(phi) + y * math.sin(phi)
     yb = x * math.sin(phi) - y * math.cos(phi)
     for solver, types, build, backwards in _WORDS:
@@ -193,10 +193,7 @@ def _candidates(x: float, y: float, phi: float) -> list[tuple[str, list[float]]]
             lengths = build(*sol)
             if flip:
                 lengths = [-l for l in lengths]
-            word = types.translate(_SWAP) if reflect else types
-            if _reaches(word, lengths, x, y, phi):
-                out.append((word, lengths))
-    return out
+            yield (types.translate(_SWAP) if reflect else types), lengths
 
 
 def _to_curve(word: str, lengths: list[float], radius: float) -> RsCurve:
@@ -222,9 +219,10 @@ def _goal_in_start_frame(start, goal, radius):
 
 
 def all_paths(start, goal, radius: float) -> list[RsCurve]:
-    """Every valid candidate curve, unordered (used by the enumeration tests)."""
+    """Every valid candidate curve in enumeration order (used by the tests)."""
     x, y, phi = _goal_in_start_frame(start, goal, radius)
-    return [_to_curve(w, ls, radius) for w, ls in _candidates(x, y, phi)]
+    return [_to_curve(w, ls, radius) for w, ls in _solutions(x, y, phi)
+            if _reaches(w, ls, x, y, phi)]
 
 
 def shortest_path(start, goal, radius: float) -> RsCurve | None:
@@ -233,9 +231,10 @@ def shortest_path(start, goal, radius: float) -> RsCurve | None:
         return RsCurve((), 0.0)
     best = None
     best_len = math.inf
-    for word, lengths in _candidates(x, y, phi):
+    for word, lengths in _solutions(x, y, phi):
+        # roll out only a candidate that would win; one that cannot never moves best
         total = sum(abs(l) for l in lengths)
-        if total < best_len - 1e-12:
+        if total < best_len - 1e-12 and _reaches(word, lengths, x, y, phi):
             best_len = total
             best = (word, lengths)
     if best is None:

@@ -87,6 +87,26 @@ def test_shortest_is_min_over_enumeration():
             assert abs(d) < 1e-5
 
 
+def test_shortest_matches_running_minimum_over_all_paths():
+    # reference: roll out every candidate, then keep the first strictly
+    # shorter one in enumeration order; shortest_path rolls out only the
+    # candidates that would win and must pick the same word
+    poses = rand_poses(1000, seed=23)
+    radius = 2.3
+    for k in range(0, 1000, 2):
+        start, goal = poses[k], poses[k + 1]
+        x, y, phi = rs._goal_in_start_frame(start, goal, radius)
+        valid = [(w, ls) for w, ls in rs._solutions(x, y, phi) if rs._reaches(w, ls, x, y, phi)]
+        assert rs.all_paths(start, goal, radius) == [rs._to_curve(w, ls, radius) for w, ls in valid]
+        best, best_len = None, math.inf
+        for w, ls in valid:
+            total = sum(abs(l) for l in ls)
+            if total < best_len - 1e-12:
+                best, best_len = (w, ls), total
+        # equal segments (signed curvatures and lengths) and equal total length
+        assert rs.shortest_path(start, goal, radius) == rs._to_curve(best[0], best[1], radius)
+
+
 def test_symmetric_under_swap():
     # driving the word backwards traverses the same geometry, so the
     # shortest length is symmetric in (start, goal)
