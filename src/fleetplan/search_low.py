@@ -201,8 +201,22 @@ class LowLevelResult:
 
 
 class LowLevelPlanner:
-    """Caches per-instance data (obstacle arrays, flood fills, primitives) so
-    repeated single-agent searches stay cheap."""
+    """Time-indexed hybrid-A* for one agent among higher-priority trajectories.
+
+    The planner keeps per-instance data (obstacle arrays, flood fills, the
+    primitive table) for the life of the instance.  Within one `plan` call,
+    waits and reordered moves bring the vehicle back to the exact same
+    (x, y, yaw) at later time indices, so each expansion is split in two.
+    What follows from the pose alone is memoised per call, keyed on the exact
+    float pose, and dropped when `plan` returns: the primitives' end poses,
+    whether each primitive's sweep stays on the map and clear of the static
+    obstacles, the heuristic of each pushed pose, and the pose's shortest
+    Reeds-Shepp curve to the goal, which the heuristic and the goal shot
+    share.  What depends on the time index runs on every expansion: the
+    dynamic-obstacle test at the next time index, the reversal rule, the
+    time-indexed closed-set key, the cost comparison, and the goal shot's
+    dynamic checks and horizon cap.
+    """
 
     def __init__(self, instance, grid: GridSpec):
         if not math.isfinite(grid.width):
@@ -216,12 +230,9 @@ class LowLevelPlanner:
         prims = _primitive_table(grid, self.params)
         self._prims = prims
         self._stack = np.vstack([p.samples for p in prims])
-        slices, row = [], 0
-        for p in prims:
-            slices.append(slice(row, row + p.samples.shape[0]))
-            row += p.samples.shape[0]
-        self._slices = slices
-        self._end_rows = np.array([s.stop - 1 for s in slices])
+        sizes = np.array([p.samples.shape[0] for p in prims])
+        self._end_rows = np.cumsum(sizes) - 1         # each primitive's last stacked row
+        self._starts = self._end_rows - sizes + 1      # and its first, for reduceat
         self._fills: dict[int, np.ndarray] = {}
         self._task_by_id = {a.id: a for a in instance.agents}
 
@@ -260,7 +271,8 @@ class LowLevelPlanner:
         self._fills[agent_id] = dist
         return dist
 
-    def _h(self, fill, goal, x, y, th) -> float:
+    def _h(self, fill, goal, x, y, th, curve_from) -> float:
+        """curve_from(pose) -> shortest Reeds-Shepp curve to the goal or None."""
         cell = self.grid.cell
         i = min(int(x / cell), fill.shape[0] - 1)
         j = min(int(y / cell), fill.shape[1] - 1)
@@ -268,7 +280,8 @@ class LowLevelPlanner:
         hg = max(0.0, d * _GRID_DISCOUNT - cell * _SQRT2) if math.isfinite(d) else 0.0
         de = math.hypot(goal.x - x, goal.y - y)
         if de <= self.grid.rs_radius:
-            hr = rs.path_length((x, y, th), (goal.x, goal.y, goal.theta), self.r_min)
+            curve = curve_from((x, y, th))
+            hr = math.inf if curve is None else curve.length
         else:
             hr = de
         return max(hg, hr) / self.params.v_max
@@ -277,7 +290,22 @@ class LowLevelPlanner:
         """Admissible cost-to-go estimate in seconds (exposed for tests)."""
         fill = self._flood(agent_id)
         goal = self._task_by_id[agent_id].goal
-        return self._h(fill, goal, float(pose[0]), float(pose[1]), float(pose[2]))
+        goal_t = (goal.x, goal.y, goal.theta)
+        return self._h(fill, goal, float(pose[0]), float(pose[1]), float(pose[2]),
+                       lambda p: rs.shortest_path(p, goal_t, self.r_min))
+
+    def _sweep(self, x, y, th):
+        """The pose-only half of an expansion from (x, y, th): every primitive's
+        end pose (P, 3), heading not yet wrapped, and whether its whole sweep
+        stays on the map and clear of the static obstacles (P,)."""
+        st, par = self._stack, self.params
+        cth, sth = math.cos(th), math.sin(th)
+        wx = x + st[:, 0] * cth - st[:, 1] * sth
+        wy = y + st[:, 0] * sth + st[:, 1] * cth
+        poses = np.stack([wx, wy, th + st[:, 2]], axis=1)
+        bad = discs_outside_map(poses, par, self.inst.map_width, self.inst.map_height)
+        bad |= discs_hit_aabbs(poses, par, *self._obs)
+        return poses[self._end_rows], ~np.logical_or.reduceat(bad, self._starts)
 
     # -- main search -------------------------------------------------------
 
@@ -291,14 +319,29 @@ class LowLevelPlanner:
         grid, par = self.grid, self.params
         task = self._task_by_id[agent_id]
         goal = task.goal
-        goal_pose = np.array([goal.x, goal.y, goal.theta])
+        goal_t = (goal.x, goal.y, goal.theta)
+        goal_pose = np.array(goal_t)
         fill = self._flood(agent_id)
         quantum = self.quantum
         acx, acy, ahx, ahy = self._obs
         have_obs = acx.shape[0] > 0
 
-        def h_of(x, y, th):
-            return self._h(fill, goal, x, y, th)
+        # the pose-only memo of this call (see the class docstring), keyed on
+        # the exact float pose (x, y, th)
+        curves: dict[tuple, rs.RsCurve | None] = {}
+        hs: dict[tuple, float] = {}
+        sweeps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+        def curve_from(pose):
+            if pose not in curves:
+                curves[pose] = rs.shortest_path(pose, goal_t, self.r_min)
+            return curves[pose]
+
+        def h_of(pose):
+            h = hs.get(pose)
+            if h is None:
+                h = hs[pose] = self._h(fill, goal, *pose, curve_from)
+            return h
 
         # node store (structure-of-arrays; parent chain reconstructs the path)
         nxs: list[float] = []
@@ -321,11 +364,11 @@ class LowLevelPlanner:
             ngs.append(g); nits.append(it); nparent.append(parent); nact.append(act)
             ndir.append(dirsign)
             best[key] = g
-            heapq.heappush(open_heap, (g + h_of(x, y, th), counter, idx))
+            heapq.heappush(open_heap, (g + h_of((x, y, th)), counter, idx))
             counter += 1
 
         def try_shot(x, y, th, it, last_dir):
-            curve = rs.shortest_path((x, y, th), (goal.x, goal.y, goal.theta), self.r_min)
+            curve = curve_from((x, y, th))
             if curve is None:
                 return None
             pieces = _split_curve(curve, grid.delta_s, par.L)
@@ -411,28 +454,22 @@ class LowLevelPlanner:
                 continue
             expansions += 1
 
-            cth, sth = math.cos(th), math.sin(th)
-            st = self._stack
-            wx = x + st[:, 0] * cth - st[:, 1] * sth
-            wy = y + st[:, 0] * sth + st[:, 1] * cth
-            poses = np.stack([wx, wy, th + st[:, 2]], axis=1)
-            bad = discs_outside_map(poses, par, self.inst.map_width, self.inst.map_height)
-            if have_obs:
-                bad |= discs_hit_aabbs(poses, par, acx, acy, ahx, ahy)
+            pose = (x, y, th)
+            sweep = sweeps.get(pose)
+            if sweep is None:
+                sweep = sweeps[pose] = self._sweep(x, y, th)
+            ends, free = sweep
             if dyn.count:
-                hit_dyn = discs_hit_discs(poses[self._end_rows], dyn.at(it + 1), par).any(axis=1)
-            else:
-                hit_dyn = np.zeros(len(self._prims), dtype=bool)
+                free = free & ~discs_hit_discs(ends, dyn.at(it + 1), par).any(axis=1)
 
             g = ngs[idx]
-            for a, prim in enumerate(self._prims):
-                if hit_dyn[a] or bad[self._slices[a]].any():
+            for a, (ok, (ex, ey, eth)) in enumerate(zip(free.tolist(), ends.tolist())):
+                if not ok:
                     continue
+                prim = self._prims[a]
                 if prim.direction and last_dir and prim.direction * last_dir < 0:
                     continue  # reversal only out of a dwell
-                er = self._end_rows[a]
-                ex, ey = wx[er], wy[er]
-                eth = normalize_angle(th + st[er, 2])
+                eth = normalize_angle(eth)
                 g2 = g + quantum * (grid.reverse_penalty if prim.direction < 0 else 1.0)
                 dir2 = int(prim.direction) if prim.direction else 0
                 key2 = (discretize((ex, ey, eth), grid, it + 1), dir2)

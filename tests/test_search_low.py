@@ -184,8 +184,11 @@ def test_blocked_corridor_waits_or_detours():
     traj = res.trajectory
     waited = any(s.is_wait for s in traj.segments)
     assert waited or traj.makespan_s > 26.0
+    assert_clear_of_blocker(inst, blocker, traj)
 
-    # verify with the independent plan checker, dynamic agent injected
+
+def assert_clear_of_blocker(inst, blocker, traj):
+    """The independent plan checker, dynamic agent injected, at every time index."""
     T = max(blocker.shape[0], traj.states.shape[0])
 
     def pad(a):
@@ -197,6 +200,57 @@ def test_blocked_corridor_waits_or_detours():
     report = validate_plan(inst, plan)
     bad = [v for v in report.violations if v.kind in ("inter_agent", "static", "off_map")]
     assert bad == []
+
+
+def crossing_instance():
+    """A dead-end stub whose open end faces a crossing lane; a pillar on the
+    straight line to the goal keeps the goal shot from the start blocked, so
+    the vehicle can only leave the start by a primitive straight ahead."""
+    walls = [OrientedBox(18.0, 6.0, 4.0, 2.5), OrientedBox(18.0, 14.0, 4.0, 2.5),
+             OrientedBox(15.0, 10.0, 1.0, 1.5), OrientedBox(30.0, 10.0, 1.0, 1.0)]
+    agents = [
+        AgentTask(0, State(19.0, 10.0, 0.0), State(36.0, 10.0, 0.0)),
+        AgentTask(1, State(24.0, 4.0, math.pi / 2), State(24.0, 26.0, math.pi / 2)),
+    ]
+    return MvtpInstance(40.0, 30.0, walls, agents, VehicleParams())
+
+
+def crossing_blocker():
+    """Agent 1 of crossing_instance, planned earlier: it drives north across
+    the stub's mouth during the first quanta."""
+    return np.array([(24.0, 4.0 + 2.0 * k, math.pi / 2, 0.0) for k in range(12)])
+
+
+def test_waits_at_one_pose_until_crossing_blocker_clears():
+    inst = crossing_instance()
+    blocker = crossing_blocker()
+    res = plan_agent(inst, 0, sl.DynamicObstacleSet([blocker]), sl.GridSpec())
+    assert res.ok
+    traj = res.trajectory
+    waits = [t for t, seg in enumerate(traj.segments) if seg.is_wait]
+    # the start pose is expanded while the lane is busy and again once it
+    # clears; only the later expansions may move off straight ahead
+    assert len(waits) >= 2 and waits == list(range(len(waits)))
+    assert traj.segments[len(waits)].direction > 0
+    assert np.array_equal(traj.states[0], traj.states[len(waits)])
+    assert_clear_of_blocker(inst, blocker, traj)
+
+
+def test_pose_memo_lives_for_one_call_and_holds_no_time():
+    inst = crossing_instance()
+    dyn = sl.DynamicObstacleSet([crossing_blocker()])
+    planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+    first = planner.plan(0, dyn)
+    unblocked = planner.plan(0, None)
+    third = planner.plan(0, dyn)
+    assert first.ok and unblocked.ok
+    assert unblocked.trajectory.horizon < first.trajectory.horizon
+    pairs = [(third, first), (sl.LowLevelPlanner(inst, sl.GridSpec()).plan(0, dyn), first),
+             (sl.LowLevelPlanner(inst, sl.GridSpec()).plan(0, None), unblocked)]
+    for got, want in pairs:
+        assert (got.status, got.expansions) == (want.status, want.expansions)
+        assert np.array_equal(got.trajectory.states, want.trajectory.states)
+        assert got.trajectory.segments == want.trajectory.segments
 
 
 def test_exhausted_when_goal_sealed():
