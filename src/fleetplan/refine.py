@@ -642,7 +642,9 @@ class RefineTelemetry:
     residuals: list = field(default_factory=list)
     qp_time_s: float = 0.0
     guess_collisions: dict = field(default_factory=dict)
-    qp_rejections: list = field(default_factory=list)   # (agent, iteration)
+    # (agent, iteration, reason): "empty_box" when the corridor and trust
+    # region leave no room, else the QP status that was not "optimal"
+    qp_rejections: list = field(default_factory=list)
     failure: dict | None = None
 
 
@@ -745,7 +747,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
             if sol is None or sol.status != "optimal":
                 # an over-constrained or unconverged agent keeps its iterate
                 # this round; neighbors still move, which often unblocks it
-                tele.qp_rejections.append((aid, k))
+                tele.qp_rejections.append((aid, k, "empty_box" if sol is None else sol.status))
                 new_s[m], new_u[m] = cur_s[m], cur_u[m]
                 continue
             warm[aid] = sol
@@ -766,7 +768,6 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
         if resid < eps:
             break
     if tele.qp_rejections:
-        agent, k = tele.qp_rejections[0]
-        return fail("qp_infeasible", agent, k, "QP infeasible or not converged")
+        return fail("qp_infeasible", *tele.qp_rejections[0])
     return fail("not_feasible", None, tele.iterations,
                 "iterate converged or capped while still infeasible")

@@ -88,11 +88,44 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
 
     assert rr.status == "qp_infeasible"
     assert rr.telemetry.iterations == 3
-    assert rr.telemetry.qp_rejections == [(0, 0), (0, 1), (0, 2)]
-    assert rr.telemetry.failure["agent"] == 0
-    assert rr.telemetry.failure["iteration"] == 0
+    assert rr.telemetry.qp_rejections == [(0, 0, "max_iters"), (0, 1, "max_iters"),
+                                          (0, 2, "max_iters")]
+    assert rr.telemetry.failure == {"reason": "max_iters", "agent": 0, "iteration": 0}
     kept = [s for a, s, _ in assembled if a == 0]
     assert len(kept) == 3 and all(np.array_equal(s, kept[0]) for s in kept)
     assert [w for a, w in warms if a == 0] == [None] * 3
     moved = [w for a, w in warms if a == 1]
     assert moved[0] is None and all(w is not None for w in moved[1:])
+
+
+def test_rejection_reasons_name_empty_box_and_qp_status(monkeypatch):
+    """Agent 0's corridor and trust region never intersect (no QP at all);
+    agent 1's QP is primal-infeasible from the second round on."""
+    inst = generate_random_instance(1, 30.0, 6, 2)
+    res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
+    assert res.ok
+    agent_of = {tuple(a.start.as_array()): a.id for a in inst.agents}
+    assembled = []
+    rounds = {0: 0, 1: 0}
+
+    def assemble(start, goal, states, controls, *args, **kw):
+        aid = agent_of[tuple(start)]
+        assembled.append((aid, states, controls))
+        rounds[aid] += 1
+        return None if aid == 0 else "qp"
+
+    def solve(qp, warm=None, **kw):
+        aid, states, controls = assembled[-1]
+        x = np.concatenate([states.ravel(), controls.ravel()]) + 1e-2
+        status = "optimal" if rounds[aid] == 1 else "primal_infeasible"
+        return QpSolution(x, np.zeros(1), status, 0.0, 0.0, 10)
+
+    monkeypatch.setattr(refine, "assemble_qp", assemble)
+    monkeypatch.setattr(refine, "qp_solve", solve)
+    cfg = refine.RefineConfig(max_sqp_iters=2, convergence_eps=1e-12)
+    rr = refine.sqp_refine(res.trajectories, inst, cfg)
+
+    assert rr.status == "qp_infeasible"
+    assert rr.telemetry.qp_rejections == [(0, 0, "empty_box"), (0, 1, "empty_box"),
+                                          (1, 1, "primal_infeasible")]
+    assert rr.telemetry.failure == {"reason": "empty_box", "agent": 0, "iteration": 0}
