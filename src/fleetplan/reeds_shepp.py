@@ -1,9 +1,9 @@
 """Shortest bounded-curvature curves with reversing (Reeds-Shepp).
 
 Closed-form word families evaluated in the start frame scaled to unit turning
-radius.  Every candidate is re-rolled through its segments and kept only if it
-actually reaches the goal pose, so invalid formula branches filter themselves
-out instead of relying on per-family validity conditions.
+radius.  A candidate is kept only once re-rolling it through its segments shows
+that it actually reaches the goal pose, so invalid formula branches filter
+themselves out instead of relying on per-family validity conditions.
 """
 from __future__ import annotations
 

@@ -327,7 +327,7 @@ class LowLevelPlanner:
         have_obs = acx.shape[0] > 0
 
         # the pose-only memo of this call (see the class docstring), keyed on
-        # the exact float pose (x, y, th)
+        # the exact float pose (x, y, th); it goes out of scope when plan returns
         curves: dict[tuple, rs.RsCurve | None] = {}
         hs: dict[tuple, float] = {}
         sweeps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -454,11 +454,14 @@ class LowLevelPlanner:
                 continue
             expansions += 1
 
+            # pose-only half: computed on the pose's first expansion in this call
             pose = (x, y, th)
             sweep = sweeps.get(pose)
             if sweep is None:
                 sweep = sweeps[pose] = self._sweep(x, y, th)
             ends, free = sweep
+            # time-dependent half, on every expansion: the dynamic obstacles at
+            # it + 1, the reversal rule, the time-indexed key and the cost test
             if dyn.count:
                 free = free & ~discs_hit_discs(ends, dyn.at(it + 1), par).any(axis=1)
 
