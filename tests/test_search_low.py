@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from fleetplan.geometry import OrientedBox, State, VehicleParams, boxes_hit_aabbs
-from fleetplan.instance import AgentTask, MvtpInstance, Plan, validate_plan
+from fleetplan.instance import (
+    AgentTask,
+    MvtpInstance,
+    Plan,
+    generate_random_instance,
+    generate_room_instance,
+    validate_plan,
+)
 from fleetplan import reeds_shepp as rs
 from fleetplan import search_low as sl
 
@@ -251,6 +258,41 @@ def test_pose_memo_lives_for_one_call_and_holds_no_time():
         assert (got.status, got.expansions) == (want.status, want.expansions)
         assert np.array_equal(got.trajectory.states, want.trajectory.states)
         assert got.trajectory.segments == want.trajectory.segments
+
+
+# Per planned agent of each instance: the call with no dynamic obstacles, then
+# the call around the agents planned before it, each as
+# (status, expansions, horizon, states.sum()).  Any change to the node order,
+# the pruning or the goal shot moves these.
+SEARCH_PINS = {
+    "random30": [
+        (("ok", 227, 15, 237.3725750077748), ("ok", 227, 15, 237.3725750077748)),
+        (("ok", 0, 7, 255.91574317221273), ("ok", 0, 7, 255.91574317221273)),
+        (("ok", 15, 19, 601.4734755368395), ("ok", 41, 19, 583.3920236403976)),
+        (("ok", 0, 11, 395.6651719026685), ("ok", 0, 11, 395.6651719026685)),
+    ],
+    "rooms40": [
+        (("ok", 61, 21, 1004.8451396592618), ("ok", 61, 21, 1004.8451396592618)),
+        (("ok", 936, 23, 1319.5970617977905), ("ok", 936, 23, 1319.5970617977905)),
+        (("ok", 6, 10, 521.7200078570318), ("ok", 6, 10, 521.7200078570318)),
+    ],
+}
+
+
+def test_search_pins():
+    instances = {"random30": generate_random_instance(1, 30.0, 6, 4),
+                 "rooms40": generate_room_instance(1, 40.0, 3, door=3.5)}
+    for name, inst in instances.items():
+        planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+        earlier = []
+        for task, pins in zip(inst.agents, SEARCH_PINS[name], strict=True):
+            for dyn, (status, expansions, horizon, total) in zip(
+                    (None, sl.DynamicObstacleSet.from_trajectories(earlier)), pins):
+                res = planner.plan(task.id, dyn)
+                assert (res.status, res.expansions, res.trajectory.horizon) == \
+                    (status, expansions, horizon), (name, task.id, dyn is not None)
+                assert res.trajectory.states.sum() == pytest.approx(total, abs=1e-9)
+            earlier.append(res.trajectory)
 
 
 def test_exhausted_when_goal_sealed():
