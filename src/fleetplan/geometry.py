@@ -325,53 +325,50 @@ def disc_center_distance(da: np.ndarray, db: np.ndarray) -> np.ndarray:
 
 
 def discs_hit_aabbs(
-    poses: np.ndarray,
+    centers: np.ndarray,
     params: VehicleParams,
     acx: np.ndarray,
     acy: np.ndarray,
     ahx: np.ndarray,
     ahy: np.ndarray,
 ) -> np.ndarray:
-    """For each pose, does either covering disc overlap any axis-aligned box?
+    """For disc centres (..., 2, 2), does either covering disc overlap any
+    axis-aligned box?
 
     Conservative compared to the exact footprint test: the discs cover the
     rectangle, so a disc-clear pose is always footprint-clear.  Returns a
-    boolean mask of shape (N,).
+    boolean mask of the leading shape (...).
     """
-    if acx.size == 0 or poses.shape[0] == 0:
-        return np.zeros(poses.shape[0], dtype=bool)
-    cen = disc_centers_arr(poses, params).reshape(-1, 2)   # (2N, 2)
+    if acx.size == 0 or centers.size == 0:
+        return np.zeros(centers.shape[:-2], dtype=bool)
+    cen = centers.reshape(-1, 2)   # (2N, 2)
     dx = np.maximum(np.abs(cen[:, 0:1] - acx[None, :]) - ahx[None, :], 0.0)
     dy = np.maximum(np.abs(cen[:, 1:2] - acy[None, :]) - ahy[None, :], 0.0)
     hit = (dx * dx + dy * dy) < params.disc_radius ** 2
-    return hit.any(axis=1).reshape(-1, 2).any(axis=1)
+    return hit.any(axis=1).reshape(centers.shape[:-1]).any(axis=-1)
 
 
 def discs_outside_map(
-    poses: np.ndarray, params: VehicleParams, width: float, height: float
+    centers: np.ndarray, params: VehicleParams, width: float, height: float
 ) -> np.ndarray:
-    """True where either covering disc sticks out of [0,width] x [0,height]."""
+    """For disc centres (..., 2, 2): True where either covering disc sticks
+    out of [0,width] x [0,height]."""
     eps = 1e-9
-    cen = disc_centers_arr(poses, params)
     r = params.disc_radius
-    x, y = cen[..., 0], cen[..., 1]
+    x, y = centers[..., 0], centers[..., 1]
     out = (x < r - eps) | (x > width - r + eps) | (y < r - eps) | (y > height - r + eps)
-    return out.any(axis=1)
+    return out.any(axis=-1)
 
 
 def discs_hit_discs(
-    poses_a: np.ndarray, poses_b: np.ndarray, params: VehicleParams
+    centers_a: np.ndarray, centers_b: np.ndarray, params: VehicleParams
 ) -> np.ndarray:
-    """Pairwise disc-overlap test between two pose sets -> (N, K) bool.
+    """Disc-overlap test between disc centres (..., 2, 2) whose leading
+    shapes broadcast together -> (...) bool; pass (N, 1, 2, 2) and
+    (1, K, 2, 2) for every pair of N and K.
 
     True when any of the four center pairs is closer than 2 r_v; conservative
     for the footprints for the same reason as discs_hit_aabbs.
     """
-    n, k = poses_a.shape[0], poses_b.shape[0]
-    if n == 0 or k == 0:
-        return np.zeros((n, k), dtype=bool)
-    ca = disc_centers_arr(poses_a, params)   # (N, 2, 2)
-    cb = disc_centers_arr(poses_b, params)   # (K, 2, 2)
-    d = ca[:, None, :, None, :] - cb[None, :, None, :, :]
-    d2 = (d * d).sum(axis=-1).min(axis=(2, 3))
-    return d2 < (2.0 * params.disc_radius) ** 2
+    d = centers_a[..., :, None, :] - centers_b[..., None, :, :]
+    return ((d * d).sum(axis=-1) < (2.0 * params.disc_radius) ** 2).any(axis=(-2, -1))

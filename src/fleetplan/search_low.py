@@ -24,6 +24,7 @@ from . import reeds_shepp as rs
 from .geometry import (
     VehicleParams,
     advance_arc,
+    disc_centers_arr,
     discs_hit_aabbs,
     discs_hit_discs,
     discs_outside_map,
@@ -31,10 +32,14 @@ from .geometry import (
 )
 
 _SQRT2 = math.sqrt(2.0)
+_TWO_PI = 2.0 * math.pi
 # an 8-connected grid path overestimates the free-space shortest path by at
 # most 1/cos(pi/8); scaling down restores a lower bound
 _GRID_DISCOUNT = math.cos(math.pi / 8.0)
 _NBRS8 = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+# no curve is shorter than the straight line; the factor absorbs the rounding
+# of a Reeds-Shepp length against math.hypot
+_EUCLID_FLOOR = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,22 +80,21 @@ def discretize(z, grid: GridSpec, it: int = 0) -> DiscreteState:
         x, y, th = float(z[0]), float(z[1]), float(z[2])
     if not (0.0 <= x <= grid.width and 0.0 <= y <= grid.height):
         raise ValueError("state outside map")
-
-    def axis_index(v: float) -> int:
-        s = v / grid.cell
-        i = math.floor(s)
-        if i == s and i > 0:
-            i -= 1
-        return int(i)
-
-    w = 2.0 * math.pi / grid.n_yaw
-    s = th / w
+    cell = grid.cell
+    sx, sy = x / cell, y / cell
+    ix, iy = math.floor(sx), math.floor(sy)
+    if ix == sx and ix > 0:
+        ix -= 1
+    if iy == sy and iy > 0:
+        iy -= 1
+    n = grid.n_yaw
+    s = th / (_TWO_PI / n)
     lo = math.floor(s + 0.5)
     if lo - 0.5 == s:  # exactly between bins lo-1 and lo
-        k = min((int(lo) - 1) % grid.n_yaw, int(lo) % grid.n_yaw)
+        k = min((lo - 1) % n, lo % n)
     else:
-        k = int(lo) % grid.n_yaw
-    return DiscreteState(axis_index(x), axis_index(y), k, it)
+        k = lo % n
+    return DiscreteState(ix, iy, k, it)
 
 
 @dataclass(frozen=True)
@@ -144,14 +148,6 @@ class DynamicObstacleSet:
     @classmethod
     def from_trajectories(cls, trajectories) -> "DynamicObstacleSet":
         return cls([t.states for t in trajectories])
-
-    def at(self, t: int) -> np.ndarray:
-        return self.poses[:, min(t, self.horizon), :]
-
-    def window(self, t0: int) -> np.ndarray:
-        """All poses from t0 through the horizon, flattened to (K*(H-t0+1), 3)."""
-        t0 = min(t0, self.horizon)
-        return self.poses[:, t0:, :].reshape(-1, 3)
 
 
 def _split_curve(curve: rs.RsCurve, delta_s: float, wheelbase: float):
@@ -207,15 +203,29 @@ class LowLevelPlanner:
     primitive table) for the life of the instance.  Within one `plan` call,
     waits and reordered moves bring the vehicle back to the exact same
     (x, y, yaw) at later time indices, so each expansion is split in two.
-    What follows from the pose alone is memoised per call, keyed on the exact
-    float pose, and dropped when `plan` returns: the primitives' end poses,
-    whether each primitive's sweep stays on the map and clear of the static
-    obstacles, the heuristic of each pushed pose, and the pose's shortest
-    Reeds-Shepp curve to the goal, which the heuristic and the goal shot
-    share.  What depends on the time index runs on every expansion: the
-    dynamic-obstacle test at the next time index, the reversal rule, the
-    time-indexed closed-set key, the cost comparison, and the goal shot's
-    dynamic checks and horizon cap.
+
+    Memoised per call, keyed on the exact float pose, and dropped when `plan`
+    returns: the primitives' end poses and their disc centres, whether each
+    primitive's sweep stays on the map and clear of the static obstacles, the
+    heuristic of each pose, and the pose's shortest Reeds-Shepp curve to the
+    goal, which the heuristic and the goal shot share.  The dynamic
+    obstacles' disc centres are computed once per call.  Run on every
+    expansion: the dynamic-obstacle test at the next time index, the reversal
+    rule, the cost comparison, and the goal shot's dynamic checks and horizon
+    cap.  Each node's time-indexed closed-set key is built once, when the node
+    is pushed, and read back when it is popped.
+
+    Deferred until pop (Lazy A*, Tolpin et al., IJCAI 2013): a pose within
+    rs_radius of the goal whose curve is not yet known is pushed on a floor,
+    the flood-fill and straight-line terms alone, with no Reeds-Shepp call.
+    If the node is still current when it is popped, its exact heuristic is
+    computed and it is pushed again under its original counter, unexpanded.
+    The floor is never above the exact key, so every such node is re-pushed
+    before any node whose (f, counter) follows its own, and the heap pops
+    nodes for expansion in exactly the order of a search that computes every
+    heuristic at push.  A node superseded before its pop is dropped unpriced;
+    the eager search would have popped and skipped it, since a key's best
+    cost only falls.
     """
 
     def __init__(self, instance, grid: GridSpec):
@@ -271,14 +281,21 @@ class LowLevelPlanner:
         self._fills[agent_id] = dist
         return dist
 
-    def _h(self, fill, goal, x, y, th, curve_from) -> float:
-        """curve_from(pose) -> shortest Reeds-Shepp curve to the goal or None."""
+    def _h_terms(self, fill, goal, x, y) -> tuple[float, float]:
+        """The heuristic's terms that need no curve, in meters: the discounted
+        flood-fill distance hg and the Euclidean distance de to the goal.
+        Within rs_radius, max(hg, de * _EUCLID_FLOOR) / v_max is a floor
+        under the heuristic that costs no Reeds-Shepp call."""
         cell = self.grid.cell
         i = min(int(x / cell), fill.shape[0] - 1)
         j = min(int(y / cell), fill.shape[1] - 1)
         d = fill[i, j]
         hg = max(0.0, d * _GRID_DISCOUNT - cell * _SQRT2) if math.isfinite(d) else 0.0
-        de = math.hypot(goal.x - x, goal.y - y)
+        return hg, math.hypot(goal.x - x, goal.y - y)
+
+    def _h(self, fill, goal, x, y, th, curve_from) -> float:
+        """curve_from(pose) -> shortest Reeds-Shepp curve to the goal or None."""
+        hg, de = self._h_terms(fill, goal, x, y)
         if de <= self.grid.rs_radius:
             curve = curve_from((x, y, th))
             hr = math.inf if curve is None else curve.length
@@ -296,16 +313,19 @@ class LowLevelPlanner:
 
     def _sweep(self, x, y, th):
         """The pose-only half of an expansion from (x, y, th): every primitive's
-        end pose (P, 3), heading not yet wrapped, and whether its whole sweep
-        stays on the map and clear of the static obstacles (P,)."""
+        end pose (P, 3), heading not yet wrapped, the end poses' disc centres
+        (P, 2, 2), and whether each whole sweep stays on the map and clear of
+        the static obstacles (P,)."""
         st, par = self._stack, self.params
         cth, sth = math.cos(th), math.sin(th)
         wx = x + st[:, 0] * cth - st[:, 1] * sth
         wy = y + st[:, 0] * sth + st[:, 1] * cth
         poses = np.stack([wx, wy, th + st[:, 2]], axis=1)
-        bad = discs_outside_map(poses, par, self.inst.map_width, self.inst.map_height)
-        bad |= discs_hit_aabbs(poses, par, *self._obs)
-        return poses[self._end_rows], ~np.logical_or.reduceat(bad, self._starts)
+        cen = disc_centers_arr(poses, par)
+        bad = discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height)
+        bad |= discs_hit_aabbs(cen, par, *self._obs)
+        ends = self._end_rows
+        return poses[ends], cen[ends], ~np.logical_or.reduceat(bad, self._starts)
 
     # -- main search -------------------------------------------------------
 
@@ -320,17 +340,20 @@ class LowLevelPlanner:
         task = self._task_by_id[agent_id]
         goal = task.goal
         goal_t = (goal.x, goal.y, goal.theta)
-        goal_pose = np.array(goal_t)
+        goal_cen = disc_centers_arr(np.array([goal_t]), par)     # (1, 2, 2)
         fill = self._flood(agent_id)
-        quantum = self.quantum
+        quantum, v_max, rs_radius = self.quantum, par.v_max, grid.rs_radius
         acx, acy, ahx, ahy = self._obs
         have_obs = acx.shape[0] > 0
+        # the dynamic obstacles' disc centres (K, H + 1, 2, 2), indexed by time
+        dyn_cen = disc_centers_arr(dyn.poses, par)
+        horizon = dyn.horizon
 
         # the pose-only memo of this call (see the class docstring), keyed on
         # the exact float pose (x, y, th); it goes out of scope when plan returns
         curves: dict[tuple, rs.RsCurve | None] = {}
         hs: dict[tuple, float] = {}
-        sweeps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        sweeps: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
         def curve_from(pose):
             if pose not in curves:
@@ -343,32 +366,41 @@ class LowLevelPlanner:
                 h = hs[pose] = self._h(fill, goal, *pose, curve_from)
             return h
 
-        # node store (structure-of-arrays; parent chain reconstructs the path)
-        nxs: list[float] = []
-        nys: list[float] = []
-        nths: list[float] = []
+        # node store (structure-of-arrays; parent chain reconstructs the path).
+        # A node's closed-set key (DiscreteState, dir) is built once, at push;
+        # dir is the sign of the last motion, 0 after a wait or at the start.
+        nposes: list[tuple] = []
         ngs: list[float] = []
-        nits: list[int] = []
         nparent: list[int] = []
         nact: list[int] = []
-        ndir: list[int] = []     # sign of the last motion; 0 after a wait/start
+        nkeys: list[tuple] = []
+        deferred: list[bool] = []    # queued on the heuristic's floor
         best: dict[tuple, float] = {}
         open_heap: list[tuple[float, int, int]] = []
         counter = 0
         expansions = 0
 
-        def push(x, y, th, g, it, parent, act, dirsign, key):
+        def push(pose, g, parent, act, key):
             nonlocal counter
-            idx = len(nxs)
-            nxs.append(x); nys.append(y); nths.append(th)
-            ngs.append(g); nits.append(it); nparent.append(parent); nact.append(act)
-            ndir.append(dirsign)
+            idx = len(nposes)
+            nposes.append(pose); ngs.append(g); nparent.append(parent); nact.append(act)
+            nkeys.append(key)
             best[key] = g
-            heapq.heappush(open_heap, (g + h_of((x, y, th)), counter, idx))
+            h = hs.get(pose)
+            lazy = False
+            if h is None and pose not in curves:
+                hg, de = self._h_terms(fill, goal, pose[0], pose[1])
+                lazy = de <= rs_radius
+            if lazy:
+                h = max(hg, de * _EUCLID_FLOOR) / v_max   # the curve waits for the pop
+            elif h is None:
+                h = h_of(pose)
+            deferred.append(lazy)
+            heapq.heappush(open_heap, (g + h, counter, idx))
             counter += 1
 
-        def try_shot(x, y, th, it, last_dir):
-            curve = curve_from((x, y, th))
+        def try_shot(pose, it, last_dir):
+            curve = curve_from(pose)
             if curve is None:
                 return None
             pieces = _split_curve(curve, grid.delta_s, par.L)
@@ -382,21 +414,28 @@ class LowLevelPlanner:
                 timed.append(p)
             if it + len(timed) > grid.max_steps:
                 return None
+            x, y, th = pose
             fine = _piece_poses(x, y, th, pieces, grid.sample_ds, par.L)
             if fine.shape[0]:
-                if discs_outside_map(fine, par, self.inst.map_width, self.inst.map_height).any():
+                cen = disc_centers_arr(fine, par)
+                if discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height).any():
                     return None
-                if have_obs and discs_hit_aabbs(fine, par, acx, acy, ahx, ahy).any():
+                if have_obs and discs_hit_aabbs(cen, par, acx, acy, ahx, ahy).any():
                     return None
             if dyn.count:
-                px, py, pth = x, y, th
-                for m, (d, steer, ln) in enumerate(timed):
-                    px, py, pth = advance_arc(px, py, pth, math.tan(steer) / par.L, d * ln)
-                    pth = normalize_angle(pth)
-                    if discs_hit_discs(np.array([[px, py, pth]]), dyn.at(it + 1 + m), par).any():
-                        return None
+                steps = []
+                for d, steer, ln in timed:
+                    x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
+                    th = normalize_angle(th)
+                    steps.append((x, y, th))
+                # step m against the dynamic obstacles at time index it + 1 + m
+                at = np.minimum(np.arange(it + 1, it + 1 + len(steps)), horizon)
+                step_cen = disc_centers_arr(np.array(steps).reshape(-1, 3), par)
+                if discs_hit_discs(step_cen[None], dyn_cen[:, at], par).any():
+                    return None
                 # staying parked at the goal must remain safe for all later times
-                if discs_hit_discs(goal_pose[None, :], dyn.window(it + len(timed)), par).any():
+                if discs_hit_discs(goal_cen, dyn_cen[:, min(it + len(timed), horizon):],
+                                   par).any():
                     return None
             return timed
 
@@ -406,13 +445,13 @@ class LowLevelPlanner:
                 chain.append(idx)
                 idx = nparent[idx]
             chain.reverse()
-            states = [(nxs[i], nys[i], nths[i], 0.0) for i in chain]
+            states = [(*nposes[i], 0.0) for i in chain]
             segments = [None] * (len(chain) - 1)
             for si, i in enumerate(chain[1:]):
                 p = self._prims[nact[i]]
                 segments[si] = Segment(p.direction, p.steer,
                                        grid.delta_s if p.direction else 0.0)
-            x, y, th = states[-1][0], states[-1][1], states[-1][2]
+            x, y, th = nposes[chain[-1]]
             for d, steer, ln in pieces:
                 x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
                 th = normalize_angle(th)
@@ -423,10 +462,8 @@ class LowLevelPlanner:
             _replay_check(traj, par)
             return traj
 
-        sx, sy = task.start.x, task.start.y
-        start_th = normalize_angle(task.start.theta)
-        push(sx, sy, start_th, 0.0, 0, -1, -1, 0,
-             (discretize((sx, sy, start_th), grid, 0), 0))
+        start = (task.start.x, task.start.y, normalize_angle(task.start.theta))
+        push(start, 0.0, -1, -1, (discretize(start, grid, 0), 0))
 
         shot_countdown = 0
         pops = 0
@@ -434,19 +471,25 @@ class LowLevelPlanner:
             pops += 1
             if pops % 64 == 0 and time.monotonic() > deadline:
                 return LowLevelResult("timeout", None, expansions, time.monotonic() - t0)
-            _, _, idx = heapq.heappop(open_heap)
-            x, y, th, it = nxs[idx], nys[idx], nths[idx], nits[idx]
-            last_dir = ndir[idx]
-            key = (discretize((x, y, th), grid, it), last_dir)
+            _, count, idx = heapq.heappop(open_heap)
+            key = nkeys[idx]
             if ngs[idx] > best.get(key, math.inf):
                 continue  # superseded by a cheaper node at the same key
+            pose = nposes[idx]
+            if deferred[idx]:
+                # popped on its floor: queue it again on its exact key, under
+                # its own counter, where it would have stood all along
+                deferred[idx] = False
+                heapq.heappush(open_heap, (ngs[idx] + h_of(pose), count, idx))
+                continue
+            it, last_dir = key[0].it, key[1]
 
             if shot_countdown <= 0:
-                pieces = try_shot(x, y, th, it, last_dir)
+                pieces = try_shot(pose, it, last_dir)
                 if pieces is not None:
                     return LowLevelResult("ok", build(idx, pieces), expansions,
                                           time.monotonic() - t0)
-                shot_countdown = int(math.hypot(goal.x - x, goal.y - y) / grid.delta_s)
+                shot_countdown = int(math.hypot(goal.x - pose[0], goal.y - pose[1]) / grid.delta_s)
             else:
                 shot_countdown -= 1
 
@@ -455,15 +498,15 @@ class LowLevelPlanner:
             expansions += 1
 
             # pose-only half: computed on the pose's first expansion in this call
-            pose = (x, y, th)
             sweep = sweeps.get(pose)
             if sweep is None:
-                sweep = sweeps[pose] = self._sweep(x, y, th)
-            ends, free = sweep
+                sweep = sweeps[pose] = self._sweep(*pose)
+            ends, end_cen, free = sweep
             # time-dependent half, on every expansion: the dynamic obstacles at
             # it + 1, the reversal rule, the time-indexed key and the cost test
             if dyn.count:
-                free = free & ~discs_hit_discs(ends, dyn.at(it + 1), par).any(axis=1)
+                at = dyn_cen[None, :, min(it + 1, horizon)]
+                free = free & ~discs_hit_discs(end_cen[:, None], at, par).any(axis=1)
 
             g = ngs[idx]
             for a, (ok, (ex, ey, eth)) in enumerate(zip(free.tolist(), ends.tolist())):
@@ -477,7 +520,7 @@ class LowLevelPlanner:
                 dir2 = int(prim.direction) if prim.direction else 0
                 key2 = (discretize((ex, ey, eth), grid, it + 1), dir2)
                 if g2 < best.get(key2, math.inf) - 1e-12:
-                    push(ex, ey, eth, g2, it + 1, idx, a, dir2, key2)
+                    push((ex, ey, eth), g2, idx, a, key2)
 
         return LowLevelResult("exhausted", None, expansions, time.monotonic() - t0)
 

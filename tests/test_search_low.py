@@ -326,8 +326,10 @@ def test_dynamic_obstacle_set_padding():
     b = np.array([[5.0, 5.0, 1.0, 0.0]])
     dyn = sl.DynamicObstacleSet([a, b])
     assert dyn.count == 2 and dyn.horizon == 1
-    assert np.allclose(dyn.at(0), [[0, 0, 0], [5, 5, 1]])
-    assert np.allclose(dyn.at(1), [[1, 0, 0], [5, 5, 1]])
-    assert np.allclose(dyn.at(99), dyn.at(1))
-    assert dyn.window(1).shape == (2, 3)
+    # poses[:, t] holds every obstacle at time index t; the shorter one is
+    # parked at its final pose
+    assert dyn.poses.shape == (2, 2, 3)
+    assert np.allclose(dyn.poses[:, 0], [[0, 0, 0], [5, 5, 1]])
+    assert np.allclose(dyn.poses[:, 1], [[1, 0, 0], [5, 5, 1]])
+    assert dyn.poses[:, 1:].reshape(-1, 3).shape == (2, 3)
     assert sl.DynamicObstacleSet([]).count == 0
