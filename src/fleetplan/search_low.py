@@ -343,8 +343,6 @@ class LowLevelPlanner:
         goal_cen = disc_centers_arr(np.array([goal_t]), par)     # (1, 2, 2)
         fill = self._flood(agent_id)
         quantum, v_max, rs_radius = self.quantum, par.v_max, grid.rs_radius
-        acx, acy, ahx, ahy = self._obs
-        have_obs = acx.shape[0] > 0
         # the dynamic obstacles' disc centres (K, H + 1, 2, 2), indexed by time
         dyn_cen = disc_centers_arr(dyn.poses, par)
         horizon = dyn.horizon
@@ -415,13 +413,10 @@ class LowLevelPlanner:
             if it + len(timed) > grid.max_steps:
                 return None
             x, y, th = pose
-            fine = _piece_poses(x, y, th, pieces, grid.sample_ds, par.L)
-            if fine.shape[0]:
-                cen = disc_centers_arr(fine, par)
-                if discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height).any():
-                    return None
-                if have_obs and discs_hit_aabbs(cen, par, acx, acy, ahx, ahy).any():
-                    return None
+            cen = disc_centers_arr(_piece_poses(x, y, th, pieces, grid.sample_ds, par.L), par)
+            if (discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height).any()
+                    or discs_hit_aabbs(cen, par, *self._obs).any()):
+                return None
             if dyn.count:
                 steps = []
                 for d, steer, ln in timed:
