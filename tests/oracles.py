@@ -182,3 +182,42 @@ def brute_neighbor_pairs(states, params, threshold):
                 if brute_pair_distance(a, b, params) <= threshold:
                     out.add((i, j, t))
     return out
+
+
+def brute_discs_hit_aabbs(centers, radius, boxes) -> np.ndarray:
+    """Per pose: does either disc centre come closer than radius to a box?
+
+    centers is (N, 2, 2) and boxes a list of (cx, cy, hx, hy); the distance
+    is to the box point nearest the centre, found by clamping.
+    """
+    out = np.zeros(len(centers), dtype=bool)
+    for n, pose_centers in enumerate(centers):
+        for px, py in pose_centers:
+            for cx, cy, hx, hy in boxes:
+                qx = min(max(px, cx - hx), cx + hx)
+                qy = min(max(py, cy - hy), cy + hy)
+                if (px - qx) ** 2 + (py - qy) ** 2 < radius * radius:
+                    out[n] = True
+    return out
+
+
+def brute_discs_outside_map(centers, radius, width, height, eps=1e-9) -> np.ndarray:
+    """Per pose: does either disc reach past a map edge by more than eps?"""
+    out = np.zeros(len(centers), dtype=bool)
+    for n, pose_centers in enumerate(centers):
+        for px, py in pose_centers:
+            if min(px, py, width - px, height - py) < radius - eps:
+                out[n] = True
+    return out
+
+
+def brute_discs_hit_discs(centers_a, centers_b, radius) -> np.ndarray:
+    """(N, K): is any of the four centre pairs of a[n] and b[k] closer than 2 r?"""
+    out = np.zeros((len(centers_a), len(centers_b)), dtype=bool)
+    for n, ca in enumerate(centers_a):
+        for k, cb in enumerate(centers_b):
+            for ax, ay in ca:
+                for bx, by in cb:
+                    if (ax - bx) ** 2 + (ay - by) ** 2 < (2.0 * radius) ** 2:
+                        out[n, k] = True
+    return out

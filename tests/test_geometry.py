@@ -17,13 +17,24 @@ from fleetplan.geometry import (
     box_corners,
     disc_center_distance,
     disc_centers_arr,
+    discs_hit_aabbs,
+    discs_hit_discs,
+    discs_outside_map,
     euler_step,
     footprint,
     normalize_angle,
     sat_overlap,
 )
 from fleetplan.reeds_shepp import RsSegment
-from oracles import brute_pair_distance, point_in_box, rollout_curve, sampled_overlap
+from oracles import (
+    brute_discs_hit_aabbs,
+    brute_discs_hit_discs,
+    brute_discs_outside_map,
+    brute_pair_distance,
+    point_in_box,
+    rollout_curve,
+    sampled_overlap,
+)
 
 
 def step(z, u, dt, params):
@@ -301,6 +312,80 @@ def test_vectorized_box_pairs_match_scalar():
         for k in range(pb.shape[0]):
             za, zb = State(*pa[n, :3]), State(*pb[k, :3])
             assert fast[n, k] == sat_overlap(footprint(za, p), footprint(zb, p))
+
+
+# --- disc kernels on disc centres ------------------------------------------
+# The default vehicle's disc radius is exactly 1.25, so the touching cases
+# below sit exactly at r_v and 2 r_v in floating point.
+
+def random_centers(rng, n, lo, hi):
+    return rng.uniform(lo, hi, size=(n, 2, 2))
+
+
+def test_discs_hit_aabbs_matches_clamped_distance():
+    p = VehicleParams()
+    r = p.disc_radius
+    rng = np.random.default_rng(21)
+    boxes = [(rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(0.2, 2), rng.uniform(0.2, 2))
+             for _ in range(12)] + [(40.0, 40.0, 1.0, 2.0)]
+    acx, acy, ahx, ahy = (np.array(v) for v in zip(*boxes))
+    far = [60.0, 60.0]
+    touching = np.array([
+        [[41.0 + r, 40.0], far],          # right face, exactly r_v away
+        [far, [40.0, 42.0 + r]],          # top face, rear disc
+        [[41.0 + r - 1e-9, 40.0], far],   # a hair inside r_v
+        [[39.0 - r, 37.0], far],          # off the left face, beside a corner
+    ])
+    cen = np.concatenate([random_centers(rng, 400, -2.0, 22.0), touching])
+    got = discs_hit_aabbs(cen, p, acx, acy, ahx, ahy)
+    assert np.array_equal(got, brute_discs_hit_aabbs(cen, r, boxes))
+    assert got[-4:].tolist() == [False, False, True, False]
+    assert 0 < got.sum() < got.size
+    # any leading shape: one flag per pose
+    assert np.array_equal(discs_hit_aabbs(cen.reshape(2, -1, 2, 2), p, acx, acy, ahx, ahy),
+                          got.reshape(2, -1))
+    assert discs_hit_aabbs(cen, p, *(np.empty(0),) * 4).shape == (cen.shape[0],)
+
+
+def test_discs_outside_map_matches_edge_distance():
+    p = VehicleParams()
+    r = p.disc_radius
+    w, h = 30.0, 20.0
+    rng = np.random.default_rng(22)
+    mid = [15.0, 10.0]
+    edges = np.array([
+        [[r, 10.0], mid], [[w - r, 10.0], mid], [mid, [15.0, r]], [mid, [15.0, h - r]],
+        [[r - 1e-6, 10.0], mid], [mid, [15.0, h - r + 1e-6]],
+    ])
+    cen = np.concatenate([random_centers(rng, 400, -1.0, 31.0), edges])
+    got = discs_outside_map(cen, p, w, h)
+    assert np.array_equal(got, brute_discs_outside_map(cen, r, w, h))
+    assert got[-6:].tolist() == [False, False, False, False, True, True]
+    assert 0 < got.sum() < got.size
+
+
+def test_discs_hit_discs_matches_all_centre_pairs():
+    p = VehicleParams()
+    r = p.disc_radius
+    rng = np.random.default_rng(23)
+    ca = np.concatenate([random_centers(rng, 60, 0.0, 12.0),
+                         np.array([[[10.0, 10.0], [10.0, 11.0]]])])
+    cb = np.concatenate([random_centers(rng, 40, 0.0, 12.0),
+                         np.array([[[12.5, 11.0], [20.0, 20.0]],           # exactly 2 r_v
+                                   [[20.0, 20.0], [12.5 - 1e-9, 10.0]]])])  # a hair closer
+    want = brute_discs_hit_discs(ca, cb, r)
+    got = discs_hit_discs(ca[:, None], cb[None, :], p)
+    assert got.shape == (61, 42)
+    assert np.array_equal(got, want)
+    assert got[-1, -2:].tolist() == [False, True]
+    assert 0 < got.sum() < got.size
+    # time-aligned, as the goal shot uses it: step m against every obstacle at m
+    steps, obstacles = ca[:5], cb[:40].reshape(8, 5, 2, 2)
+    aligned = discs_hit_discs(steps[None], obstacles, p)
+    assert aligned.shape == (8, 5)
+    for k in range(8):
+        for m in range(5):
+            assert aligned[k, m] == want[m, 5 * k + m]
 
 
 def test_point_in_box_oracle_sanity():

@@ -71,6 +71,18 @@ def test_length_at_least_lower_bound():
             assert got >= rs_lower_bound(start, goal, radius) - 1e-9
 
 
+def test_length_never_below_euclidean_floor():
+    """The search's lazy heuristic floor rests on this bound."""
+    poses = rand_poses(4000, seed=12)
+    # straight runs, where the curve is exactly as long as the chord
+    poses[::8, 2] = poses[1::8, 2] = np.arctan2(poses[1::8, 1] - poses[::8, 1],
+                                                 poses[1::8, 0] - poses[::8, 0])
+    for k in range(0, 4000, 2):
+        start, goal = tuple(poses[k]), tuple(poses[k + 1])
+        curve = rs.shortest_path(start, goal, 2.0)
+        assert curve.length >= math.hypot(goal[0] - start[0], goal[1] - start[1]) * (1 - 1e-9)
+
+
 def test_shortest_is_min_over_enumeration():
     poses = rand_poses(200, seed=5)
     for k in range(0, 200, 2):

@@ -91,6 +91,48 @@ def test_analytic_expand_zero_and_straight(params):
     assert math.hypot(samples[-1, 0] - goal.x, samples[-1, 1] - goal.y) < 1e-6
 
 
+# --- heuristic floor ------------------------------------------------------
+
+def test_heuristic_floor_never_exceeds_heuristic():
+    """The lazy key pushes a pose within rs_radius on its floor, the grid and
+    Euclidean terms alone, and prices the curve only at pop; the floor must
+    never be above the exact heuristic."""
+    goal = State(20.0, 20.0, 0.3)
+    walls = [OrientedBox(26.0, 20.0, 2.0, 2.0), OrientedBox(40.0, 40.0, 6.0, 6.0)]
+    inst = MvtpInstance(60.0, 60.0, walls, [AgentTask(0, State(5.0, 5.0, 0.0), goal)],
+                        VehicleParams())
+    planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+    fill = planner._flood(0)
+    goal_t = (goal.x, goal.y, goal.theta)
+    radius = planner.grid.rs_radius
+
+    def curve_from(pose):
+        return rs.shortest_path(pose, goal_t, planner.r_min)
+
+    rng = np.random.default_rng(31)
+    near = goal_t + rng.uniform([-radius, -radius, -math.pi], [radius, radius, math.pi],
+                                size=(1500, 3))
+    anywhere = rng.uniform([0.0, 0.0, -math.pi], [60.0, 60.0, math.pi], size=(1000, 3))
+    rim = [(goal.x + dx, goal.y + dy, th) for dx, dy in
+           ((radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius))
+           for th in (goal.theta, -2.0)]
+    poses = [goal_t, *rim, *map(tuple, near), *map(tuple, anywhere)]
+    counts = {"within": 0, "rim": 0, "unreachable_cell": 0}
+    for x, y, th in poses:
+        hg, de = planner._h_terms(fill, goal, x, y)
+        floor = max(hg, de * sl._EUCLID_FLOOR) / inst.vehicle.v_max
+        assert floor <= planner._h(fill, goal, x, y, th, curve_from), (x, y, th)
+        counts["within"] += de <= radius
+        counts["rim"] += de == radius
+        i, j = min(int(x / planner.grid.cell), fill.shape[0] - 1), \
+            min(int(y / planner.grid.cell), fill.shape[1] - 1)
+        counts["unreachable_cell"] += not math.isfinite(fill[i, j])
+    assert len(poses) >= 2000
+    assert counts["within"] >= 1000 and counts["rim"] == len(rim)
+    assert counts["unreachable_cell"] >= 20
+    assert planner._h(fill, goal, *goal_t, curve_from) == 0.0
+
+
 # --- single-agent planning ------------------------------------------------
 
 def test_goal_equals_start():
@@ -293,6 +335,16 @@ def test_search_pins():
                     (status, expansions, horizon), (name, task.id, dyn is not None)
                 assert res.trajectory.states.sum() == pytest.approx(total, abs=1e-9)
             earlier.append(res.trajectory)
+
+
+def test_deferred_node_keeps_its_counter():
+    """A node pushed on its heuristic floor is re-queued under the counter it
+    was pushed with.  On this call exact key ties occur, and a fresh counter
+    changes which tied node is expanded first: 65 expansions, another plan."""
+    inst = generate_random_instance(3, 30.0, 6, 4)
+    res = sl.LowLevelPlanner(inst, sl.GridSpec()).plan(0)
+    assert (res.status, res.expansions, res.trajectory.horizon) == ("ok", 67, 13)
+    assert res.trajectory.states.sum() == pytest.approx(278.4784131000072, abs=1e-9)
 
 
 def test_exhausted_when_goal_sealed():
