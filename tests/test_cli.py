@@ -1,0 +1,60 @@
+import json
+
+import pytest
+
+from fleetplan.cli import main
+from fleetplan.geometry import State, VehicleParams
+from fleetplan.instance import (
+    AgentTask,
+    InstanceError,
+    MvtpInstance,
+    generate_random_instance,
+    parse_instance,
+    read_plan,
+    save_instance,
+    validate_plan,
+)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_solve_writes_verified_plan(tmp_path, capsys):
+    inst = MvtpInstance(20.0, 20.0, [],
+                        [AgentTask(0, State(5.0, 10.0, 0.0), State(15.0, 10.0, 0.0))],
+                        VehicleParams())
+    save_instance(tmp_path / "inst.yaml", inst)
+    code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"),
+                       "--plan", str(tmp_path / "plan.csv"))
+    assert code == 0
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"status": "ok", "failure": None}
+    assert validate_plan(inst, read_plan(tmp_path / "plan.csv")).feasible
+
+
+def test_solve_reports_failure_and_writes_no_plan(tmp_path, capsys):
+    save_instance(tmp_path / "inst.yaml", generate_random_instance(1, 30.0, 6, 2))
+    code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"),
+                       "--plan", str(tmp_path / "plan.csv"))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "qp_infeasible"
+    assert doc["failure"]["stage"] == "refine"
+    assert doc["failure"]["reason"] == "primal_infeasible"
+    assert not (tmp_path / "plan.csv").exists()
+
+
+def test_malformed_instance_exits_2_with_its_message(tmp_path, capsys):
+    text = "map: {width: 20.0}\nagents: []\n"
+    with pytest.raises(InstanceError) as exc:
+        parse_instance(text)
+    (tmp_path / "bad.yaml").write_text(text)
+    code, out, err = run(capsys, "solve", str(tmp_path / "bad.yaml"),
+                         "--plan", str(tmp_path / "plan.csv"))
+    assert code == 2
+    assert out == ""
+    assert str(exc.value) in err
+    assert not (tmp_path / "plan.csv").exists()
