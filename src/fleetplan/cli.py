@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     status, failure, plan = solve(inst)
     print(json.dumps({"status": status, "failure": failure}))
     if plan is not None and args.plan:
-        write_plan(args.plan, plan)
+        write_plan(args.plan, plan, [a.id for a in inst.agents])
     return 0 if status == "ok" else 1
 
 

@@ -272,6 +272,24 @@ def _sample_pose(
     raise InstanceError("pose placement failed; scenario density too high")
 
 
+def _place_agents(rng, inst: MvtpInstance, n_agents: int, clearance: float,
+                  end_margin: float) -> MvtpInstance:
+    """Add n_agents start/goal pairs, ids 0.., to a square instance that has
+    none yet, each pose sampled clear of the poses placed before it, and
+    check the result."""
+    size, vehicle = inst.map_width, inst.vehicle
+    acx, acy, ahx, ahy = inst.obstacle_arrays()
+    taken: list[OrientedBox] = []
+    for i in range(n_agents):
+        s = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken, clearance, end_margin)
+        taken.append(footprint(s, vehicle))
+        g = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken, clearance, end_margin)
+        taken.append(footprint(g, vehicle))
+        inst.agents.append(AgentTask(i, s, g))
+    _check_instance(inst)
+    return inst
+
+
 def generate_random_instance(
     seed: int,
     size: float,
@@ -295,18 +313,7 @@ def generate_random_instance(
         cy = rng.uniform(hy, size - hy)
         obstacles.append(OrientedBox(cx, cy, hx, hy))
     inst = MvtpInstance(size, size, obstacles, [], vehicle)
-    acx, acy, ahx, ahy = inst.obstacle_arrays()
-    taken: list[OrientedBox] = []
-    agents = []
-    for i in range(n_agents):
-        s = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken, clearance, end_margin)
-        taken.append(footprint(s, vehicle))
-        g = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken, clearance, end_margin)
-        taken.append(footprint(g, vehicle))
-        agents.append(AgentTask(i, s, g))
-    inst.agents = agents
-    _check_instance(inst)
-    return inst
+    return _place_agents(rng, inst, n_agents, clearance, end_margin)
 
 
 def generate_room_instance(
@@ -352,18 +359,7 @@ def generate_room_instance(
                 if b - a > 1e-9:
                     obstacles.append(OrientedBox((a + b) / 2.0, c, (b - a) / 2.0, hw))
     inst = MvtpInstance(size, size, obstacles, [], vehicle)
-    acx, acy, ahx, ahy = inst.obstacle_arrays()
-    taken: list[OrientedBox] = []
-    agents = []
-    for i in range(n_agents):
-        s = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken, clearance, end_margin)
-        taken.append(footprint(s, vehicle))
-        g = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken, clearance, end_margin)
-        taken.append(footprint(g, vehicle))
-        agents.append(AgentTask(i, s, g))
-    inst.agents = agents
-    _check_instance(inst)
-    return inst
+    return _place_agents(rng, inst, n_agents, clearance, end_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +508,20 @@ def validate_plan(instance: MvtpInstance, plan: Plan, dt: float | None = None) -
 # plan file format
 
 
-def write_plan(path, plan: Plan) -> None:
+def write_plan(path, plan: Plan, agent_ids) -> None:
+    """One CSV row per agent and time index; agent_ids[i] labels plan.states[i]."""
     with open(path, "w") as f:
         f.write(f"# dt={plan.dt!r} tau_f={plan.tau_f!r} agents={plan.n_agents}\n")
         f.write("agent_id,t_index,time_s,x,y,theta,phi,v,omega\n")
-        for i, zs in enumerate(plan.states):
-            us = plan.controls[i]
+        for aid, zs, us in zip(agent_ids, plan.states, plan.controls):
             for t in range(zs.shape[0]):
                 v, w = (us[t] if t < us.shape[0] else (0.0, 0.0))
                 row = (t * plan.dt, zs[t, 0], zs[t, 1], zs[t, 2], zs[t, 3], v, w)
-                f.write(f"{i},{t}," + ",".join(repr(float(c)) for c in row) + "\n")
+                f.write(f"{aid},{t}," + ",".join(repr(float(c)) for c in row) + "\n")
 
 
 def read_plan(path) -> Plan:
+    """Inverse of write_plan; the agents keep the file's order."""
     with open(path) as f:
         head = f.readline()
         if not head.startswith("#"):
@@ -541,8 +538,7 @@ def read_plan(path) -> Plan:
             vals = line.split(",")
             rows.setdefault(int(vals[0]), []).append([float(x) for x in vals[2:]])
     states, controls = [], []
-    for i in sorted(rows):
-        arr = np.array(rows[i])
+    for arr in map(np.array, rows.values()):
         states.append(arr[:, 1:5])
         controls.append(arr[:-1, 5:7])
     return Plan(states, controls, dt, tau_f)

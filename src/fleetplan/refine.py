@@ -62,48 +62,16 @@ class RefineConfig:
             raise ValueError("convergence_eps must be positive")
 
 
-@dataclass
-class InterpolatedPlan:
-    """Per-agent state/control arrays on a common uniform grid.
-
-    Headings are kept unwrapped (continuous along each trajectory) so that the
-    later linearizations never see artificial 2*pi jumps.
-    """
-
-    agent_ids: list
-    states: np.ndarray      # (M, T, 4)
-    controls: np.ndarray    # (M, T-1, 2)
-    dt: float
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def tau_f(self) -> float:
-        return (self.states.shape[1] - 1) * self.dt
-
-    def index(self, agent_id) -> int:
-        return self.agent_ids.index(agent_id)
-
-    def as_plan(self) -> Plan:
-        return Plan(
-            states=[self.states[m] for m in range(self.states.shape[0])],
-            controls=[self.controls[m] for m in range(self.controls.shape[0])],
-            dt=self.dt,
-            tau_f=self.tau_f,
-        )
-
-
-def interpolate(trajs_by_id, params: VehicleParams, cfg: RefineConfig,
-                order=None) -> InterpolatedPlan:
+def interpolate(trajs_by_id, order, params: VehicleParams, cfg: RefineConfig):
     """Resample each coarse trajectory along its exact arcs.
 
-    Every coarse segment is split into n_interp+1 sub-steps of duration
-    dt = quantum/(n_interp+1); all agents are padded to the longest horizon by
-    parking at their final pose.
+    Returns (states (M, T, 4), controls (M, T-1, 2), dt), one row per agent
+    id of order.  Every coarse segment is split into n_interp+1 sub-steps of
+    duration dt = quantum/(n_interp+1); all agents are padded to the longest
+    horizon by parking at their final pose.  Headings are kept unwrapped
+    (continuous along each trajectory) so that the later linearizations never
+    see artificial 2*pi jumps.
     """
-    order = sorted(trajs_by_id) if order is None else list(order)
     trajs = [trajs_by_id[a] for a in order]
     quantum = trajs[0].quantum
     sub = cfg.n_interp + 1
@@ -136,7 +104,7 @@ def interpolate(trajs_by_id, params: VehicleParams, cfg: RefineConfig,
         # are fine: this is a linearization point, not a feasible plan)
         if T > 1:
             controls[m, :, 1] = np.diff(states[m, :, 3]) / dt
-    return InterpolatedPlan(list(order), states, controls, dt)
+    return states, controls, dt
 
 
 def _track_guess(states, controls, dt, params: VehicleParams):
@@ -219,13 +187,12 @@ def _track_guess(states, controls, dt, params: VehicleParams):
     return out_s, out_u
 
 
-def classify_guess(plan: InterpolatedPlan, instance: MvtpInstance) -> dict:
-    """Count the minor-collision types in the interpolated guess:
-    A inter-vehicle, B static obstacle, C off-map."""
-    rep = validate_plan(instance, plan.as_plan())
+def classify_guess(report) -> dict:
+    """Count the minor-collision types in the verifier's report on the
+    interpolated guess: A inter-vehicle, B static obstacle, C off-map."""
     kinds = {"inter_agent": "A", "static": "B", "off_map": "C"}
     out = {"A": 0, "B": 0, "C": 0}
-    for v in rep.violations:
+    for v in report.violations:
         k = kinds.get(v.kind)
         if k:
             out[k] += 1
@@ -236,77 +203,42 @@ def classify_guess(plan: InterpolatedPlan, instance: MvtpInstance) -> dict:
 # neighbor pairs and separating planes
 
 
-def find_neighbor_pairs(plan: InterpolatedPlan, params: VehicleParams,
-                        cfg: RefineConfig):
-    """All (i, j, t), i < j, whose clearance is at most 2*sqrt(2)*R_trust.
-
-    A per-timestep spatial hash on rear-axle positions prunes the quadratic
-    scan; candidates are then filtered with the exact disc distance.
-    """
+def find_neighbor_pairs(states, params: VehicleParams, cfg: RefineConfig):
+    """All (i, j, t), agent indices i < j, whose disc clearance at time index
+    t is at most 2*sqrt(2)*R_trust, in sorted order."""
     thresh = 2.0 * _SQRT2 * cfg.R_trust
-    center_gap = thresh + 2.0 * params.disc_radius
-    M, T = plan.states.shape[:2]
-    ids = plan.agent_ids
-    discs = disc_centers_arr(plan.states, params)   # (M, T, 2, 2)
+    discs = disc_centers_arr(states, params)   # (M, T, 2, 2)
+    M = discs.shape[0]
     out = []
-    if M < 2:
-        return out
-    reach = max(abs(params.front_disc_offset), abs(params.rear_disc_offset))
-    cell = center_gap + 2.0 * reach  # axle distance bound for any candidate
-    xy = plan.states[:, :, :2]
-    cand = set()
-    for t in range(T):
-        buckets = defaultdict(list)
-        for m in range(M):
-            buckets[(int(xy[m, t, 0] // cell), int(xy[m, t, 1] // cell))].append(m)
-        for (cx, cy), members in buckets.items():
-            near = []
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    near.extend(buckets.get((cx + ox, cy + oy), ()))
-            for a in members:
-                for b in near:
-                    if a < b:
-                        cand.add((a, b))
-    for a, b in sorted(cand):
-        dmin = disc_center_distance(discs[a], discs[b]) - 2.0 * params.disc_radius
-        for t in np.nonzero(dmin <= thresh)[0]:
-            out.append((ids[a], ids[b], int(t)))
-    out.sort()
+    for a in range(M):
+        for b in range(a + 1, M):
+            dmin = disc_center_distance(discs[a], discs[b]) - 2.0 * params.disc_radius
+            out.extend((a, b, int(t)) for t in np.nonzero(dmin <= thresh)[0])
     return out
 
 
-@dataclass
-class SeparationConstraints:
-    """Half-planes on disc centers, grouped per agent and timestamp.
-
-    planes[agent_id][t] is a list of (disc, nx, ny, rhs) meaning
-    nx*Y[disc].x + ny*Y[disc].y <= rhs.
-    """
-
-    planes: dict
-
-
-def build_separation(pairs, plan: InterpolatedPlan, params: VehicleParams,
-                     cfg: RefineConfig) -> SeparationConstraints:
+def build_separation(pairs, states, params: VehicleParams) -> list:
     """Perpendicular-bisector planes for every neighbor pair, offset by the
     disc radius toward the owning agent; each agent of the pair gets the
-    mirrored constraint, so the planes partition the gap."""
-    discs = disc_centers_arr(plan.states, params)   # (M, T, 2, 2)
+    mirrored constraint, so the planes partition the gap.
+
+    Returns one {t: [(disc, nx, ny, rhs), ...]} dict per agent index, each
+    entry meaning nx*Y[disc].x + ny*Y[disc].y <= rhs.
+    """
+    discs = disc_centers_arr(states, params)   # (M, T, 2, 2)
     offset = params.disc_radius
-    planes = {a: defaultdict(list) for a in plan.agent_ids}
+    planes = [defaultdict(list) for _ in range(states.shape[0])]
     for (i, j, t) in pairs:
-        mi, mj = plan.index(i), plan.index(j)
         for di in (0, 1):
             for dj in (0, 1):
-                a = discs[mi, t, di]
-                b = discs[mj, t, dj]
+                a = discs[i, t, di]
+                b = discs[j, t, dj]
                 n = b - a
                 ln = math.hypot(n[0], n[1])
                 if ln < 1e-9:
                     # coincident centers: fall back to the rear-axle bisector,
                     # then to an arbitrary 1e-3 jitter direction
-                    n = plan.states[mj, t, :2] - plan.states[mi, t, :2]
+                    n = states[j, t, :2] - states[i, t, :2]
                     ln = math.hypot(n[0], n[1])
                     if ln < 1e-9:
                         n = np.array([1e-3, 0.0])
@@ -316,7 +248,7 @@ def build_separation(pairs, plan: InterpolatedPlan, params: VehicleParams,
                 rhs = ux * mid[0] + uy * mid[1]
                 planes[i][t].append((di, ux, uy, rhs - offset))
                 planes[j][t].append((dj, -ux, -uy, -rhs - offset))
-    return SeparationConstraints({a: dict(p) for a, p in planes.items()})
+    return [dict(p) for p in planes]
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +604,14 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
     params = instance.vehicle
     tele = RefineTelemetry()
     order = [a.id for a in instance.agents]
-    guess = interpolate(trajs_by_id, params, cfg, order=order)
-    tele.guess_collisions = classify_guess(guess, instance)
-    M, T = guess.states.shape[:2]
-    dt = guess.dt
+    states, controls, dt = interpolate(trajs_by_id, order, params, cfg)
+    M, T = states.shape[:2]
+    guess = Plan(states=list(states), controls=list(controls), dt=dt, tau_f=(T - 1) * dt)
+    report = validate_plan(instance, guess)
+    tele.guess_collisions = classify_guess(report)
 
-    if not validate_plan(instance, guess.as_plan()).violations:
-        return RefineResult("ok", guess.as_plan(), tele)
+    if not report.violations:
+        return RefineResult("ok", guess, tele)
     if T < 2:
         tele.failure = {"reason": "degenerate_guess", "iteration": 0}
         return RefineResult("not_feasible", None, tele)
@@ -686,27 +619,19 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
     # one extra quantum parked at the goal: the rollout below may land a hair
     # off, and the rest steps give the QP two-sided reach to close that gap
     pad = cfg.n_interp + 1
-    guess = InterpolatedPlan(
-        order,
-        np.concatenate([guess.states,
-                        np.repeat(guess.states[:, -1:], pad, axis=1)], axis=1),
-        np.concatenate([guess.controls, np.zeros((M, pad, 2))], axis=1),
-        dt)
-    T = guess.states.shape[1]
+    states = np.concatenate([states, np.repeat(states[:, -1:], pad, axis=1)], axis=1)
+    controls = np.concatenate([controls, np.zeros((M, pad, 2))], axis=1)
+    T = states.shape[1]
 
     # linearize around an Euler re-drive of the guess: box-feasible controls,
     # exact start pose, no dynamics defect at any step
-    base_s = np.empty_like(guess.states)
-    base_u = np.empty_like(guess.controls)
+    base_s = np.empty_like(states)
+    base_u = np.empty_like(controls)
     for m in range(M):
-        base_s[m], base_u[m] = _track_guess(
-            guess.states[m], guess.controls[m], dt, params)
-    base = InterpolatedPlan(order, base_s, base_u, dt)
+        base_s[m], base_u[m] = _track_guess(states[m], controls[m], dt, params)
 
-    pairs = find_neighbor_pairs(base, params, cfg)
-    sep = build_separation(pairs, base, params, cfg)
-    Y0 = {a: disc_centers_arr(base.states[m], params).reshape(T, 4)
-          for m, a in enumerate(order)}
+    planes = build_separation(find_neighbor_pairs(base_s, params, cfg), base_s, params)
+    Y0 = disc_centers_arr(base_s, params).reshape(M, T, 4)
 
     nvars = M * (6 * T - 2)
     eps = cfg.convergence_eps
@@ -715,7 +640,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
 
     cur_s = base_s
     cur_u = base_u
-    warm = {}
+    warm = [None] * M
 
     def fail(status, agent, k, reason):
         tele.failure = {"reason": reason, "agent": agent, "iteration": k}
@@ -735,13 +660,13 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
             lin = linearize_dynamics(cur_s[m], cur_u[m], params, dt)
             qp = assemble_qp(task.start.as_array(), task.goal.as_array(),
                              cur_s[m], cur_u[m], lin, corridor,
-                             sep.planes.get(aid, {}), Y0[aid], params, cfg,
+                             planes[m], Y0[m], params, cfg,
                              vbar0=float(cur_u[m, 0, 0]))
             if qp is None:
                 sol = None
             else:
                 t0 = time.monotonic()
-                sol = qp_solve(qp, warm=warm.get(aid),
+                sol = qp_solve(qp, warm=warm[m],
                                eps_abs=1e-5, eps_rel=1e-5, max_iters=4000)
                 tele.qp_time_s += time.monotonic() - t0
             if sol is None or sol.status != "optimal":
@@ -750,7 +675,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
                 tele.qp_rejections.append((aid, k, "empty_box" if sol is None else sol.status))
                 new_s[m], new_u[m] = cur_s[m], cur_u[m]
                 continue
-            warm[aid] = sol
+            warm[m] = sol
             new_s[m], new_u[m] = _unpack(sol.x, T)
         resid = float(np.sqrt(((new_s - cur_s) ** 2).sum()
                               + ((new_u - cur_u) ** 2).sum()))

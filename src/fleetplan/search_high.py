@@ -31,10 +31,6 @@ class PbsNode:
     makespan: float
     depth: int = 0
 
-    @property
-    def feasible(self) -> bool:
-        return all(t is not None for t in self.trajs.values())
-
 
 @dataclass
 class PbsTelemetry:
@@ -138,18 +134,13 @@ def _topological(ids, orders):
 
 
 class PrioritySearch:
-    def __init__(self, instance, grid: GridSpec, strategy: str = "depth_first",
-                 warm_start: bool = True, worse_child_first: bool = False):
-        if strategy not in ("depth_first", "best_first"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def __init__(self, instance, grid: GridSpec, warm_start: bool = True):
         self.inst = instance
         self.low = LowLevelPlanner(instance, grid)
         self.grid = self.low.grid
         self.params = instance.vehicle
         self.ids = sorted(a.id for a in instance.agents)
-        self.strategy = strategy
         self.warm_start = warm_start
-        self.worse_child_first = worse_child_first
         self.telemetry = PbsTelemetry()
 
     # -- node construction -------------------------------------------------
@@ -218,10 +209,7 @@ class PrioritySearch:
             return [cj]
         if cj is None:
             return [ci]
-        better_first = [ci, cj] if ci.makespan <= cj.makespan + 1e-12 else [cj, ci]
-        if self.worse_child_first:
-            better_first.reverse()
-        return better_first
+        return [ci, cj] if ci.makespan <= cj.makespan + 1e-12 else [cj, ci]
 
     # -- main loop ---------------------------------------------------------
 
@@ -236,44 +224,21 @@ class PrioritySearch:
             status = "timeout" if time.monotonic() > deadline else "root_infeasible"
             return PbsResult(status, None, tele, self.low.quantum)
 
-        counter = 0
-        if self.strategy == "best_first":
-            frontier = [(root.makespan, counter, root)]
-        else:
-            frontier = [root]
-
+        frontier = [root]   # depth-first: a stack
         while frontier:
             if time.monotonic() > deadline:
                 tele.total_time_s = time.monotonic() - t0
                 return PbsResult("timeout", None, tele, self.low.quantum)
-            if self.strategy == "best_first":
-                _, _, node = heapq.heappop(frontier)
-            else:
-                node = frontier.pop()
+            node = frontier.pop()
             if not node.conflicts:
                 tele.total_time_s = time.monotonic() - t0
                 return PbsResult("ok", node, tele, self.low.quantum)
             conflict = pick_conflict(node)
             tele.nodes_expanded += 1
-            children = self.expand(node, conflict, deadline)
-            if self.strategy == "best_first":
-                for c in children:
-                    counter += 1
-                    heapq.heappush(frontier, (c.makespan, counter, c))
-            else:
-                # stack: push in reverse so children[0] is popped first
-                for c in reversed(children):
-                    frontier.append(c)
+            # push in reverse so the better child is popped first
+            frontier.extend(reversed(self.expand(node, conflict, deadline)))
 
         tele.total_time_s = time.monotonic() - t0
         status = "timeout" if time.monotonic() > deadline else "exhausted"
         return PbsResult(status, None, tele, self.low.quantum)
 
-
-def solve(instance, grid: GridSpec, strategy: str = "depth_first",
-          time_budget: float | None = None, warm_start: bool = True,
-          worse_child_first: bool = False) -> PbsResult:
-    searcher = PrioritySearch(instance, grid, strategy=strategy,
-                              warm_start=warm_start,
-                              worse_child_first=worse_child_first)
-    return searcher.solve(time_budget)

@@ -389,8 +389,10 @@ class LowLevelPlanner:
             if h is None and pose not in curves:
                 hg, de = self._h_terms(fill, goal, pose[0], pose[1])
                 lazy = de <= rs_radius
-            if lazy:
-                h = max(hg, de * _EUCLID_FLOOR) / v_max   # the curve waits for the pop
+                if lazy:
+                    h = max(hg, de * _EUCLID_FLOOR) / v_max   # the curve waits for the pop
+                else:
+                    h = hs[pose] = max(hg, de) / v_max   # _h's value beyond rs_radius
             elif h is None:
                 h = h_of(pose)
             deferred.append(lazy)

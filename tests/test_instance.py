@@ -203,12 +203,14 @@ def test_validate_boundary_mismatch():
 
 
 def test_plan_file_roundtrip(tmp_path):
+    """Rows carry the agents' ids, not their positions, and reading keeps the
+    file's order, so states[i] still belongs to the i-th agent."""
     rng = np.random.default_rng(0)
     states = [rng.uniform(0, 20, (7, 4)) for _ in range(2)]
     controls = [rng.uniform(-1, 1, (6, 2)) for _ in range(2)]
     plan = Plan(states, controls, 0.5, 3.0)
     path = tmp_path / "plan.csv"
-    write_plan(path, plan)
+    write_plan(path, plan, [7, 3])
     back = read_plan(path)
     assert back.dt == plan.dt and back.tau_f == plan.tau_f
     for a in range(2):
@@ -217,3 +219,4 @@ def test_plan_file_roundtrip(tmp_path):
     head = path.read_text().splitlines()
     assert head[0].startswith("#") and "dt=" in head[0] and "tau_f=" in head[0]
     assert head[1] == "agent_id,t_index,time_s,x,y,theta,phi,v,omega"
+    assert [int(r.split(",")[0]) for r in head[2:]] == [7] * 7 + [3] * 7

@@ -4,7 +4,7 @@ import numpy as np
 
 from fleetplan import refine
 from fleetplan.geometry import VehicleParams, disc_centers_arr, euler_step
-from fleetplan.instance import generate_random_instance
+from fleetplan.instance import AgentTask, MvtpInstance, generate_random_instance
 from fleetplan.qp import QpSolution
 from fleetplan.search_high import PrioritySearch
 from fleetplan.search_low import GridSpec
@@ -52,8 +52,7 @@ def test_neighbor_pairs_match_brute_force():
     xy = rng.uniform(4.0, 16.0, size=(M, 1, 2)) + np.cumsum(steps, axis=1)
     th = rng.uniform(-math.pi, math.pi, size=(M, T, 1))
     states = np.concatenate([xy, th, np.zeros((M, T, 1))], axis=2)
-    plan = refine.InterpolatedPlan(list(range(M)), states, np.zeros((M, T - 1, 2)), 0.5)
-    got = refine.find_neighbor_pairs(plan, p, cfg)
+    got = refine.find_neighbor_pairs(states, p, cfg)
     want = brute_neighbor_pairs(list(states), p, 2.0 * math.sqrt(2.0) * cfg.R_trust)
     assert want, "fixture should contain close pairs"
     assert len(want) < M * (M - 1) // 2 * T, "fixture should contain distant pairs"
@@ -129,3 +128,44 @@ def test_rejection_reasons_name_empty_box_and_qp_status(monkeypatch):
     assert rr.telemetry.qp_rejections == [(0, 0, "empty_box"), (0, 1, "empty_box"),
                                           (1, 1, "primal_infeasible")]
     assert rr.telemetry.failure == {"reason": "empty_box", "agent": 0, "iteration": 0}
+
+
+def test_guess_is_verified_once_then_once_per_round(monkeypatch):
+    """One validate_plan call on the interpolated guess feeds both the
+    collision census and the early exit; each SQP round adds one more."""
+    inst = generate_random_instance(1, 30.0, 6, 2)
+    res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
+    assert res.ok
+    calls = []
+    validate = refine.validate_plan
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return validate(*args, **kw)
+
+    monkeypatch.setattr(refine, "validate_plan", counted)
+    rr = refine.sqp_refine(res.trajectories, inst, refine.RefineConfig(max_sqp_iters=2))
+    assert rr.telemetry.iterations >= 1
+    assert len(calls) == 1 + rr.telemetry.iterations
+
+
+def test_agent_ids_only_label_the_output():
+    """Refinement works on agent positions: relabelling the agents changes
+    nothing but the ids it reports."""
+    inst = generate_random_instance(1, 30.0, 6, 4)
+    res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
+    assert res.ok
+    relabel = {0: 9, 1: 4, 2: 12, 3: 1}
+    moved = MvtpInstance(inst.map_width, inst.map_height, inst.obstacles,
+                         [AgentTask(relabel[a.id], a.start, a.goal) for a in inst.agents],
+                         inst.vehicle)
+    trajs = {relabel[a]: t for a, t in res.trajectories.items()}
+    cfg = refine.RefineConfig(max_sqp_iters=3)
+    a = refine.sqp_refine(res.trajectories, inst, cfg)
+    b = refine.sqp_refine(trajs, moved, cfg)
+    assert (b.status, b.telemetry.iterations) == (a.status, a.telemetry.iterations)
+    assert np.array_equal(b.telemetry.residuals, a.telemetry.residuals)
+    assert b.telemetry.qp_rejections == [(relabel[aid], k, why)
+                                         for aid, k, why in a.telemetry.qp_rejections]
+    fa = a.telemetry.failure
+    assert b.telemetry.failure == {**fa, "agent": relabel[fa["agent"]]}

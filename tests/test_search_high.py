@@ -125,7 +125,7 @@ def two_agent_order_surrogate(seeds, size=18.0, n_obstacles=3, grid=None):
         if not seq_ok:
             continue
         feasible += 1
-        if not sh.solve(inst, grid, time_budget=20.0).ok:
+        if not sh.PrioritySearch(inst, grid).solve(20.0).ok:
             failures.append(seed)
     return feasible, failures
 
@@ -138,8 +138,8 @@ def warm_agreement_mismatches(seeds, size=18.0, n_obstacles=3, n_agents=2,
     out = []
     for seed in seeds:
         inst = generate_random_instance(seed, size, n_obstacles, n_agents)
-        on = sh.solve(inst, grid, warm_start=True, time_budget=time_budget)
-        off = sh.solve(inst, grid, warm_start=False, time_budget=4.0 * time_budget)
+        on = sh.PrioritySearch(inst, grid, warm_start=True).solve(time_budget)
+        off = sh.PrioritySearch(inst, grid, warm_start=False).solve(4.0 * time_budget)
         if on.ok != off.ok:
             out.append((seed, on.status, off.status))
     return out
@@ -151,7 +151,7 @@ def test_single_agent_root_returned_directly():
     inst = MvtpInstance(30.0, 30.0, [],
                         [AgentTask(0, State(5.0, 5.0, 0.0), State(25.0, 5.0, 0.0))],
                         VehicleParams())
-    res = sh.solve(inst, GridSpec(), time_budget=10.0)
+    res = sh.PrioritySearch(inst, GridSpec()).solve(10.0)
     assert res.ok
     assert res.telemetry.nodes_expanded == 0
     assert res.node.orders == frozenset()
@@ -167,7 +167,7 @@ def test_head_on_corridor_solved_and_verified():
     assert root.conflicts, "cold root should collide head-on"
     assert root.orders == frozenset()
 
-    res = sh.solve(inst, grid, warm_start=False, time_budget=60.0)
+    res = sh.PrioritySearch(inst, grid, warm_start=False).solve(60.0)
     assert res.ok
     node = res.node
     assert node.conflicts == []
@@ -180,7 +180,7 @@ def test_head_on_corridor_solved_and_verified():
 
 def test_warm_root_often_needs_no_expansion():
     inst = corridor_instance()
-    res = sh.solve(inst, GridSpec(), warm_start=True, time_budget=60.0)
+    res = sh.PrioritySearch(inst, GridSpec(), warm_start=True).solve(60.0)
     assert res.ok
     assert res.telemetry.nodes_expanded == 0
     assert res.node.orders == frozenset()
@@ -189,13 +189,13 @@ def test_warm_root_often_needs_no_expansion():
 def test_five_agent_open_map():
     inst = generate_random_instance(3, 25.0, 4, 5)
     grid = GridSpec()
-    res = sh.solve(inst, grid, warm_start=False, time_budget=60.0)
+    res = sh.PrioritySearch(inst, grid, warm_start=False).solve(60.0)
     assert res.ok
     assert res.telemetry.nodes_expanded >= 1
     assert spatial_violations(inst, res.node, res.quantum) == []
     assert ordered_pairs_clean(res.node, inst.vehicle)
 
-    warm = sh.solve(inst, grid, warm_start=True, time_budget=60.0)
+    warm = sh.PrioritySearch(inst, grid, warm_start=True).solve(60.0)
     assert warm.ok
     assert spatial_violations(inst, warm.node, warm.quantum) == []
 
@@ -306,11 +306,6 @@ def test_expand_symmetric_tie_prefers_low_id_priority():
         i, j, _ = conflict
         assert (i, j) in kids[0].orders  # tie broken toward i < j priority
 
-    flipped = sh.PrioritySearch(inst, grid, warm_start=False,
-                                worse_child_first=True)
-    kids_f = flipped.expand(flipped.generate_root(), conflict)
-    assert [k.orders for k in kids_f] == [kids[1].orders, kids[0].orders]
-
 
 def test_expand_one_child_when_orientation_is_dead():
     inst = nook_instance()
@@ -325,7 +320,7 @@ def test_expand_one_child_when_orientation_is_dead():
 
 def test_nook_solved_with_single_expansion():
     inst = nook_instance()
-    res = sh.solve(inst, GridSpec(), time_budget=30.0)
+    res = sh.PrioritySearch(inst, GridSpec()).solve(30.0)
     assert res.ok
     assert res.telemetry.nodes_expanded == 1
     assert res.node.orders == frozenset({(1, 0)})
@@ -334,7 +329,7 @@ def test_nook_solved_with_single_expansion():
 
 def test_cascade_instance_solves():
     inst = cascade_instance()
-    res = sh.solve(inst, GridSpec(), warm_start=False, time_budget=120.0)
+    res = sh.PrioritySearch(inst, GridSpec(), warm_start=False).solve(120.0)
     assert res.ok
     assert res.node.depth == len(res.node.orders)
     assert ordered_pairs_clean(res.node, inst.vehicle)
@@ -373,19 +368,9 @@ def test_detect_conflicts_pads_parked_tail():
     assert sh.detect_conflicts({0: short, 2: far}, par) == []
 
 
-def test_best_first_strategy():
-    inst = corridor_instance()
-    res = sh.solve(inst, GridSpec(), strategy="best_first", warm_start=False,
-                   time_budget=60.0)
-    assert res.ok
-    assert res.node.conflicts == []
-    with pytest.raises(ValueError):
-        sh.PrioritySearch(inst, GridSpec(), strategy="depth_last")
-
-
 def test_solve_timeout_status():
     inst = corridor_instance()
-    res = sh.solve(inst, GridSpec(), warm_start=False, time_budget=0.0)
+    res = sh.PrioritySearch(inst, GridSpec(), warm_start=False).solve(0.0)
     assert res.status == "timeout"
     assert res.node is None
 
@@ -395,14 +380,14 @@ def test_root_infeasible_status():
     inst = MvtpInstance(14.0, 14.0, walls,
                         [AgentTask(0, State(3.0, 3.0, 0.0), State(12.0, 12.0, 0.0))],
                         VehicleParams())
-    res = sh.solve(inst, GridSpec(max_steps=10), time_budget=30.0)
+    res = sh.PrioritySearch(inst, GridSpec(max_steps=10)).solve(30.0)
     assert res.status == "root_infeasible"
     assert res.node is None
 
 
 def test_solve_telemetry():
     inst = corridor_instance()
-    res = sh.solve(inst, GridSpec(), warm_start=False, time_budget=60.0)
+    res = sh.PrioritySearch(inst, GridSpec(), warm_start=False).solve(60.0)
     t = res.telemetry
     assert t.nodes_expanded >= 1
     assert t.low_level_calls >= 3  # two root plans plus at least one replan
@@ -411,8 +396,8 @@ def test_solve_telemetry():
 
 def test_solve_deterministic():
     inst = cascade_instance()
-    a = sh.solve(inst, GridSpec(), warm_start=False, time_budget=120.0)
-    b = sh.solve(inst, GridSpec(), warm_start=False, time_budget=120.0)
+    a = sh.PrioritySearch(inst, GridSpec(), warm_start=False).solve(120.0)
+    b = sh.PrioritySearch(inst, GridSpec(), warm_start=False).solve(120.0)
     assert a.ok and b.ok
     assert a.node.orders == b.node.orders
     assert a.node.makespan == b.node.makespan
