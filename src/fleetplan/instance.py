@@ -5,7 +5,6 @@ both planning stages are judged against it, never against their own checks.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -99,6 +98,10 @@ def _check_instance(inst: MvtpInstance) -> None:
     for name, val in sizes:
         if not (math.isfinite(val) and val > 0.0):
             raise InstanceError(f"{name} must be finite and positive, got {val!r}")
+    for k, o in enumerate(inst.obstacles):
+        if not (all(map(math.isfinite, (o.cx, o.cy, o.hx, o.hy))) and o.hx > 0.0 and o.hy > 0.0):
+            raise InstanceError(
+                f"obstacle {k} needs finite fields and positive half extents, got {o}")
     if any(o.heading != 0.0 for o in inst.obstacles):
         # every collision test treats obstacles as axis-aligned boxes
         raise InstanceError("obstacles must be axis-aligned (heading 0)")
@@ -111,6 +114,9 @@ def _check_instance(inst: MvtpInstance) -> None:
     boxes: list[tuple[int, str, OrientedBox]] = []
     for a in inst.agents:
         for name, z in (("start", a.start), ("goal", a.goal)):
+            if not all(map(math.isfinite, (z.x, z.y, z.theta))):
+                raise InstanceError(
+                    f"agent {a.id} {name} pose must be finite, got ({z.x}, {z.y}, {z.theta})")
             pose = np.array([[z.x, z.y, z.theta, z.phi]])
             if boxes_outside_map(pose, inst.vehicle, inst.map_width, inst.map_height)[0]:
                 raise InstanceError(f"agent {a.id} {name} footprint leaves the map")
@@ -133,7 +139,7 @@ def _check_instance(inst: MvtpInstance) -> None:
 # instance file format (YAML)
 
 
-def serialize_instance(inst: MvtpInstance, header: str | None = None) -> str:
+def serialize_instance(inst: MvtpInstance) -> str:
     v = inst.vehicle
     doc = {
         "map": {"width": float(inst.map_width), "height": float(inst.map_height)},
@@ -159,12 +165,7 @@ def serialize_instance(inst: MvtpInstance, header: str | None = None) -> str:
             for a in inst.agents
         ],
     }
-    out = io.StringIO()
-    if header:
-        for line in header.splitlines():
-            out.write(f"# {line}\n")
-    yaml.safe_dump(doc, out, sort_keys=False, default_flow_style=None)
-    return out.getvalue()
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
 def parse_instance(text: str) -> MvtpInstance:
@@ -211,19 +212,28 @@ def parse_instance(text: str) -> MvtpInstance:
 
 
 def load_instance(path) -> MvtpInstance:
-    with open(path) as f:
-        return parse_instance(f.read())
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise InstanceError(f"{path} is not UTF-8 text: {e}") from e
+    return parse_instance(text)
 
 
-def save_instance(path, inst: MvtpInstance, header: str | None = None) -> None:
+def save_instance(path, inst: MvtpInstance) -> None:
     with open(path, "w") as f:
-        f.write(serialize_instance(inst, header))
+        f.write(serialize_instance(inst))
 
 
 # ---------------------------------------------------------------------------
 # random scenario generation
 
 _POSE_TRIES = 4000
+CLEARANCE = 1.5                  # gap kept between any two placed footprints [m]
+END_MARGIN = 0.15                # extra disc clearance of a placed pose [m]
+OBSTACLE_HALF_EXTENTS = (0.5, 2.0)   # range of a random obstacle's half extents [m]
+ROOMS = 4                        # rooms per side of a room lattice
+WALL = 0.3                       # room wall thickness [m]
 
 
 def _sample_pose(
@@ -232,16 +242,15 @@ def _sample_pose(
     vehicle: VehicleParams,
     acx, acy, ahx, ahy,
     taken: list[OrientedBox],
-    clearance: float,
-    end_margin: float,
 ) -> State:
     """Rejection-sample one start/goal pose.
 
-    Besides keeping the footprint clear, both covering discs must stay
-    end_margin beyond their radius away from walls and obstacles, so that the
-    refinement stage's eroded workspace still contains the endpoint discs.
+    Besides keeping the footprint CLEARANCE away from the poses in taken,
+    both covering discs must stay END_MARGIN beyond their radius away from
+    walls and obstacles, so that the refinement stage's eroded workspace
+    still contains the endpoint discs.
     """
-    r_safe = vehicle.disc_radius + end_margin
+    r_safe = vehicle.disc_radius + END_MARGIN
     lo, hi = r_safe, size - r_safe
     if hi <= lo:
         raise InstanceError("map too small for the vehicle")
@@ -262,9 +271,9 @@ def _sample_pose(
             if inside.any():
                 continue
         fp = footprint(z, vehicle)
-        grown = OrientedBox(fp.cx, fp.cy, fp.hx + clearance / 2.0, fp.hy + clearance / 2.0, fp.heading)
+        grown = OrientedBox(fp.cx, fp.cy, fp.hx + CLEARANCE / 2.0, fp.hy + CLEARANCE / 2.0, fp.heading)
         if any(
-            sat_overlap(grown, OrientedBox(t.cx, t.cy, t.hx + clearance / 2.0, t.hy + clearance / 2.0, t.heading))
+            sat_overlap(grown, OrientedBox(t.cx, t.cy, t.hx + CLEARANCE / 2.0, t.hy + CLEARANCE / 2.0, t.heading))
             for t in taken
         ):
             continue
@@ -272,8 +281,7 @@ def _sample_pose(
     raise InstanceError("pose placement failed; scenario density too high")
 
 
-def _place_agents(rng, inst: MvtpInstance, n_agents: int, clearance: float,
-                  end_margin: float) -> MvtpInstance:
+def _place_agents(rng, inst: MvtpInstance, n_agents: int) -> MvtpInstance:
     """Add n_agents start/goal pairs, ids 0.., to a square instance that has
     none yet, each pose sampled clear of the poses placed before it, and
     check the result."""
@@ -281,66 +289,51 @@ def _place_agents(rng, inst: MvtpInstance, n_agents: int, clearance: float,
     acx, acy, ahx, ahy = inst.obstacle_arrays()
     taken: list[OrientedBox] = []
     for i in range(n_agents):
-        s = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken, clearance, end_margin)
+        s = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken)
         taken.append(footprint(s, vehicle))
-        g = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken, clearance, end_margin)
+        g = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken)
         taken.append(footprint(g, vehicle))
         inst.agents.append(AgentTask(i, s, g))
     _check_instance(inst)
     return inst
 
 
-def generate_random_instance(
-    seed: int,
-    size: float,
-    n_obstacles: int,
-    n_agents: int,
-    vehicle: VehicleParams | None = None,
-    clearance: float = 1.5,
-    end_margin: float = 0.15,
-    half_extent_range: tuple[float, float] = (0.5, 2.0),
-) -> MvtpInstance:
-    """Seeded random scenario: rectangular obstacles plus agent start/goal poses."""
+def generate_random_instance(seed: int, size: float, n_obstacles: int,
+                             n_agents: int) -> MvtpInstance:
+    """Seeded random scenario for the default vehicle: rectangular obstacles
+    plus agent start/goal poses."""
     if n_agents < 1:
         raise InstanceError("n_agents must be >= 1")
-    vehicle = vehicle or VehicleParams()
+    vehicle = VehicleParams()
     rng = np.random.default_rng(seed)
     obstacles = []
     for _ in range(n_obstacles):
-        hx = rng.uniform(*half_extent_range)
-        hy = rng.uniform(*half_extent_range)
+        hx = rng.uniform(*OBSTACLE_HALF_EXTENTS)
+        hy = rng.uniform(*OBSTACLE_HALF_EXTENTS)
         cx = rng.uniform(hx, size - hx)
         cy = rng.uniform(hy, size - hy)
         obstacles.append(OrientedBox(cx, cy, hx, hy))
     inst = MvtpInstance(size, size, obstacles, [], vehicle)
-    return _place_agents(rng, inst, n_agents, clearance, end_margin)
+    return _place_agents(rng, inst, n_agents)
 
 
-def generate_room_instance(
-    seed: int,
-    size: float,
-    n_agents: int,
-    vehicle: VehicleParams | None = None,
-    rooms: int = 4,
-    door: float = 3.5,
-    wall: float = 0.3,
-    clearance: float = 1.5,
-    end_margin: float = 0.15,
-) -> MvtpInstance:
-    """Room-grid scenario: a rooms x rooms wall lattice with one random door per edge.
+def generate_room_instance(seed: int, size: float, n_agents: int,
+                           door: float = 3.5) -> MvtpInstance:
+    """Room-grid scenario for the default vehicle: a ROOMS x ROOMS wall
+    lattice with one random door per edge.
 
     A door must be wider than the covering-disc diameter, or no plan can
     cross it.
     """
     if n_agents < 1:
         raise InstanceError("n_agents must be >= 1")
-    vehicle = vehicle or VehicleParams()
+    vehicle = VehicleParams()
     if door <= 2.0 * vehicle.disc_radius:
         raise InstanceError(
             f"door {door} m is not wider than the covering discs ({2.0 * vehicle.disc_radius} m)")
     rng = np.random.default_rng(seed)
-    pitch = size / rooms
-    hw = wall / 2.0
+    pitch = size / ROOMS
+    hw = WALL / 2.0
     obstacles = []
 
     def wall_segments(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -348,9 +341,9 @@ def generate_room_instance(
         gap0 = rng.uniform(lo, hi - door)
         return [(lo, gap0), (gap0 + door, hi)]
 
-    for k in range(1, rooms):
+    for k in range(1, ROOMS):
         c = k * pitch
-        for r in range(rooms):
+        for r in range(ROOMS):
             lo, hi = r * pitch, (r + 1) * pitch
             for a, b in wall_segments(lo, hi):
                 if b - a > 1e-9:
@@ -359,7 +352,7 @@ def generate_room_instance(
                 if b - a > 1e-9:
                     obstacles.append(OrientedBox((a + b) / 2.0, c, (b - a) / 2.0, hw))
     inst = MvtpInstance(size, size, obstacles, [], vehicle)
-    return _place_agents(rng, inst, n_agents, clearance, end_margin)
+    return _place_agents(rng, inst, n_agents)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +423,12 @@ def _ang_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(d)
 
 
-def validate_plan(instance: MvtpInstance, plan: Plan, dt: float | None = None) -> VerificationReport:
+def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
     """Check a plan against the instance; every violation becomes report data."""
     if plan.n_agents != instance.n_agents:
         raise ValueError("plan/instance agent count mismatch")
     if plan.horizon < 1:
         raise ValueError("empty plan")
-    dt = plan.dt if dt is None else dt
     v = instance.vehicle
     rep = VerificationReport()
     acx, acy, ahx, ahy = instance.obstacle_arrays()
@@ -455,7 +447,7 @@ def validate_plan(instance: MvtpInstance, plan: Plan, dt: float | None = None) -
                 rep.violations.append(Violation("boundary", task.id, t_chk, max(dp, da)))
         # kinematic consistency: one exact step from each sample
         if T > 1:
-            pz = euler_step(zs[:-1], us, dt, v.L)
+            pz = euler_step(zs[:-1], us, plan.dt, v.L)
             err = np.maximum(
                 np.hypot(pz[:, 0] - zs[1:, 0], pz[:, 1] - zs[1:, 1]),
                 np.maximum(_ang_diff(pz[:, 2], zs[1:, 2]), np.abs(pz[:, 3] - zs[1:, 3])),

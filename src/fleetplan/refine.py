@@ -31,6 +31,12 @@ from .qp import QpProblem, solve as qp_solve
 
 _SQRT2 = math.sqrt(2.0)
 
+N_INTERP = 3                  # points inserted per coarse segment
+R_TRUST = 0.6                 # trust-region half-width per disc coordinate [m]
+ALPHA_V = 1.0                 # cost weight of speed changes
+ALPHA_OMEGA = 1.0             # cost weight of steering rates
+CORRIDOR_MAX_EXTENT = 10.0    # furthest a corridor edge grows from its seed [m]
+
 
 def _clip(x, lo, hi):
     return lo if x < lo else hi if x > hi else x
@@ -42,39 +48,35 @@ class RelocationError(RuntimeError):
 
 @dataclass
 class RefineConfig:
-    n_interp: int = 3                 # points inserted per coarse segment
-    R_trust: float = 0.6              # meters, per disc coordinate
-    alpha_v: float = 1.0
-    alpha_omega: float = 1.0
+    """The SQP loop's stopping rule: at most max_sqp_iters rounds, and an
+    early stop once a round moves the iterate by less than convergence_eps
+    (None: 1e-3 * sqrt(number of decision variables)).  The resampling,
+    trust region, cost weights and corridor reach are the module constants
+    N_INTERP, R_TRUST, ALPHA_V, ALPHA_OMEGA and CORRIDOR_MAX_EXTENT."""
+
     max_sqp_iters: int = 10
-    convergence_eps: float | None = None   # default 1e-3 * sqrt(#vars)
-    corridor_max_extent: float = 10.0
+    convergence_eps: float | None = None
 
     def __post_init__(self):
-        if self.n_interp < 0:
-            raise ValueError("n_interp must be >= 0")
-        for name in ("R_trust", "alpha_v", "alpha_omega", "corridor_max_extent"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.max_sqp_iters < 1:
             raise ValueError("max_sqp_iters must be >= 1")
         if self.convergence_eps is not None and self.convergence_eps <= 0:
             raise ValueError("convergence_eps must be positive")
 
 
-def interpolate(trajs_by_id, order, params: VehicleParams, cfg: RefineConfig):
+def interpolate(trajs_by_id, order, params: VehicleParams):
     """Resample each coarse trajectory along its exact arcs.
 
     Returns (states (M, T, 4), controls (M, T-1, 2), dt), one row per agent
-    id of order.  Every coarse segment is split into n_interp+1 sub-steps of
-    duration dt = quantum/(n_interp+1); all agents are padded to the longest
+    id of order.  Every coarse segment is split into N_INTERP+1 sub-steps of
+    duration dt = quantum/(N_INTERP+1); all agents are padded to the longest
     horizon by parking at their final pose.  Headings are kept unwrapped
     (continuous along each trajectory) so that the later linearizations never
     see artificial 2*pi jumps.
     """
     trajs = [trajs_by_id[a] for a in order]
     quantum = trajs[0].quantum
-    sub = cfg.n_interp + 1
+    sub = N_INTERP + 1
     dt = quantum / sub
     T = max(tr.horizon for tr in trajs) * sub + 1
     M = len(trajs)
@@ -127,9 +129,7 @@ def _track_guess(states, controls, dt, params: VehicleParams):
     """
     T = states.shape[0]
     out_s = states.copy()
-    out_u = controls.copy() if controls.size else controls
-    if T < 2:
-        return out_s, out_u
+    out_u = controls.copy()
     n = T - 1
     L = params.L
     vmax, wmax, pmax = params.v_max, params.omega_max, params.phi_max
@@ -203,10 +203,10 @@ def classify_guess(report) -> dict:
 # neighbor pairs and separating planes
 
 
-def find_neighbor_pairs(states, params: VehicleParams, cfg: RefineConfig):
+def find_neighbor_pairs(states, params: VehicleParams):
     """All (i, j, t), agent indices i < j, whose disc clearance at time index
-    t is at most 2*sqrt(2)*R_trust, in sorted order."""
-    thresh = 2.0 * _SQRT2 * cfg.R_trust
+    t is at most 2*sqrt(2)*R_TRUST, in sorted order."""
+    thresh = 2.0 * _SQRT2 * R_TRUST
     discs = disc_centers_arr(states, params)   # (M, T, 2, 2)
     M = discs.shape[0]
     out = []
@@ -271,13 +271,14 @@ def _safe(px, py, map_wh, obs, r) -> bool:
     return bool(_point_clearance(px, py, obs).min() >= r)
 
 
-def relocate_unsafe_point(p, map_wh, obstacles, r, max_extra=6.0):
+def relocate_unsafe_point(p, map_wh, obstacles, r):
     """Move a corridor seed into free eroded space.
 
     Off-map points are projected onto the eroded boundary.  A point inside a
     dilated obstacle is pushed radially out of that obstacle's circumscribed
     circle; if other obstacles still cover it, the point is rotated around the
-    obstacle center in fixed angular increments at escalating radii.
+    obstacle center in fixed angular increments at escalating radii, up to
+    CORRIDOR_MAX_EXTENT beyond the circle.
     """
     w, h = map_wh
     acx, acy, ahx, ahy = obstacles
@@ -294,7 +295,7 @@ def relocate_unsafe_point(p, map_wh, obstacles, r, max_extra=6.0):
     steps = np.arange(1, 12)
     offs = np.concatenate([offs, np.stack([steps, -steps], 1).ravel() * (math.pi / 12.0)])
     radius = circ + 1e-6
-    while radius <= circ + max_extra:
+    while radius <= circ + CORRIDOR_MAX_EXTENT:
         ang = base + offs
         cx = acx[k] + radius * np.cos(ang)
         cy = acy[k] + radius * np.sin(ang)
@@ -335,19 +336,19 @@ class CorridorBoxes:
     hi: np.ndarray   # (T, 4)
 
 
-def build_corridor(states, instance: MvtpInstance, cfg: RefineConfig) -> CorridorBoxes:
+def build_corridor(states, instance: MvtpInstance) -> CorridorBoxes:
     """One safe box per timestamp and disc around the current iterate.
 
     Starting from the (relocated) disc center, the box edges are extended
     clockwise — up, right, down, left — until a dilated obstacle, the eroded
-    map boundary, or corridor_max_extent stops them.
+    map boundary, or CORRIDOR_MAX_EXTENT stops them.
     """
     params = instance.vehicle
     r = params.disc_radius
     obs = instance.obstacle_arrays()
     acx, acy, ahx, ahy = obs
     w, h = instance.map_width, instance.map_height
-    ext = cfg.corridor_max_extent
+    ext = CORRIDOR_MAX_EXTENT
     Y = disc_centers_arr(np.asarray(states), params)   # (T, 2, 2)
     T = Y.shape[0]
     lo = np.empty((T, 4))
@@ -356,7 +357,7 @@ def build_corridor(states, instance: MvtpInstance, cfg: RefineConfig) -> Corrido
         for d in (0, 1):
             p = Y[t, d]
             if not _safe(p[0], p[1], (w, h), obs, r):
-                p = relocate_unsafe_point(p, (w, h), obs, r, max_extra=ext)
+                p = relocate_unsafe_point(p, (w, h), obs, r)
             x0 = x1 = float(p[0])
             y0 = y1 = float(p[1])
             y1 = _grow(x0, x1, y1, min(h - r, p[1] + ext), acx, acy, ahx, ahy, r)
@@ -421,7 +422,7 @@ def linearize_dynamics(states, controls, params: VehicleParams, dt) -> LinearDyn
 
 def assemble_qp(start, goal, states, controls, lin: LinearDynamics,
                 corridor: CorridorBoxes, planes_by_t, Y0, params: VehicleParams,
-                cfg: RefineConfig, vbar0: float):
+                vbar0: float):
     """Quadratic subproblem for one agent at the current iterate.
 
     Decision vector: all states then all controls.  Returns None when the
@@ -435,8 +436,8 @@ def assemble_qp(start, goal, states, controls, lin: LinearDynamics,
     nz, nu = 4 * T, 2 * (T - 1)
     n = nz + nu
 
-    ylo = np.maximum(corridor.lo, Y0 - cfg.R_trust)
-    yhi = np.minimum(corridor.hi, Y0 + cfg.R_trust)
+    ylo = np.maximum(corridor.lo, Y0 - R_TRUST)
+    yhi = np.minimum(corridor.hi, Y0 + R_TRUST)
     gap = ylo - yhi
     if np.any(gap > 1e-9):
         return None
@@ -445,27 +446,27 @@ def assemble_qp(start, goal, states, controls, lin: LinearDynamics,
     ylo[tight] = mid[tight]
     yhi[tight] = mid[tight]
 
-    # objective: alpha_v * sum dv^2 + alpha_omega * sum omega^2, with the
+    # objective: ALPHA_V * sum dv^2 + ALPHA_OMEGA * sum omega^2, with the
     # first dv measured against the previous iterate's initial speed
     nv = T - 1
     rows, cols, vals = [], [], []
     vidx = nz + 2 * np.arange(nv)
     main = np.full(nv, 2.0)
     main[-1] = 1.0
-    rows.append(vidx); cols.append(vidx); vals.append(2.0 * cfg.alpha_v * main)
+    rows.append(vidx); cols.append(vidx); vals.append(2.0 * ALPHA_V * main)
     if nv > 1:
         rows.append(vidx[:-1]); cols.append(vidx[1:])
-        vals.append(np.full(nv - 1, -2.0 * cfg.alpha_v))
+        vals.append(np.full(nv - 1, -2.0 * ALPHA_V))
         rows.append(vidx[1:]); cols.append(vidx[:-1])
-        vals.append(np.full(nv - 1, -2.0 * cfg.alpha_v))
+        vals.append(np.full(nv - 1, -2.0 * ALPHA_V))
     widx = vidx + 1
     rows.append(widx); cols.append(widx)
-    vals.append(np.full(nv, 2.0 * cfg.alpha_omega))
+    vals.append(np.full(nv, 2.0 * ALPHA_OMEGA))
     P = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsc()
     q = np.zeros(n)
-    q[nz] = -2.0 * cfg.alpha_v * vbar0
+    q[nz] = -2.0 * ALPHA_V * vbar0
 
     ar, ac, av, lb, ub = [], [], [], [], []
     row0 = 0
@@ -604,7 +605,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
     params = instance.vehicle
     tele = RefineTelemetry()
     order = [a.id for a in instance.agents]
-    states, controls, dt = interpolate(trajs_by_id, order, params, cfg)
+    states, controls, dt = interpolate(trajs_by_id, order, params)
     M, T = states.shape[:2]
     guess = Plan(states=list(states), controls=list(controls), dt=dt, tau_f=(T - 1) * dt)
     report = validate_plan(instance, guess)
@@ -618,7 +619,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
 
     # one extra quantum parked at the goal: the rollout below may land a hair
     # off, and the rest steps give the QP two-sided reach to close that gap
-    pad = cfg.n_interp + 1
+    pad = N_INTERP + 1
     states = np.concatenate([states, np.repeat(states[:, -1:], pad, axis=1)], axis=1)
     controls = np.concatenate([controls, np.zeros((M, pad, 2))], axis=1)
     T = states.shape[1]
@@ -630,7 +631,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
     for m in range(M):
         base_s[m], base_u[m] = _track_guess(states[m], controls[m], dt, params)
 
-    planes = build_separation(find_neighbor_pairs(base_s, params, cfg), base_s, params)
+    planes = build_separation(find_neighbor_pairs(base_s, params), base_s, params)
     Y0 = disc_centers_arr(base_s, params).reshape(M, T, 4)
 
     nvars = M * (6 * T - 2)
@@ -654,13 +655,13 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
         for m, task in enumerate(instance.agents):
             aid = task.id
             try:
-                corridor = build_corridor(cur_s[m], instance, cfg)
+                corridor = build_corridor(cur_s[m], instance)
             except RelocationError as exc:
                 return fail("relocation_failed", aid, k, str(exc))
             lin = linearize_dynamics(cur_s[m], cur_u[m], params, dt)
             qp = assemble_qp(task.start.as_array(), task.goal.as_array(),
                              cur_s[m], cur_u[m], lin, corridor,
-                             planes[m], Y0[m], params, cfg,
+                             planes[m], Y0[m], params,
                              vbar0=float(cur_u[m, 0, 0]))
             if qp is None:
                 sol = None

@@ -29,7 +29,6 @@ class PbsNode:
     trajs: dict        # agent id -> CoarseTrajectory
     conflicts: list    # (i, j, t) with i < j, disc overlap at time index t
     makespan: float
-    depth: int = 0
 
 
 @dataclass
@@ -57,38 +56,30 @@ class PbsResult:
         return self.node.trajs if self.node is not None else {}
 
 
-def _pad_states(trajs_by_id):
-    """Per-agent pose arrays padded (parked at the end) to a common horizon."""
-    T = max(t.states.shape[0] for t in trajs_by_id.values())
-    out = {}
-    for a, traj in trajs_by_id.items():
-        s = traj.states[:, :3]
-        if s.shape[0] < T:
-            s = np.vstack([s, np.repeat(s[-1:], T - s.shape[0], axis=0)])
-        out[a] = s
-    return out, T
+def _disc_table(trajs_by_id, params) -> dict:
+    """Agent id -> disc centres (T, 2, 2) of its trajectory, every trajectory
+    parked at its final pose out to the longest horizon, as
+    DynamicObstacleSet pads the higher-priority agents."""
+    ids = list(trajs_by_id)
+    poses = DynamicObstacleSet([trajs_by_id[a].states for a in ids]).poses
+    return dict(zip(ids, disc_centers_arr(poses, params)))
 
 
-def _pair_conflict_times(sa, sb, params, first_only=False):
-    """Time indices where two padded pose sequences come closer than the
+def _conflict_times(ca, cb, params):
+    """Time indices where two padded disc tables come closer than the
     covering discs allow.  The disc metric (min center distance < 2 r_v) is
     what the downstream separating planes require, so the coarse stage polices
     exactly the clearance the refinement stage will need."""
-    dmin = disc_center_distance(disc_centers_arr(sa, params), disc_centers_arr(sb, params))
-    hits = np.nonzero(dmin < 2.0 * params.disc_radius - 1e-9)[0]
-    out = [int(t) for t in hits]
-    return out[:1] if first_only else out
+    dmin = disc_center_distance(ca, cb)
+    return np.nonzero(dmin < 2.0 * params.disc_radius - 1e-9)[0]
 
 
 def detect_conflicts(trajs_by_id, params):
-    padded, _ = _pad_states(trajs_by_id)
+    discs = _disc_table(trajs_by_id, params)
     ids = sorted(trajs_by_id)
-    out = []
-    for n, a in enumerate(ids):
-        for b in ids[n + 1:]:
-            for t in _pair_conflict_times(padded[a], padded[b], params):
-                out.append((a, b, t))
-    return out
+    return [(a, b, int(t))
+            for n, a in enumerate(ids) for b in ids[n + 1:]
+            for t in _conflict_times(discs[a], discs[b], params)]
 
 
 def pick_conflict(node: PbsNode):
@@ -145,10 +136,10 @@ class PrioritySearch:
 
     # -- node construction -------------------------------------------------
 
-    def _make_node(self, orders, trajs, depth) -> PbsNode:
+    def _make_node(self, orders, trajs) -> PbsNode:
         conflicts = detect_conflicts(trajs, self.params)
         makespan = max(t.makespan_s for t in trajs.values())
-        return PbsNode(frozenset(orders), trajs, conflicts, makespan, depth)
+        return PbsNode(frozenset(orders), trajs, conflicts, makespan)
 
     def generate_root(self, deadline: float = math.inf) -> PbsNode | None:
         """Sequential warm start in id order; an agent that cannot be planned
@@ -169,7 +160,7 @@ class PrioritySearch:
             if not res.ok:
                 return None
             trajs[a] = res.trajectory
-        return self._make_node(frozenset(), trajs, 0)
+        return self._make_node(frozenset(), trajs)
 
     def update_plan(self, node: PbsNode, new_pair, deadline: float = math.inf) -> PbsNode | None:
         """Child with one added pair: walk agents in topological order and
@@ -177,14 +168,12 @@ class PrioritySearch:
         orders = set(node.orders)
         orders.add(tuple(new_pair))
         trajs = dict(node.trajs)
-        padded, _ = _pad_states(trajs)
+        discs = _disc_table(trajs, self.params)
         for a in _topological(self.ids, orders):
             anc = sorted(_ancestors(orders, a))
             if not anc:
                 continue
-            dirty = any(
-                _pair_conflict_times(padded[a], padded[b], self.params, first_only=True)
-                for b in anc)
+            dirty = any(_conflict_times(discs[a], discs[b], self.params).size for b in anc)
             if not dirty:
                 continue
             dyn = DynamicObstacleSet.from_trajectories([trajs[b] for b in anc])
@@ -193,8 +182,8 @@ class PrioritySearch:
             if not res.ok:
                 return None
             trajs[a] = res.trajectory
-            padded, _ = _pad_states(trajs)
-        return self._make_node(orders, trajs, node.depth + 1)
+            discs = _disc_table(trajs, self.params)
+        return self._make_node(orders, trajs)
 
     def expand(self, node: PbsNode, conflict, deadline: float = math.inf) -> list[PbsNode]:
         """Children for both orientations of the conflicting pair, ordered so

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,25 +41,28 @@ _NBRS8 = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
 # of a Reeds-Shepp length against math.hypot
 _EUCLID_FLOOR = 1.0 - 1e-9
 
+N_YAW = 72                 # heading bins of the closed-set key
+_YAW_BIN = _TWO_PI / N_YAW
+SAMPLE_DS = 0.5            # collision-sample spacing along a motion [m]
+REVERSE_PENALTY = 1.0      # cost factor of a reverse primitive
+RS_RADIUS = 12.0           # goal distance within which Reeds-Shepp curves price and shoot [m]
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search resolution and knobs; cell defaults to delta_s/sqrt(2) so one
-    motion step always changes cell or yaw bin."""
+    """Search resolution: the motion-primitive arc length delta_s [m], the
+    time-index cap max_steps, and the map size, which for_instance fills in.
+    The cell side is derived, delta_s / sqrt(2), so that one motion step
+    always changes cell or yaw bin."""
 
     delta_s: float = 2.0
-    n_yaw: int = 72
-    cell: float = 0.0          # 0 -> derived from delta_s
-    sample_ds: float = 0.5     # intermediate collision-sample spacing
-    reverse_penalty: float = 1.0
-    rs_radius: float = 12.0    # curve heuristic/shot activation distance
-    max_steps: int = 256       # time-index cap
+    max_steps: int = 256
     width: float = math.inf
     height: float = math.inf
+    cell: float = field(init=False)
 
     def __post_init__(self):
-        if self.cell <= 0.0:
-            object.__setattr__(self, "cell", self.delta_s / _SQRT2)
+        object.__setattr__(self, "cell", self.delta_s / _SQRT2)
 
     def for_instance(self, inst) -> "GridSpec":
         return dc_replace(self, width=inst.map_width, height=inst.map_height)
@@ -72,12 +75,10 @@ class DiscreteState(NamedTuple):
     it: int
 
 
-def discretize(z, grid: GridSpec, it: int = 0) -> DiscreteState:
-    """Nearest cell center and yaw bin; exact boundary ties go to the lower index."""
-    if hasattr(z, "x"):
-        x, y, th = z.x, z.y, z.theta
-    else:
-        x, y, th = float(z[0]), float(z[1]), float(z[2])
+def discretize(pose, grid: GridSpec, it: int = 0) -> DiscreteState:
+    """Cell and yaw bin of a pose (x, y, theta); exact boundary ties go to
+    the lower index."""
+    x, y, th = pose
     if not (0.0 <= x <= grid.width and 0.0 <= y <= grid.height):
         raise ValueError("state outside map")
     cell = grid.cell
@@ -87,13 +88,12 @@ def discretize(z, grid: GridSpec, it: int = 0) -> DiscreteState:
         ix -= 1
     if iy == sy and iy > 0:
         iy -= 1
-    n = grid.n_yaw
-    s = th / (_TWO_PI / n)
+    s = th / _YAW_BIN
     lo = math.floor(s + 0.5)
     if lo - 0.5 == s:  # exactly between bins lo-1 and lo
-        k = min((lo - 1) % n, lo % n)
+        k = min((lo - 1) % N_YAW, lo % N_YAW)
     else:
-        k = lo % n
+        k = lo % N_YAW
     return DiscreteState(ix, iy, k, it)
 
 
@@ -173,7 +173,7 @@ class _Primitive(NamedTuple):
 
 def _primitive_table(grid: GridSpec, params: VehicleParams):
     acts = []
-    n = max(1, int(round(grid.delta_s / grid.sample_ds)))
+    n = max(1, int(round(grid.delta_s / SAMPLE_DS)))
     sigma = np.arange(1, n + 1) * (grid.delta_s / n)
     for direction in (1.0, -1.0):
         for steer in (0.0, params.phi_max, -params.phi_max):
@@ -216,7 +216,7 @@ class LowLevelPlanner:
     is pushed, and read back when it is popped.
 
     Deferred until pop (Lazy A*, Tolpin et al., IJCAI 2013): a pose within
-    rs_radius of the goal whose curve is not yet known is pushed on a floor,
+    RS_RADIUS of the goal whose curve is not yet known is pushed on a floor,
     the flood-fill and straight-line terms alone, with no Reeds-Shepp call.
     If the node is still current when it is popped, its exact heuristic is
     computed and it is pushed again under its original counter, unexpanded.
@@ -261,7 +261,8 @@ class LowLevelPlanner:
         blocked = np.zeros((nx, ny), dtype=bool)
         for k in range(acx.shape[0]):
             blocked |= (np.abs(cx - acx[k]) <= ahx[k]) & (np.abs(cy - acy[k]) <= ahy[k])
-        gkey = discretize(self._task_by_id[agent_id].goal, self.grid)
+        goal = self._task_by_id[agent_id].goal
+        gkey = discretize((goal.x, goal.y, goal.theta), self.grid)
         blocked[gkey.ix, gkey.iy] = False
         dist = np.full((nx, ny), np.inf)
         dist[gkey.ix, gkey.iy] = 0.0
@@ -284,7 +285,7 @@ class LowLevelPlanner:
     def _h_terms(self, fill, goal, x, y) -> tuple[float, float]:
         """The heuristic's terms that need no curve, in meters: the discounted
         flood-fill distance hg and the Euclidean distance de to the goal.
-        Within rs_radius, max(hg, de * _EUCLID_FLOOR) / v_max is a floor
+        Within RS_RADIUS, max(hg, de * _EUCLID_FLOOR) / v_max is a floor
         under the heuristic that costs no Reeds-Shepp call."""
         cell = self.grid.cell
         i = min(int(x / cell), fill.shape[0] - 1)
@@ -296,20 +297,12 @@ class LowLevelPlanner:
     def _h(self, fill, goal, x, y, th, curve_from) -> float:
         """curve_from(pose) -> shortest Reeds-Shepp curve to the goal or None."""
         hg, de = self._h_terms(fill, goal, x, y)
-        if de <= self.grid.rs_radius:
+        if de <= RS_RADIUS:
             curve = curve_from((x, y, th))
             hr = math.inf if curve is None else curve.length
         else:
             hr = de
         return max(hg, hr) / self.params.v_max
-
-    def heuristic(self, agent_id: int, pose) -> float:
-        """Admissible cost-to-go estimate in seconds (exposed for tests)."""
-        fill = self._flood(agent_id)
-        goal = self._task_by_id[agent_id].goal
-        goal_t = (goal.x, goal.y, goal.theta)
-        return self._h(fill, goal, float(pose[0]), float(pose[1]), float(pose[2]),
-                       lambda p: rs.shortest_path(p, goal_t, self.r_min))
 
     def _sweep(self, x, y, th):
         """The pose-only half of an expansion from (x, y, th): every primitive's
@@ -330,10 +323,8 @@ class LowLevelPlanner:
     # -- main search -------------------------------------------------------
 
     def plan(self, agent_id: int, dyn: DynamicObstacleSet | None = None,
-             time_budget: float | None = None, deadline: float | None = None) -> LowLevelResult:
+             deadline: float = math.inf) -> LowLevelResult:
         t0 = time.monotonic()
-        if deadline is None:
-            deadline = math.inf if time_budget is None else t0 + time_budget
         if dyn is None:
             dyn = DynamicObstacleSet([])
         grid, par = self.grid, self.params
@@ -342,7 +333,7 @@ class LowLevelPlanner:
         goal_t = (goal.x, goal.y, goal.theta)
         goal_cen = disc_centers_arr(np.array([goal_t]), par)     # (1, 2, 2)
         fill = self._flood(agent_id)
-        quantum, v_max, rs_radius = self.quantum, par.v_max, grid.rs_radius
+        quantum, v_max = self.quantum, par.v_max
         # the dynamic obstacles' disc centres (K, H + 1, 2, 2), indexed by time
         dyn_cen = disc_centers_arr(dyn.poses, par)
         horizon = dyn.horizon
@@ -388,11 +379,11 @@ class LowLevelPlanner:
             lazy = False
             if h is None and pose not in curves:
                 hg, de = self._h_terms(fill, goal, pose[0], pose[1])
-                lazy = de <= rs_radius
+                lazy = de <= RS_RADIUS
                 if lazy:
                     h = max(hg, de * _EUCLID_FLOOR) / v_max   # the curve waits for the pop
                 else:
-                    h = hs[pose] = max(hg, de) / v_max   # _h's value beyond rs_radius
+                    h = hs[pose] = max(hg, de) / v_max   # _h's value beyond RS_RADIUS
             elif h is None:
                 h = h_of(pose)
             deferred.append(lazy)
@@ -415,7 +406,7 @@ class LowLevelPlanner:
             if it + len(timed) > grid.max_steps:
                 return None
             x, y, th = pose
-            cen = disc_centers_arr(_piece_poses(x, y, th, pieces, grid.sample_ds, par.L), par)
+            cen = disc_centers_arr(_piece_poses(x, y, th, pieces, SAMPLE_DS, par.L), par)
             if (discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height).any()
                     or discs_hit_aabbs(cen, par, *self._obs).any()):
                 return None
@@ -513,7 +504,7 @@ class LowLevelPlanner:
                 if prim.direction and last_dir and prim.direction * last_dir < 0:
                     continue  # reversal only out of a dwell
                 eth = normalize_angle(eth)
-                g2 = g + quantum * (grid.reverse_penalty if prim.direction < 0 else 1.0)
+                g2 = g + quantum * (REVERSE_PENALTY if prim.direction < 0 else 1.0)
                 dir2 = int(prim.direction) if prim.direction else 0
                 key2 = (discretize((ex, ey, eth), grid, it + 1), dir2)
                 if g2 < best.get(key2, math.inf) - 1e-12:

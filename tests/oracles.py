@@ -221,3 +221,26 @@ def brute_discs_hit_discs(centers_a, centers_b, radius) -> np.ndarray:
                     if (ax - bx) ** 2 + (ay - by) ** 2 < (2.0 * radius) ** 2:
                         out[n, k] = True
     return out
+
+
+def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
+    dx, dy = bx - ax, by - ay
+    den = dx * dx + dy * dy
+    s = 0.0 if den == 0.0 else min(max(((px - ax) * dx + (py - ay) * dy) / den, 0.0), 1.0)
+    return math.hypot(px - (ax + s * dx), py - (ay + s * dy))
+
+
+def brute_box_aabb_distance(lo, hi, cx, cy, hx, hy) -> float:
+    """Distance between the box [lo[0], hi[0]] x [lo[1], hi[1]] and the box
+    centred at (cx, cy) with half extents (hx, hy), either possibly flat.
+
+    Zero when the closed boxes meet; otherwise the least distance from a
+    corner of either box to an edge of the other, which is where two
+    disjoint convex polygons come closest.
+    """
+    a = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+    b = [(cx - hx, cy - hy), (cx + hx, cy - hy), (cx + hx, cy + hy), (cx - hx, cy + hy)]
+    if lo[0] <= cx + hx and cx - hx <= hi[0] and lo[1] <= cy + hy and cy - hy <= hi[1]:
+        return 0.0
+    return min(_point_segment_distance(*p, *q[k], *q[(k + 1) % 4])
+               for p_set, q in ((a, b), (b, a)) for p in p_set for k in range(4))

@@ -47,6 +47,21 @@ def test_solve_reports_failure_and_writes_no_plan(tmp_path, capsys):
     assert not (tmp_path / "plan.csv").exists()
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"\xff\xfemap: {width: 20.0}\n", "is not UTF-8 text"),
+    (b"map: {width: 20, height: 20}\nobstacles: []\n"
+     b"vehicle: {L: 1.5, L_F: 2.0, L_B: 1.0, W: 2.0, v_max: 1.0, omega_max: 1.0, phi_max: 0.6}\n"
+     b"agents:\n- {id: 0, start: [.nan, 5, 0], goal: [15, 15, 0]}\n",
+     "agent 0 start pose must be finite"),
+], ids=["not_utf8", "nan_start"])
+def test_unreadable_instance_exits_2(tmp_path, capsys, data, message):
+    (tmp_path / "bad.yaml").write_bytes(data)
+    code, out, err = run(capsys, "solve", str(tmp_path / "bad.yaml"))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_malformed_instance_exits_2_with_its_message(tmp_path, capsys):
     text = "map: {width: 20.0}\nagents: []\n"
     with pytest.raises(InstanceError) as exc:

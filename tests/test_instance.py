@@ -67,6 +67,33 @@ def test_parse_rejects_bad_sizes(old, new):
         parse_instance(MINIMAL.replace(old, new))
 
 
+@pytest.mark.parametrize("end", ["start", "goal"])
+@pytest.mark.parametrize("k,value", [(0, ".nan"), (1, ".inf"), (2, ".inf"), (2, ".nan")])
+def test_parse_rejects_non_finite_pose(end, k, value):
+    # a heading of .inf would otherwise normalise to NaN and pass
+    pose = {"start": [5, 5, 0], "goal": [15, 15, 0]}[end]
+    bad = list(map(str, pose))
+    bad[k] = value
+    old = f"{end}: [{', '.join(map(str, pose))}]"
+    assert old in MINIMAL
+    with pytest.raises(InstanceError, match=f"agent 0 {end} pose must be finite"):
+        parse_instance(MINIMAL.replace(old, f"{end}: [{', '.join(bad)}]"))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cx", ".nan"), ("cy", ".inf"), ("hx", ".inf"), ("hy", ".nan"),
+    ("hx", "-1.0"), ("hy", "0.0"),
+])
+def test_parse_rejects_bad_obstacle_field(field, value):
+    fields = {"cx": "10", "cy": "3", "hx": "1", "hy": "1"}
+    box = "obstacles:\n- {%s}" % ", ".join(f"{f}: {v}" for f, v in fields.items())
+    assert parse_instance(MINIMAL.replace("obstacles: []", box)).obstacles
+    fields[field] = value
+    box = "obstacles:\n- {%s}" % ", ".join(f"{f}: {v}" for f, v in fields.items())
+    with pytest.raises(InstanceError, match="obstacle 0 needs finite fields"):
+        parse_instance(MINIMAL.replace("obstacles: []", box))
+
+
 def test_parse_rejects_rotated_obstacle():
     box = "obstacles:\n- {cx: 10, cy: 3, hx: 1, hy: 1, heading: %s}"
     assert parse_instance(MINIMAL.replace("obstacles: []", box % "0.0")).obstacles

@@ -8,7 +8,12 @@ from fleetplan.instance import AgentTask, MvtpInstance, generate_random_instance
 from fleetplan.qp import QpSolution
 from fleetplan.search_high import PrioritySearch
 from fleetplan.search_low import GridSpec
-from oracles import brute_neighbor_pairs, fd_disc_jacobian, fd_jacobians
+from oracles import (
+    brute_box_aabb_distance,
+    brute_neighbor_pairs,
+    fd_disc_jacobian,
+    fd_jacobians,
+)
 
 
 def random_iterate(T, seed):
@@ -44,7 +49,6 @@ def test_disc_jacobian_matches_finite_differences():
 
 def test_neighbor_pairs_match_brute_force():
     p = VehicleParams()
-    cfg = refine.RefineConfig()
     rng = np.random.default_rng(2)
     M, T = 6, 25
     # random walks packed into a small square so some pairs come close
@@ -52,11 +56,54 @@ def test_neighbor_pairs_match_brute_force():
     xy = rng.uniform(4.0, 16.0, size=(M, 1, 2)) + np.cumsum(steps, axis=1)
     th = rng.uniform(-math.pi, math.pi, size=(M, T, 1))
     states = np.concatenate([xy, th, np.zeros((M, T, 1))], axis=2)
-    got = refine.find_neighbor_pairs(states, p, cfg)
-    want = brute_neighbor_pairs(list(states), p, 2.0 * math.sqrt(2.0) * cfg.R_trust)
+    got = refine.find_neighbor_pairs(states, p)
+    want = brute_neighbor_pairs(list(states), p, 2.0 * math.sqrt(2.0) * refine.R_TRUST)
     assert want, "fixture should contain close pairs"
     assert len(want) < M * (M - 1) // 2 * T, "fixture should contain distant pairs"
     assert got == sorted(want)
+
+
+def test_corridor_boxes_are_clear_bounded_and_hold_their_seeds():
+    inst = generate_random_instance(3, 30.0, 12, 1)
+    p = inst.vehicle
+    r = p.disc_radius
+    w, h = inst.map_width, inst.map_height
+    obs = inst.obstacle_arrays()
+    rng = np.random.default_rng(4)
+    # poses anywhere on the map, so some discs start inside a dilated
+    # obstacle or past the eroded boundary and need relocating
+    T = 150
+    states = np.column_stack([rng.uniform(0.0, w, T), rng.uniform(0.0, h, T),
+                              rng.uniform(-math.pi, math.pi, T), np.zeros(T)])
+    boxes = refine.build_corridor(states, inst)
+    seeds = disc_centers_arr(states, p)
+    relocated = 0
+    for t in range(T):
+        for d in (0, 1):
+            lo, hi = boxes.lo[t, 2 * d:2 * d + 2], boxes.hi[t, 2 * d:2 * d + 2]
+            seed = seeds[t, d]
+            if not refine._safe(seed[0], seed[1], (w, h), obs, r):
+                seed = refine.relocate_unsafe_point(seed, (w, h), obs, r)
+                relocated += 1
+            assert np.all(lo <= seed) and np.all(seed <= hi)
+            assert np.all(lo >= r) and hi[0] <= w - r and hi[1] <= h - r
+            assert np.all(seed - lo <= refine.CORRIDOR_MAX_EXTENT + 1e-9)
+            assert np.all(hi - seed <= refine.CORRIDOR_MAX_EXTENT + 1e-9)
+            for cx, cy, hx, hy in zip(*obs):
+                assert brute_box_aabb_distance(lo, hi, cx, cy, hx, hy) >= r - 1e-9, (t, d)
+    assert relocated >= 20
+
+
+def test_relocation_leaves_an_obstacle():
+    inst = generate_random_instance(3, 30.0, 12, 1)
+    r = inst.vehicle.disc_radius
+    wh = (inst.map_width, inst.map_height)
+    obs = inst.obstacle_arrays()
+    for cx, cy in zip(obs[0], obs[1]):
+        assert not refine._safe(cx, cy, wh, obs, r)
+        q = refine.relocate_unsafe_point((cx, cy), wh, obs, r)
+        assert refine._safe(q[0], q[1], wh, obs, r)
+        assert all(brute_box_aabb_distance(q, q, *box) >= r for box in zip(*obs))
 
 
 def test_max_iters_qp_result_is_rejected(monkeypatch):

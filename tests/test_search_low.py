@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from fleetplan import reeds_shepp as rs
 from fleetplan import search_low as sl
 
 
-def plan_agent(inst, agent_id, dyn, grid, time_budget=None):
-    return sl.LowLevelPlanner(inst, grid).plan(agent_id, dyn, time_budget=time_budget)
+def plan_agent(inst, agent_id, dyn, grid, deadline=math.inf):
+    return sl.LowLevelPlanner(inst, grid).plan(agent_id, dyn, deadline=deadline)
 
 
 def empty_instance(size=60.0, agents=None):
@@ -28,12 +29,14 @@ def empty_instance(size=60.0, agents=None):
 # --- discretize -----------------------------------------------------------
 
 def unit_grid():
-    return sl.GridSpec(delta_s=1.0 * math.sqrt(2.0), cell=1.0, width=100.0, height=100.0)
+    g = sl.GridSpec(delta_s=1.0 * math.sqrt(2.0), width=100.0, height=100.0)
+    assert g.cell == 1.0
+    return g
 
 
 def test_discretize_basic():
     g = unit_grid()
-    d = sl.discretize(State(0.4, 0.4, 0.01), g, it=3)
+    d = sl.discretize((0.4, 0.4, 0.01), g, it=3)
     assert (d.ix, d.iy, d.iyaw, d.it) == (0, 0, 0, 3)
 
 
@@ -41,7 +44,7 @@ def test_discretize_boundary_ties_go_low():
     g = unit_grid()
     assert sl.discretize((1.0, 2.0, 0.0), g).ix == 0
     assert sl.discretize((1.0, 2.0, 0.0), g).iy == 1
-    w = 2.0 * math.pi / g.n_yaw
+    w = 2.0 * math.pi / sl.N_YAW
     # halfway between yaw bins 0 and 1 -> 0; between 71 and 0 -> 0
     assert sl.discretize((5.0, 5.0, w / 2.0), g).iyaw == 0
     assert sl.discretize((5.0, 5.0, -w / 2.0), g).iyaw == 0
@@ -57,7 +60,7 @@ def test_discretize_out_of_map():
 
 def test_discretize_roundtrip_property():
     g = sl.GridSpec(width=50.0, height=50.0)
-    w = 2.0 * math.pi / g.n_yaw
+    w = 2.0 * math.pi / sl.N_YAW
     rng = np.random.default_rng(0)
     pts = rng.uniform([0.0, 0.0, -math.pi + 1e-9], [50.0, 50.0, math.pi], size=(10_000, 3))
     half_diag = g.cell * math.sqrt(2.0) / 2.0
@@ -94,7 +97,7 @@ def test_analytic_expand_zero_and_straight(params):
 # --- heuristic floor ------------------------------------------------------
 
 def test_heuristic_floor_never_exceeds_heuristic():
-    """The lazy key pushes a pose within rs_radius on its floor, the grid and
+    """The lazy key pushes a pose within RS_RADIUS on its floor, the grid and
     Euclidean terms alone, and prices the curve only at pop; the floor must
     never be above the exact heuristic."""
     goal = State(20.0, 20.0, 0.3)
@@ -104,7 +107,7 @@ def test_heuristic_floor_never_exceeds_heuristic():
     planner = sl.LowLevelPlanner(inst, sl.GridSpec())
     fill = planner._flood(0)
     goal_t = (goal.x, goal.y, goal.theta)
-    radius = planner.grid.rs_radius
+    radius = sl.RS_RADIUS
 
     def curve_from(pose):
         return rs.shortest_path(pose, goal_t, planner.r_min)
@@ -195,8 +198,14 @@ def test_static_detour():
     acx, acy, ahx, ahy = inst.obstacle_arrays()
     assert not boxes_hit_aabbs(traj.states[:, :3], inst.vehicle, acx, acy, ahx, ahy).any()
     # heuristic is a lower bound on the achieved makespan and zero at the goal
-    assert planner.heuristic(0, (4.0, 12.0, 0.0)) <= traj.makespan_s + 1e-9
-    assert planner.heuristic(0, (20.0, 12.0, 0.0)) == 0.0
+    goal = inst.agents[0].goal
+    fill = planner._flood(0)
+
+    def curve_from(pose):
+        return rs.shortest_path(pose, (goal.x, goal.y, goal.theta), planner.r_min)
+
+    assert planner._h(fill, goal, 4.0, 12.0, 0.0, curve_from) <= traj.makespan_s + 1e-9
+    assert planner._h(fill, goal, 20.0, 12.0, 0.0, curve_from) == 0.0
 
 
 def test_deterministic_replanning():
@@ -228,7 +237,7 @@ def test_blocked_corridor_waits_or_detours():
     inst = corridor_instance()
     blocker = blocker_states()
     dyn = sl.DynamicObstacleSet([blocker])
-    res = plan_agent(inst, 1, dyn, sl.GridSpec(), time_budget=30.0)
+    res = plan_agent(inst, 1, dyn, sl.GridSpec(), deadline=time.monotonic() + 30.0)
     assert res.ok
     traj = res.trajectory
     waited = any(s.is_wait for s in traj.segments)
@@ -359,7 +368,7 @@ def test_exhausted_when_goal_sealed():
 
 def test_timeout_reported():
     inst = detour_instance()
-    res = plan_agent(inst, 0, None, sl.GridSpec(), time_budget=0.0)
+    res = plan_agent(inst, 0, None, sl.GridSpec(), deadline=time.monotonic())
     assert res.status == "timeout"
 
 
