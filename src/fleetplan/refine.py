@@ -596,9 +596,10 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
                deadline=math.inf) -> RefineResult:
     """Iterate per-agent QPs until the rolled-out plan verifies.
 
-    Separating planes and trust regions are anchored at the interpolated
-    initial guess; corridors and linearizations are rebuilt from the current
-    iterate each round.  Stops on verifier acceptance, iterate convergence,
+    Separating planes and trust regions are anchored at the `_track_guess`
+    Euler re-drive of the interpolated guess, padded with rest steps at the
+    goal; corridors and linearizations are rebuilt from the current iterate
+    each round.  Stops on verifier acceptance, iterate convergence,
     or the iteration cap; only a verifier-clean plan counts as success.
     """
     cfg = cfg or RefineConfig()

@@ -200,20 +200,24 @@ class LowLevelPlanner:
     """Time-indexed hybrid-A* for one agent among higher-priority trajectories.
 
     The planner keeps per-instance data (obstacle arrays, flood fills, the
-    primitive table) for the life of the instance.  Within one `plan` call,
-    waits and reordered moves bring the vehicle back to the exact same
-    (x, y, yaw) at later time indices, so each expansion is split in two.
+    primitive table) for the life of the instance.  Waits and reordered moves
+    bring the vehicle back to the exact same (x, y, yaw) at later time
+    indices, and PBS replans the same agent again and again around different
+    higher-priority trajectories, so each expansion is split in two.
 
-    Memoised per call, keyed on the exact float pose, and dropped when `plan`
-    returns: the primitives' end poses and their disc centres, whether each
-    primitive's sweep stays on the map and clear of the static obstacles, the
-    heuristic of each pose, and the pose's shortest Reeds-Shepp curve to the
-    goal, which the heuristic and the goal shot share.  The dynamic
-    obstacles' disc centres are computed once per call.  Run on every
+    Memoised across calls, keyed on the exact float pose, until
+    `release_memo` drops it (`PrioritySearch.solve` does so on every exit):
+    the primitives' end poses and their disc centres and whether each
+    primitive's sweep stays on the map and clear of the static obstacles; and,
+    per goal, the heuristic of each pose, the pose's shortest Reeds-Shepp
+    curve to the goal, which the heuristic and the goal shot share, and the
+    shot's cut into timed pieces, its static verdict and its rolled-out disc
+    centres.  None of it depends on time or on the dynamic obstacles.  The
+    dynamic obstacles' disc centres are computed once per call.  Run on every
     expansion: the dynamic-obstacle test at the next time index, the reversal
-    rule, the cost comparison, and the goal shot's dynamic checks and horizon
-    cap.  Each node's time-indexed closed-set key is built once, when the node
-    is pushed, and read back when it is popped.
+    rule, the cost comparison, and the goal shot's reversal rule, horizon cap
+    and dynamic checks.  Each node's time-indexed closed-set key is built
+    once, when the node is pushed, and read back when it is popped.
 
     Deferred until pop (Lazy A*, Tolpin et al., IJCAI 2013): a pose within
     RS_RADIUS of the goal whose curve is not yet known is pushed on a floor,
@@ -243,8 +247,15 @@ class LowLevelPlanner:
         sizes = np.array([p.samples.shape[0] for p in prims])
         self._end_rows = np.cumsum(sizes) - 1         # each primitive's last stacked row
         self._starts = self._end_rows - sizes + 1      # and its first, for reduceat
+        self._row_prim = np.repeat(np.arange(len(prims), dtype=float), sizes)[:, None]
         self._fills: dict[int, np.ndarray] = {}
         self._task_by_id = {a.id: a for a in instance.agents}
+        self.release_memo()
+
+    def release_memo(self) -> None:
+        """Drop the pose memo (see the class docstring); no plan depends on it."""
+        self._sweeps: dict[tuple, np.ndarray] = {}
+        self._by_goal: dict[tuple, tuple[dict, dict, dict]] = {}
 
     # -- heuristic ---------------------------------------------------------
 
@@ -305,10 +316,11 @@ class LowLevelPlanner:
         return max(hg, hr) / self.params.v_max
 
     def _sweep(self, x, y, th):
-        """The pose-only half of an expansion from (x, y, th): every primitive's
-        end pose (P, 3), heading not yet wrapped, the end poses' disc centres
-        (P, 2, 2), and whether each whole sweep stays on the map and clear of
-        the static obstacles (P,)."""
+        """The pose-only half of an expansion from (x, y, th): one row per
+        primitive whose whole sweep stays on the map and clear of the static
+        obstacles, in primitive order, holding the primitive's index, its end
+        pose with the heading not yet wrapped, and the end pose's disc centres
+        flattened, (F, 8)."""
         st, par = self._stack, self.params
         cth, sth = math.cos(th), math.sin(th)
         wx = x + st[:, 0] * cth - st[:, 1] * sth
@@ -317,8 +329,8 @@ class LowLevelPlanner:
         cen = disc_centers_arr(poses, par)
         bad = discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height)
         bad |= discs_hit_aabbs(cen, par, *self._obs)
-        ends = self._end_rows
-        return poses[ends], cen[ends], ~np.logical_or.reduceat(bad, self._starts)
+        rows = np.concatenate([self._row_prim, poses, cen.reshape(-1, 4)], axis=1)
+        return rows[self._end_rows[~np.logical_or.reduceat(bad, self._starts)]]
 
     # -- main search -------------------------------------------------------
 
@@ -338,11 +350,10 @@ class LowLevelPlanner:
         dyn_cen = disc_centers_arr(dyn.poses, par)
         horizon = dyn.horizon
 
-        # the pose-only memo of this call (see the class docstring), keyed on
-        # the exact float pose (x, y, th); it goes out of scope when plan returns
-        curves: dict[tuple, rs.RsCurve | None] = {}
-        hs: dict[tuple, float] = {}
-        sweeps: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # the pose memo (see the class docstring): sweeps are shared by every
+        # goal; curves, heuristics and shots are kept per goal
+        sweeps = self._sweeps
+        curves, hs, shots = self._by_goal.setdefault(goal_t, ({}, {}, {}))
 
         def curve_from(pose):
             if pose not in curves:
@@ -394,31 +405,45 @@ class LowLevelPlanner:
             curve = curve_from(pose)
             if curve is None:
                 return None
-            pieces = _split_curve(curve, grid.delta_s, par.L)
-            if pieces and last_dir and pieces[0][0] * last_dir < 0:
+            if pose not in shots:
+                pieces = _split_curve(curve, grid.delta_s, par.L)
+                # a cusp inside the curve holds the pose for one quantum
+                timed = []
+                for p in pieces:
+                    if timed and timed[-1][0] * p[0] < 0:
+                        timed.append((0.0, 0.0, 0.0))
+                    timed.append(p)
+                # [timed pieces, static verdict, rolled-out disc centres], the
+                # last two filled in when first needed; None once the static
+                # test fails, for then the shot fails at every time
+                shots[pose] = [timed, None, None]
+            shot = shots[pose]
+            if shot is None:
+                return None
+            timed, clear, step_cen = shot
+            if timed and last_dir and timed[0][0] * last_dir < 0:
                 return None      # reversal needs a dwell; the wait successor covers it
-            # a cusp inside the curve holds the pose for one quantum
-            timed = []
-            for p in pieces:
-                if timed and timed[-1][0] * p[0] < 0:
-                    timed.append((0.0, 0.0, 0.0))
-                timed.append(p)
             if it + len(timed) > grid.max_steps:
                 return None
-            x, y, th = pose
-            cen = disc_centers_arr(_piece_poses(x, y, th, pieces, SAMPLE_DS, par.L), par)
-            if (discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height).any()
-                    or discs_hit_aabbs(cen, par, *self._obs).any()):
-                return None
+            if clear is None:
+                pieces = [p for p in timed if p[0]]
+                cen = disc_centers_arr(_piece_poses(*pose, pieces, SAMPLE_DS, par.L), par)
+                if (discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height).any()
+                        or discs_hit_aabbs(cen, par, *self._obs).any()):
+                    shots[pose] = None
+                    return None
+                shot[1] = True
             if dyn.count:
-                steps = []
-                for d, steer, ln in timed:
-                    x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
-                    th = normalize_angle(th)
-                    steps.append((x, y, th))
+                if step_cen is None:
+                    x, y, th = pose
+                    steps = []
+                    for d, steer, ln in timed:
+                        x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
+                        th = normalize_angle(th)
+                        steps.append((x, y, th))
+                    step_cen = shot[2] = disc_centers_arr(np.array(steps).reshape(-1, 3), par)
                 # step m against the dynamic obstacles at time index it + 1 + m
-                at = np.minimum(np.arange(it + 1, it + 1 + len(steps)), horizon)
-                step_cen = disc_centers_arr(np.array(steps).reshape(-1, 3), par)
+                at = np.minimum(np.arange(it + 1, it + 1 + len(timed)), horizon)
                 if discs_hit_discs(step_cen[None], dyn_cen[:, at], par).any():
                     return None
                 # staying parked at the goal must remain safe for all later times
@@ -485,21 +510,21 @@ class LowLevelPlanner:
                 continue
             expansions += 1
 
-            # pose-only half: computed on the pose's first expansion in this call
+            # pose-only half: computed on the pose's first expansion while the
+            # memo lives
             sweep = sweeps.get(pose)
             if sweep is None:
                 sweep = sweeps[pose] = self._sweep(*pose)
-            ends, end_cen, free = sweep
             # time-dependent half, on every expansion: the dynamic obstacles at
             # it + 1, the reversal rule, the time-indexed key and the cost test
             if dyn.count:
                 at = dyn_cen[None, :, min(it + 1, horizon)]
-                free = free & ~discs_hit_discs(end_cen[:, None], at, par).any(axis=1)
+                end_cen = sweep[:, 4:].reshape(-1, 1, 2, 2)
+                sweep = sweep[~discs_hit_discs(end_cen, at, par).any(axis=1)]
 
             g = ngs[idx]
-            for a, (ok, (ex, ey, eth)) in enumerate(zip(free.tolist(), ends.tolist())):
-                if not ok:
-                    continue
+            for a, ex, ey, eth in sweep[:, :4].tolist():
+                a = int(a)
                 prim = self._prims[a]
                 if prim.direction and last_dir and prim.direction * last_dir < 0:
                     continue  # reversal only out of a dwell

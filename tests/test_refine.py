@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from fleetplan import refine
 from fleetplan.geometry import VehicleParams, disc_centers_arr, euler_step
@@ -14,6 +15,37 @@ from oracles import (
     fd_disc_jacobian,
     fd_jacobians,
 )
+
+
+@pytest.fixture(scope="module")
+def first_round():
+    """The arguments and results of every `_track_guess` call and the
+    arguments of every round-0 `assemble_qp` call that `sqp_refine` makes on
+    the baseline suite at seed 1 (n = 2, 4, 6).  The QPs are not solved: the
+    spy reports each as an empty box, which ends refinement after one round."""
+    tracks, qps = [], []
+    track, assemble = refine._track_guess, refine.assemble_qp
+
+    def spy_track(*args):
+        out = track(*args)
+        tracks.append((args, out))
+        return out
+
+    def spy_assemble(*args, **kwargs):
+        qps.append((args, kwargs))
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "_track_guess", spy_track)
+        mp.setattr(refine, "assemble_qp", spy_assemble)
+        for n in (2, 4, 6):
+            inst = generate_random_instance(1, 30.0, 6, n)
+            res = PrioritySearch(inst, GridSpec()).solve(time_budget=60.0)
+            assert res.ok
+            rr = refine.sqp_refine(res.trajectories, inst, refine.RefineConfig(max_sqp_iters=1))
+            assert rr.status == "qp_infeasible"
+    assert len(tracks) == len(qps) == 12
+    return tracks, qps
 
 
 def random_iterate(T, seed):
@@ -216,3 +248,50 @@ def test_agent_ids_only_label_the_output():
                                          for aid, k, why in a.telemetry.qp_rejections]
     fa = a.telemetry.failure
     assert b.telemetry.failure == {**fa, "agent": relabel[fa["agent"]]}
+
+
+def test_track_guess_is_a_box_feasible_euler_rollout(first_round):
+    """The re-drive that linearisation starts from: each state is the Euler
+    step of the one before (the largest gap measured is 5.6e-17), the
+    controls and the steer stay in their boxes, and row 0 is the start pose
+    at zero steer."""
+    for (states, controls, dt, p), (s, u) in first_round[0]:
+        assert s.shape == states.shape and u.shape == controls.shape
+        assert np.abs(euler_step(s[:-1], u, dt, p.L) - s[1:]).max() <= 1e-12
+        assert np.abs(u[:, 0]).max() <= p.v_max
+        assert np.abs(u[:, 1]).max() <= p.omega_max
+        assert np.abs(s[:, 3]).max() <= p.phi_max
+        assert np.array_equal(s[0], [*states[0, :3], 0.0])
+
+
+def test_assemble_qp_rows_and_exact_rows_at_the_re_drive(first_round):
+    """Without planes the QP has 4(T-1) dynamics, 8 endpoint, 2(T-1)
+    control, T steering and 4T disc-box rows.  At the `_track_guess`
+    iterate it linearises around, the dynamics and start rows hold exactly."""
+    tracks, qps = first_round
+    for ((_, (s, u)), (args, kwargs)) in zip(tracks, qps):
+        start, goal, states, controls, lin, corridor, _, Y0, p = args
+        assert np.array_equal(states, s) and np.array_equal(controls, u)
+        qp = refine.assemble_qp(start, goal, states, controls, lin, corridor, {}, Y0, p,
+                                **kwargs)
+        T = states.shape[0]
+        nd = 4 * (T - 1)
+        assert qp.A.shape[0] == nd + 8 + 2 * (T - 1) + T + 4 * T
+        Ax = qp.A @ np.concatenate([s.ravel(), u.ravel()])
+        held = slice(0, nd + 4)   # dynamics rows, then the start's four
+        assert np.array_equal(qp.l[held], qp.u[held])
+        assert np.abs(Ax[held] - qp.l[held]).max() <= 1e-12
+
+
+def test_assemble_qp_none_when_trust_region_misses_corridor(first_round):
+    """A disc coordinate of Y0 more than R_TRUST above the corridor's upper
+    bound leaves corridor and trust region disjoint: no QP.  Just within
+    R_TRUST they still meet."""
+    start, goal, states, controls, lin, corridor, planes, Y0, p = first_round[1][0][0]
+    kwargs = first_round[1][0][1]
+    for excess, empty in ((0.01, True), (-0.01, False)):
+        moved = Y0.copy()
+        moved[5, 2] = corridor.hi[5, 2] + refine.R_TRUST + excess
+        qp = refine.assemble_qp(start, goal, states, controls, lin, corridor, planes, moved, p,
+                                **kwargs)
+        assert (qp is None) == empty

@@ -387,6 +387,37 @@ def test_solve_telemetry():
     assert 0.0 < t.root_time_s <= t.total_time_s
 
 
+def assert_no_memo(search):
+    assert search.low._sweeps == {} and search.low._by_goal == {}
+
+
+def test_solve_releases_pose_memo_on_every_exit():
+    search = sh.PrioritySearch(corridor_instance(), GridSpec(), warm_start=False)
+    assert search.solve(60.0).ok
+    assert_no_memo(search)
+    assert search.solve(0.0).status == "timeout"
+    assert_no_memo(search)
+    walls = [OrientedBox(9.5, 12.0, 0.4, 2.0), OrientedBox(12.0, 9.5, 2.0, 0.4)]
+    sealed = MvtpInstance(14.0, 14.0, walls,
+                          [AgentTask(0, State(3.0, 3.0, 0.0), State(12.0, 12.0, 0.0))],
+                          VehicleParams())
+    search = sh.PrioritySearch(sealed, GridSpec(max_steps=10))
+    assert search.solve(30.0).status == "root_infeasible"
+    assert_no_memo(search)
+
+
+def test_each_solve_has_its_own_telemetry():
+    inst = generate_random_instance(1, 50.0, 8, 8)
+    search = sh.PrioritySearch(inst, GridSpec(), warm_start=False)
+    first = search.solve()
+    second = search.solve()
+    assert first.ok and second.ok
+    assert first.telemetry is not second.telemetry
+    counts = [(r.telemetry.nodes_expanded, r.telemetry.low_level_calls,
+               r.telemetry.free_replans) for r in (first, second)]
+    assert counts == [(6, 20, 0)] * 2
+
+
 def test_solve_deterministic():
     inst = cascade_instance()
     a = sh.PrioritySearch(inst, GridSpec(), warm_start=False).solve(120.0)

@@ -294,7 +294,7 @@ def test_waits_at_one_pose_until_crossing_blocker_clears():
     assert_clear_of_blocker(inst, blocker, traj)
 
 
-def test_pose_memo_lives_for_one_call_and_holds_no_time():
+def test_pose_memo_outlives_calls_and_holds_no_time():
     inst = crossing_instance()
     dyn = sl.DynamicObstacleSet([crossing_blocker()])
     planner = sl.LowLevelPlanner(inst, sl.GridSpec())
@@ -309,6 +309,38 @@ def test_pose_memo_lives_for_one_call_and_holds_no_time():
         assert (got.status, got.expansions) == (want.status, want.expansions)
         assert np.array_equal(got.trajectory.states, want.trajectory.states)
         assert got.trajectory.segments == want.trajectory.segments
+
+
+def test_pose_memo_live_across_agents_and_obstacle_sets():
+    """Agent 6 around the agents before it, then freely, then around them
+    again, with agent 7 planned in between, all on one planner whose memo is
+    never released: every call equals a fresh planner's, though the later
+    calls read sweeps, curves, heuristics and shots the earlier ones stored.
+    Around its predecessors agent 6 needs 312 expansions, freely 11."""
+    inst = generate_random_instance(1, 50.0, 8, 8)
+    free = {a.id: plan_agent(inst, a.id, None, sl.GridSpec()).trajectory
+            for a in inst.agents}
+
+    def around_earlier(agent_id):
+        return sl.DynamicObstacleSet.from_trajectories(
+            [free[b] for b in sorted(free) if b < agent_id])
+
+    calls = [(6, around_earlier(6)), (6, None), (7, around_earlier(7)), (6, around_earlier(6))]
+    planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+    sweeps = planner._sweeps
+    sizes = []
+    for agent_id, dyn in calls:
+        got = planner.plan(agent_id, dyn)
+        want = plan_agent(inst, agent_id, dyn, sl.GridSpec())
+        assert got.ok and (got.status, got.expansions) == (want.status, want.expansions)
+        assert np.array_equal(got.trajectory.states, want.trajectory.states)
+        assert got.trajectory.segments == want.trajectory.segments
+        assert planner._sweeps is sweeps
+        sizes.append(len(sweeps))
+    assert sizes == sorted(sizes) and sizes[0] > 0
+    assert len(planner._by_goal) == 2
+    planner.release_memo()
+    assert planner._sweeps == {} and planner._by_goal == {}
 
 
 # Per planned agent of each instance: the call with no dynamic obstacles, then
