@@ -324,6 +324,16 @@ def disc_center_distance(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=-1)).min(axis=(1, 2))
 
 
+def box_gaps(px, py, acx, acy, ahx, ahy) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis gaps between points (...) and K axis-aligned boxes, each box
+    centred at (acx, acy) with half extents (ahx, ahy): two arrays (..., K),
+    zero along an axis where the point lies within the box's extent.  The
+    point's distance to a box is the hypotenuse of its two gaps."""
+    dx = np.maximum(np.abs(np.asarray(px)[..., None] - acx) - ahx, 0.0)
+    dy = np.maximum(np.abs(np.asarray(py)[..., None] - acy) - ahy, 0.0)
+    return dx, dy
+
+
 def discs_hit_aabbs(
     centers: np.ndarray,
     params: VehicleParams,
@@ -342,8 +352,7 @@ def discs_hit_aabbs(
     if acx.size == 0 or centers.size == 0:
         return np.zeros(centers.shape[:-2], dtype=bool)
     cen = centers.reshape(-1, 2)   # (2N, 2)
-    dx = np.maximum(np.abs(cen[:, 0:1] - acx[None, :]) - ahx[None, :], 0.0)
-    dy = np.maximum(np.abs(cen[:, 1:2] - acy[None, :]) - ahy[None, :], 0.0)
+    dx, dy = box_gaps(cen[:, 0], cen[:, 1], acx, acy, ahx, ahy)
     hit = (dx * dx + dy * dy) < params.disc_radius ** 2
     return hit.any(axis=1).reshape(centers.shape[:-1]).any(axis=-1)
 

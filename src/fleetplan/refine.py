@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from .geometry import (
     VehicleParams,
     advance_arc,
+    box_gaps,
     disc_center_distance,
     disc_centers_arr,
     euler_step,
@@ -255,20 +256,14 @@ def build_separation(pairs, states, params: VehicleParams) -> list:
 # corridors
 
 
-def _point_clearance(px, py, obs):
-    acx, acy, ahx, ahy = obs
-    dx = np.maximum(np.abs(px - acx) - ahx, 0.0)
-    dy = np.maximum(np.abs(py - acy) - ahy, 0.0)
-    return np.hypot(dx, dy)
-
-
-def _safe(px, py, map_wh, obs, r) -> bool:
+def _safe(px, py, map_wh, obs, r):
+    """Which points (any shape) lie inside the map eroded by r and at least
+    r from every obstacle."""
     w, h = map_wh
-    if px < r or px > w - r or py < r or py > h - r:
-        return False
-    if obs[0].size == 0:
-        return True
-    return bool(_point_clearance(px, py, obs).min() >= r)
+    ok = (px >= r) & (px <= w - r) & (py >= r) & (py <= h - r)
+    if obs[0].size:
+        ok &= np.hypot(*box_gaps(px, py, *obs)).min(axis=-1) >= r
+    return ok
 
 
 def relocate_unsafe_point(p, map_wh, obstacles, r):
@@ -284,9 +279,12 @@ def relocate_unsafe_point(p, map_wh, obstacles, r):
     acx, acy, ahx, ahy = obstacles
     px = min(max(float(p[0]), r), w - r)
     py = min(max(float(p[1]), r), h - r)
-    if acx.size == 0 or _point_clearance(px, py, obstacles).min() >= r:
+    if acx.size == 0:
         return np.array([px, py])
-    k = int(np.argmin(_point_clearance(px, py, obstacles)))
+    clearance = np.hypot(*box_gaps(px, py, *obstacles))
+    if clearance.min() >= r:
+        return np.array([px, py])
+    k = int(np.argmin(clearance))
     circ = math.hypot(ahx[k], ahy[k]) + r
     base = math.atan2(py - acy[k], px - acx[k])
     if math.hypot(px - acx[k], py - acy[k]) < 1e-9:
@@ -307,25 +305,22 @@ def relocate_unsafe_point(p, map_wh, obstacles, r):
 
 
 def _grow(u0, u1, v_start, v_limit, ocu, ocv, hu, hv, r):
-    """Largest v_hi <= v_limit keeping the box [u0,u1] x [.., v_hi] clear of
-    every obstacle dilated by r, growing from the current edge v_start.
+    """Per seed, the largest v_hi <= v_limit keeping the box [u0,u1] x [.., v_hi]
+    clear of every obstacle dilated by r, growing from the current edge
+    v_start; seed arrays (S,), obstacle arrays (K,).
 
     The entry box is clear, so an obstacle binds only when its dilated
     content inside the strip lies wholly at or beyond v_start; grazing
     contact points inside the box's own range (left by a previous growth
     direction capping exactly on a boundary) must not bind."""
-    if ocu.size == 0:
-        return max(v_start, v_limit)
-    du = np.maximum(np.maximum(u0 - (ocu + hu), (ocu - hu) - u1), 0.0)
-    near = du < r
-    if not near.any():
-        return max(v_start, v_limit)
-    lift = np.sqrt(np.maximum(r * r - du[near] ** 2, 0.0))
-    vlo = ocv[near] - hv[near] - lift
-    binding = vlo >= v_start - 1e-9
-    if not binding.any():
-        return max(v_start, v_limit)
-    return max(v_start, min(v_limit, float(vlo[binding].min())))
+    reach = v_limit
+    if ocu.size:
+        du = np.maximum(np.maximum(u0[:, None] - (ocu + hu), (ocu - hu) - u1[:, None]), 0.0)
+        lift = np.sqrt(np.maximum(r * r - du ** 2, 0.0))
+        vlo = (ocv - hv) - lift
+        binding = (du < r) & (vlo >= v_start[:, None] - 1e-9)
+        reach = np.minimum(v_limit, np.where(binding, vlo, np.inf).min(axis=1))
+    return np.maximum(v_start, reach)
 
 
 @dataclass
@@ -341,32 +336,26 @@ def build_corridor(states, instance: MvtpInstance) -> CorridorBoxes:
 
     Starting from the (relocated) disc center, the box edges are extended
     clockwise — up, right, down, left — until a dilated obstacle, the eroded
-    map boundary, or CORRIDOR_MAX_EXTENT stops them.
+    map boundary, or CORRIDOR_MAX_EXTENT stops them.  All 2T seeds grow
+    together, one pass per direction.
     """
     params = instance.vehicle
     r = params.disc_radius
     obs = instance.obstacle_arrays()
     acx, acy, ahx, ahy = obs
-    w, h = instance.map_width, instance.map_height
+    wh = instance.map_width, instance.map_height
+    w, h = wh
     ext = CORRIDOR_MAX_EXTENT
-    Y = disc_centers_arr(np.asarray(states), params)   # (T, 2, 2)
-    T = Y.shape[0]
-    lo = np.empty((T, 4))
-    hi = np.empty((T, 4))
-    for t in range(T):
-        for d in (0, 1):
-            p = Y[t, d]
-            if not _safe(p[0], p[1], (w, h), obs, r):
-                p = relocate_unsafe_point(p, (w, h), obs, r)
-            x0 = x1 = float(p[0])
-            y0 = y1 = float(p[1])
-            y1 = _grow(x0, x1, y1, min(h - r, p[1] + ext), acx, acy, ahx, ahy, r)
-            x1 = _grow(y0, y1, x1, min(w - r, p[0] + ext), acy, acx, ahy, ahx, r)
-            y0 = -_grow(x0, x1, -y0, min(-r, -(p[1] - ext)), acx, -acy, ahx, ahy, r)
-            x0 = -_grow(y0, y1, -x0, min(-r, -(p[0] - ext)), acy, -acx, ahy, ahx, r)
-            lo[t, 2 * d:2 * d + 2] = (x0, y0)
-            hi[t, 2 * d:2 * d + 2] = (x1, y1)
-    return CorridorBoxes(lo, hi)
+    seeds = disc_centers_arr(np.asarray(states), params).reshape(-1, 2)   # (2T, 2)
+    for s in np.nonzero(~_safe(seeds[:, 0], seeds[:, 1], wh, obs, r))[0]:
+        seeds[s] = relocate_unsafe_point(seeds[s], wh, obs, r)
+    px, py = seeds[:, 0], seeds[:, 1]
+    y1 = _grow(px, px, py, np.minimum(h - r, py + ext), acx, acy, ahx, ahy, r)
+    x1 = _grow(py, y1, px, np.minimum(w - r, px + ext), acy, acx, ahy, ahx, r)
+    y0 = -_grow(px, x1, -py, np.minimum(-r, -(py - ext)), acx, -acy, ahx, ahy, r)
+    x0 = -_grow(y0, y1, -px, np.minimum(-r, -(px - ext)), acy, -acx, ahy, ahx, r)
+    return CorridorBoxes(np.stack([x0, y0], 1).reshape(-1, 4),
+                         np.stack([x1, y1], 1).reshape(-1, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -244,3 +244,50 @@ def brute_box_aabb_distance(lo, hi, cx, cy, hx, hy) -> float:
         return 0.0
     return min(_point_segment_distance(*p, *q[k], *q[(k + 1) % 4])
                for p_set, q in ((a, b), (b, a)) for p in p_set for k in range(4))
+
+
+def _seed_grow(u0, u1, v_start, v_limit, ocu, ocv, hu, hv, r):
+    """One seed's growth of one box edge, obstacle by obstacle in numpy."""
+    if ocu.size == 0:
+        return max(v_start, v_limit)
+    du = np.maximum(np.maximum(u0 - (ocu + hu), (ocu - hu) - u1), 0.0)
+    near = du < r
+    if not near.any():
+        return max(v_start, v_limit)
+    lift = np.sqrt(np.maximum(r * r - du[near] ** 2, 0.0))
+    vlo = ocv[near] - hv[near] - lift
+    binding = vlo >= v_start - 1e-9
+    if not binding.any():
+        return max(v_start, v_limit)
+    return max(v_start, min(v_limit, float(vlo[binding].min())))
+
+
+def loop_corridor(seeds, map_wh, obstacles, r, extent, relocate):
+    """Reference corridor boxes (lo, hi), each (T, 4): the seeds (T, 2, 2)
+    are tested and grown one at a time, up, right, down, left, in the
+    floating-point operations of the batched growth, so both agree bit for
+    bit.  An unsafe seed goes through relocate(p, map_wh, obstacles, r)."""
+    w, h = map_wh
+    acx, acy, ahx, ahy = obstacles
+    T = seeds.shape[0]
+    lo = np.empty((T, 4))
+    hi = np.empty((T, 4))
+    for t in range(T):
+        for d in (0, 1):
+            p = seeds[t, d]
+            safe = r <= p[0] <= w - r and r <= p[1] <= h - r
+            if safe and acx.size:
+                gx = np.maximum(np.abs(p[0] - acx) - ahx, 0.0)
+                gy = np.maximum(np.abs(p[1] - acy) - ahy, 0.0)
+                safe = np.hypot(gx, gy).min() >= r
+            if not safe:
+                p = relocate(p, map_wh, obstacles, r)
+            x0 = x1 = float(p[0])
+            y0 = y1 = float(p[1])
+            y1 = _seed_grow(x0, x1, y1, min(h - r, p[1] + extent), acx, acy, ahx, ahy, r)
+            x1 = _seed_grow(y0, y1, x1, min(w - r, p[0] + extent), acy, acx, ahy, ahx, r)
+            y0 = -_seed_grow(x0, x1, -y0, min(-r, -(p[1] - extent)), acx, -acy, ahx, ahy, r)
+            x0 = -_seed_grow(y0, y1, -x0, min(-r, -(p[0] - extent)), acy, -acx, ahy, ahx, r)
+            lo[t, 2 * d:2 * d + 2] = (x0, y0)
+            hi[t, 2 * d:2 * d + 2] = (x1, y1)
+    return lo, hi

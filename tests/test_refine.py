@@ -14,11 +14,25 @@ from oracles import (
     brute_neighbor_pairs,
     fd_disc_jacobian,
     fd_jacobians,
+    loop_corridor,
 )
 
 
 @pytest.fixture(scope="module")
-def first_round():
+def coarse():
+    """The baseline suite at seed 1 (n = 2, 4, 6): n -> (instance, coarse
+    trajectories)."""
+    out = {}
+    for n in (2, 4, 6):
+        inst = generate_random_instance(1, 30.0, 6, n)
+        res = PrioritySearch(inst, GridSpec()).solve(time_budget=60.0)
+        assert res.ok
+        out[n] = (inst, res.trajectories)
+    return out
+
+
+@pytest.fixture(scope="module")
+def first_round(coarse):
     """The arguments and results of every `_track_guess` call and the
     arguments of every round-0 `assemble_qp` call that `sqp_refine` makes on
     the baseline suite at seed 1 (n = 2, 4, 6).  The QPs are not solved: the
@@ -38,14 +52,38 @@ def first_round():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "_track_guess", spy_track)
         mp.setattr(refine, "assemble_qp", spy_assemble)
-        for n in (2, 4, 6):
-            inst = generate_random_instance(1, 30.0, 6, n)
-            res = PrioritySearch(inst, GridSpec()).solve(time_budget=60.0)
-            assert res.ok
-            rr = refine.sqp_refine(res.trajectories, inst, refine.RefineConfig(max_sqp_iters=1))
+        for inst, trajs in coarse.values():
+            rr = refine.sqp_refine(trajs, inst, refine.RefineConfig(max_sqp_iters=1))
             assert rr.status == "qp_infeasible"
     assert len(tracks) == len(qps) == 12
     return tracks, qps
+
+
+@pytest.fixture(scope="module")
+def refine30_runs(coarse):
+    """Full `sqp_refine` runs on the suite's n = 2 and 4: n -> (result,
+    [(states, instance)] per `build_corridor` call, [(status, ADMM
+    iterations, x)] per QP solve)."""
+    out = {}
+    corridor, solve = refine.build_corridor, refine.qp_solve
+    for n in (2, 4):
+        inst, trajs = coarse[n]
+        corridors, qps = [], []
+
+        def spy_corridor(states, instance):
+            corridors.append((states.copy(), instance))
+            return corridor(states, instance)
+
+        def spy_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            qps.append((sol.status, sol.iterations, sol.x.copy()))
+            return sol
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refine, "build_corridor", spy_corridor)
+            mp.setattr(refine, "qp_solve", spy_solve)
+            out[n] = (refine.sqp_refine(trajs, inst), corridors, qps)
+    return out
 
 
 def random_iterate(T, seed):
@@ -136,6 +174,45 @@ def test_relocation_leaves_an_obstacle():
         q = refine.relocate_unsafe_point((cx, cy), wh, obs, r)
         assert refine._safe(q[0], q[1], wh, obs, r)
         assert all(brute_box_aabb_distance(q, q, *box) >= r for box in zip(*obs))
+
+
+def test_batched_corridor_matches_per_seed_loop(coarse, first_round, refine30_runs):
+    """`build_corridor` grows all seeds at once; it must give the boxes of the
+    per-seed loop bit for bit, on the refine30 iterates (every round-0 call
+    of n = 2, 4, 6 and every call of the full n = 2 and 4 runs), on those
+    iterates jittered by metres, and on poses anywhere on the map, so that
+    many seeds are relocated; also on a map without obstacles."""
+    round0_insts = [inst for inst, _ in coarse.values() for _ in inst.agents]
+    calls = [(args[2], inst) for (args, _), inst in zip(first_round[1], round0_insts)]
+    calls += [c for _, corridors, _ in refine30_runs.values() for c in corridors]
+    assert len(calls) >= 20
+    rng = np.random.default_rng(9)
+    jittered = [(s + rng.normal(0.0, [1.5, 1.5, 0.5, 0.0], s.shape), inst)
+                for s, inst in calls[::3]]
+    for seed in (3, 5, 8):
+        inst = generate_random_instance(seed, 30.0, 12, 1)
+        T = 120
+        states = np.column_stack([rng.uniform(-1.0, 31.0, T), rng.uniform(-1.0, 31.0, T),
+                                  rng.uniform(-math.pi, math.pi, T), np.zeros(T)])
+        jittered.append((states, inst))
+    empty = calls[0][1]
+    empty = MvtpInstance(empty.map_width, empty.map_height, [], empty.agents, empty.vehicle)
+    jittered.append((jittered[-1][0], empty))
+
+    relocated = []
+
+    def relocate(*args):
+        relocated.append(args[0])
+        return refine.relocate_unsafe_point(*args)
+
+    for states, inst in calls + jittered:
+        p = inst.vehicle
+        boxes = refine.build_corridor(states, inst)
+        lo, hi = loop_corridor(disc_centers_arr(states, p),
+                               (inst.map_width, inst.map_height), inst.obstacle_arrays(),
+                               p.disc_radius, refine.CORRIDOR_MAX_EXTENT, relocate)
+        assert np.array_equal(boxes.lo, lo) and np.array_equal(boxes.hi, hi)
+    assert len(relocated) >= 100
 
 
 def test_max_iters_qp_result_is_rejected(monkeypatch):
@@ -295,3 +372,30 @@ def test_assemble_qp_none_when_trust_region_misses_corridor(first_round):
         qp = refine.assemble_qp(start, goal, states, controls, lin, corridor, planes, moved, p,
                                 **kwargs)
         assert (qp is None) == empty
+
+
+# (status, ADMM iterations, x checksum) of every QP that `sqp_refine` solves
+# on the suite's n = 2 and 4, in solve order.  The checksum is the mean of x
+# weighted by position (weights 0, 1, ..., n - 1, scaled to sum to 1), so it
+# also catches a solution returned in another variable order.
+QP_PINS = {
+    2: [("optimal", 1300, 1.5078048871576228),
+        ("primal_infeasible", 300, 3.4489881412272134),
+        ("primal_infeasible", 300, 3.4489881412272134)],
+    4: [("optimal", 1225, 1.6529932034848853),
+        ("primal_infeasible", 250, 3.468771635979333),
+        ("optimal", 425, 4.40293957688245),
+        ("max_iters", 4000, 4.3753052350598995),
+        ("primal_infeasible", 250, 3.468771635979333),
+        ("max_iters", 4000, 4.3753052350598995)],
+}
+
+
+def test_refine30_qp_pins(refine30_runs):
+    for n, pins in QP_PINS.items():
+        rr, _, qps = refine30_runs[n]
+        assert rr.status == "qp_infeasible"
+        assert [(s, k) for s, k, _ in qps] == [(s, k) for s, k, _ in pins], n
+        for (_, _, x), (_, _, checksum) in zip(qps, pins):
+            w = np.arange(x.size) / (x.size * (x.size - 1) / 2)
+            assert w @ x == pytest.approx(checksum, abs=1e-6), n
