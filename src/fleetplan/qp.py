@@ -3,7 +3,14 @@
     minimize    1/2 x' P x + q' x
     subject to  l <= A x <= u        (equality rows have l == u)
 
-Single-threaded, deterministic: fixed iteration schedule, fixed sparse
+Each iteration takes OSQP's reduced step (Stellato et al., "OSQP: an operator
+splitting solver for quadratic programs", Math. Prog. Comp. 2020): it solves
+the n x n system (P + sigma I + A' diag(rho) A) x~ = sigma x - q + A'(rho z - y)
+and sets z~ = A x~.  Once per solve a reverse Cuthill-McKee ordering of that
+matrix's pattern makes it banded (a time-indexed QP's couplings stay a few
+steps apart), and LAPACK's band Cholesky factors it once per rho.
+
+Single-threaded, deterministic: fixed iteration schedule, fixed ordering and
 factorization, no randomization anywhere, so identical inputs produce
 bit-identical outputs.  Warm starts reuse (x, y) from a previous solution,
 which is what makes repeated solves inside an SQP loop cheap.
@@ -14,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 _SIGMA = 1e-6          # proximal term on the x update
 _REG = 1e-9            # static regularization so PSD-only P still factors
@@ -86,18 +94,24 @@ def kkt_residuals(qp: QpProblem, x, y) -> tuple[float, float]:
     return primal, _ninf(grad)
 
 
-def _factor(qp: QpProblem, rho_vec):
-    H = qp.P + (_SIGMA + _REG) * sp.identity(qp.n, format="csc")
-    K = sp.bmat([[H, qp.A.T], [qp.A, -sp.diags(1.0 / rho_vec)]], format="csc")
-    return splu(K)
+def _band(M, inv, kd: int) -> np.ndarray:
+    """LAPACK upper band storage, kd superdiagonals, of the symmetric matrix
+    M with its rows and columns renumbered by inv."""
+    M = sp.coo_matrix(M)
+    M.sum_duplicates()
+    i, j = inv[M.row], inv[M.col]
+    up = i <= j
+    ab = np.zeros((kd + 1, M.shape[0]))
+    ab[kd + i[up] - j[up], j[up]] = M.data[up]
+    return ab
 
 
-def _primal_infeasibility_certificate(qp: QpProblem, dy) -> bool:
+def _primal_infeasibility_certificate(qp: QpProblem, At, dy) -> bool:
     nd = _ninf(dy)
     if nd <= 1e-14:
         return False
     d = dy / nd
-    if _ninf(qp.A.T @ d) > _PINF_EPS:
+    if _ninf(At @ d) > _PINF_EPS:
         return False
     pos = d > 0
     neg = d < 0
@@ -111,67 +125,88 @@ def solve(qp: QpProblem, warm: QpSolution | None = None, *,
           eps_abs: float = 1e-6, eps_rel: float = 1e-6,
           max_iters: int = 20000, check_every: int = 25) -> QpSolution:
     n, m = qp.n, qp.m
+    mult = qp.rho_multipliers()
+
+    # the step's matrix is H + rho_base * G; the iterations run on the
+    # variables in the banded order perm and map x back at the end
+    H = qp.P + (_SIGMA + _REG) * sp.identity(n)
+    G = qp.A.T @ sp.diags(mult) @ qp.A
+    pattern = (abs(H) + abs(G)).tocsr()
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    inv = np.empty(n, dtype=int)
+    inv[perm] = np.arange(n)
+    pattern = pattern.tocoo()
+    kd = int(np.abs(inv[pattern.row] - inv[pattern.col]).max(initial=0))
+    band_H, band_G = _band(H, inv, kd), _band(G, inv, kd)
+
+    def factor(rho_base):
+        cf, info = dpbtrf(band_H + rho_base * band_G)
+        if info:
+            raise np.linalg.LinAlgError(f"band Cholesky failed at pivot {info}")
+        return cf
+
+    P = qp.P[perm][:, perm]
+    q = qp.q[perm]
+    A = qp.A[:, perm].tocsr()
+    At = A.T.tocsr()
 
     if m == 0:
-        H = (qp.P + _REG * sp.identity(qp.n, format="csc")).tocsc()
-        x = splu(H).solve(-qp.q)
+        x = dpbtrs(factor(0.0), -q)[0][inv]
         pr, du = kkt_residuals(qp, x, np.zeros(0))
         return QpSolution(x, np.zeros(0), "optimal", pr, du, 1)
 
     if warm is not None and warm.x.shape[0] == n and warm.y.shape[0] == m:
-        x = warm.x.copy()
+        x = warm.x[perm]
         y = warm.y.copy()
     else:
         x = np.zeros(n)
         y = np.zeros(m)
 
-    mult = qp.rho_multipliers()
     rho_base = _RHO0
     rho = rho_base * mult
-    lu = _factor(qp, rho)
-    z = np.clip(qp.A @ x, qp.l, qp.u)
+    cf = factor(rho_base)
+    z = np.clip(A @ x, qp.l, qp.u)
 
     status = "max_iters"
     iters = max_iters
     for k in range(1, max_iters + 1):
-        rhs = np.concatenate([_SIGMA * x - qp.q, z - y / rho])
-        sol = lu.solve(rhs)
-        xt = sol[:n]
-        nu = sol[n:]
-        zt = z + (nu - y) / rho
+        xt = dpbtrs(cf, _SIGMA * x - q + At @ (rho * z - y))[0]
+        zt = A @ xt
         x = _ALPHA * xt + (1.0 - _ALPHA) * x
         z_pre = _ALPHA * zt + (1.0 - _ALPHA) * z
         y_prev = y
-        z = np.clip(z_pre + y / rho, qp.l, qp.u)
+        z = np.minimum(np.maximum(z_pre + y / rho, qp.l), qp.u)
         y = y_prev + rho * (z_pre - z)
 
         if k % check_every:
             continue
 
-        Ax = qp.A @ x
-        Px = qp.P @ x
-        Aty = qp.A.T @ y
+        Ax = A @ x
+        Px = P @ x
+        Aty = At @ y
         r_prim = _ninf(Ax - z)
-        r_dual = _ninf(Px + qp.q + Aty)
+        r_dual = _ninf(Px + q + Aty)
         eps_p = eps_abs + eps_rel * max(_ninf(Ax), _ninf(z))
-        eps_d = eps_abs + eps_rel * max(_ninf(Px), _ninf(Aty), _ninf(qp.q))
+        eps_d = eps_abs + eps_rel * max(_ninf(Px), _ninf(Aty), _ninf(q))
         if r_prim <= eps_p and r_dual <= eps_d:
             status = "optimal"
             iters = k
             break
-        if _primal_infeasibility_certificate(qp, y - y_prev):
+        if _primal_infeasibility_certificate(qp, At, y - y_prev):
+            x = x[inv]
             pr, du = kkt_residuals(qp, x, y)
             return QpSolution(x, y, "primal_infeasible", pr, du, k)
 
         # residual balancing: push rho toward equalizing scaled residuals
         num = r_prim / max(_ninf(Ax), _ninf(z), 1e-12)
-        den = r_dual / max(_ninf(Px), _ninf(Aty), _ninf(qp.q), 1e-12)
+        den = r_dual / max(_ninf(Px), _ninf(Aty), _ninf(q), 1e-12)
         ratio = np.sqrt(num / max(den, 1e-18))
         new_base = float(np.clip(rho_base * ratio, _RHO_MIN, _RHO_MAX))
         if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
             rho_base = new_base
             rho = rho_base * mult
-            lu = _factor(qp, rho)
+            cf = factor(rho_base)
 
+    x = x[inv]
     pr, du = kkt_residuals(qp, x, y)
     return QpSolution(x, y, status, pr, du, iters)

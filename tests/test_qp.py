@@ -32,10 +32,76 @@ def kkt_parity_check(n_problems=200, seed=123, tol=1e-6):
     return worst
 
 
+def make_sparse_qp(rng, n=60):
+    """A QP shaped like refinement's: each of 3n/2 general rows couples three
+    neighbouring variables, the first n/4 of them equalities, then a box on
+    every variable; a fifth of the rows are one-sided.  Feasible at a random
+    point."""
+    m = 3 * n // 2
+    cols = (np.arange(m)[:, None] * n // m + np.arange(3)) % n
+    rows = sp.csc_matrix((rng.normal(size=3 * m), (np.repeat(np.arange(m), 3), cols.ravel())),
+                         shape=(m, n))
+    A = sp.vstack([rows, sp.identity(n)])
+    B = sp.diags([np.ones(n), -np.ones(n - 1)], [0, 1])
+    x0 = rng.normal(size=n)
+    ax = A @ x0
+    lo = ax - rng.uniform(0.0, 1.0, A.shape[0])
+    hi = ax + rng.uniform(0.0, 1.0, A.shape[0])
+    lo[:n // 4] = hi[:n // 4] = ax[:n // 4]
+    lo[rng.random(A.shape[0]) < 0.2] = -np.inf
+    return qp.QpProblem(B.T @ B + 0.1 * sp.identity(n), 10.0 * rng.normal(size=n), A, lo, hi)
+
+
+def test_solution_does_not_depend_on_variable_or_row_order(monkeypatch):
+    """The solver reorders the variables for its band factorization and must
+    undo that: a QP with its variables and rows shuffled reaches the same
+    status in the same iterations, with x and y equal once mapped back, cold
+    and warm-started, on QPs whose rho schedule refactors the matrix."""
+    factors = []
+    band_cholesky = qp.dpbtrf
+    monkeypatch.setattr(qp, "dpbtrf", lambda *a, **k: factors.append(1) or band_cholesky(*a, **k))
+    for seed in (0, 3):
+        rng = np.random.default_rng(seed)
+        prob = make_sparse_qp(rng)
+        pc, pr = rng.permutation(prob.n), rng.permutation(prob.m)
+        shuffled = qp.QpProblem(prob.P[pc][:, pc], prob.q[pc], prob.A[pr][:, pc],
+                                prob.l[pr], prob.u[pr])
+        near = qp.solve(qp.QpProblem(prob.P, prob.q + rng.normal(size=prob.n), prob.A,
+                                     prob.l, prob.u))
+        for warm in (None, near):
+            factors.clear()
+            sol = qp.solve(prob, warm=warm)
+            assert sol.status == "optimal" and len(factors) >= 2
+            assert sol.primal_res <= 1e-5
+            warm_shuffled = warm and qp.QpSolution(warm.x[pc], warm.y[pr], warm.status,
+                                                   warm.primal_res, warm.dual_res)
+            other = qp.solve(shuffled, warm=warm_shuffled)
+            assert (other.status, other.iterations) == (sol.status, sol.iterations)
+            x, y = np.empty(prob.n), np.empty(prob.m)
+            x[pc], y[pr] = other.x, other.y
+            assert np.abs(x - sol.x).max() <= 1e-9
+            assert np.abs(y - sol.y).max() <= 1e-9
+
+
 def test_unconstrained_identity():
     sol = qp.solve(qp.QpProblem(np.eye(3), np.zeros(3)))
     assert sol.status == "optimal"
     assert np.max(np.abs(sol.x)) < 1e-8
+
+
+def test_unconstrained_matches_dense_solve():
+    # a chain objective with shuffled variables, so the band ordering is no
+    # identity and the solution must be mapped back
+    rng = np.random.default_rng(3)
+    n = 30
+    B = sp.diags([np.ones(n), -np.ones(n - 1)], [0, 1])
+    shuffle = rng.permutation(n)
+    P = (B.T @ B + 0.1 * sp.identity(n)).tocsr()[shuffle][:, shuffle]
+    q = rng.normal(size=n)
+    sol = qp.solve(qp.QpProblem(P, q))
+    assert sol.status == "optimal"
+    x_ref = np.linalg.solve(P.toarray(), -q)
+    assert np.max(np.abs(sol.x - x_ref)) <= 1e-5 * np.max(np.abs(x_ref))
 
 
 def test_clipped_scalar():
