@@ -279,10 +279,8 @@ def relocate_unsafe_point(p, map_wh, obstacles, r):
     acx, acy, ahx, ahy = obstacles
     px = min(max(float(p[0]), r), w - r)
     py = min(max(float(p[1]), r), h - r)
-    if acx.size == 0:
-        return np.array([px, py])
     clearance = np.hypot(*box_gaps(px, py, *obstacles))
-    if clearance.min() >= r:
+    if acx.size == 0 or clearance.min() >= r:
         return np.array([px, py])
     k = int(np.argmin(clearance))
     circ = math.hypot(ahx[k], ahy[k]) + r
