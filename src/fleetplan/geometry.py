@@ -1,7 +1,7 @@
 """Vehicle geometry: the shared motion kernels, footprints and collision tests.
 
 The search, the refinement and the verifier share one version of each of
-three kernels:
+four kernels:
 
 - `advance_arc`: exact advance along a constant-curvature arc by a signed
   length.  The search's motion primitives and goal shots, the Reeds-Shepp
@@ -10,8 +10,12 @@ three kernels:
   (..., 4) states.  Refinement linearizes and rolls out with it; the verifier
   re-simulates every plan step with it.
 - `disc_center_distance`: the minimum distance between the covering-disc
-  centres of two vehicles at matching times.  It is the coarse search's
-  conflict test, refinement's neighbour filter and the verifier's broadphase.
+  centres of two vehicles at matching times.  It is the low-level search's
+  dynamic-obstacle test, PBS's conflict test, refinement's neighbour filter
+  and the verifier's broadphase.
+- `box_gaps`: the per-axis gaps between points and axis-aligned obstacle
+  boxes.  The search's disc test and flood-fill obstacle cells and
+  refinement's corridors and seed relocation all use it.
 
 Poses are rear-axle poses (x, y, theta).  A state adds the steering angle
 phi; controls are (v, omega) with omega the steering rate.  The kernels leave
@@ -90,11 +94,6 @@ class VehicleParams:
     @property
     def min_turn_radius(self) -> float:
         return self.L / math.tan(self.phi_max)
-
-    @property
-    def circumradius(self) -> float:
-        # circle around the whole body, centered at the body center
-        return math.hypot(self.length / 2.0, self.W / 2.0)
 
 
 @dataclass(frozen=True)
@@ -314,14 +313,16 @@ def disc_centers_arr(poses: np.ndarray, params: VehicleParams) -> np.ndarray:
 
 
 def disc_center_distance(da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Time-aligned clearance kernel: disc centers (T, 2, 2) of two vehicles
-    -> (T,) minimum over the four center pairs at each time.
+    """Clearance kernel: disc centers (..., 2, 2) of two vehicles whose
+    leading shapes broadcast together -> (...) minimum over the four center
+    pairs; pass (T, 2, 2) twice for matching times, or (N, 1, 2, 2) and
+    (1, K, 2, 2) for every pair of N and K.
 
     Subtracting 2 r_v gives the conservative clearance; a positive value
     certifies that the footprints do not intersect.
     """
-    d = da[:, :, None, :] - db[:, None, :, :]
-    return np.sqrt((d * d).sum(axis=-1)).min(axis=(1, 2))
+    d = da[..., :, None, :] - db[..., None, :, :]
+    return np.sqrt((d * d).sum(axis=-1)).min(axis=(-2, -1))
 
 
 def box_gaps(px, py, acx, acy, ahx, ahy) -> tuple[np.ndarray, np.ndarray]:
@@ -368,16 +369,3 @@ def discs_outside_map(
     out = (x < r - eps) | (x > width - r + eps) | (y < r - eps) | (y > height - r + eps)
     return out.any(axis=-1)
 
-
-def discs_hit_discs(
-    centers_a: np.ndarray, centers_b: np.ndarray, params: VehicleParams
-) -> np.ndarray:
-    """Disc-overlap test between disc centres (..., 2, 2) whose leading
-    shapes broadcast together -> (...) bool; pass (N, 1, 2, 2) and
-    (1, K, 2, 2) for every pair of N and K.
-
-    True when any of the four center pairs is closer than 2 r_v; conservative
-    for the footprints for the same reason as discs_hit_aabbs.
-    """
-    d = centers_a[..., :, None, :] - centers_b[..., None, :, :]
-    return ((d * d).sum(axis=-1) < (2.0 * params.disc_radius) ** 2).any(axis=(-2, -1))

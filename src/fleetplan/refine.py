@@ -180,9 +180,7 @@ def _track_guess(states, controls, dt, params: VehicleParams):
         ph_next = _clip(_clip(want, -pmax, pmax), ph - rate, ph + rate)
         out_s[t] = (x, y, th, ph)
         out_u[t] = (v, (ph_next - ph) / dt)
-        x += dt * v * math.cos(th)
-        y += dt * v * math.sin(th)
-        th += dt * v * math.tan(ph) / L
+        x, y, th, _ = euler_step(out_s[t], out_u[t], dt, L)
         ph = ph_next
     out_s[T - 1] = (x, y, th, ph)
     return out_s, out_u

@@ -24,9 +24,10 @@ from . import reeds_shepp as rs
 from .geometry import (
     VehicleParams,
     advance_arc,
+    box_gaps,
+    disc_center_distance,
     disc_centers_arr,
     discs_hit_aabbs,
-    discs_hit_discs,
     discs_outside_map,
     normalize_angle,
 )
@@ -211,7 +212,9 @@ class LowLevelPlanner:
     primitive's sweep stays on the map and clear of the static obstacles; and,
     per goal, the heuristic of each pose, the pose's shortest Reeds-Shepp
     curve to the goal, which the heuristic and the goal shot share, and the
-    shot's cut into timed pieces, its static verdict and its rolled-out disc
+    shot: its cut into timed pieces, the end pose of each piece (one (n, 3)
+    array, walked once, from which both the dynamic test's disc centres and
+    the returned trajectory are read), its static verdict and those disc
     centres.  None of it depends on time or on the dynamic obstacles.  The
     dynamic obstacles' disc centres are computed once per call.  Run on every
     expansion: the dynamic-obstacle test at the next time index, the reversal
@@ -268,10 +271,9 @@ class LowLevelPlanner:
         ny = max(1, int(math.ceil(self.inst.map_height / cell)))
         cx = (np.arange(nx)[:, None] + 0.5) * cell
         cy = (np.arange(ny)[None, :] + 0.5) * cell
-        acx, acy, ahx, ahy = self._obs
-        blocked = np.zeros((nx, ny), dtype=bool)
-        for k in range(acx.shape[0]):
-            blocked |= (np.abs(cx - acx[k]) <= ahx[k]) & (np.abs(cy - acy[k]) <= ahy[k])
+        # a cell is blocked where its centre lies in a box, edges included
+        dx, dy = box_gaps(cx, cy, *self._obs)
+        blocked = ((dx == 0.0) & (dy == 0.0)).any(axis=-1)
         goal = self._task_by_id[agent_id].goal
         gkey = discretize((goal.x, goal.y, goal.theta), self.grid)
         blocked[gkey.ix, gkey.iy] = False
@@ -344,6 +346,7 @@ class LowLevelPlanner:
         goal = task.goal
         goal_t = (goal.x, goal.y, goal.theta)
         goal_cen = disc_centers_arr(np.array([goal_t]), par)     # (1, 2, 2)
+        two_r = 2.0 * par.disc_radius
         fill = self._flood(agent_id)
         quantum, v_max = self.quantum, par.v_max
         # the dynamic obstacles' disc centres (K, H + 1, 2, 2), indexed by time
@@ -413,14 +416,21 @@ class LowLevelPlanner:
                     if timed and timed[-1][0] * p[0] < 0:
                         timed.append((0.0, 0.0, 0.0))
                     timed.append(p)
-                # [timed pieces, static verdict, rolled-out disc centres], the
-                # last two filled in when first needed; None once the static
-                # test fails, for then the shot fails at every time
-                shots[pose] = [timed, None, None]
+                x, y, th = pose
+                steps = []
+                for d, steer, ln in timed:
+                    x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
+                    th = normalize_angle(th)
+                    steps.append((x, y, th))
+                # [timed pieces, their end poses (n, 3), static verdict, the
+                # end poses' disc centres], the last two filled in when first
+                # needed; None once the static test fails, for then the shot
+                # fails at every time
+                shots[pose] = [timed, np.array(steps).reshape(-1, 3), None, None]
             shot = shots[pose]
             if shot is None:
                 return None
-            timed, clear, step_cen = shot
+            timed, steps, clear, step_cen = shot
             if timed and last_dir and timed[0][0] * last_dir < 0:
                 return None      # reversal needs a dwell; the wait successor covers it
             if it + len(timed) > grid.max_steps:
@@ -432,27 +442,21 @@ class LowLevelPlanner:
                         or discs_hit_aabbs(cen, par, *self._obs).any()):
                     shots[pose] = None
                     return None
-                shot[1] = True
+                shot[2] = True
             if dyn.count:
                 if step_cen is None:
-                    x, y, th = pose
-                    steps = []
-                    for d, steer, ln in timed:
-                        x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
-                        th = normalize_angle(th)
-                        steps.append((x, y, th))
-                    step_cen = shot[2] = disc_centers_arr(np.array(steps).reshape(-1, 3), par)
+                    step_cen = shot[3] = disc_centers_arr(steps, par)
                 # step m against the dynamic obstacles at time index it + 1 + m
                 at = np.minimum(np.arange(it + 1, it + 1 + len(timed)), horizon)
-                if discs_hit_discs(step_cen[None], dyn_cen[:, at], par).any():
+                if (disc_center_distance(step_cen, dyn_cen[:, at]) < two_r).any():
                     return None
                 # staying parked at the goal must remain safe for all later times
-                if discs_hit_discs(goal_cen, dyn_cen[:, min(it + len(timed), horizon):],
-                                   par).any():
+                if (disc_center_distance(goal_cen, dyn_cen[:, min(it + len(timed), horizon):])
+                        < two_r).any():
                     return None
-            return timed
+            return timed, steps
 
-        def build(idx, pieces):
+        def build(idx, timed, steps):
             chain = []
             while idx >= 0:
                 chain.append(idx)
@@ -464,12 +468,8 @@ class LowLevelPlanner:
                 p = self._prims[nact[i]]
                 segments[si] = Segment(p.direction, p.steer,
                                        grid.delta_s if p.direction else 0.0)
-            x, y, th = nposes[chain[-1]]
-            for d, steer, ln in pieces:
-                x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
-                th = normalize_angle(th)
-                states.append((x, y, th, 0.0))
-                segments.append(Segment(d, steer, ln))
+            states.extend((x, y, th, 0.0) for x, y, th in steps.tolist())
+            segments.extend(Segment(*p) for p in timed)
             traj = CoarseTrajectory(agent_id, np.array(states, dtype=float),
                                     tuple(segments), quantum)
             _replay_check(traj, par)
@@ -498,9 +498,9 @@ class LowLevelPlanner:
             it, last_dir = key[0].it, key[1]
 
             if shot_countdown <= 0:
-                pieces = try_shot(pose, it, last_dir)
-                if pieces is not None:
-                    return LowLevelResult("ok", build(idx, pieces), expansions,
+                shot = try_shot(pose, it, last_dir)
+                if shot is not None:
+                    return LowLevelResult("ok", build(idx, *shot), expansions,
                                           time.monotonic() - t0)
                 shot_countdown = int(math.hypot(goal.x - pose[0], goal.y - pose[1]) / grid.delta_s)
             else:
@@ -520,7 +520,7 @@ class LowLevelPlanner:
             if dyn.count:
                 at = dyn_cen[None, :, min(it + 1, horizon)]
                 end_cen = sweep[:, 4:].reshape(-1, 1, 2, 2)
-                sweep = sweep[~discs_hit_discs(end_cen, at, par).any(axis=1)]
+                sweep = sweep[~(disc_center_distance(end_cen, at) < two_r).any(axis=1)]
 
             g = ngs[idx]
             for a, ex, ey, eth in sweep[:, :4].tolist():

@@ -6,6 +6,7 @@ internals, so the implementation and its checks stay on separate routes.
 """
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -221,6 +222,37 @@ def brute_discs_hit_discs(centers_a, centers_b, radius) -> np.ndarray:
                     if (ax - bx) ** 2 + (ay - by) ** 2 < (2.0 * radius) ** 2:
                         out[n, k] = True
     return out
+
+
+def brute_flood(width, height, cell, boxes, goal_ij) -> np.ndarray:
+    """8-connected grid distances in meters from the goal cell, by Dijkstra.
+    A cell is blocked when its centre lies in some box, edges included,
+    tested one box and one cell at a time; the goal cell is never blocked."""
+    nx = max(1, math.ceil(width / cell))
+    ny = max(1, math.ceil(height / cell))
+    blocked = np.zeros((nx, ny), dtype=bool)
+    for cx, cy, hx, hy in boxes:
+        for i in range(nx):
+            for j in range(ny):
+                if point_in_box((i + 0.5) * cell, (j + 0.5) * cell, cx, cy, hx, hy, 0.0):
+                    blocked[i, j] = True
+    blocked[goal_ij] = False
+    dist = np.full((nx, ny), np.inf)
+    dist[goal_ij] = 0.0
+    heap = [(0.0, goal_ij)]
+    while heap:
+        d, (i, j) = heapq.heappop(heap)
+        if d > dist[i, j]:
+            continue
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                ii, jj = i + di, j + dj
+                if (di or dj) and 0 <= ii < nx and 0 <= jj < ny and not blocked[ii, jj]:
+                    nd = d + cell * math.hypot(di, dj)
+                    if nd < dist[ii, jj]:
+                        dist[ii, jj] = nd
+                        heapq.heappush(heap, (nd, (ii, jj)))
+    return dist
 
 
 def _point_segment_distance(px, py, ax, ay, bx, by) -> float:

@@ -18,7 +18,6 @@ from fleetplan.geometry import (
     disc_center_distance,
     disc_centers_arr,
     discs_hit_aabbs,
-    discs_hit_discs,
     discs_outside_map,
     euler_step,
     footprint,
@@ -364,7 +363,7 @@ def test_discs_outside_map_matches_edge_distance():
     assert 0 < got.sum() < got.size
 
 
-def test_discs_hit_discs_matches_all_centre_pairs():
+def test_disc_center_distance_matches_all_centre_pairs():
     p = VehicleParams()
     r = p.disc_radius
     rng = np.random.default_rng(23)
@@ -374,14 +373,14 @@ def test_discs_hit_discs_matches_all_centre_pairs():
                          np.array([[[12.5, 11.0], [20.0, 20.0]],           # exactly 2 r_v
                                    [[20.0, 20.0], [12.5 - 1e-9, 10.0]]])])  # a hair closer
     want = brute_discs_hit_discs(ca, cb, r)
-    got = discs_hit_discs(ca[:, None], cb[None, :], p)
+    got = disc_center_distance(ca[:, None], cb[None, :]) < 2.0 * r
     assert got.shape == (61, 42)
     assert np.array_equal(got, want)
     assert got[-1, -2:].tolist() == [False, True]
     assert 0 < got.sum() < got.size
     # time-aligned, as the goal shot uses it: step m against every obstacle at m
     steps, obstacles = ca[:5], cb[:40].reshape(8, 5, 2, 2)
-    aligned = discs_hit_discs(steps[None], obstacles, p)
+    aligned = disc_center_distance(steps, obstacles) < 2.0 * r
     assert aligned.shape == (8, 5)
     for k in range(8):
         for m in range(5):

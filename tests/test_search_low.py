@@ -15,6 +15,7 @@ from fleetplan.instance import (
 )
 from fleetplan import reeds_shepp as rs
 from fleetplan import search_low as sl
+from oracles import brute_flood
 
 
 def plan_agent(inst, agent_id, dyn, grid, deadline=math.inf):
@@ -92,6 +93,44 @@ def test_analytic_expand_zero_and_straight(params):
     assert curve.length == pytest.approx(5.0, abs=1e-9)
     assert len(curve.segments) == 1
     assert math.hypot(samples[-1, 0] - goal.x, samples[-1, 1] - goal.y) < 1e-6
+
+
+# --- flood fill -----------------------------------------------------------
+
+def flood_oracle(inst, planner, agent_id=0):
+    goal = inst.agents[agent_id].goal
+    key = sl.discretize((goal.x, goal.y, goal.theta), planner.grid)
+    return brute_flood(inst.map_width, inst.map_height, planner.grid.cell,
+                       zip(*inst.obstacle_arrays()), (key.ix, key.iy))
+
+
+def test_flood_matches_per_obstacle_cell_loop():
+    """The flood's blocked cells come from one vectorized box-gap test; the
+    oracle blocks cells one obstacle at a time and runs its own Dijkstra."""
+    goal = State(3.0, 3.0, 0.0)
+    # on the unit grid, cell centres sit at k + 0.5: this wall's edges run
+    # exactly through the centres of columns 7 and 12 and rows 9 and 10
+    wall = OrientedBox(10.0, 10.0, 2.5, 0.5)
+    edge = MvtpInstance(20.0, 20.0, [wall], [AgentTask(0, State(17.0, 17.0, 0.0), goal)],
+                        VehicleParams())
+    open_map = MvtpInstance(20.0, 20.0, [], [AgentTask(0, State(17.0, 17.0, 0.0), goal)],
+                            VehicleParams())
+    cases = [(edge, unit_grid()), (open_map, unit_grid())]
+    cases += [(generate_random_instance(seed, 30.0, 6, 2), sl.GridSpec()) for seed in (1, 2, 3)]
+    cases += [(generate_room_instance(seed, 40.0, 2), sl.GridSpec()) for seed in (1, 2)]
+    for inst, grid in cases:
+        planner = sl.LowLevelPlanner(inst, grid)
+        fill = planner._flood(0)
+        want = flood_oracle(inst, planner)
+        assert fill.shape == want.shape
+        assert np.array_equal(np.isinf(fill), np.isinf(want))
+        assert np.allclose(fill, want, rtol=0.0, atol=1e-9)
+    fill = sl.LowLevelPlanner(edge, unit_grid())._flood(0)
+    for i, j in ((7, 9), (12, 9), (7, 10), (12, 10), (9, 9)):
+        assert fill[i, j] == math.inf       # centre on the wall's edge or inside
+    for i, j in ((6, 9), (13, 10), (7, 8), (12, 11)):
+        assert math.isfinite(fill[i, j])    # the next centre out
+    assert np.isfinite(sl.LowLevelPlanner(open_map, unit_grid())._flood(0)).all()
 
 
 # --- heuristic floor ------------------------------------------------------
