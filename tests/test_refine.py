@@ -217,7 +217,9 @@ def test_batched_corridor_matches_per_seed_loop(coarse, first_round, refine30_ru
 
 def test_max_iters_qp_result_is_rejected(monkeypatch):
     """A QP stopped at its iteration cap is not a solution: the agent keeps
-    its iterate, the rejection is recorded and nothing is warm-started from it."""
+    its iterate, the rejection is recorded and nothing is warm-started from it.
+    Its QP cannot change after that, so later rounds record the rejection
+    again without assembling or solving it."""
     inst = generate_random_instance(1, 30.0, 6, 2)
     res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
     assert res.ok
@@ -236,8 +238,16 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
         status = "max_iters" if aid == 0 else "optimal"
         return QpSolution(x, np.zeros(1), status, 0.0, 0.0, 4000)
 
+    plans = []   # every plan the verifier sees: the guess, then one per round
+    validate = refine.validate_plan
+
+    def record_plan(instance, plan):
+        plans.append(plan)
+        return validate(instance, plan)
+
     monkeypatch.setattr(refine, "assemble_qp", assemble)
     monkeypatch.setattr(refine, "qp_solve", solve)
+    monkeypatch.setattr(refine, "validate_plan", record_plan)
     cfg = refine.RefineConfig(max_sqp_iters=3, convergence_eps=1e-12)
     rr = refine.sqp_refine(res.trajectories, inst, cfg)
 
@@ -246,11 +256,14 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
     assert rr.telemetry.qp_rejections == [(0, 0, "max_iters"), (0, 1, "max_iters"),
                                           (0, 2, "max_iters")]
     assert rr.telemetry.failure == {"reason": "max_iters", "agent": 0, "iteration": 0}
-    kept = [s for a, s, _ in assembled if a == 0]
-    assert len(kept) == 3 and all(np.array_equal(s, kept[0]) for s in kept)
-    assert [w for a, w in warms if a == 0] == [None] * 3
+    assert [a for a, _, _ in assembled].count(0) == 1
+    assert [w for a, w in warms if a == 0] == [None]
+    rounds = plans[1:]
+    assert len(rounds) == 3
+    assert all(np.array_equal(p.controls[0], rounds[0].controls[0]) for p in rounds)
+    assert not np.array_equal(rounds[1].controls[1], rounds[0].controls[1])
     moved = [w for a, w in warms if a == 1]
-    assert moved[0] is None and all(w is not None for w in moved[1:])
+    assert len(moved) == 3 and moved[0] is None and all(w is not None for w in moved[1:])
 
 
 def test_rejection_reasons_name_empty_box_and_qp_status(monkeypatch):
@@ -375,18 +388,16 @@ def test_assemble_qp_none_when_trust_region_misses_corridor(first_round):
 
 
 # (status, ADMM iterations, x checksum) of every QP that `sqp_refine` solves
-# on the suite's n = 2 and 4, in solve order.  The checksum is the mean of x
+# on the suite's n = 2 and 4, in solve order; a rejected agent's QP is solved
+# once, not again in later rounds.  The checksum is the mean of x
 # weighted by position (weights 0, 1, ..., n - 1, scaled to sum to 1), so it
 # also catches a solution returned in another variable order.
 QP_PINS = {
     2: [("optimal", 1300, 1.5078048871576228),
-        ("primal_infeasible", 300, 3.4489881412272134),
         ("primal_infeasible", 300, 3.4489881412272134)],
     4: [("optimal", 1225, 1.6529932034848853),
         ("primal_infeasible", 250, 3.468771635979333),
         ("optimal", 425, 4.40293957688245),
-        ("max_iters", 4000, 4.3753052350598995),
-        ("primal_infeasible", 250, 3.468771635979333),
         ("max_iters", 4000, 4.3753052350598995)],
 }
 
