@@ -13,7 +13,9 @@ trajectory's states and segments; on refine30 also the `sqp_refine` status,
 iterations, residuals, rejections and failure, and each QP's status, ADMM
 iteration count and solution vector.  The per-call record makes `compare`
 catch a change that reorders or lengthens the search even when the final
-plans match.  `compare` exits 1 on any difference.
+plans match.  `compare` names each differing field by its dotted path (such
+as `refine.qps`), and exits 1 on any difference or when either record set
+holds no instance.
 """
 from __future__ import annotations
 
@@ -79,6 +81,9 @@ def dump(checkout: Path, out: Path) -> None:
     out.write_bytes(pickle.dumps(records))
 
 
+_MISSING = object()
+
+
 def same(x, y) -> bool:
     if isinstance(x, np.ndarray):
         return isinstance(y, np.ndarray) and x.shape == y.shape and np.array_equal(x, y)
@@ -90,14 +95,26 @@ def same(x, y) -> bool:
     return x == y
 
 
+def differing(x, y, path: str) -> list[str]:
+    """Dotted paths of the fields where x and y differ, descending into dicts;
+    a field missing on one side differs."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return [p for k in sorted(x.keys() | y.keys())
+                for p in differing(x.get(k, _MISSING), y.get(k, _MISSING),
+                                   f"{path}.{k}" if path else str(k))]
+    return [] if same(x, y) else [path or "record"]
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a = pickle.loads(a_path.read_bytes())
     b = pickle.loads(b_path.read_bytes())
-    diffs = [(key, field) for key in sorted(a.keys() | b.keys())
-             for field in sorted(a.get(key, {}).keys() | b.get(key, {}).keys())
-             if not same(a.get(key, {}).get(field), b.get(key, {}).get(field))]
-    for key, field in diffs:
-        print("differs:", key, field)
+    if not a or not b:
+        print(f"compared {len(a)} and {len(b)} instances: nothing to compare")
+        return 1
+    diffs = [(key, path) for key in sorted(a.keys() | b.keys())
+             for path in differing(a.get(key, _MISSING), b.get(key, _MISSING), "")]
+    for key, path in diffs:
+        print("differs:", key, path)
     print(f"compared {len(a)} instances:", f"{len(diffs)} differences" if diffs else "identical")
     return 1 if diffs else 0
 
