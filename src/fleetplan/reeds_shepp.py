@@ -241,7 +241,3 @@ def shortest_path(start, goal, radius: float) -> RsCurve | None:
         return None
     return _to_curve(best[0], best[1], radius)
 
-
-def path_length(start, goal, radius: float) -> float:
-    curve = shortest_path(start, goal, radius)
-    return math.inf if curve is None else curve.length

@@ -203,8 +203,9 @@ class PrioritySearch:
     # -- main loop ---------------------------------------------------------
 
     def solve(self, time_budget: float | None = None) -> PbsResult:
-        """Search from a fresh root with fresh telemetry; the low-level pose
-        memo that the replans share is dropped on every exit."""
+        """Search from a fresh root with fresh telemetry.  On every exit the
+        total time is recorded and the low-level pose memo that the replans
+        share is dropped."""
         t0 = time.monotonic()
         deadline = math.inf if time_budget is None else t0 + time_budget
         tele = self.telemetry = PbsTelemetry()
@@ -212,26 +213,23 @@ class PrioritySearch:
             root = self.generate_root(deadline)
             tele.root_time_s = time.monotonic() - t0
             if root is None:
-                tele.total_time_s = time.monotonic() - t0
                 status = "timeout" if time.monotonic() > deadline else "root_infeasible"
                 return PbsResult(status, None, tele, self.low.quantum)
 
             frontier = [root]   # depth-first: a stack
             while frontier:
                 if time.monotonic() > deadline:
-                    tele.total_time_s = time.monotonic() - t0
                     return PbsResult("timeout", None, tele, self.low.quantum)
                 node = frontier.pop()
                 if not node.conflicts:
-                    tele.total_time_s = time.monotonic() - t0
                     return PbsResult("ok", node, tele, self.low.quantum)
                 conflict = pick_conflict(node)
                 tele.nodes_expanded += 1
                 # push in reverse so the better child is popped first
                 frontier.extend(reversed(self.expand(node, conflict, deadline)))
 
-            tele.total_time_s = time.monotonic() - t0
             status = "timeout" if time.monotonic() > deadline else "exhausted"
             return PbsResult(status, None, tele, self.low.quantum)
         finally:
+            tele.total_time_s = time.monotonic() - t0
             self.low.release_memo()

@@ -40,13 +40,13 @@ def test_straight_behind_reverses():
 def test_pure_left_arc(a, radius):
     # goal placed exactly on the left turning circle after arc angle a
     goal = (radius * math.sin(a), radius * (1.0 - math.cos(a)), a)
-    assert rs.path_length((0, 0, 0), goal, radius) == pytest.approx(radius * a, abs=1e-9)
+    assert rs.shortest_path((0, 0, 0), goal, radius).length == pytest.approx(radius * a, abs=1e-9)
 
 
 @pytest.mark.parametrize("a", [0.4, 1.0])
 def test_pure_arc_in_reverse(a):
     goal = (-math.sin(a), 1.0 - math.cos(a), -a)
-    assert rs.path_length((0, 0, 0), goal, 1.0) == pytest.approx(a, abs=1e-9)
+    assert rs.shortest_path((0, 0, 0), goal, 1.0).length == pytest.approx(a, abs=1e-9)
 
 
 def test_every_query_reaches_goal():
@@ -67,7 +67,7 @@ def test_length_at_least_lower_bound():
     for radius in (1.0, 3.0):
         for k in range(0, 500, 2):
             start, goal = poses[k], poses[k + 1]
-            got = rs.path_length(start, goal, radius)
+            got = rs.shortest_path(start, goal, radius).length
             assert got >= rs_lower_bound(start, goal, radius) - 1e-9
 
 
@@ -90,7 +90,7 @@ def test_shortest_is_min_over_enumeration():
         cands = rs.all_paths(start, goal, 1.7)
         assert cands, "candidate set must never be empty"
         best = min(c.length for c in cands)
-        assert rs.path_length(start, goal, 1.7) == pytest.approx(best, abs=1e-9)
+        assert rs.shortest_path(start, goal, 1.7).length == pytest.approx(best, abs=1e-9)
         # every enumerated candidate independently reaches the goal
         for c in cands[:4]:
             x, y, th = rollout_curve(start, c.segments)
@@ -125,7 +125,8 @@ def test_symmetric_under_swap():
     poses = rand_poses(120, seed=9)
     for k in range(0, 120, 2):
         a, b = poses[k], poses[k + 1]
-        assert rs.path_length(a, b, 1.3) == pytest.approx(rs.path_length(b, a, 1.3), abs=1e-8)
+        assert rs.shortest_path(a, b, 1.3).length == pytest.approx(
+            rs.shortest_path(b, a, 1.3).length, abs=1e-8)
 
 
 def test_rigid_motion_invariance():
@@ -133,23 +134,23 @@ def test_rigid_motion_invariance():
     rng = np.random.default_rng(1)
     for k in range(0, 60, 2):
         a, b = poses[k], poses[k + 1]
-        base = rs.path_length(a, b, 2.0)
+        base = rs.shortest_path(a, b, 2.0).length
         tx, ty, rot = rng.uniform(-5, 5, size=3)
         c, s = math.cos(rot), math.sin(rot)
 
         def move(p):
             return (tx + p[0] * c - p[1] * s, ty + p[0] * s + p[1] * c, p[2] + rot)
 
-        assert rs.path_length(move(a), move(b), 2.0) == pytest.approx(base, abs=1e-8)
+        assert rs.shortest_path(move(a), move(b), 2.0).length == pytest.approx(base, abs=1e-8)
 
 
 def test_triangle_inequality():
     poses = rand_poses(90, seed=21)
     for k in range(0, 90, 3):
         a, b, c = poses[k], poses[k + 1], poses[k + 2]
-        ab = rs.path_length(a, b, 1.0)
-        bc = rs.path_length(b, c, 1.0)
-        ac = rs.path_length(a, c, 1.0)
+        ab = rs.shortest_path(a, b, 1.0).length
+        bc = rs.shortest_path(b, c, 1.0).length
+        ac = rs.shortest_path(a, c, 1.0).length
         assert ac <= ab + bc + 1e-8
 
 

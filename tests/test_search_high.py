@@ -387,23 +387,24 @@ def test_solve_telemetry():
     assert 0.0 < t.root_time_s <= t.total_time_s
 
 
-def assert_no_memo(search):
+def solve_and_check_exit(search, budget):
+    """Every exit drops the pose memo and records the total time."""
+    res = search.solve(budget)
     assert search.low._sweeps == {} and search.low._by_goal == {}
+    assert 0.0 < res.telemetry.root_time_s <= res.telemetry.total_time_s
+    return res.status
 
 
 def test_solve_releases_pose_memo_on_every_exit():
     search = sh.PrioritySearch(corridor_instance(), GridSpec(), warm_start=False)
-    assert search.solve(60.0).ok
-    assert_no_memo(search)
-    assert search.solve(0.0).status == "timeout"
-    assert_no_memo(search)
+    assert solve_and_check_exit(search, 60.0) == "ok"
+    assert solve_and_check_exit(search, 0.0) == "timeout"
     walls = [OrientedBox(9.5, 12.0, 0.4, 2.0), OrientedBox(12.0, 9.5, 2.0, 0.4)]
     sealed = MvtpInstance(14.0, 14.0, walls,
                           [AgentTask(0, State(3.0, 3.0, 0.0), State(12.0, 12.0, 0.0))],
                           VehicleParams())
     search = sh.PrioritySearch(sealed, GridSpec(max_steps=10))
-    assert search.solve(30.0).status == "root_infeasible"
-    assert_no_memo(search)
+    assert solve_and_check_exit(search, 30.0) == "root_infeasible"
 
 
 def test_each_solve_has_its_own_telemetry():
