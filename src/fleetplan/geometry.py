@@ -322,7 +322,8 @@ def disc_center_distance(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     certifies that the footprints do not intersect.
     """
     d = da[..., :, None, :] - db[..., None, :, :]
-    return np.sqrt((d * d).sum(axis=-1)).min(axis=(-2, -1))
+    # a rounded sqrt is monotone, so taking it after the min changes no bit
+    return np.sqrt((d * d).sum(axis=-1).min(axis=(-2, -1)))
 
 
 def box_gaps(px, py, acx, acy, ahx, ahy) -> tuple[np.ndarray, np.ndarray]:

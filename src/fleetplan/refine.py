@@ -628,10 +628,9 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
     cur_s = base_s
     cur_u = base_u
     warm = [None] * M
-    # agent index -> reason, for agents whose QP was rejected: an agent's QP
-    # depends only on its own iterate, its planes, its Y0 row and its warm
-    # start, and a rejection changes none of them, so every later round
-    # would rebuild the same QP and reach the same verdict
+    # agent index -> reason of its rejected QP.  The QP depends only on the
+    # agent's own iterate, planes, Y0 row and warm start, none of which a
+    # rejection changes, so every later round would reach the same verdict.
     rejected = {}
 
     def fail(status, agent, k, reason):
@@ -666,8 +665,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
                                eps_abs=1e-5, eps_rel=1e-5, max_iters=4000)
                 tele.qp_time_s += time.monotonic() - t0
             if sol is None or sol.status != "optimal":
-                # an over-constrained or unconverged agent keeps its iterate,
-                # this round and every later one
+                # an over-constrained or unconverged agent keeps its iterate
                 rejected[m] = "empty_box" if sol is None else sol.status
                 tele.qp_rejections.append((aid, k, rejected[m]))
                 new_s[m], new_u[m] = cur_s[m], cur_u[m]
