@@ -8,9 +8,9 @@ from fleetplan.geometry import (
     OrientedBox,
     State,
     VehicleParams,
-    footprint,
+    footprints,
     normalize_angle,
-    sat_overlap,
+    rects_overlap,
 )
 from fleetplan.instance import (
     AgentTask,
@@ -33,11 +33,11 @@ __all__ = [
     "State",
     "VehicleParams",
     "VerificationReport",
-    "footprint",
+    "footprints",
     "generate_random_instance",
     "normalize_angle",
     "parse_instance",
-    "sat_overlap",
+    "rects_overlap",
     "serialize_instance",
     "validate_plan",
 ]

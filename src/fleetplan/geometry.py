@@ -1,7 +1,7 @@
 """Vehicle geometry: the shared motion kernels, footprints and collision tests.
 
-The search, the refinement and the verifier share one version of each of
-four kernels:
+The search, the refinement, the verifier and the instance generator share
+one version of each of five kernels:
 
 - `advance_arc`: exact advance along a constant-curvature arc by a signed
   length.  The search's motion primitives and goal shots, the Reeds-Shepp
@@ -16,6 +16,10 @@ four kernels:
 - `box_gaps`: the per-axis gaps between points and axis-aligned obstacle
   boxes.  The search's disc test and flood-fill obstacle cells and
   refinement's corridors and seed relocation all use it.
+- `rects_overlap`: the closed-set separating-axis test of rectangles laid
+  out by `footprints`, whose leading shapes broadcast.  It is the verifier's
+  obstacle and vehicle-pair test and the instance checks' and the
+  generator's placement test.
 
 Poses are rear-axle poses (x, y, theta).  A state adds the steering angle
 phi; controls are (v, omega) with omega the steering rate.  The kernels leave
@@ -36,9 +40,8 @@ __all__ = [
     "advance_arc",
     "euler_step",
     "disc_center_distance",
-    "footprint",
-    "box_corners",
-    "sat_overlap",
+    "footprints",
+    "rects_overlap",
 ]
 
 
@@ -154,101 +157,39 @@ class OrientedBox:
     heading: float = 0.0
 
 
-def footprint(z: State, params: VehicleParams) -> OrientedBox:
-    """Body rectangle of the vehicle at state z."""
-    oc = params.center_offset
-    return OrientedBox(
-        z.x + oc * math.cos(z.theta),
-        z.y + oc * math.sin(z.theta),
-        params.length / 2.0,
-        params.W / 2.0,
-        z.theta,
-    )
-
-
-def box_corners(box: OrientedBox) -> np.ndarray:
-    """Corners in counter-clockwise order, shape (4, 2)."""
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    ux, uy = c * box.hx, s * box.hx
-    vx, vy = -s * box.hy, c * box.hy
-    return np.array(
-        [
-            [box.cx + ux + vx, box.cy + uy + vy],
-            [box.cx - ux + vx, box.cy - uy + vy],
-            [box.cx - ux - vx, box.cy - uy - vy],
-            [box.cx + ux - vx, box.cy + uy - vy],
-        ]
-    )
-
-
-def _axes(box: OrientedBox) -> tuple[tuple[float, float], tuple[float, float]]:
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    return (c, s), (-s, c)
-
-
-def _proj_radius(box: OrientedBox, ax: tuple[float, float]) -> float:
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    # |u . ax| * hx + |v . ax| * hy
-    return box.hx * abs(c * ax[0] + s * ax[1]) + box.hy * abs(-s * ax[0] + c * ax[1])
-
-
-def sat_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    """Separating-axis overlap test for two oriented rectangles.
-
-    Closed-set semantics: boxes that merely touch count as overlapping.
-    """
-    dx, dy = b.cx - a.cx, b.cy - a.cy
-    for ax in (*_axes(a), *_axes(b)):
-        dist = abs(dx * ax[0] + dy * ax[1])
-        if dist > _proj_radius(a, ax) + _proj_radius(b, ax):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# vectorized variants used in the planner hot paths
-
-
-def footprint_params_arr(poses: np.ndarray, params: VehicleParams) -> np.ndarray:
-    """Footprint centers and headings for poses (N, >=3) -> (N, 3)."""
-    oc = params.center_offset
-    th = poses[:, 2]
-    out = np.empty((poses.shape[0], 3))
-    out[:, 0] = poses[:, 0] + oc * np.cos(th)
-    out[:, 1] = poses[:, 1] + oc * np.sin(th)
-    out[:, 2] = th
+def footprints(poses, params: VehicleParams) -> np.ndarray:
+    """Body rectangles of poses (..., >=3) -> (..., 5) rows (cx, cy, hx, hy,
+    heading), the layout `rects_overlap` takes."""
+    poses = np.asarray(poses, dtype=float)
+    th = poses[..., 2]
+    out = np.empty(poses.shape[:-1] + (5,))
+    out[..., 0] = poses[..., 0] + params.center_offset * np.cos(th)
+    out[..., 1] = poses[..., 1] + params.center_offset * np.sin(th)
+    out[..., 2] = params.length / 2.0
+    out[..., 3] = params.W / 2.0
+    out[..., 4] = th
     return out
 
 
-def boxes_hit_aabbs(
-    poses: np.ndarray,
-    params: VehicleParams,
-    acx: np.ndarray,
-    acy: np.ndarray,
-    ahx: np.ndarray,
-    ahy: np.ndarray,
-) -> np.ndarray:
-    """For each pose, does the body rectangle hit any axis-aligned box?
+def rects_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Separating-axis test of rectangles (..., 5) as (cx, cy, hx, hy,
+    heading) whose leading shapes broadcast together -> boolean (...).
 
-    poses has shape (N, >=3); the a* arrays describe the boxes.  Returns a
-    boolean mask of shape (N,).  Touching counts as a hit.
+    Closed sets: rectangles that merely touch overlap.  On each rectangle's
+    own two axes the other's projected half extent depends only on the
+    relative heading.
     """
-    if acx.size == 0 or poses.shape[0] == 0:
-        return np.zeros(poses.shape[0], dtype=bool)
-    fp = footprint_params_arr(poses, params)
-    hl, hw = params.length / 2.0, params.W / 2.0
-    c = np.cos(fp[:, 2])[:, None]
-    s = np.sin(fp[:, 2])[:, None]
-    dx = acx[None, :] - fp[:, 0:1]
-    dy = acy[None, :] - fp[:, 1:2]
-    ac, asn = np.abs(c), np.abs(s)
-    # world axes
-    ok1 = np.abs(dx) <= ahx[None, :] + hl * ac + hw * asn
-    ok2 = np.abs(dy) <= ahy[None, :] + hl * asn + hw * ac
-    # vehicle axes
-    ok3 = np.abs(dx * c + dy * s) <= hl + ahx[None, :] * ac + ahy[None, :] * asn
-    ok4 = np.abs(-dx * s + dy * c) <= hw + ahx[None, :] * asn + ahy[None, :] * ac
-    return (ok1 & ok2 & ok3 & ok4).any(axis=1)
+    dx = b[..., 0] - a[..., 0]
+    dy = b[..., 1] - a[..., 1]
+    rel = b[..., 4] - a[..., 4]
+    rc, rs = np.abs(np.cos(rel)), np.abs(np.sin(rel))
+    hit = True
+    for own, other in ((a, b), (b, a)):
+        c, s = np.cos(own[..., 4]), np.sin(own[..., 4])
+        ohx, ohy = other[..., 2], other[..., 3]
+        hit = hit & (np.abs(dx * c + dy * s) <= own[..., 2] + ohx * rc + ohy * rs)
+        hit = hit & (np.abs(-dx * s + dy * c) <= own[..., 3] + ohx * rs + ohy * rc)
+    return hit
 
 
 def boxes_outside_map(
@@ -259,45 +200,16 @@ def boxes_outside_map(
     hair of slack absorbs the ~1e-16 rounding of the corner rotation so that
     edge-touching poses (e.g. heading pi) do not flip outside."""
     eps = 1e-9
-    fp = footprint_params_arr(poses, params)
-    hl, hw = params.length / 2.0, params.W / 2.0
-    ac, asn = np.abs(np.cos(fp[:, 2])), np.abs(np.sin(fp[:, 2]))
-    ex = hl * ac + hw * asn
-    ey = hl * asn + hw * ac
+    fp = footprints(poses, params)
+    ac, asn = np.abs(np.cos(fp[..., 4])), np.abs(np.sin(fp[..., 4]))
+    ex = fp[..., 2] * ac + fp[..., 3] * asn
+    ey = fp[..., 2] * asn + fp[..., 3] * ac
     return (
-        (fp[:, 0] - ex < -eps)
-        | (fp[:, 0] + ex > width + eps)
-        | (fp[:, 1] - ey < -eps)
-        | (fp[:, 1] + ey > height + eps)
+        (fp[..., 0] - ex < -eps)
+        | (fp[..., 0] + ex > width + eps)
+        | (fp[..., 1] - ey < -eps)
+        | (fp[..., 1] + ey > height + eps)
     )
-
-
-def boxes_hit_boxes(
-    poses_a: np.ndarray, poses_b: np.ndarray, params: VehicleParams
-) -> np.ndarray:
-    """Pairwise SAT between footprints of poses_a (N,) and poses_b (K,).
-
-    Returns an (N, K) boolean matrix; both sets share the same vehicle.
-    """
-    n, k = poses_a.shape[0], poses_b.shape[0]
-    if n == 0 or k == 0:
-        return np.zeros((n, k), dtype=bool)
-    fa = footprint_params_arr(poses_a, params)
-    fb = footprint_params_arr(poses_b, params)
-    hl, hw = params.length / 2.0, params.W / 2.0
-    dx = fb[None, :, 0] - fa[:, None, 0]
-    dy = fb[None, :, 1] - fa[:, None, 1]
-    ok = np.ones((n, k), dtype=bool)
-    for th_small, sign in ((fa[:, None, 2], 1), (fb[None, :, 2], -1)):
-        c, s = np.cos(th_small), np.sin(th_small)
-        # other box heading relative to this axis frame
-        rel = sign * (fb[None, :, 2] - fa[:, None, 2])
-        rc, rs = np.abs(np.cos(rel)), np.abs(np.sin(rel))
-        pu = dx * c + dy * s
-        pv = -dx * s + dy * c
-        ok &= np.abs(pu) <= hl + hl * rc + hw * rs
-        ok &= np.abs(pv) <= hw + hl * rs + hw * rc
-    return ok
 
 
 def disc_centers_arr(poses: np.ndarray, params: VehicleParams) -> np.ndarray:

@@ -15,15 +15,13 @@ from fleetplan.geometry import (
     OrientedBox,
     State,
     VehicleParams,
-    boxes_hit_aabbs,
     boxes_outside_map,
-    boxes_hit_boxes,
     disc_center_distance,
     disc_centers_arr,
     euler_step,
-    footprint,
+    footprints,
     normalize_angle,
-    sat_overlap,
+    rects_overlap,
 )
 
 __all__ = [
@@ -92,6 +90,12 @@ class InstanceError(ValueError):
     pass
 
 
+def _obstacle_rects(inst: MvtpInstance) -> np.ndarray:
+    """The obstacles as (K, 5) rectangles for `rects_overlap`; every obstacle
+    is axis-aligned."""
+    return np.column_stack([*inst.obstacle_arrays(), np.zeros(len(inst.obstacles))])
+
+
 def _check_instance(inst: MvtpInstance) -> None:
     sizes = [("map width", inst.map_width), ("map height", inst.map_height)]
     sizes += [(f"vehicle {f.name}", getattr(inst.vehicle, f.name)) for f in fields(VehicleParams)]
@@ -110,29 +114,29 @@ def _check_instance(inst: MvtpInstance) -> None:
     ids = [a.id for a in inst.agents]
     if len(set(ids)) != len(ids):
         raise InstanceError("duplicate agent ids")
-    acx, acy, ahx, ahy = inst.obstacle_arrays()
-    boxes: list[tuple[int, str, OrientedBox]] = []
-    for a in inst.agents:
-        for name, z in (("start", a.start), ("goal", a.goal)):
-            if not all(map(math.isfinite, (z.x, z.y, z.theta))):
-                raise InstanceError(
-                    f"agent {a.id} {name} pose must be finite, got ({z.x}, {z.y}, {z.theta})")
-            pose = np.array([[z.x, z.y, z.theta, z.phi]])
-            if boxes_outside_map(pose, inst.vehicle, inst.map_width, inst.map_height)[0]:
-                raise InstanceError(f"agent {a.id} {name} footprint leaves the map")
-            if boxes_hit_aabbs(pose, inst.vehicle, acx, acy, ahx, ahy)[0]:
-                raise InstanceError(f"agent {a.id} {name} collides with an obstacle")
-            boxes.append((a.id, name, footprint(z, inst.vehicle)))
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            ai, ni, bi = boxes[i]
-            aj, nj, bj = boxes[j]
-            if ai == aj:
-                continue  # an agent's own start/goal pair may overlap
-            if sat_overlap(bi, bj):
-                raise InstanceError(
-                    f"agent {ai} {ni} overlaps agent {aj} {nj}"
-                )
+    ends = [(a.id, name, z) for a in inst.agents
+            for name, z in (("start", a.start), ("goal", a.goal))]
+    for aid, name, z in ends:
+        if not all(map(math.isfinite, (z.x, z.y, z.theta))):
+            raise InstanceError(
+                f"agent {aid} {name} pose must be finite, got ({z.x}, {z.y}, {z.theta})")
+    poses = np.array([(z.x, z.y, z.theta) for _, _, z in ends])
+    rects = footprints(poses, inst.vehicle)
+    off = boxes_outside_map(poses, inst.vehicle, inst.map_width, inst.map_height)
+    hit = rects_overlap(rects[:, None], _obstacle_rects(inst)[None]).any(axis=1)
+    for (aid, name, _), o, h in zip(ends, off, hit):
+        if o:
+            raise InstanceError(f"agent {aid} {name} footprint leaves the map")
+        if h:
+            raise InstanceError(f"agent {aid} {name} collides with an obstacle")
+    # endpoints 2k and 2k + 1 belong to agent k, whose own start/goal pair may
+    # overlap; each other pair is tested once, the earlier endpoint first
+    agent = np.arange(len(ends)) // 2
+    pairs = np.argwhere(rects_overlap(rects[:, None], rects[None])
+                        & (agent[:, None] < agent[None, :]))
+    if len(pairs):
+        (ai, ni, _), (aj, nj, _) = ends[pairs[0][0]], ends[pairs[0][1]]
+        raise InstanceError(f"agent {ai} {ni} overlaps agent {aj} {nj}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +147,7 @@ def serialize_instance(inst: MvtpInstance) -> str:
     v = inst.vehicle
     doc = {
         "map": {"width": float(inst.map_width), "height": float(inst.map_height)},
-        "vehicle": {
-            "L": float(v.L),
-            "L_F": float(v.L_F),
-            "L_B": float(v.L_B),
-            "W": float(v.W),
-            "v_max": float(v.v_max),
-            "omega_max": float(v.omega_max),
-            "phi_max": float(v.phi_max),
-        },
+        "vehicle": {f.name: float(getattr(v, f.name)) for f in fields(VehicleParams)},
         "obstacles": [
             {"cx": float(o.cx), "cy": float(o.cy), "hx": float(o.hx), "hy": float(o.hy)}
             for o in inst.obstacles
@@ -179,15 +175,7 @@ def parse_instance(text: str) -> MvtpInstance:
         width = float(doc["map"]["width"])
         height = float(doc["map"]["height"])
         vd = doc["vehicle"]
-        vehicle = VehicleParams(
-            L=float(vd["L"]),
-            L_F=float(vd["L_F"]),
-            L_B=float(vd["L_B"]),
-            W=float(vd["W"]),
-            v_max=float(vd["v_max"]),
-            omega_max=float(vd["omega_max"]),
-            phi_max=float(vd["phi_max"]),
-        )
+        vehicle = VehicleParams(**{f.name: float(vd[f.name]) for f in fields(VehicleParams)})
         obstacles = [
             OrientedBox(float(o["cx"]), float(o["cy"]), float(o["hx"]), float(o["hy"]),
                         float(o.get("heading", 0.0)))
@@ -241,14 +229,16 @@ def _sample_pose(
     size: float,
     vehicle: VehicleParams,
     acx, acy, ahx, ahy,
-    taken: list[OrientedBox],
-) -> State:
-    """Rejection-sample one start/goal pose.
+    taken: np.ndarray,
+) -> tuple[State, np.ndarray]:
+    """Rejection-sample one start/goal pose; return it with its footprint
+    grown by CLEARANCE / 2, which the caller appends to taken.
 
-    Besides keeping the footprint CLEARANCE away from the poses in taken,
-    both covering discs must stay END_MARGIN beyond their radius away from
-    walls and obstacles, so that the refinement stage's eroded workspace
-    still contains the endpoint discs.
+    taken holds the (k, 5) footprints of the poses placed so far, each grown
+    by CLEARANCE / 2, so that a clear pose keeps CLEARANCE from all of them.
+    Both covering discs must also stay END_MARGIN beyond their radius away
+    from walls and obstacles, so that the refinement stage's eroded
+    workspace still contains the endpoint discs.
     """
     r_safe = vehicle.disc_radius + END_MARGIN
     lo, hi = r_safe, size - r_safe
@@ -258,8 +248,7 @@ def _sample_pose(
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)
         th = normalize_angle(rng.uniform(-math.pi, math.pi))
-        z = State(x, y, th)
-        pose = np.array([[x, y, th, 0.0]])
+        pose = np.array([[x, y, th]])
         discs = disc_centers_arr(pose, vehicle)[0]
         if (discs < r_safe).any() or (discs > size - r_safe).any():
             continue
@@ -270,14 +259,11 @@ def _sample_pose(
             )
             if inside.any():
                 continue
-        fp = footprint(z, vehicle)
-        grown = OrientedBox(fp.cx, fp.cy, fp.hx + CLEARANCE / 2.0, fp.hy + CLEARANCE / 2.0, fp.heading)
-        if any(
-            sat_overlap(grown, OrientedBox(t.cx, t.cy, t.hx + CLEARANCE / 2.0, t.hy + CLEARANCE / 2.0, t.heading))
-            for t in taken
-        ):
+        rect = footprints(pose[0], vehicle)
+        rect[2:4] += CLEARANCE / 2.0
+        if rects_overlap(rect, taken).any():
             continue
-        return z
+        return State(x, y, th), rect
     raise InstanceError("pose placement failed; scenario density too high")
 
 
@@ -287,12 +273,12 @@ def _place_agents(rng, inst: MvtpInstance, n_agents: int) -> MvtpInstance:
     check the result."""
     size, vehicle = inst.map_width, inst.vehicle
     acx, acy, ahx, ahy = inst.obstacle_arrays()
-    taken: list[OrientedBox] = []
+    taken = np.empty((0, 5))
     for i in range(n_agents):
-        s = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken)
-        taken.append(footprint(s, vehicle))
-        g = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken)
-        taken.append(footprint(g, vehicle))
+        s, rect = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken)
+        taken = np.vstack([taken, rect])
+        g, rect = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken)
+        taken = np.vstack([taken, rect])
         inst.agents.append(AgentTask(i, s, g))
     _check_instance(inst)
     return inst
@@ -431,8 +417,9 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
         raise ValueError("empty plan")
     v = instance.vehicle
     rep = VerificationReport()
-    acx, acy, ahx, ahy = instance.obstacle_arrays()
+    obstacles = _obstacle_rects(instance)
     T = plan.horizon
+    rects = []
 
     for idx, task in enumerate(instance.agents):
         zs = plan.states[idx]
@@ -468,7 +455,8 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
         off = boxes_outside_map(zs, v, instance.map_width, instance.map_height)
         for t in np.nonzero(off)[0]:
             rep.violations.append(Violation("off_map", task.id, int(t), 0.0))
-        hit = boxes_hit_aabbs(zs, v, acx, acy, ahx, ahy)
+        rects.append(footprints(zs, v))
+        hit = rects_overlap(rects[-1][:, None], obstacles[None]).any(axis=1)
         for t in np.nonzero(hit)[0]:
             rep.violations.append(Violation("static", task.id, int(t), 0.0))
 
@@ -479,20 +467,17 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
         for i in range(plan.n_agents):
             for j in range(i + 1, plan.n_agents):
                 dmin = disc_center_distance(discs[i], discs[j])
-                for t in np.nonzero(dmin <= two_rv)[0]:
-                    hit = boxes_hit_boxes(
-                        plan.states[i][t : t + 1], plan.states[j][t : t + 1], v
-                    )[0, 0]
-                    if hit:
-                        rep.violations.append(
-                            Violation(
-                                "inter_agent",
-                                instance.agents[i].id,
-                                int(t),
-                                float(two_rv - dmin[t]),
-                                partner=instance.agents[j].id,
-                            )
+                near = np.nonzero(dmin <= two_rv)[0]
+                for t in near[rects_overlap(rects[i][near], rects[j][near])]:
+                    rep.violations.append(
+                        Violation(
+                            "inter_agent",
+                            instance.agents[i].id,
+                            int(t),
+                            float(two_rv - dmin[t]),
+                            partner=instance.agents[j].id,
                         )
+                    )
     return rep
 
 

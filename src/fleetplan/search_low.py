@@ -190,7 +190,6 @@ class LowLevelResult:
     status: str                      # ok | timeout | exhausted
     trajectory: CoarseTrajectory | None
     expansions: int
-    elapsed_s: float
 
     @property
     def ok(self) -> bool:
@@ -213,8 +212,8 @@ class LowLevelPlanner:
     per goal, the heuristic of each pose, the pose's shortest Reeds-Shepp
     curve to the goal, which the heuristic and the goal shot share, and the
     shot: its cut into timed pieces, the end pose of each piece (one (n, 3)
-    array, walked once, from which both the dynamic test's disc centres and
-    the returned trajectory are read), its static verdict and those disc
+    array, walked once the static test passes, from which both the dynamic
+    test's disc centres and the returned trajectory are read) and those disc
     centres.  None of it depends on time or on the dynamic obstacles.  The
     dynamic obstacles' disc centres are computed once per call.  Run on every
     expansion: the dynamic-obstacle test at the next time index, the reversal
@@ -338,7 +337,6 @@ class LowLevelPlanner:
 
     def plan(self, agent_id: int, dyn: DynamicObstacleSet | None = None,
              deadline: float = math.inf) -> LowLevelResult:
-        t0 = time.monotonic()
         if dyn is None:
             dyn = DynamicObstacleSet([])
         grid, par = self.grid, self.params
@@ -416,36 +414,36 @@ class LowLevelPlanner:
                     if timed and timed[-1][0] * p[0] < 0:
                         timed.append((0.0, 0.0, 0.0))
                     timed.append(p)
-                x, y, th = pose
-                steps = []
-                for d, steer, ln in timed:
-                    x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
-                    th = normalize_angle(th)
-                    steps.append((x, y, th))
-                # [timed pieces, their end poses (n, 3), static verdict, the
-                # end poses' disc centres], the last two filled in when first
-                # needed; None once the static test fails, for then the shot
-                # fails at every time
-                shots[pose] = [timed, np.array(steps).reshape(-1, 3), None, None]
+                # [timed pieces, their end poses (n, 3), the end poses' disc
+                # centres], the end poses walked once the static test passes
+                # and the centres filled in when first needed; None once the
+                # static test fails, for then the shot fails at every time
+                shots[pose] = [timed, None, None]
             shot = shots[pose]
             if shot is None:
                 return None
-            timed, steps, clear, step_cen = shot
+            timed, steps, step_cen = shot
             if timed and last_dir and timed[0][0] * last_dir < 0:
                 return None      # reversal needs a dwell; the wait successor covers it
             if it + len(timed) > grid.max_steps:
                 return None
-            if clear is None:
+            if steps is None:
                 pieces = [p for p in timed if p[0]]
                 cen = disc_centers_arr(_piece_poses(*pose, pieces, SAMPLE_DS, par.L), par)
                 if (discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height).any()
                         or discs_hit_aabbs(cen, par, *self._obs).any()):
                     shots[pose] = None
                     return None
-                shot[2] = True
+                x, y, th = pose
+                walk = []
+                for d, steer, ln in timed:
+                    x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
+                    th = normalize_angle(th)
+                    walk.append((x, y, th))
+                steps = shot[1] = np.array(walk).reshape(-1, 3)
             if dyn.count:
                 if step_cen is None:
-                    step_cen = shot[3] = disc_centers_arr(steps, par)
+                    step_cen = shot[2] = disc_centers_arr(steps, par)
                 # step m against the dynamic obstacles at time index it + 1 + m
                 at = np.minimum(np.arange(it + 1, it + 1 + len(timed)), horizon)
                 if (disc_center_distance(step_cen, dyn_cen[:, at]) < two_r).any():
@@ -483,7 +481,7 @@ class LowLevelPlanner:
         while open_heap:
             pops += 1
             if pops % 64 == 0 and time.monotonic() > deadline:
-                return LowLevelResult("timeout", None, expansions, time.monotonic() - t0)
+                return LowLevelResult("timeout", None, expansions)
             _, count, idx = heapq.heappop(open_heap)
             key = nkeys[idx]
             if ngs[idx] > best.get(key, math.inf):
@@ -500,8 +498,7 @@ class LowLevelPlanner:
             if shot_countdown <= 0:
                 shot = try_shot(pose, it, last_dir)
                 if shot is not None:
-                    return LowLevelResult("ok", build(idx, *shot), expansions,
-                                          time.monotonic() - t0)
+                    return LowLevelResult("ok", build(idx, *shot), expansions)
                 shot_countdown = int(math.hypot(goal.x - pose[0], goal.y - pose[1]) / grid.delta_s)
             else:
                 shot_countdown -= 1
@@ -535,7 +532,7 @@ class LowLevelPlanner:
                 if g2 < best.get(key2, math.inf) - 1e-12:
                     push((ex, ey, eth), g2, idx, a, key2)
 
-        return LowLevelResult("exhausted", None, expansions, time.monotonic() - t0)
+        return LowLevelResult("exhausted", None, expansions)
 
 
 def _piece_poses(x, y, th, pieces, ds, wheelbase):

@@ -47,6 +47,35 @@ def sampled_overlap(a, b, n=12) -> bool:
     return False
 
 
+def body_rect(x, y, theta, params) -> tuple:
+    """The vehicle body at a rear-axle pose as (cx, cy, hx, hy, heading): the
+    body runs from L_B behind the rear axle to L_F ahead of it."""
+    off = (params.L_F - params.L_B) / 2.0
+    return (x + off * math.cos(theta), y + off * math.sin(theta),
+            (params.L_F + params.L_B) / 2.0, params.W / 2.0, theta)
+
+
+def rect_corners(cx, cy, hx, hy, heading) -> np.ndarray:
+    """Corners of a rectangle in counter-clockwise order, shape (4, 2)."""
+    c, s = math.cos(heading), math.sin(heading)
+    return np.array([[cx + c * u - s * v, cy + s * u + c * v]
+                     for u, v in ((hx, hy), (-hx, hy), (-hx, -hy), (hx, -hy))])
+
+
+def corner_sat(a, b) -> bool:
+    """Closed-set overlap of two rectangles given as (cx, cy, hx, hy,
+    heading): two convex polygons are disjoint exactly when their corners'
+    projections separate on some edge normal of either one."""
+    ca, cb = rect_corners(*a), rect_corners(*b)
+    for corners in (ca, cb):
+        for k in range(2):   # opposite edges share a normal
+            ex, ey = corners[k + 1] - corners[k]
+            pa, pb = ca @ (-ey, ex), cb @ (-ey, ex)
+            if pa.max() < pb.min() or pb.max() < pa.min():
+                return False
+    return True
+
+
 def brute_pair_distance(zi, zj, params) -> float:
     """Enumerate all four disc-center pairs explicitly."""
     def centers(z):

@@ -12,25 +12,25 @@ from fleetplan.geometry import (
     State,
     VehicleParams,
     advance_arc,
-    boxes_hit_aabbs,
-    boxes_hit_boxes,
-    box_corners,
     disc_center_distance,
     disc_centers_arr,
     discs_hit_aabbs,
     discs_outside_map,
     euler_step,
-    footprint,
+    footprints,
     normalize_angle,
-    sat_overlap,
+    rects_overlap,
 )
 from fleetplan.reeds_shepp import RsSegment
 from oracles import (
+    body_rect,
     brute_discs_hit_aabbs,
     brute_discs_hit_discs,
     brute_discs_outside_map,
     brute_pair_distance,
+    corner_sat,
     point_in_box,
+    rect_corners,
     rollout_curve,
     sampled_overlap,
 )
@@ -124,61 +124,65 @@ def test_normalize_angle_range():
 
 def test_footprint_axis_aligned():
     p = VehicleParams(L_F=2, L_B=1, W=2)
-    fp = footprint(State(0, 0, 0), p)
-    assert (fp.cx, fp.cy) == (0.5, 0.0)
-    assert (fp.hx, fp.hy) == (1.5, 1.0)
-    assert fp.heading == 0.0
+    assert footprints([0.0, 0.0, 0.0], p).tolist() == [0.5, 0.0, 1.5, 1.0, 0.0]
 
 
 def test_footprint_mirrored():
     p = VehicleParams(L_F=2, L_B=1, W=2)
-    fp = footprint(State(0, 0, math.pi), p)
-    assert fp.cx == pytest.approx(-0.5, abs=1e-12)
-    assert fp.cy == pytest.approx(0.0, abs=1e-12)
-    assert fp.heading == math.pi
+    cx, cy, _, _, heading = footprints([0.0, 0.0, math.pi], p)
+    assert cx == pytest.approx(-0.5, abs=1e-12)
+    assert cy == pytest.approx(0.0, abs=1e-12)
+    assert heading == math.pi
 
 
 def test_footprint_rotated_45():
     p = VehicleParams(L_F=2, L_B=1, W=2)
-    fp = footprint(State(0, 0, math.pi / 4), p)
+    cx, cy = footprints([0.0, 0.0, math.pi / 4], p)[:2]
     c = 0.35355339059327373  # 0.5/sqrt(2), frozen from the rotation matrix
-    assert fp.cx == pytest.approx(c, abs=1e-12)
-    assert fp.cy == pytest.approx(c, abs=1e-12)
+    assert cx == pytest.approx(c, abs=1e-12)
+    assert cy == pytest.approx(c, abs=1e-12)
+
+
+def test_footprints_broadcast_and_match_body_rect():
+    p = VehicleParams()
+    rng = np.random.default_rng(2)
+    poses = rng.uniform([-5, -5, -math.pi, -0.5], [5, 5, math.pi, 0.5], size=(3, 4, 4))
+    got = footprints(poses, p)
+    assert got.shape == (3, 4, 5)
+    for idx in np.ndindex(3, 4):
+        assert got[idx] == pytest.approx(body_rect(*poses[idx][:3], p), abs=1e-12)
 
 
 def test_sat_identical_boxes():
-    b = OrientedBox(1.0, 2.0, 1.5, 1.0, 0.3)
-    assert sat_overlap(b, b)
+    b = np.array([1.0, 2.0, 1.5, 1.0, 0.3])
+    assert rects_overlap(b, b)
 
 
 def test_sat_far_apart():
-    assert not sat_overlap(OrientedBox(0, 0, 0.5, 0.5), OrientedBox(10, 0, 0.5, 0.5))
+    assert not rects_overlap(np.array([0, 0, 0.5, 0.5, 0.0]), np.array([10, 0, 0.5, 0.5, 0.0]))
 
 
 def test_sat_touching_counts():
-    a = OrientedBox(0, 0, 1.0, 1.0)
-    b = OrientedBox(2.0, 0, 1.0, 1.0)
-    assert sat_overlap(a, b)
-    assert sampled_overlap(a, b)  # corner/edge samples see closed-set contact
-    assert not sat_overlap(a, OrientedBox(2.0 + 1e-9, 0, 1.0, 1.0))
+    a = np.array([0, 0, 1.0, 1.0, 0.0])
+    b = np.array([2.0, 0, 1.0, 1.0, 0.0])
+    assert rects_overlap(a, b)
+    # corner/edge samples see closed-set contact
+    assert sampled_overlap(OrientedBox(*a), OrientedBox(*b))
+    assert not rects_overlap(a, b + [1e-9, 0, 0, 0, 0])
 
 
-def _random_box(rng) -> OrientedBox:
-    return OrientedBox(
-        rng.uniform(-3, 3), rng.uniform(-3, 3),
-        rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0),
-        rng.uniform(-math.pi, math.pi),
-    )
+def _random_box(rng) -> np.ndarray:
+    return rng.uniform([-3, -3, 0.2, 0.2, -math.pi], [3, 3, 2.0, 2.0, math.pi])
 
 
 def sat_vs_sampling(n_pairs: int, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(n_pairs):
         a, b = _random_box(rng), _random_box(rng)
-        assert sat_overlap(a, b) == sat_overlap(b, a)
-        if sampled_overlap(a, b):
+        assert rects_overlap(a, b) == rects_overlap(b, a) == corner_sat(a, b)
+        if sampled_overlap(OrientedBox(*a), OrientedBox(*b)):
             # oracle found genuine overlap: SAT must never miss it
-            assert sat_overlap(a, b)
+            assert rects_overlap(a, b)
 
 
 def test_sat_vs_sampling_oracle_small():
@@ -208,9 +212,8 @@ def disc_coverage(n_states: int, seed: int = 1) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(n_states):
         z = State(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
-        fp = footprint(z, p)
         centers = discs(z, p)[0]
-        corners = box_corners(fp)
+        corners = rect_corners(*footprints([z.x, z.y, z.theta], p))
         edges = []
         for k in range(4):
             a, b = corners[k], corners[(k + 1) % 4]
@@ -272,7 +275,7 @@ def test_positive_pair_distance_excludes_overlap(xi, yi, ti, xj, yj, tj):
     p = VehicleParams()
     zi, zj = State(xi, yi, ti), State(xj, yj, tj)
     if pair_distance(zi, zj, p) > 0:
-        assert not sat_overlap(footprint(zi, p), footprint(zj, p))
+        assert not rects_overlap(footprints([xi, yi, ti], p), footprints([xj, yj, tj], p))
 
 
 def test_default_disc_radius():
@@ -283,18 +286,16 @@ def test_vectorized_aabb_matches_scalar():
     p = VehicleParams()
     rng = np.random.default_rng(3)
     obs = [(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(0.3, 2), rng.uniform(0.3, 2)) for _ in range(30)]
-    acx, acy, ahx, ahy = (np.array(v) for v in zip(*obs))
     poses = np.column_stack(
         [rng.uniform(-4, 4, 200), rng.uniform(-4, 4, 200), rng.uniform(-math.pi, math.pi, 200), np.zeros(200)]
     )
-    fast = boxes_hit_aabbs(poses, p, acx, acy, ahx, ahy)
+    rects = np.array([(*o, 0.0) for o in obs])
+    fast = rects_overlap(footprints(poses, p)[:, None], rects[None])
+    assert fast.shape == (200, 30) and 0 < fast.sum() < fast.size
     for n in range(poses.shape[0]):
-        z = State(*poses[n, :3])
-        slow = any(
-            sat_overlap(footprint(z, p), OrientedBox(cx, cy, hx, hy))
-            for cx, cy, hx, hy in obs
-        )
-        assert fast[n] == slow
+        body = body_rect(*poses[n, :3], p)
+        for k in range(len(obs)):
+            assert fast[n, k] == corner_sat(body, rects[k])
 
 
 def test_vectorized_box_pairs_match_scalar():
@@ -306,11 +307,11 @@ def test_vectorized_box_pairs_match_scalar():
     pb = np.column_stack(
         [rng.uniform(-3, 3, 25), rng.uniform(-3, 3, 25), rng.uniform(-math.pi, math.pi, 25), np.zeros(25)]
     )
-    fast = boxes_hit_boxes(pa, pb, p)
+    fast = rects_overlap(footprints(pa, p)[:, None], footprints(pb, p)[None])
+    assert fast.shape == (40, 25) and 0 < fast.sum() < fast.size
     for n in range(pa.shape[0]):
         for k in range(pb.shape[0]):
-            za, zb = State(*pa[n, :3]), State(*pb[k, :3])
-            assert fast[n, k] == sat_overlap(footprint(za, p), footprint(zb, p))
+            assert fast[n, k] == corner_sat(body_rect(*pa[n, :3], p), body_rect(*pb[k, :3], p))
 
 
 # --- disc kernels on disc centres ------------------------------------------

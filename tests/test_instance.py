@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 
-from fleetplan.geometry import OrientedBox, State, VehicleParams, sat_overlap, footprint
+from fleetplan.geometry import OrientedBox, State, VehicleParams
 from fleetplan.instance import (
     AgentTask,
     InstanceError,
@@ -19,6 +21,7 @@ from fleetplan.instance import (
     validate_plan,
     write_plan,
 )
+from oracles import body_rect, corner_sat
 
 MINIMAL = """
 map: {width: 20, height: 20}
@@ -40,6 +43,39 @@ def test_parse_goal_in_obstacle_names_agent():
     bad = MINIMAL.replace("obstacles: []", "obstacles:\n- {cx: 15, cy: 15, hx: 1, hy: 1}")
     with pytest.raises(InstanceError, match="agent 0 goal"):
         parse_instance(bad)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(VehicleParams)])
+def test_parse_missing_vehicle_key(key):
+    doc = yaml.safe_load(MINIMAL)
+    del doc["vehicle"][key]
+    with pytest.raises(InstanceError, match="missing or malformed field"):
+        parse_instance(yaml.safe_dump(doc))
+
+
+def test_check_instance_first_of_two_faults():
+    text = """
+map: {width: 20, height: 20}
+vehicle: {L: 1.5, L_F: 2.0, L_B: 1.0, W: 2.0, v_max: 1.0, omega_max: 1.0, phi_max: 0.6}
+obstacles:
+- {cx: 15, cy: 15, hx: 1, hy: 1}
+agents:
+- {id: 0, start: [5, 5, 0], goal: [15, 15, 0]}
+- {id: 1, start: [0.5, 10, 0], goal: [5, 15, 0]}
+"""
+    # agent 0's goal hits the obstacle and agent 1's start leaves the map:
+    # the footprint checks raise in agent order
+    with pytest.raises(InstanceError, match="agent 0 goal collides with an obstacle"):
+        parse_instance(text)
+    # a non-finite pose anywhere is reported before any footprint fault
+    with pytest.raises(InstanceError, match="agent 1 start pose must be finite"):
+        parse_instance(text.replace("[0.5, 10, 0]", "[.nan, 10, 0]"))
+    # the pair test runs after every single-endpoint test
+    with pytest.raises(InstanceError, match="agent 1 start footprint leaves the map"):
+        parse_instance(text.replace("goal: [15, 15, 0]", "goal: [5, 15, 0]"))
+    with pytest.raises(InstanceError, match="agent 0 goal overlaps agent 1 goal"):
+        parse_instance(text.replace("goal: [15, 15, 0]", "goal: [5, 15, 0]")
+                       .replace("[0.5, 10, 0]", "[5, 10, 0]"))
 
 
 def test_parse_rejects_empty_agents():
@@ -130,7 +166,8 @@ def test_generator_validity_many_seeds():
             for j in range(i + 1, inst.n_agents):
                 si, sj = inst.agents[i].start, inst.agents[j].start
                 assert math.hypot(si.x - sj.x, si.y - sj.y) > 0
-                assert not sat_overlap(footprint(si, inst.vehicle), footprint(sj, inst.vehicle))
+                assert not corner_sat(body_rect(si.x, si.y, si.theta, inst.vehicle),
+                                      body_rect(sj.x, sj.y, sj.theta, inst.vehicle))
 
 
 def test_room_generator_valid():
@@ -181,10 +218,8 @@ agents:
     assert len(inter) == 1
     assert inter[0].t == 3
     assert inter[0].agent == 0 and inter[0].partner == 1
-    assert sat_overlap(
-        footprint(State(*plan.states[0][3][:3]), inst.vehicle),
-        footprint(State(*plan.states[1][3][:3]), inst.vehicle),
-    )
+    assert corner_sat(body_rect(*plan.states[0][3][:3], inst.vehicle),
+                      body_rect(*plan.states[1][3][:3], inst.vehicle))
 
 
 def test_validate_kinematic_jump():
@@ -220,6 +255,33 @@ def test_validate_static_and_offmap():
     rep = validate_plan(inst, plan)
     assert rep.count("static") == 1
     assert rep.count("off_map") >= 1
+
+
+def test_validate_footprint_hits_match_per_sample_oracle():
+    inst = generate_random_instance(6, 25.0, 6, 4)   # the plan hits 5 of the 6 obstacles
+    rng = np.random.default_rng(6)
+    T = 30
+    states = []
+    for a in inst.agents:
+        z = np.empty((T, 4))
+        z[0] = [a.start.x, a.start.y, a.start.theta, 0.0]
+        z[1:] = z[0] + np.cumsum(rng.normal(0, 0.6, (T - 1, 4)) * [1, 1, 0.5, 0.1], axis=0)
+        # drift every agent to the map centre, so that they meet and cross obstacles
+        z[:, :2] += np.linspace(0, 1, T)[:, None] * (inst.map_width / 2 - z[0, :2])
+        states.append(z)
+    controls = [np.zeros((T - 1, 2)) for _ in states]
+    rep = validate_plan(inst, Plan(states, controls, 0.5, (T - 1) * 0.5))
+
+    bodies = [[body_rect(*z[:3], inst.vehicle) for z in zs] for zs in states]
+    ids = [a.id for a in inst.agents]
+    static = {(ids[i], t) for i, bs in enumerate(bodies) for t, b in enumerate(bs)
+              if any(corner_sat(b, (o.cx, o.cy, o.hx, o.hy, 0.0)) for o in inst.obstacles)}
+    inter = {(ids[i], ids[j], t) for i in range(len(bodies)) for j in range(i + 1, len(bodies))
+             for t in range(T) if corner_sat(bodies[i][t], bodies[j][t])}
+    assert static and inter
+    assert [(v.agent, v.t) for v in rep.violations if v.kind == "static"] == sorted(static)
+    assert [(v.agent, v.partner, v.t) for v in rep.violations
+            if v.kind == "inter_agent"] == sorted(inter)
 
 
 def test_validate_boundary_mismatch():

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from fleetplan.geometry import OrientedBox, State, VehicleParams, boxes_hit_aabbs
+from fleetplan.geometry import OrientedBox, State, VehicleParams
 from fleetplan.instance import (
     AgentTask,
     MvtpInstance,
@@ -15,7 +15,7 @@ from fleetplan.instance import (
 )
 from fleetplan import reeds_shepp as rs
 from fleetplan import search_low as sl
-from oracles import brute_flood
+from oracles import body_rect, brute_flood, corner_sat
 
 
 def plan_agent(inst, agent_id, dyn, grid, deadline=math.inf):
@@ -234,8 +234,8 @@ def test_static_detour():
     res = planner.plan(0)
     assert res.ok
     traj = res.trajectory
-    acx, acy, ahx, ahy = inst.obstacle_arrays()
-    assert not boxes_hit_aabbs(traj.states[:, :3], inst.vehicle, acx, acy, ahx, ahy).any()
+    assert not any(corner_sat(body_rect(*z[:3], inst.vehicle), (o.cx, o.cy, o.hx, o.hy, 0.0))
+                   for z in traj.states for o in inst.obstacles)
     # heuristic is a lower bound on the achieved makespan and zero at the goal
     goal = inst.agents[0].goal
     fill = planner._flood(0)

@@ -6,8 +6,9 @@ bit-identical.  Dump one record per checkout, then compare them:
     python3 tools/plan_fingerprint.py dump <checkout> <out.pkl>
     python3 tools/plan_fingerprint.py compare <a.pkl> <b.pkl>
 
-Per instance of pbs50, rooms40 and refine30 a record holds the search
-status, PBS nodes expanded, low-level calls, each `LowLevelPlanner.plan`
+Per instance of pbs50, rooms40 and refine30 a record holds the instance's
+`serialize_instance` text (so `compare` covers the generators too), the
+search status, PBS nodes expanded, low-level calls, each `LowLevelPlanner.plan`
 call's (agent, status, expansions) in call order, and every coarse
 trajectory's states and segments; on refine30 also the `sqp_refine` status,
 iterations, residuals, rejections and failure, and each QP's status, ADMM
@@ -29,7 +30,7 @@ import numpy as np
 def dump(checkout: Path, out: Path) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads
-    from fleetplan import refine, search_low
+    from fleetplan import instance, refine, search_low
 
     low_calls = []
     plan = search_low.LowLevelPlanner.plan
@@ -48,6 +49,7 @@ def dump(checkout: Path, out: Path) -> None:
             res = search.solve(time_budget=workloads.SEARCH_BUDGET_S)
             trajs = res.trajectories
             rec = {
+                "instance": instance.serialize_instance(inst),
                 "status": res.status,
                 "nodes": res.telemetry.nodes_expanded,
                 "low_calls": res.telemetry.low_level_calls,
