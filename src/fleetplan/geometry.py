@@ -1,7 +1,7 @@
 """Vehicle geometry: the shared motion kernels, footprints and collision tests.
 
 The search, the refinement, the verifier and the instance generator share
-one version of each of five kernels:
+one version of each of six kernels:
 
 - `advance_arc`: exact advance along a constant-curvature arc by a signed
   length.  The search's motion primitives and goal shots, the Reeds-Shepp
@@ -14,8 +14,15 @@ one version of each of five kernels:
   dynamic-obstacle test, PBS's conflict test, refinement's neighbour filter
   and the verifier's broadphase.
 - `box_gaps`: the per-axis gaps between points and axis-aligned obstacle
-  boxes.  The search's disc test and flood-fill obstacle cells and
-  refinement's corridors and seed relocation all use it.
+  boxes.  `discs_blocked`, the search's flood-fill obstacle cells and
+  refinement's seed relocation use it.
+- `discs_blocked`: whether discs leave the map or come closer than their
+  radius to an obstacle.  It is the search's static test of primitive sweeps
+  and goal shots, and refinement's test of corridor seeds and of their
+  relocated candidates, so both stages agree on free space.  Two tests stay
+  apart on purpose: the generator's square-dilated placement test, whose
+  change would move every generated instance, and the flood fill's
+  blocked-cell test, a closed centre-in-box test at radius 0.
 - `rects_overlap`: the closed-set separating-axis test of rectangles laid
   out by `footprints`, whose leading shapes broadcast.  It is the verifier's
   obstacle and vehicle-pair test and the instance checks' and the
@@ -192,15 +199,13 @@ def rects_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hit
 
 
-def boxes_outside_map(
-    poses: np.ndarray, params: VehicleParams, width: float, height: float
-) -> np.ndarray:
-    """True where any footprint corner leaves [0, width] x [0, height].
+def boxes_outside_map(fp: np.ndarray, width: float, height: float) -> np.ndarray:
+    """True where any corner of the rectangles (..., 5) laid out by
+    `footprints` leaves [0, width] x [0, height].
     The map is a closed set: corners exactly on the boundary are inside.  A
     hair of slack absorbs the ~1e-16 rounding of the corner rotation so that
     edge-touching poses (e.g. heading pi) do not flip outside."""
     eps = 1e-9
-    fp = footprints(poses, params)
     ac, asn = np.abs(np.cos(fp[..., 4])), np.abs(np.sin(fp[..., 4]))
     ex = fp[..., 2] * ac + fp[..., 3] * asn
     ey = fp[..., 2] * asn + fp[..., 3] * ac
@@ -248,37 +253,19 @@ def box_gaps(px, py, acx, acy, ahx, ahy) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-def discs_hit_aabbs(
-    centers: np.ndarray,
-    params: VehicleParams,
-    acx: np.ndarray,
-    acy: np.ndarray,
-    ahx: np.ndarray,
-    ahy: np.ndarray,
-) -> np.ndarray:
-    """For disc centres (..., 2, 2), does either covering disc overlap any
-    axis-aligned box?
+def discs_blocked(centers, r, width, height, acx, acy, ahx, ahy) -> np.ndarray:
+    """Clearance kernel: True where a disc of radius r centred at centers
+    (..., 2) reaches past [0, width] x [0, height] by more than 1e-9, or comes
+    closer than r to one of the axis-aligned boxes (acx, acy, ahx, ahy);
+    returns (...).
 
-    Conservative compared to the exact footprint test: the discs cover the
-    rectangle, so a disc-clear pose is always footprint-clear.  Returns a
-    boolean mask of the leading shape (...).
+    A disc that touches a box is clear.  The covering discs of a pose cover
+    its body, so a pose whose discs are clear is footprint-clear too.
     """
-    if acx.size == 0 or centers.size == 0:
-        return np.zeros(centers.shape[:-2], dtype=bool)
-    cen = centers.reshape(-1, 2)   # (2N, 2)
-    dx, dy = box_gaps(cen[:, 0], cen[:, 1], acx, acy, ahx, ahy)
-    hit = (dx * dx + dy * dy) < params.disc_radius ** 2
-    return hit.any(axis=1).reshape(centers.shape[:-1]).any(axis=-1)
-
-
-def discs_outside_map(
-    centers: np.ndarray, params: VehicleParams, width: float, height: float
-) -> np.ndarray:
-    """For disc centres (..., 2, 2): True where either covering disc sticks
-    out of [0,width] x [0,height]."""
     eps = 1e-9
-    r = params.disc_radius
     x, y = centers[..., 0], centers[..., 1]
     out = (x < r - eps) | (x > width - r + eps) | (y < r - eps) | (y > height - r + eps)
-    return out.any(axis=-1)
-
+    if acx.size:
+        dx, dy = box_gaps(x, y, acx, acy, ahx, ahy)
+        out |= ((dx * dx + dy * dy) < r ** 2).any(axis=-1)
+    return out

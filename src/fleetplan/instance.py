@@ -122,7 +122,7 @@ def _check_instance(inst: MvtpInstance) -> None:
                 f"agent {aid} {name} pose must be finite, got ({z.x}, {z.y}, {z.theta})")
     poses = np.array([(z.x, z.y, z.theta) for _, _, z in ends])
     rects = footprints(poses, inst.vehicle)
-    off = boxes_outside_map(poses, inst.vehicle, inst.map_width, inst.map_height)
+    off = boxes_outside_map(rects, inst.map_width, inst.map_height)
     hit = rects_overlap(rects[:, None], _obstacle_rects(inst)[None]).any(axis=1)
     for (aid, name, _), o, h in zip(ends, off, hit):
         if o:
@@ -452,10 +452,10 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
         for t in np.nonzero(over_phi > LIMIT_EPS)[0]:
             rep.violations.append(Violation("control_limit", task.id, int(t), float(over_phi[t])))
         # map containment and static obstacles
-        off = boxes_outside_map(zs, v, instance.map_width, instance.map_height)
+        rects.append(footprints(zs, v))
+        off = boxes_outside_map(rects[-1], instance.map_width, instance.map_height)
         for t in np.nonzero(off)[0]:
             rep.violations.append(Violation("off_map", task.id, int(t), 0.0))
-        rects.append(footprints(zs, v))
         hit = rects_overlap(rects[-1][:, None], obstacles[None]).any(axis=1)
         for t in np.nonzero(hit)[0]:
             rep.violations.append(Violation("static", task.id, int(t), 0.0))

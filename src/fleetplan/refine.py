@@ -25,6 +25,7 @@ from .geometry import (
     box_gaps,
     disc_center_distance,
     disc_centers_arr,
+    discs_blocked,
     euler_step,
 )
 from .instance import MvtpInstance, Plan, validate_plan
@@ -37,6 +38,8 @@ R_TRUST = 0.6                 # trust-region half-width per disc coordinate [m]
 ALPHA_V = 1.0                 # cost weight of speed changes
 ALPHA_OMEGA = 1.0             # cost weight of steering rates
 CORRIDOR_MAX_EXTENT = 10.0    # furthest a corridor edge grows from its seed [m]
+MAX_SQP_ITERS = 10            # cap on SQP rounds
+CONVERGENCE_TOL = 1e-3        # stop once a round moves the iterate < this * sqrt(#variables)
 
 
 def _clip(x, lo, hi):
@@ -45,24 +48,6 @@ def _clip(x, lo, hi):
 
 class RelocationError(RuntimeError):
     """No safe position found for a corridor seed point."""
-
-
-@dataclass
-class RefineConfig:
-    """The SQP loop's stopping rule: at most max_sqp_iters rounds, and an
-    early stop once a round moves the iterate by less than convergence_eps
-    (None: 1e-3 * sqrt(number of decision variables)).  The resampling,
-    trust region, cost weights and corridor reach are the module constants
-    N_INTERP, R_TRUST, ALPHA_V, ALPHA_OMEGA and CORRIDOR_MAX_EXTENT."""
-
-    max_sqp_iters: int = 10
-    convergence_eps: float | None = None
-
-    def __post_init__(self):
-        if self.max_sqp_iters < 1:
-            raise ValueError("max_sqp_iters must be >= 1")
-        if self.convergence_eps is not None and self.convergence_eps <= 0:
-            raise ValueError("convergence_eps must be positive")
 
 
 def interpolate(trajs_by_id, order, params: VehicleParams):
@@ -254,49 +239,36 @@ def build_separation(pairs, states, params: VehicleParams) -> list:
 # corridors
 
 
-def _safe(px, py, map_wh, obs, r):
-    """Which points (any shape) lie inside the map eroded by r and at least
-    r from every obstacle."""
-    w, h = map_wh
-    ok = (px >= r) & (px <= w - r) & (py >= r) & (py <= h - r)
-    if obs[0].size:
-        ok &= np.hypot(*box_gaps(px, py, *obs)).min(axis=-1) >= r
-    return ok
-
-
 def relocate_unsafe_point(p, map_wh, obstacles, r):
     """Move a corridor seed into free eroded space.
 
-    Off-map points are projected onto the eroded boundary.  A point inside a
-    dilated obstacle is pushed radially out of that obstacle's circumscribed
-    circle; if other obstacles still cover it, the point is rotated around the
-    obstacle center in fixed angular increments at escalating radii, up to
-    CORRIDOR_MAX_EXTENT beyond the circle.
+    Off-map points are projected onto the eroded boundary.  A point still
+    blocked is pushed radially out of the nearest obstacle's circumscribed
+    circle; if other obstacles still block it, the point is rotated around the
+    obstacle center in +-1, +-2, ... fixed angular increments at escalating
+    radii, up to CORRIDOR_MAX_EXTENT beyond the circle; the first clear one wins.
     """
     w, h = map_wh
     acx, acy, ahx, ahy = obstacles
-    px = min(max(float(p[0]), r), w - r)
-    py = min(max(float(p[1]), r), h - r)
-    clearance = np.hypot(*box_gaps(px, py, *obstacles))
-    if acx.size == 0 or clearance.min() >= r:
-        return np.array([px, py])
-    k = int(np.argmin(clearance))
-    circ = math.hypot(ahx[k], ahy[k]) + r
-    base = math.atan2(py - acy[k], px - acx[k])
-    if math.hypot(px - acx[k], py - acy[k]) < 1e-9:
-        base = 0.0
-    offs = np.array([0.0])
-    steps = np.arange(1, 12)
-    offs = np.concatenate([offs, np.stack([steps, -steps], 1).ravel() * (math.pi / 12.0)])
-    radius = circ + 1e-6
-    while radius <= circ + CORRIDOR_MAX_EXTENT:
-        ang = base + offs
-        cx = acx[k] + radius * np.cos(ang)
-        cy = acy[k] + radius * np.sin(ang)
-        for qx, qy in zip(cx, cy):
-            if _safe(qx, qy, map_wh, obstacles, r):
-                return np.array([qx, qy])
-        radius += 0.25 * r
+    q = np.array([min(max(float(p[0]), r), w - r), min(max(float(p[1]), r), h - r)])
+    if not discs_blocked(q, r, w, h, *obstacles):
+        return q
+    if acx.size:
+        k = int(np.argmin(np.hypot(*box_gaps(q[0], q[1], *obstacles))))
+        circ = math.hypot(ahx[k], ahy[k]) + r
+        base = math.atan2(q[1] - acy[k], q[0] - acx[k])
+        if math.hypot(q[0] - acx[k], q[1] - acy[k]) < 1e-9:
+            base = 0.0
+        steps = np.arange(1, 12)
+        offs = np.concatenate([[0.0], np.stack([steps, -steps], 1).ravel() * (math.pi / 12.0)])
+        radius = circ + 1e-6
+        while radius <= circ + CORRIDOR_MAX_EXTENT:
+            ang = base + offs
+            cand = np.stack([acx[k] + radius * np.cos(ang), acy[k] + radius * np.sin(ang)], 1)
+            free = np.flatnonzero(~discs_blocked(cand, r, w, h, *obstacles))
+            if free.size:
+                return cand[free[0]]
+            radius += 0.25 * r
     raise RelocationError(f"no safe relocation near ({p[0]:.2f}, {p[1]:.2f})")
 
 
@@ -343,7 +315,7 @@ def build_corridor(states, instance: MvtpInstance) -> CorridorBoxes:
     w, h = wh
     ext = CORRIDOR_MAX_EXTENT
     seeds = disc_centers_arr(np.asarray(states), params).reshape(-1, 2)   # (2T, 2)
-    for s in np.nonzero(~_safe(seeds[:, 0], seeds[:, 1], wh, obs, r))[0]:
+    for s in np.nonzero(discs_blocked(seeds, r, w, h, *obs))[0]:
         seeds[s] = relocate_unsafe_point(seeds[s], wh, obs, r)
     px, py = seeds[:, 0], seeds[:, 1]
     y1 = _grow(px, px, py, np.minimum(h - r, py + ext), acx, acy, ahx, ahy, r)
@@ -405,7 +377,7 @@ def linearize_dynamics(states, controls, params: VehicleParams, dt) -> LinearDyn
 # per-agent QP
 
 
-def assemble_qp(start, goal, states, controls, lin: LinearDynamics,
+def assemble_qp(start, goal, states, lin: LinearDynamics,
                 corridor: CorridorBoxes, planes_by_t, Y0, params: VehicleParams,
                 vbar0: float):
     """Quadratic subproblem for one agent at the current iterate.
@@ -577,17 +549,15 @@ class RefineResult:
         return self.status == "ok"
 
 
-def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = None,
-               deadline=math.inf) -> RefineResult:
+def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> RefineResult:
     """Iterate per-agent QPs until the rolled-out plan verifies.
 
     Separating planes and trust regions are anchored at the `_track_guess`
     Euler re-drive of the interpolated guess, padded with rest steps at the
     goal; corridors and linearizations are rebuilt from the current iterate
-    each round.  Stops on verifier acceptance, iterate convergence,
-    or the iteration cap; only a verifier-clean plan counts as success.
+    each round.  Stops on verifier acceptance, iterate convergence
+    (CONVERGENCE_TOL) or MAX_SQP_ITERS; only a verifier-clean plan counts.
     """
-    cfg = cfg or RefineConfig()
     params = instance.vehicle
     tele = RefineTelemetry()
     order = [a.id for a in instance.agents]
@@ -620,10 +590,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
     planes = build_separation(find_neighbor_pairs(base_s, params), base_s, params)
     Y0 = disc_centers_arr(base_s, params).reshape(M, T, 4)
 
-    nvars = M * (6 * T - 2)
-    eps = cfg.convergence_eps
-    if eps is None:
-        eps = 1e-3 * math.sqrt(nvars)
+    eps = CONVERGENCE_TOL * math.sqrt(M * (6 * T - 2))
 
     cur_s = base_s
     cur_u = base_u
@@ -637,7 +604,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
         tele.failure = {"reason": reason, "agent": agent, "iteration": k}
         return RefineResult(status, None, tele)
 
-    for k in range(cfg.max_sqp_iters):
+    for k in range(MAX_SQP_ITERS):
         if time.monotonic() > deadline:
             return fail("timeout", None, k, "deadline exceeded")
         new_s = np.empty_like(cur_s)
@@ -654,8 +621,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, cfg: RefineConfig | None = N
                 return fail("relocation_failed", aid, k, str(exc))
             lin = linearize_dynamics(cur_s[m], cur_u[m], params, dt)
             qp = assemble_qp(task.start.as_array(), task.goal.as_array(),
-                             cur_s[m], cur_u[m], lin, corridor,
-                             planes[m], Y0[m], params,
+                             cur_s[m], lin, corridor, planes[m], Y0[m], params,
                              vbar0=float(cur_u[m, 0, 0]))
             if qp is None:
                 sol = None

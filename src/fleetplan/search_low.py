@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +27,7 @@ from .geometry import (
     box_gaps,
     disc_center_distance,
     disc_centers_arr,
-    discs_hit_aabbs,
-    discs_outside_map,
+    discs_blocked,
     normalize_angle,
 )
 
@@ -51,22 +50,16 @@ RS_RADIUS = 12.0           # goal distance within which Reeds-Shepp curves price
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search resolution: the motion-primitive arc length delta_s [m], the
-    time-index cap max_steps, and the map size, which for_instance fills in.
-    The cell side is derived, delta_s / sqrt(2), so that one motion step
-    always changes cell or yaw bin."""
+    """Search resolution: the motion-primitive arc length delta_s [m] and the
+    time-index cap max_steps.  The cell side is derived, delta_s / sqrt(2),
+    so that one motion step always changes cell or yaw bin."""
 
     delta_s: float = 2.0
     max_steps: int = 256
-    width: float = math.inf
-    height: float = math.inf
     cell: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cell", self.delta_s / _SQRT2)
-
-    def for_instance(self, inst) -> "GridSpec":
-        return dc_replace(self, width=inst.map_width, height=inst.map_height)
 
 
 class DiscreteState(NamedTuple):
@@ -78,10 +71,10 @@ class DiscreteState(NamedTuple):
 
 def discretize(pose, grid: GridSpec, it: int = 0) -> DiscreteState:
     """Cell and yaw bin of a pose (x, y, theta); exact boundary ties go to
-    the lower index."""
+    the lower index.  The pose must lie on the map: the search discretizes
+    only the start and goal, which the instance check keeps there, and end
+    poses whose covering discs, around the rear axle, passed the static test."""
     x, y, th = pose
-    if not (0.0 <= x <= grid.width and 0.0 <= y <= grid.height):
-        raise ValueError("state outside map")
     cell = grid.cell
     sx, sy = x / cell, y / cell
     ix, iy = math.floor(sx), math.floor(sy)
@@ -235,8 +228,6 @@ class LowLevelPlanner:
     """
 
     def __init__(self, instance, grid: GridSpec):
-        if not math.isfinite(grid.width):
-            grid = grid.for_instance(instance)
         self.inst = instance
         self.grid = grid
         self.params = instance.vehicle
@@ -316,6 +307,12 @@ class LowLevelPlanner:
             hr = de
         return max(hg, hr) / self.params.v_max
 
+    def _blocked(self, cen):
+        """Whether each covering disc of centres (..., 2) leaves the map or
+        comes closer than its radius to an obstacle."""
+        return discs_blocked(cen, self.params.disc_radius, self.inst.map_width,
+                             self.inst.map_height, *self._obs)
+
     def _sweep(self, x, y, th):
         """The pose-only half of an expansion from (x, y, th): one row per
         primitive whose whole sweep stays on the map and clear of the static
@@ -328,8 +325,7 @@ class LowLevelPlanner:
         wy = y + st[:, 0] * sth + st[:, 1] * cth
         poses = np.stack([wx, wy, th + st[:, 2]], axis=1)
         cen = disc_centers_arr(poses, par)
-        bad = discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height)
-        bad |= discs_hit_aabbs(cen, par, *self._obs)
+        bad = self._blocked(cen).any(axis=-1)
         rows = np.concatenate([self._row_prim, poses, cen.reshape(-1, 4)], axis=1)
         return rows[self._end_rows[~np.logical_or.reduceat(bad, self._starts)]]
 
@@ -430,8 +426,7 @@ class LowLevelPlanner:
             if steps is None:
                 pieces = [p for p in timed if p[0]]
                 cen = disc_centers_arr(_piece_poses(*pose, pieces, SAMPLE_DS, par.L), par)
-                if (discs_outside_map(cen, par, self.inst.map_width, self.inst.map_height).any()
-                        or discs_hit_aabbs(cen, par, *self._obs).any()):
+                if self._blocked(cen).any():
                     shots[pose] = None
                     return None
                 x, y, th = pose

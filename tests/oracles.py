@@ -214,31 +214,27 @@ def brute_neighbor_pairs(states, params, threshold):
     return out
 
 
-def brute_discs_hit_aabbs(centers, radius, boxes) -> np.ndarray:
-    """Per pose: does either disc centre come closer than radius to a box?
+def brute_discs_near_boxes(centers, radius, boxes) -> np.ndarray:
+    """Per disc centre (N, 2): does it come closer than radius to a box?
 
-    centers is (N, 2, 2) and boxes a list of (cx, cy, hx, hy); the distance
-    is to the box point nearest the centre, found by clamping.
+    boxes is a list of (cx, cy, hx, hy); the distance is to the box point
+    nearest the centre, found by clamping.
     """
     out = np.zeros(len(centers), dtype=bool)
-    for n, pose_centers in enumerate(centers):
-        for px, py in pose_centers:
-            for cx, cy, hx, hy in boxes:
-                qx = min(max(px, cx - hx), cx + hx)
-                qy = min(max(py, cy - hy), cy + hy)
-                if (px - qx) ** 2 + (py - qy) ** 2 < radius * radius:
-                    out[n] = True
-    return out
-
-
-def brute_discs_outside_map(centers, radius, width, height, eps=1e-9) -> np.ndarray:
-    """Per pose: does either disc reach past a map edge by more than eps?"""
-    out = np.zeros(len(centers), dtype=bool)
-    for n, pose_centers in enumerate(centers):
-        for px, py in pose_centers:
-            if min(px, py, width - px, height - py) < radius - eps:
+    for n, (px, py) in enumerate(centers):
+        for cx, cy, hx, hy in boxes:
+            qx = min(max(px, cx - hx), cx + hx)
+            qy = min(max(py, cy - hy), cy + hy)
+            if (px - qx) ** 2 + (py - qy) ** 2 < radius * radius:
                 out[n] = True
     return out
+
+
+def brute_discs_off_map(centers, radius, width, height, eps=1e-9) -> np.ndarray:
+    """Per disc centre (N, 2): does the disc reach past a map edge by more
+    than eps?"""
+    return np.array([min(px, py, width - px, height - py) < radius - eps
+                     for px, py in centers], dtype=bool)
 
 
 def brute_discs_hit_discs(centers_a, centers_b, radius) -> np.ndarray:
@@ -323,11 +319,63 @@ def _seed_grow(u0, u1, v_start, v_limit, ocu, ocv, hu, hv, r):
     return max(v_start, min(v_limit, float(vlo[binding].min())))
 
 
+def disc_blocked(px, py, map_wh, obstacles, r) -> bool:
+    """The clearance rule for one disc, one box at a time: does the disc of
+    radius r at (px, py) reach past the map by more than 1e-9, or come closer
+    than r to a box?  A disc that touches a box is clear."""
+    w, h = map_wh
+    if px < r - 1e-9 or px > w - r + 1e-9 or py < r - 1e-9 or py > h - r + 1e-9:
+        return True
+    for cx, cy, hx, hy in zip(*obstacles):
+        gx = max(abs(px - cx) - hx, 0.0)
+        gy = max(abs(py - cy) - hy, 0.0)
+        if gx * gx + gy * gy < r ** 2:
+            return True
+    return False
+
+
+def loop_relocate(p, map_wh, obstacles, r, extent):
+    """Reference seed relocation, one candidate at a time; None where no
+    candidate is clear.  p is projected onto the map eroded by r.  If its disc
+    is still blocked, the candidates lie on circles around the nearest
+    obstacle, from its circumscribed circle plus 1e-6 outward in steps of
+    r / 4 up to extent beyond it; on each circle at the angle from the
+    obstacle centre to the point, then at +-1, +-2, ..., +-11 steps of pi / 12
+    (+ before -).  The first clear candidate wins."""
+    w, h = map_wh
+    acx, acy, ahx, ahy = obstacles
+    px = min(max(float(p[0]), r), w - r)
+    py = min(max(float(p[1]), r), h - r)
+    if not disc_blocked(px, py, map_wh, obstacles, r):
+        return np.array([px, py])
+    if acx.size == 0:
+        return None
+    gaps = [np.hypot(max(abs(px - cx) - hx, 0.0), max(abs(py - cy) - hy, 0.0))
+            for cx, cy, hx, hy in zip(*obstacles)]
+    k = gaps.index(min(gaps))
+    circ = math.hypot(ahx[k], ahy[k]) + r
+    base = math.atan2(py - acy[k], px - acx[k])
+    if math.hypot(px - acx[k], py - acy[k]) < 1e-9:
+        base = 0.0
+    turns = [0] + [j * s for j in range(1, 12) for s in (1, -1)]
+    radius = circ + 1e-6
+    while radius <= circ + extent:
+        for j in turns:
+            ang = base + j * (math.pi / 12.0)
+            qx = acx[k] + radius * np.cos(ang)
+            qy = acy[k] + radius * np.sin(ang)
+            if not disc_blocked(qx, qy, map_wh, obstacles, r):
+                return np.array([qx, qy])
+        radius += 0.25 * r
+    return None
+
+
 def loop_corridor(seeds, map_wh, obstacles, r, extent, relocate):
     """Reference corridor boxes (lo, hi), each (T, 4): the seeds (T, 2, 2)
     are tested and grown one at a time, up, right, down, left, in the
     floating-point operations of the batched growth, so both agree bit for
-    bit.  An unsafe seed goes through relocate(p, map_wh, obstacles, r)."""
+    bit.  A seed whose disc is blocked (`disc_blocked`) goes through
+    relocate(p, map_wh, obstacles, r)."""
     w, h = map_wh
     acx, acy, ahx, ahy = obstacles
     T = seeds.shape[0]
@@ -336,12 +384,7 @@ def loop_corridor(seeds, map_wh, obstacles, r, extent, relocate):
     for t in range(T):
         for d in (0, 1):
             p = seeds[t, d]
-            safe = r <= p[0] <= w - r and r <= p[1] <= h - r
-            if safe and acx.size:
-                gx = np.maximum(np.abs(p[0] - acx) - ahx, 0.0)
-                gy = np.maximum(np.abs(p[1] - acy) - ahy, 0.0)
-                safe = np.hypot(gx, gy).min() >= r
-            if not safe:
+            if disc_blocked(p[0], p[1], map_wh, obstacles, r):
                 p = relocate(p, map_wh, obstacles, r)
             x0 = x1 = float(p[0])
             y0 = y1 = float(p[1])

@@ -14,8 +14,7 @@ from fleetplan.geometry import (
     advance_arc,
     disc_center_distance,
     disc_centers_arr,
-    discs_hit_aabbs,
-    discs_outside_map,
+    discs_blocked,
     euler_step,
     footprints,
     normalize_angle,
@@ -24,9 +23,9 @@ from fleetplan.geometry import (
 from fleetplan.reeds_shepp import RsSegment
 from oracles import (
     body_rect,
-    brute_discs_hit_aabbs,
     brute_discs_hit_discs,
-    brute_discs_outside_map,
+    brute_discs_near_boxes,
+    brute_discs_off_map,
     brute_pair_distance,
     corner_sat,
     point_in_box,
@@ -322,13 +321,16 @@ def random_centers(rng, n, lo, hi):
     return rng.uniform(lo, hi, size=(n, 2, 2))
 
 
-def test_discs_hit_aabbs_matches_clamped_distance():
+def test_discs_blocked_matches_clamped_and_edge_distance():
+    """One flag per disc: off the map by more than 1e-9, or closer than r_v
+    to a box.  Centres around a box set on a 62 m map, and around the edges
+    of a 30 x 20 m map; each with the boxes and with none."""
     p = VehicleParams()
     r = p.disc_radius
     rng = np.random.default_rng(21)
     boxes = [(rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(0.2, 2), rng.uniform(0.2, 2))
              for _ in range(12)] + [(40.0, 40.0, 1.0, 2.0)]
-    acx, acy, ahx, ahy = (np.array(v) for v in zip(*boxes))
+    obs = tuple(np.array(v) for v in zip(*boxes))
     far = [60.0, 60.0]
     touching = np.array([
         [[41.0 + r, 40.0], far],          # right face, exactly r_v away
@@ -336,32 +338,33 @@ def test_discs_hit_aabbs_matches_clamped_distance():
         [[41.0 + r - 1e-9, 40.0], far],   # a hair inside r_v
         [[39.0 - r, 37.0], far],          # off the left face, beside a corner
     ])
-    cen = np.concatenate([random_centers(rng, 400, -2.0, 22.0), touching])
-    got = discs_hit_aabbs(cen, p, acx, acy, ahx, ahy)
-    assert np.array_equal(got, brute_discs_hit_aabbs(cen, r, boxes))
-    assert got[-4:].tolist() == [False, False, True, False]
-    assert 0 < got.sum() < got.size
-    # any leading shape: one flag per pose
-    assert np.array_equal(discs_hit_aabbs(cen.reshape(2, -1, 2, 2), p, acx, acy, ahx, ahy),
-                          got.reshape(2, -1))
-    assert discs_hit_aabbs(cen, p, *(np.empty(0),) * 4).shape == (cen.shape[0],)
-
-
-def test_discs_outside_map_matches_edge_distance():
-    p = VehicleParams()
-    r = p.disc_radius
+    near_boxes = np.concatenate([random_centers(rng, 400, -2.0, 22.0), touching])
     w, h = 30.0, 20.0
-    rng = np.random.default_rng(22)
     mid = [15.0, 10.0]
     edges = np.array([
         [[r, 10.0], mid], [[w - r, 10.0], mid], [mid, [15.0, r]], [mid, [15.0, h - r]],
         [[r - 1e-6, 10.0], mid], [mid, [15.0, h - r + 1e-6]],
     ])
-    cen = np.concatenate([random_centers(rng, 400, -1.0, 31.0), edges])
-    got = discs_outside_map(cen, p, w, h)
-    assert np.array_equal(got, brute_discs_outside_map(cen, r, w, h))
-    assert got[-6:].tolist() == [False, False, False, False, True, True]
-    assert 0 < got.sum() < got.size
+    near_edges = np.concatenate(
+        [random_centers(np.random.default_rng(22), 400, -1.0, 31.0), edges])
+    got = {}
+    for name, cen, mw, mh in (("boxes", near_boxes, 62.0, 62.0), ("edges", near_edges, w, h)):
+        for bx in (boxes, []):
+            o = obs if bx else (np.empty(0),) * 4
+            flags = discs_blocked(cen, r, mw, mh, *o)
+            assert flags.shape == cen.shape[:-1]
+            pts = cen.reshape(-1, 2)
+            want = brute_discs_near_boxes(pts, r, bx) | brute_discs_off_map(pts, r, mw, mh)
+            assert np.array_equal(flags.ravel(), want)
+            # (N, 2) points and any other leading shape give the same flags
+            assert np.array_equal(discs_blocked(pts, r, mw, mh, *o), want)
+            assert np.array_equal(discs_blocked(cen.reshape(2, -1, 2, 2), r, mw, mh, *o),
+                                  flags.reshape(2, -1, 2))
+            assert 0 < flags.sum() < flags.size
+            got[name, bool(bx)] = flags.any(axis=-1)
+    assert got["boxes", True][-4:].tolist() == [False, False, True, False]
+    assert not got["boxes", False][-4:].any()
+    assert got["edges", False][-6:].tolist() == [False, False, False, False, True, True]
 
 
 def test_disc_center_distance_matches_all_centre_pairs():

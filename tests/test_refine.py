@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fleetplan import refine
-from fleetplan.geometry import VehicleParams, disc_centers_arr, euler_step
+from fleetplan.geometry import (
+    OrientedBox,
+    VehicleParams,
+    disc_centers_arr,
+    discs_blocked,
+    euler_step,
+)
 from fleetplan.instance import AgentTask, MvtpInstance, generate_random_instance
 from fleetplan.qp import QpSolution
 from fleetplan.search_high import PrioritySearch
@@ -15,6 +21,7 @@ from oracles import (
     fd_disc_jacobian,
     fd_jacobians,
     loop_corridor,
+    loop_relocate,
 )
 
 
@@ -52,8 +59,9 @@ def first_round(coarse):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "_track_guess", spy_track)
         mp.setattr(refine, "assemble_qp", spy_assemble)
+        mp.setattr(refine, "MAX_SQP_ITERS", 1)
         for inst, trajs in coarse.values():
-            rr = refine.sqp_refine(trajs, inst, refine.RefineConfig(max_sqp_iters=1))
+            rr = refine.sqp_refine(trajs, inst)
             assert rr.status == "qp_infeasible"
     assert len(tracks) == len(qps) == 12
     return tracks, qps
@@ -152,7 +160,7 @@ def test_corridor_boxes_are_clear_bounded_and_hold_their_seeds():
         for d in (0, 1):
             lo, hi = boxes.lo[t, 2 * d:2 * d + 2], boxes.hi[t, 2 * d:2 * d + 2]
             seed = seeds[t, d]
-            if not refine._safe(seed[0], seed[1], (w, h), obs, r):
+            if discs_blocked(seed, r, w, h, *obs):
                 seed = refine.relocate_unsafe_point(seed, (w, h), obs, r)
                 relocated += 1
             assert np.all(lo <= seed) and np.all(seed <= hi)
@@ -170,10 +178,56 @@ def test_relocation_leaves_an_obstacle():
     wh = (inst.map_width, inst.map_height)
     obs = inst.obstacle_arrays()
     for cx, cy in zip(obs[0], obs[1]):
-        assert not refine._safe(cx, cy, wh, obs, r)
+        assert discs_blocked(np.array([cx, cy]), r, *wh, *obs)
         q = refine.relocate_unsafe_point((cx, cy), wh, obs, r)
-        assert refine._safe(q[0], q[1], wh, obs, r)
+        assert not discs_blocked(q, r, *wh, *obs)
         assert all(brute_box_aabb_distance(q, q, *box) >= r for box in zip(*obs))
+
+
+def test_relocation_matches_one_candidate_at_a_time_scan():
+    """`relocate_unsafe_point` tests each radius's candidates in one call;
+    it must return the point of the scan that tests them one at a time, bit
+    for bit, and fail where it finds none.  Points anywhere on and around
+    12-obstacle maps, so that many are projected onto the map and many are
+    moved; also on a map without obstacles and on one that an obstacle
+    covers, where no point can be moved."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for seed in range(1, 9):
+        inst = generate_random_instance(seed, 30.0, 12, 1)
+        cases.append((inst, rng.uniform(-2.0, 32.0, size=(150, 2))))
+    inst = cases[0][0]
+    for boxes in ([], [OrientedBox(15.0, 15.0, 15.0, 15.0)]):   # no obstacle; one over all
+        bare = MvtpInstance(30.0, 30.0, boxes, inst.agents, inst.vehicle)
+        cases.append((bare, rng.uniform(-2.0, 32.0, size=(50, 2))))
+    projected = turned = failed = 0
+    for inst, points in cases:
+        r = inst.vehicle.disc_radius
+        wh = (inst.map_width, inst.map_height)
+        obs = inst.obstacle_arrays()
+        for p in points:
+            want = loop_relocate(p, wh, obs, r, refine.CORRIDOR_MAX_EXTENT)
+            if want is None:
+                failed += 1
+                with pytest.raises(refine.RelocationError):
+                    refine.relocate_unsafe_point(p, wh, obs, r)
+                continue
+            got = refine.relocate_unsafe_point(p, wh, obs, r)
+            assert np.array_equal(got, want), (p, got, want)
+            onto = np.clip(p, r, np.subtract(wh, r))
+            projected += not np.array_equal(onto, p)
+            turned += not np.array_equal(got, onto)
+    assert projected >= 100 and turned >= 200 and failed >= 50
+
+
+def test_relocation_fails_where_no_disc_fits_the_map():
+    """On a map narrower than a covering disc no seed position is clear, so
+    relocation raises rather than return a blocked point, with or without an
+    obstacle to turn around."""
+    r = VehicleParams().disc_radius
+    for obs in ((np.empty(0),) * 4, tuple(np.array([v]) for v in (1.0, 12.0, 0.5, 0.5))):
+        with pytest.raises(refine.RelocationError):
+            refine.relocate_unsafe_point((1.0, 5.0), (2.0, 20.0), obs, r)
 
 
 def test_batched_corridor_matches_per_seed_loop(coarse, first_round, refine30_runs):
@@ -224,17 +278,19 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
     res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
     assert res.ok
     agent_of = {tuple(a.start.as_array()): a.id for a in inst.agents}
-    assembled = []   # (agent, states, controls) per assembled QP
+    assembled = []   # (agent, states) per assembled QP
     warms = []       # (agent, warm) per solve
 
-    def assemble(start, goal, states, controls, *args, **kw):
-        assembled.append((agent_of[tuple(start)], states.copy(), controls.copy()))
+    def assemble(start, goal, states, *args, **kw):
+        assembled.append((agent_of[tuple(start)], states.copy()))
         return "qp"
 
     def solve(qp, warm=None, **kw):
-        aid, states, controls = assembled[-1]
+        # states and controls move by 1e-2 per solve, controls from zero
+        aid, states = assembled[-1]
         warms.append((aid, warm))
-        x = np.concatenate([states.ravel(), controls.ravel()]) + 1e-2
+        u = np.zeros(2 * (len(states) - 1)) if warm is None else warm.x[states.size:]
+        x = np.concatenate([states.ravel(), u]) + 1e-2
         status = "max_iters" if aid == 0 else "optimal"
         return QpSolution(x, np.zeros(1), status, 0.0, 0.0, 4000)
 
@@ -248,15 +304,16 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
     monkeypatch.setattr(refine, "assemble_qp", assemble)
     monkeypatch.setattr(refine, "qp_solve", solve)
     monkeypatch.setattr(refine, "validate_plan", record_plan)
-    cfg = refine.RefineConfig(max_sqp_iters=3, convergence_eps=1e-12)
-    rr = refine.sqp_refine(res.trajectories, inst, cfg)
+    monkeypatch.setattr(refine, "MAX_SQP_ITERS", 3)
+    monkeypatch.setattr(refine, "CONVERGENCE_TOL", 1e-12)
+    rr = refine.sqp_refine(res.trajectories, inst)
 
     assert rr.status == "qp_infeasible"
     assert rr.telemetry.iterations == 3
     assert rr.telemetry.qp_rejections == [(0, 0, "max_iters"), (0, 1, "max_iters"),
                                           (0, 2, "max_iters")]
     assert rr.telemetry.failure == {"reason": "max_iters", "agent": 0, "iteration": 0}
-    assert [a for a, _, _ in assembled].count(0) == 1
+    assert [a for a, _ in assembled].count(0) == 1
     assert [w for a, w in warms if a == 0] == [None]
     rounds = plans[1:]
     assert len(rounds) == 3
@@ -276,22 +333,23 @@ def test_rejection_reasons_name_empty_box_and_qp_status(monkeypatch):
     assembled = []
     rounds = {0: 0, 1: 0}
 
-    def assemble(start, goal, states, controls, *args, **kw):
+    def assemble(start, goal, states, *args, **kw):
         aid = agent_of[tuple(start)]
-        assembled.append((aid, states, controls))
+        assembled.append((aid, states))
         rounds[aid] += 1
         return None if aid == 0 else "qp"
 
     def solve(qp, warm=None, **kw):
-        aid, states, controls = assembled[-1]
-        x = np.concatenate([states.ravel(), controls.ravel()]) + 1e-2
+        aid, states = assembled[-1]
+        x = np.concatenate([states.ravel(), np.zeros(2 * (len(states) - 1))]) + 1e-2
         status = "optimal" if rounds[aid] == 1 else "primal_infeasible"
         return QpSolution(x, np.zeros(1), status, 0.0, 0.0, 10)
 
     monkeypatch.setattr(refine, "assemble_qp", assemble)
     monkeypatch.setattr(refine, "qp_solve", solve)
-    cfg = refine.RefineConfig(max_sqp_iters=2, convergence_eps=1e-12)
-    rr = refine.sqp_refine(res.trajectories, inst, cfg)
+    monkeypatch.setattr(refine, "MAX_SQP_ITERS", 2)
+    monkeypatch.setattr(refine, "CONVERGENCE_TOL", 1e-12)
+    rr = refine.sqp_refine(res.trajectories, inst)
 
     assert rr.status == "qp_infeasible"
     assert rr.telemetry.qp_rejections == [(0, 0, "empty_box"), (0, 1, "empty_box"),
@@ -313,12 +371,13 @@ def test_guess_is_verified_once_then_once_per_round(monkeypatch):
         return validate(*args, **kw)
 
     monkeypatch.setattr(refine, "validate_plan", counted)
-    rr = refine.sqp_refine(res.trajectories, inst, refine.RefineConfig(max_sqp_iters=2))
+    monkeypatch.setattr(refine, "MAX_SQP_ITERS", 2)
+    rr = refine.sqp_refine(res.trajectories, inst)
     assert rr.telemetry.iterations >= 1
     assert len(calls) == 1 + rr.telemetry.iterations
 
 
-def test_agent_ids_only_label_the_output():
+def test_agent_ids_only_label_the_output(monkeypatch):
     """Refinement works on agent positions: relabelling the agents changes
     nothing but the ids it reports."""
     inst = generate_random_instance(1, 30.0, 6, 4)
@@ -329,9 +388,9 @@ def test_agent_ids_only_label_the_output():
                          [AgentTask(relabel[a.id], a.start, a.goal) for a in inst.agents],
                          inst.vehicle)
     trajs = {relabel[a]: t for a, t in res.trajectories.items()}
-    cfg = refine.RefineConfig(max_sqp_iters=3)
-    a = refine.sqp_refine(res.trajectories, inst, cfg)
-    b = refine.sqp_refine(trajs, moved, cfg)
+    monkeypatch.setattr(refine, "MAX_SQP_ITERS", 3)
+    a = refine.sqp_refine(res.trajectories, inst)
+    b = refine.sqp_refine(trajs, moved)
     assert (b.status, b.telemetry.iterations) == (a.status, a.telemetry.iterations)
     assert np.array_equal(b.telemetry.residuals, a.telemetry.residuals)
     assert b.telemetry.qp_rejections == [(relabel[aid], k, why)
@@ -360,10 +419,9 @@ def test_assemble_qp_rows_and_exact_rows_at_the_re_drive(first_round):
     iterate it linearises around, the dynamics and start rows hold exactly."""
     tracks, qps = first_round
     for ((_, (s, u)), (args, kwargs)) in zip(tracks, qps):
-        start, goal, states, controls, lin, corridor, _, Y0, p = args
-        assert np.array_equal(states, s) and np.array_equal(controls, u)
-        qp = refine.assemble_qp(start, goal, states, controls, lin, corridor, {}, Y0, p,
-                                **kwargs)
+        start, goal, states, lin, corridor, _, Y0, p = args
+        assert np.array_equal(states, s)
+        qp = refine.assemble_qp(start, goal, states, lin, corridor, {}, Y0, p, **kwargs)
         T = states.shape[0]
         nd = 4 * (T - 1)
         assert qp.A.shape[0] == nd + 8 + 2 * (T - 1) + T + 4 * T
@@ -377,13 +435,12 @@ def test_assemble_qp_none_when_trust_region_misses_corridor(first_round):
     """A disc coordinate of Y0 more than R_TRUST above the corridor's upper
     bound leaves corridor and trust region disjoint: no QP.  Just within
     R_TRUST they still meet."""
-    start, goal, states, controls, lin, corridor, planes, Y0, p = first_round[1][0][0]
+    start, goal, states, lin, corridor, planes, Y0, p = first_round[1][0][0]
     kwargs = first_round[1][0][1]
     for excess, empty in ((0.01, True), (-0.01, False)):
         moved = Y0.copy()
         moved[5, 2] = corridor.hi[5, 2] + refine.R_TRUST + excess
-        qp = refine.assemble_qp(start, goal, states, controls, lin, corridor, planes, moved, p,
-                                **kwargs)
+        qp = refine.assemble_qp(start, goal, states, lin, corridor, planes, moved, p, **kwargs)
         assert (qp is None) == empty
 
 
