@@ -321,16 +321,39 @@ def random_centers(rng, n, lo, hi):
     return rng.uniform(lo, hi, size=(n, 2, 2))
 
 
-def test_discs_blocked_matches_clamped_and_edge_distance():
-    """One flag per disc: off the map by more than 1e-9, or closer than r_v
-    to a box.  Centres around a box set on a 62 m map, and around the edges
-    of a 30 x 20 m map; each with the boxes and with none."""
+def check_discs_blocked(cen, r, width, height, boxes):
+    """discs_blocked flags a disc off the map by more than 1e-9, or closer
+    than r_v to a box; checked with the boxes and with none, on (N, 2)
+    points and on other leading shapes.  Returns each pose's any-disc flag
+    for both runs."""
+    obs = tuple(np.array(v) for v in zip(*boxes))
+    got = {}
+    for bx in (boxes, []):
+        o = obs if bx else (np.empty(0),) * 4
+        flags = discs_blocked(cen, r, width, height, *o)
+        assert flags.shape == cen.shape[:-1]
+        pts = cen.reshape(-1, 2)
+        want = brute_discs_near_boxes(pts, r, bx) | brute_discs_off_map(pts, r, width, height)
+        assert np.array_equal(flags.ravel(), want)
+        assert np.array_equal(discs_blocked(pts, r, width, height, *o), want)
+        assert np.array_equal(discs_blocked(cen.reshape(2, -1, 2, 2), r, width, height, *o),
+                              flags.reshape(2, -1, 2))
+        assert 0 < flags.sum() < flags.size
+        got[bool(bx)] = flags.any(axis=-1)
+    return got
+
+
+def disc_test_boxes(rng):
+    return [(rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(0.2, 2), rng.uniform(0.2, 2))
+            for _ in range(12)] + [(40.0, 40.0, 1.0, 2.0)]
+
+
+def test_discs_hit_aabbs_matches_clamped_distance():
+    """Centres around a box set on a 62 m map, touching cases last."""
     p = VehicleParams()
     r = p.disc_radius
     rng = np.random.default_rng(21)
-    boxes = [(rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(0.2, 2), rng.uniform(0.2, 2))
-             for _ in range(12)] + [(40.0, 40.0, 1.0, 2.0)]
-    obs = tuple(np.array(v) for v in zip(*boxes))
+    boxes = disc_test_boxes(rng)
     far = [60.0, 60.0]
     touching = np.array([
         [[41.0 + r, 40.0], far],          # right face, exactly r_v away
@@ -338,33 +361,25 @@ def test_discs_blocked_matches_clamped_and_edge_distance():
         [[41.0 + r - 1e-9, 40.0], far],   # a hair inside r_v
         [[39.0 - r, 37.0], far],          # off the left face, beside a corner
     ])
-    near_boxes = np.concatenate([random_centers(rng, 400, -2.0, 22.0), touching])
+    cen = np.concatenate([random_centers(rng, 400, -2.0, 22.0), touching])
+    got = check_discs_blocked(cen, r, 62.0, 62.0, boxes)
+    assert got[True][-4:].tolist() == [False, False, True, False]
+    assert not got[False][-4:].any()
+
+
+def test_discs_outside_map_matches_edge_distance():
+    """Centres around the edges of a 30 x 20 m map, edge cases last."""
+    p = VehicleParams()
+    r = p.disc_radius
     w, h = 30.0, 20.0
     mid = [15.0, 10.0]
     edges = np.array([
         [[r, 10.0], mid], [[w - r, 10.0], mid], [mid, [15.0, r]], [mid, [15.0, h - r]],
         [[r - 1e-6, 10.0], mid], [mid, [15.0, h - r + 1e-6]],
     ])
-    near_edges = np.concatenate(
-        [random_centers(np.random.default_rng(22), 400, -1.0, 31.0), edges])
-    got = {}
-    for name, cen, mw, mh in (("boxes", near_boxes, 62.0, 62.0), ("edges", near_edges, w, h)):
-        for bx in (boxes, []):
-            o = obs if bx else (np.empty(0),) * 4
-            flags = discs_blocked(cen, r, mw, mh, *o)
-            assert flags.shape == cen.shape[:-1]
-            pts = cen.reshape(-1, 2)
-            want = brute_discs_near_boxes(pts, r, bx) | brute_discs_off_map(pts, r, mw, mh)
-            assert np.array_equal(flags.ravel(), want)
-            # (N, 2) points and any other leading shape give the same flags
-            assert np.array_equal(discs_blocked(pts, r, mw, mh, *o), want)
-            assert np.array_equal(discs_blocked(cen.reshape(2, -1, 2, 2), r, mw, mh, *o),
-                                  flags.reshape(2, -1, 2))
-            assert 0 < flags.sum() < flags.size
-            got[name, bool(bx)] = flags.any(axis=-1)
-    assert got["boxes", True][-4:].tolist() == [False, False, True, False]
-    assert not got["boxes", False][-4:].any()
-    assert got["edges", False][-6:].tolist() == [False, False, False, False, True, True]
+    cen = np.concatenate([random_centers(np.random.default_rng(22), 400, -1.0, 31.0), edges])
+    got = check_discs_blocked(cen, r, w, h, disc_test_boxes(np.random.default_rng(21)))
+    assert got[False][-6:].tolist() == [False, False, False, False, True, True]
 
 
 def test_disc_center_distance_matches_all_centre_pairs():
