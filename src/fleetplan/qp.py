@@ -10,6 +10,17 @@ and sets z~ = A x~.  Once per solve a reverse Cuthill-McKee ordering of that
 matrix's pattern makes it banded (a time-indexed QP's couplings stay a few
 steps apart), and LAPACK's band Cholesky factors it once per rho.
 
+An iteration allocates nothing.  Each solve allocates its work vectors once:
+[x; z] and [x~; z~] are one stacked buffer each, so the over-relaxation of
+both takes three ufunc calls, and y and the previous y swap between two rows.
+Every update writes in place (`out=`) with the operands of the plain
+expression in the same order, and the band solve overwrites its right side,
+so the iterates are bit for bit those of allocating arithmetic.  The two
+products per iteration, A x~ and A'(rho z - y), call scipy's private
+`csr_matvec` on the fixed CSR arrays of A and A'.  That is the C++ routine
+`A @ v` reaches, so the bits are the same, but `@`'s Python dispatch cost
+about twice the arithmetic on these QPs.
+
 Single-threaded, deterministic: fixed iteration schedule, fixed ordering and
 factorization, no randomization anywhere, so identical inputs produce
 bit-identical outputs.  Warm starts reuse (x, y) from a previous solution,
@@ -23,6 +34,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+# the C++ kernel behind `A @ v` for a CSR matrix, called without scipy's
+# Python dispatch (see above); it is private, so a scipy that drops it fails
+# here, at import
+from scipy.sparse._sparsetools import csr_matvec
 
 _SIGMA = 1e-6          # proximal term on the x update
 _REG = 1e-9            # static regularization so PSD-only P still factors
@@ -38,27 +53,34 @@ def _ninf(v) -> float:
 
 
 class QpProblem:
-    """Problem data; P symmetric PSD, A sparse, elementwise l <= u."""
+    """Problem data; P symmetric PSD, A sparse, elementwise l <= u.  P, q
+    and A are finite; l and u may hold -inf and +inf but no NaN."""
 
     def __init__(self, P, q, A=None, l=None, u=None):
-        self.P = sp.csc_matrix(P)
+        self.P = sp.csc_matrix(P, dtype=float)
         self.q = np.asarray(q, dtype=float).ravel()
         n = self.q.shape[0]
         if self.P.shape != (n, n):
             raise ValueError("P/q dimension mismatch")
+        if not (np.isfinite(self.P.data).all() and np.isfinite(self.q).all()):
+            raise ValueError("P and q must be finite")
         asym = abs(self.P - self.P.T)
         if asym.nnz and asym.max() > 1e-9:
             raise ValueError("P must be symmetric")
         if A is None:
             A = sp.csc_matrix((0, n))
-        self.A = sp.csc_matrix(A)
+        self.A = sp.csc_matrix(A, dtype=float)
         if self.A.shape[1] != n:
             raise ValueError("A column count mismatch")
+        if not np.isfinite(self.A.data).all():
+            raise ValueError("A must be finite")
         m = self.A.shape[0]
         self.l = np.full(m, -np.inf) if l is None else np.asarray(l, dtype=float).ravel()
         self.u = np.full(m, np.inf) if u is None else np.asarray(u, dtype=float).ravel()
         if self.l.shape[0] != m or self.u.shape[0] != m:
             raise ValueError("bound dimension mismatch")
+        if np.isnan(self.l).any() or np.isnan(self.u).any():
+            raise ValueError("l and u must not be NaN (+-inf is allowed)")
         if np.any(self.l > self.u):
             raise ValueError("l > u")
         self.n = n
@@ -121,14 +143,23 @@ def _primal_infeasibility_certificate(qp: QpProblem, At, dy) -> bool:
     return support < -_PINF_EPS
 
 
-def solve(qp: QpProblem, warm: QpSolution | None = None, *,
-          eps_abs: float = 1e-6, eps_rel: float = 1e-6,
-          max_iters: int = 20000, check_every: int = 25) -> QpSolution:
-    n, m = qp.n, qp.m
-    mult = qp.rho_multipliers()
+def _csr_product(M):
+    """product(v, out) -> out = M @ v, bit for bit, for a CSR matrix M whose
+    arrays stay fixed.  scipy's kernel adds into out, so out is zeroed first."""
+    args = (M.shape[0], M.shape[1], M.indptr, M.indices, M.data)
 
-    # the step's matrix is H + rho_base * G; the iterations run on the
-    # variables in the banded order perm and map x back at the end
+    def product(v, out):
+        out.fill(0.0)
+        csr_matvec(*args, v, out)
+        return out
+    return product
+
+
+def _ordered(qp: QpProblem, mult):
+    """The step's matrix H + rho_base G in a banded variable order perm:
+    returns perm, its inverse inv, factor(rho_base) (the band Cholesky of that
+    matrix), and P, q, A and A' (both CSR) with the variables in order perm."""
+    n = qp.n
     H = qp.P + (_SIGMA + _REG) * sp.identity(n)
     G = qp.A.T @ sp.diags(mult) @ qp.A
     pattern = (abs(H) + abs(G)).tocsr()
@@ -145,38 +176,74 @@ def solve(qp: QpProblem, warm: QpSolution | None = None, *,
             raise np.linalg.LinAlgError(f"band Cholesky failed at pivot {info}")
         return cf
 
-    P = qp.P[perm][:, perm]
-    q = qp.q[perm]
     A = qp.A[:, perm].tocsr()
-    At = A.T.tocsr()
+    return perm, inv, factor, qp.P[perm][:, perm], qp.q[perm], A, A.T.tocsr()
+
+
+def solve(qp: QpProblem, warm: QpSolution | None = None, *,
+          eps_abs: float = 1e-6, eps_rel: float = 1e-6,
+          max_iters: int = 20000, check_every: int = 25) -> QpSolution:
+    n, m = qp.n, qp.m
+    mult = qp.rho_multipliers()
+    # the iterations run on the variables in the banded order perm and map x
+    # back at the end
+    perm, inv, factor, P, q, A, At = _ordered(qp, mult)
 
     if m == 0:
         x = dpbtrs(factor(0.0), -q)[0][inv]
         pr, du = kkt_residuals(qp, x, np.zeros(0))
         return QpSolution(x, np.zeros(0), "optimal", pr, du, 1)
 
+    # work vectors: [x; z] and [x~; z~] stacked, y and the previous y as the
+    # rows of ys (they swap each iteration), w = A'(rho z - y)
+    xz, xzt = np.empty(n + m), np.empty(n + m)
+    x, z = xz[:n], xz[n:]
+    xt, zt = xzt[:n], xzt[n:]
+    ys = np.empty((2, m))
+    y, y_prev = ys
+    w = np.empty(n)
+    a_mul, at_mul = _csr_product(A), _csr_product(At)
+    l, u = qp.l, qp.u
+
     if warm is not None and warm.x.shape[0] == n and warm.y.shape[0] == m:
-        x = warm.x[perm]
-        y = warm.y.copy()
+        x[:] = warm.x[perm]
+        y[:] = warm.y
     else:
-        x = np.zeros(n)
-        y = np.zeros(m)
+        x.fill(0.0)
+        y.fill(0.0)
 
     rho_base = _RHO0
     rho = rho_base * mult
     cf = factor(rho_base)
-    z = np.clip(A @ x, qp.l, qp.u)
+    np.clip(a_mul(x, z), l, u, out=z)
 
     status = "max_iters"
     iters = max_iters
     for k in range(1, max_iters + 1):
-        xt = dpbtrs(cf, _SIGMA * x - q + At @ (rho * z - y))[0]
-        zt = A @ xt
-        x = _ALPHA * xt + (1.0 - _ALPHA) * x
-        z_pre = _ALPHA * zt + (1.0 - _ALPHA) * z
-        y_prev = y
-        z = np.minimum(np.maximum(z_pre + y / rho, qp.l), qp.u)
-        y = y_prev + rho * (z_pre - z)
+        # x~ solves the step's system with right side sigma x - q + w; z~ = A x~
+        np.multiply(rho, z, out=zt)
+        np.subtract(zt, y, out=zt)
+        at_mul(zt, w)
+        np.multiply(_SIGMA, x, out=xt)
+        np.subtract(xt, q, out=xt)
+        np.add(xt, w, out=xt)
+        xt[:] = dpbtrs(cf, xt, overwrite_b=True)[0]
+        a_mul(xt, zt)
+        # over-relaxation: [x; z] = alpha [x~; z~] + (1 - alpha) [x; z], whose
+        # z part is z_pre
+        np.multiply(_ALPHA, xzt, out=xzt)
+        np.multiply(1.0 - _ALPHA, xz, out=xz)
+        np.add(xzt, xz, out=xz)
+        # z = clip(z_pre + y / rho, l, u), built in zt; y += rho (z_pre - z)
+        np.divide(y, rho, out=zt)
+        np.add(z, zt, out=zt)
+        np.maximum(zt, l, out=zt)
+        np.minimum(zt, u, out=zt)
+        np.subtract(z, zt, out=z)
+        np.multiply(rho, z, out=z)
+        y, y_prev = y_prev, y
+        np.add(y_prev, z, out=y)
+        z[:] = zt
 
         if k % check_every:
             continue
@@ -195,7 +262,7 @@ def solve(qp: QpProblem, warm: QpSolution | None = None, *,
         if _primal_infeasibility_certificate(qp, At, y - y_prev):
             x = x[inv]
             pr, du = kkt_residuals(qp, x, y)
-            return QpSolution(x, y, "primal_infeasible", pr, du, k)
+            return QpSolution(x, y.copy(), "primal_infeasible", pr, du, k)
 
         # residual balancing: push rho toward equalizing scaled residuals
         num = r_prim / max(_ninf(Ax), _ninf(z), 1e-12)
@@ -209,4 +276,4 @@ def solve(qp: QpProblem, warm: QpSolution | None = None, *,
 
     x = x[inv]
     pr, du = kkt_residuals(qp, x, y)
-    return QpSolution(x, y, status, pr, du, iters)
+    return QpSolution(x, y.copy(), status, pr, du, iters)

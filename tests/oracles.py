@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (dense sampling,
 dense linear algebra, brute-force enumeration) rather than reusing library
-internals, so the implementation and its checks stay on separate routes.
+internals, so the implementation and its checks stay on separate routes.  The
+one exception is `reference_admm`, which keeps the QP solver's set-up and
+checks its iteration loop alone.
 """
 from __future__ import annotations
 
@@ -10,6 +12,20 @@ import heapq
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrs
+
+from fleetplan.qp import (
+    _ALPHA,
+    _RHO0,
+    _RHO_MAX,
+    _RHO_MIN,
+    _SIGMA,
+    QpSolution,
+    _ninf,
+    _ordered,
+    _primal_infeasibility_certificate,
+    kkt_residuals,
+)
 
 
 def point_in_box(px: float, py: float, cx: float, cy: float, hx: float, hy: float,
@@ -152,6 +168,78 @@ def kkt_solve(P, q, A, b):
     rhs = np.concatenate([-q, b])
     sol = np.linalg.solve(K, rhs)
     return sol[:n], sol[n:]
+
+
+def reference_admm(qp, warm=None, *, eps_abs=1e-6, eps_rel=1e-6,
+                   max_iters=20000, check_every=25):
+    """`fleetplan.qp.solve` with its iteration loop written as plain
+    expressions: every iterate is a new array and every product is scipy's
+    public `@`.  Ordering, band factor, constants, rho schedule and
+    termination are the solver's own, so both agree bit for bit."""
+    n, m = qp.n, qp.m
+    mult = qp.rho_multipliers()
+    perm, inv, factor, P, q, A, At = _ordered(qp, mult)
+
+    if m == 0:
+        x = dpbtrs(factor(0.0), -q)[0][inv]
+        pr, du = kkt_residuals(qp, x, np.zeros(0))
+        return QpSolution(x, np.zeros(0), "optimal", pr, du, 1)
+
+    if warm is not None and warm.x.shape[0] == n and warm.y.shape[0] == m:
+        x = warm.x[perm]
+        y = warm.y.copy()
+    else:
+        x = np.zeros(n)
+        y = np.zeros(m)
+
+    rho_base = _RHO0
+    rho = rho_base * mult
+    cf = factor(rho_base)
+    z = np.clip(A @ x, qp.l, qp.u)
+
+    status = "max_iters"
+    iters = max_iters
+    for k in range(1, max_iters + 1):
+        xt = dpbtrs(cf, _SIGMA * x - q + At @ (rho * z - y))[0]
+        zt = A @ xt
+        x = _ALPHA * xt + (1.0 - _ALPHA) * x
+        z_pre = _ALPHA * zt + (1.0 - _ALPHA) * z
+        y_prev = y
+        z = np.minimum(np.maximum(z_pre + y / rho, qp.l), qp.u)
+        y = y_prev + rho * (z_pre - z)
+
+        if k % check_every:
+            continue
+
+        Ax = A @ x
+        Px = P @ x
+        Aty = At @ y
+        r_prim = _ninf(Ax - z)
+        r_dual = _ninf(Px + q + Aty)
+        eps_p = eps_abs + eps_rel * max(_ninf(Ax), _ninf(z))
+        eps_d = eps_abs + eps_rel * max(_ninf(Px), _ninf(Aty), _ninf(q))
+        if r_prim <= eps_p and r_dual <= eps_d:
+            status = "optimal"
+            iters = k
+            break
+        if _primal_infeasibility_certificate(qp, At, y - y_prev):
+            x = x[inv]
+            pr, du = kkt_residuals(qp, x, y)
+            return QpSolution(x, y, "primal_infeasible", pr, du, k)
+
+        # residual balancing: push rho toward equalizing scaled residuals
+        num = r_prim / max(_ninf(Ax), _ninf(z), 1e-12)
+        den = r_dual / max(_ninf(Px), _ninf(Aty), _ninf(q), 1e-12)
+        ratio = np.sqrt(num / max(den, 1e-18))
+        new_base = float(np.clip(rho_base * ratio, _RHO_MIN, _RHO_MAX))
+        if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
+            rho_base = new_base
+            rho = rho_base * mult
+            cf = factor(rho_base)
+
+    x = x[inv]
+    pr, du = kkt_residuals(qp, x, y)
+    return QpSolution(x, y, status, pr, du, iters)
 
 
 def rollout_curve(start, segments):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from fleetplan import qp
-from oracles import kkt_solve
+from oracles import kkt_solve, reference_admm
 
 
 def make_eq_qp(rng):
@@ -52,22 +52,38 @@ def make_sparse_qp(rng, n=60):
     return qp.QpProblem(B.T @ B + 0.1 * sp.identity(n), 10.0 * rng.normal(size=n), A, lo, hi)
 
 
-def test_solution_does_not_depend_on_variable_or_row_order(monkeypatch):
+def near_solution(prob, rng):
+    """The solution of prob with q perturbed: a warm start near prob's own."""
+    return qp.solve(qp.QpProblem(prob.P, prob.q + rng.normal(size=prob.n), prob.A,
+                                 prob.l, prob.u))
+
+
+def infeasible_qp():
+    # x <= -1 and x >= 1 cannot both hold
+    return qp.QpProblem([[1.0]], [0.0], [[1.0], [1.0]], [-np.inf, 1.0], [-1.0, np.inf])
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """One entry per band Cholesky factorization the solver makes."""
+    calls = []
+    band_cholesky = qp.dpbtrf
+    monkeypatch.setattr(qp, "dpbtrf", lambda *a, **k: calls.append(1) or band_cholesky(*a, **k))
+    return calls
+
+
+def test_solution_does_not_depend_on_variable_or_row_order(factors):
     """The solver reorders the variables for its band factorization and must
     undo that: a QP with its variables and rows shuffled reaches the same
     status in the same iterations, with x and y equal once mapped back, cold
     and warm-started, on QPs whose rho schedule refactors the matrix."""
-    factors = []
-    band_cholesky = qp.dpbtrf
-    monkeypatch.setattr(qp, "dpbtrf", lambda *a, **k: factors.append(1) or band_cholesky(*a, **k))
     for seed in (0, 3):
         rng = np.random.default_rng(seed)
         prob = make_sparse_qp(rng)
         pc, pr = rng.permutation(prob.n), rng.permutation(prob.m)
         shuffled = qp.QpProblem(prob.P[pc][:, pc], prob.q[pc], prob.A[pr][:, pc],
                                 prob.l[pr], prob.u[pr])
-        near = qp.solve(qp.QpProblem(prob.P, prob.q + rng.normal(size=prob.n), prob.A,
-                                     prob.l, prob.u))
+        near = near_solution(prob, rng)
         for warm in (None, near):
             factors.clear()
             sol = qp.solve(prob, warm=warm)
@@ -81,6 +97,73 @@ def test_solution_does_not_depend_on_variable_or_row_order(monkeypatch):
             x[pc], y[pr] = other.x, other.y
             assert np.abs(x - sol.x).max() <= 1e-9
             assert np.abs(y - sol.y).max() <= 1e-9
+
+
+def assert_same_solution(a, b):
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    assert (a.primal_res, a.dual_res) == (b.primal_res, b.dual_res)
+
+
+def test_solve_matches_reference_loop_bit_for_bit(refine30_solves, factors):
+    """The in-place iteration on the direct CSR kernel gives the plain
+    expressions' bits (`reference_admm`): on refine30's 13 QPs with their
+    warm starts, on sparse QPs cold and warm across refactorizations, on an
+    infeasible QP and at an early max_iters exit.  The kernel itself equals
+    `@`, also on a matrix with an empty row and an empty column."""
+    solves = [s for _, _, ss in refine30_solves.values() for s in ss]
+    assert len(solves) == 13 and any(kw["warm"] is not None for _, kw, _ in solves)
+    for args, kwargs, sol in solves:
+        assert_same_solution(sol, reference_admm(*args, **kwargs))
+
+    for seed in (0, 3):
+        rng = np.random.default_rng(seed)
+        prob = make_sparse_qp(rng)
+        near = near_solution(prob, rng)
+        for warm in (None, near):
+            factors.clear()
+            sol = qp.solve(prob, warm=warm)
+            assert len(factors) >= 2
+            assert_same_solution(sol, reference_admm(prob, warm))
+    early = qp.solve(prob, max_iters=10, check_every=5)
+    assert early.status == "max_iters"
+    assert_same_solution(early, reference_admm(prob, max_iters=10, check_every=5))
+    infeasible = infeasible_qp()
+    sol = qp.solve(infeasible)
+    assert sol.status == "primal_infeasible"
+    assert_same_solution(sol, reference_admm(infeasible))
+
+    gaps = sp.csr_matrix(np.array([[0.0, 2.0, 0.0, -1.5], [0.0] * 4, [3.0, 0.0, 0.0, 0.25]]))
+    for M in (prob.A.tocsr(), prob.A.T.tocsr(), gaps, gaps.T.tocsr()):
+        v = rng.normal(size=M.shape[1])
+        out = np.full(M.shape[0], 7.0)
+        assert qp._csr_product(M)(v, out) is out
+        assert np.array_equal(out, M @ v)
+
+
+def test_solve_leaves_inputs_alone_and_returns_fresh_arrays():
+    """`sqp_refine` keeps each solution as the next warm start and the trace
+    keeps every solution, so a solve may change neither its problem nor its
+    warm start, and must return x and y in memory of their own."""
+    rng = np.random.default_rng(0)
+    prob = make_sparse_qp(rng)
+    warm = near_solution(prob, rng)
+    arrays = lambda: [prob.P.data, prob.P.indices, prob.P.indptr, prob.q, prob.A.data,
+                      prob.A.indices, prob.A.indptr, prob.l, prob.u, warm.x, warm.y]
+    before = [a.copy() for a in arrays()]
+    first = qp.solve(prob, warm=warm)
+    first_xy = first.x.copy(), first.y.copy()
+    second = qp.solve(prob, warm=first)
+    capped = qp.solve(prob, max_iters=10, check_every=5)
+    infeasible = qp.solve(infeasible_qp())
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(), before))
+    assert np.array_equal(first.x, first_xy[0]) and np.array_equal(first.y, first_xy[1])
+    assert (capped.status, infeasible.status) == ("max_iters", "primal_infeasible")
+    for sol in (first, second, capped, infeasible):
+        assert sol.x.base is None and sol.y.base is None
+    for a in (first.x, first.y):
+        for b in (warm.x, warm.y, second.x, second.y, capped.x, capped.y):
+            assert not np.shares_memory(a, b)
 
 
 def test_unconstrained_identity():
@@ -189,9 +272,7 @@ def test_warm_start_reuses_iterates():
 
 
 def test_primal_infeasible_detected():
-    # x <= -1 and x >= 1 cannot both hold
-    prob = qp.QpProblem([[1.0]], [0.0], [[1.0], [1.0]], [-np.inf, 1.0], [-1.0, np.inf])
-    sol = qp.solve(prob)
+    sol = qp.solve(infeasible_qp())
     assert sol.status == "primal_infeasible"
 
 
@@ -212,3 +293,15 @@ def test_rejects_bad_problems():
         qp.QpProblem([[1.0, 0.5], [0.0, 1.0]], np.zeros(2))
     with pytest.raises(ValueError):
         qp.QpProblem(np.eye(1), np.zeros(1), [[1.0]], [2.0], [1.0])
+    # non-finite data and NaN bounds; infinite bounds are one-sided rows
+    eye = np.eye(2)
+    for P, q, A, l, u in [(eye, [np.nan, 0.0], eye, [-1, -1], [1, 1]),
+                          (eye, [np.inf, 0.0], eye, [-1, -1], [1, 1]),
+                          ([[1.0, 0.0], [0.0, np.nan]], [0, 0], eye, [-1, -1], [1, 1]),
+                          (eye, [0, 0], [[1.0, np.inf], [0.0, 1.0]], [-1, -1], [1, 1]),
+                          (eye, [0, 0], eye, [np.nan, -1], [1, 1]),
+                          (eye, [0, 0], eye, [-1, -1], [1, np.nan])]:
+        with pytest.raises(ValueError):
+            qp.QpProblem(P, q, A, l, u)
+    one_sided = qp.QpProblem(eye, [0, 0], eye, [-np.inf, -1], [1, np.inf])
+    assert qp.solve(one_sided).status == "optimal"

@@ -26,19 +26,6 @@ from oracles import (
 
 
 @pytest.fixture(scope="module")
-def coarse():
-    """The baseline suite at seed 1 (n = 2, 4, 6): n -> (instance, coarse
-    trajectories)."""
-    out = {}
-    for n in (2, 4, 6):
-        inst = generate_random_instance(1, 30.0, 6, n)
-        res = PrioritySearch(inst, GridSpec()).solve(time_budget=60.0)
-        assert res.ok
-        out[n] = (inst, res.trajectories)
-    return out
-
-
-@pytest.fixture(scope="module")
 def first_round(coarse):
     """The arguments and results of every `_track_guess` call and the
     arguments of every round-0 `assemble_qp` call that `sqp_refine` makes on
@@ -65,33 +52,6 @@ def first_round(coarse):
             assert rr.status == "qp_infeasible"
     assert len(tracks) == len(qps) == 12
     return tracks, qps
-
-
-@pytest.fixture(scope="module")
-def refine30_runs(coarse):
-    """Full `sqp_refine` runs on the suite's n = 2 and 4: n -> (result,
-    [(states, instance)] per `build_corridor` call, [(status, ADMM
-    iterations, x)] per QP solve)."""
-    out = {}
-    corridor, solve = refine.build_corridor, refine.qp_solve
-    for n in (2, 4):
-        inst, trajs = coarse[n]
-        corridors, qps = [], []
-
-        def spy_corridor(states, instance):
-            corridors.append((states.copy(), instance))
-            return corridor(states, instance)
-
-        def spy_solve(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            qps.append((sol.status, sol.iterations, sol.x.copy()))
-            return sol
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(refine, "build_corridor", spy_corridor)
-            mp.setattr(refine, "qp_solve", spy_solve)
-            out[n] = (refine.sqp_refine(trajs, inst), corridors, qps)
-    return out
 
 
 def random_iterate(T, seed):

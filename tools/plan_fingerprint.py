@@ -12,9 +12,9 @@ search status, PBS nodes expanded, low-level calls, each `LowLevelPlanner.plan`
 call's (agent, status, expansions) in call order, and every coarse
 trajectory's states and segments; on refine30 also the `sqp_refine` status,
 iterations, residuals, rejections and failure, and each QP's status, ADMM
-iteration count and solution vector.  The per-call record makes `compare`
-catch a change that reorders or lengthens the search even when the final
-plans match.  `compare` names each differing field by its dotted path (such
+iteration count, solution x and multipliers y (warm starts carry y).  The
+per-call record makes `compare` catch a change that reorders or lengthens the
+search even when the final plans match.  `compare` names each differing field by its dotted path (such
 as `refine.qps`), and exits 1 on any difference or when either record set
 holds no instance.
 """
@@ -64,7 +64,7 @@ def dump(checkout: Path, out: Path) -> None:
 
                 def recorded(*args, **kwargs):
                     sol = solve(*args, **kwargs)
-                    qps.append((sol.status, sol.iterations, sol.x.copy()))
+                    qps.append((sol.status, sol.iterations, sol.x.copy(), sol.y.copy()))
                     return sol
 
                 refine.qp_solve = recorded
