@@ -12,14 +12,18 @@ one version of each of six kernels:
 - `disc_center_distance`: the minimum distance between the covering-disc
   centres of two vehicles at matching times.  It is the low-level search's
   dynamic-obstacle test, PBS's conflict test, refinement's neighbour filter
-  and the verifier's broadphase.
+  and the verifier's broadphase.  The search's dynamic broadphase only
+  decides, from rear-axle distances, where this test cannot fail and is
+  skipped; it is not a second test.
 - `box_gaps`: the per-axis gaps between points and axis-aligned obstacle
   boxes.  `discs_blocked`, the search's flood-fill obstacle cells and
-  refinement's seed relocation use it.
+  static broadphase table and refinement's seed relocation use it.
 - `discs_blocked`: whether discs leave the map or come closer than their
   radius to an obstacle.  It is the search's static test of primitive sweeps
   and goal shots, and refinement's test of corridor seeds and of their
-  relocated candidates, so both stages agree on free space.  Two tests stay
+  relocated candidates, so both stages agree on free space.  The search's
+  static broadphase only narrows the boxes it passes to those a sweep can
+  reach; it is not a second test.  Two tests stay
   apart on purpose: the generator's square-dilated placement test, whose
   change would move every generated instance, and the flood fill's
   blocked-cell test, a closed centre-in-box test at radius 0.

@@ -153,13 +153,13 @@ _SWAP = str.maketrans("LR", "RL")
 _CURV = {"L": 1.0, "S": 0.0, "R": -1.0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RsSegment:
     curvature: float   # 1/turn-radius, signed by turn direction; 0 = straight
     length: float      # signed arc length, negative = reverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RsCurve:
     segments: tuple[RsSegment, ...]
     length: float      # total unsigned length

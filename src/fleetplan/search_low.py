@@ -123,10 +123,18 @@ class CoarseTrajectory:
 
 class DynamicObstacleSet:
     """Higher-priority trajectories indexed by time quantum, parked at their
-    final state beyond their own horizon."""
+    final state beyond their own horizon.  Each state array is (T >= 1, >= 3)
+    with finite poses (x, y, theta) in its first three columns; anything
+    else raises ValueError."""
 
     def __init__(self, state_arrays):
         arrays = [np.asarray(a, dtype=float) for a in state_arrays]
+        for k, a in enumerate(arrays):
+            if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 3:
+                raise ValueError(f"dynamic obstacle {k}: states of shape {a.shape}, "
+                                 "need (T >= 1, >= 3)")
+            if not np.isfinite(a[:, :3]).all():
+                raise ValueError(f"dynamic obstacle {k}: a pose is not finite")
         self.count = len(arrays)
         if self.count:
             T = max(a.shape[0] for a in arrays)
@@ -192,8 +200,9 @@ class LowLevelResult:
 class LowLevelPlanner:
     """Time-indexed hybrid-A* for one agent among higher-priority trajectories.
 
-    The planner keeps per-instance data (obstacle arrays, flood fills, the
-    primitive table) for the life of the instance.  Waits and reordered moves
+    The planner keeps per-instance data for the life of the instance: the
+    obstacle arrays, the primitive table, and the flood fills and the static
+    broadphase table, both built on first use.  Waits and reordered moves
     bring the vehicle back to the exact same (x, y, yaw) at later time
     indices, and PBS replans the same agent again and again around different
     higher-priority trajectories, so each expansion is split in two.
@@ -213,6 +222,22 @@ class LowLevelPlanner:
     rule, the cost comparison, and the goal shot's reversal rule, horizon cap
     and dynamic checks.  Each node's time-indexed closed-set key is built
     once, when the node is pushed, and read back when it is popped.
+
+    Two broadphases skip clearance tests whose outcome is certain, so every
+    plan is the one the full tests give.  Every covering-disc centre of a
+    primitive's sweep lies within the primitive table's largest disc-centre
+    offset of the pose the sweep starts from, whatever the heading.  The
+    static table, one entry per search-grid cell, names the boxes within
+    that offset + r_v + 1e-6 of the cell and whether a map edge is that
+    close: a box farther off cannot come within r_v of a disc, so `_sweep`
+    runs `discs_blocked` on the named boxes alone, and skips it where the
+    cell has neither.  A pose off the table takes every box.  The dynamic
+    broadphase compares the pose with the dynamic obstacles' rear axles at
+    the next time index, kept as Python lists per call: an obstacle farther
+    off than that offset + its larger disc offset + 2 r_v + 1e-6 has no disc
+    centre within 2 r_v of an end pose's, so `disc_center_distance` runs
+    only when some obstacle is that close.  The 1e-6 margins dwarf the
+    ~1e-14 rounding of world coordinates.
 
     Deferred until pop (Lazy A*, Tolpin et al., IJCAI 2013): a pose within
     RS_RADIUS of the goal whose curve is not yet known is pushed on a floor,
@@ -241,6 +266,19 @@ class LowLevelPlanner:
         self._end_rows = np.cumsum(sizes) - 1         # each primitive's last stacked row
         self._starts = self._end_rows - sizes + 1      # and its first, for reduceat
         self._row_prim = np.repeat(np.arange(len(prims), dtype=float), sizes)[:, None]
+        cell = grid.cell
+        self._shape = (max(1, int(math.ceil(instance.map_width / cell))),
+                       max(1, int(math.ceil(instance.map_height / cell))))
+        # the broadphases' radii (see the class docstring), from the farthest
+        # a covering-disc centre of any primitive's sweep gets from the pose
+        # it starts from, which a rotation keeps
+        local = disc_centers_arr(self._stack, self.params)
+        offset = float(np.sqrt((local * local).sum(axis=-1)).max())
+        r = self.params.disc_radius
+        self._reach = offset + r + 1e-6
+        self._far = (offset + max(abs(self.params.front_disc_offset),
+                                  abs(self.params.rear_disc_offset)) + 2.0 * r + 1e-6)
+        self._cells: list | None = None
         self._fills: dict[int, np.ndarray] = {}
         self._task_by_id = {a.id: a for a in instance.agents}
         self.release_memo()
@@ -257,8 +295,7 @@ class LowLevelPlanner:
         if agent_id in self._fills:
             return self._fills[agent_id]
         cell = self.grid.cell
-        nx = max(1, int(math.ceil(self.inst.map_width / cell)))
-        ny = max(1, int(math.ceil(self.inst.map_height / cell)))
+        nx, ny = self._shape
         cx = (np.arange(nx)[:, None] + 0.5) * cell
         cy = (np.arange(ny)[None, :] + 0.5) * cell
         # a cell is blocked where its centre lies in a box, edges included
@@ -267,23 +304,33 @@ class LowLevelPlanner:
         goal = self._task_by_id[agent_id].goal
         gkey = discretize((goal.x, goal.y, goal.theta), self.grid)
         blocked[gkey.ix, gkey.iy] = False
-        dist = np.full((nx, ny), np.inf)
-        dist[gkey.ix, gkey.iy] = 0.0
+        # Dijkstra on flat lists: cell (i, j) sits at (i + 1) * w + j + 1
+        # inside a ring of blocked cells, which takes the place of a bounds
+        # test, and flat indices sort like (i, j), so heap ties break as
+        # they would on (d, i, j)
+        w = ny + 2
+        ring = np.ones((nx + 2, w), dtype=bool)
+        ring[1:-1, 1:-1] = blocked
+        closed = ring.ravel().tolist()
+        dist = [math.inf] * len(closed)
+        start = (gkey.ix + 1) * w + gkey.iy + 1
+        dist[start] = 0.0
         diag = cell * _SQRT2
-        heap = [(0.0, gkey.ix, gkey.iy)]
+        steps = [(di * w + dj, diag if di and dj else cell) for di, dj in _NBRS8]
+        heap = [(0.0, start)]
         while heap:
-            d, i, j = heapq.heappop(heap)
-            if d > dist[i, j]:
+            d, k = heapq.heappop(heap)
+            if d > dist[k]:
                 continue
-            for di, dj in _NBRS8:
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny and not blocked[ii, jj]:
-                    nd = d + (diag if di and dj else cell)
-                    if nd < dist[ii, jj] - 1e-12:
-                        dist[ii, jj] = nd
-                        heapq.heappush(heap, (nd, ii, jj))
-        self._fills[agent_id] = dist
-        return dist
+            for off, step in steps:
+                kk = k + off
+                if not closed[kk]:
+                    nd = d + step
+                    if nd < dist[kk] - 1e-12:
+                        dist[kk] = nd
+                        heapq.heappush(heap, (nd, kk))
+        fill = self._fills[agent_id] = np.array(dist).reshape(nx + 2, w)[1:-1, 1:-1].copy()
+        return fill
 
     def _h_terms(self, fill, goal, x, y) -> tuple[float, float]:
         """The heuristic's terms that need no curve, in meters: the discounted
@@ -313,20 +360,52 @@ class LowLevelPlanner:
         return discs_blocked(cen, self.params.disc_radius, self.inst.map_width,
                              self.inst.map_height, *self._obs)
 
+    def _static_cells(self) -> list:
+        """The static broadphase, built on first use: per search-grid cell,
+        flat at i * ny + j, None where no primitive's sweep from a pose in
+        the cell can reach a map edge or an obstacle, else the obstacle
+        boxes (acx, acy, ahx, ahy) that such a sweep can reach, maybe none."""
+        if self._cells is None:
+            cell, reach = self.grid.cell, self._reach
+            nx, ny = self._shape
+            cx = (np.arange(nx)[:, None] + 0.5) * cell
+            cy = (np.arange(ny)[None, :] + 0.5) * cell
+            acx, acy, ahx, ahy = self._obs
+            # the gaps from each whole cell to each box
+            dx, dy = box_gaps(cx, cy, acx, acy, ahx + 0.5 * cell, ahy + 0.5 * cell)
+            near = (dx * dx + dy * dy < reach * reach).reshape(nx * ny, -1)
+            edge = ((np.minimum(cx, self.inst.map_width - cx) < reach + 0.5 * cell)
+                    | (np.minimum(cy, self.inst.map_height - cy) < reach + 0.5 * cell))
+            free = ~(near.any(axis=1) | edge.ravel())
+            subsets, which = np.unique(near, axis=0, return_inverse=True)
+            boxes = [tuple(a[k] for a in self._obs) for k in subsets]
+            self._cells = [None if f else boxes[k]
+                           for f, k in zip(free.tolist(), which.ravel().tolist())]
+        return self._cells
+
     def _sweep(self, x, y, th):
         """The pose-only half of an expansion from (x, y, th): one row per
         primitive whose whole sweep stays on the map and clear of the static
         obstacles, in primitive order, holding the primitive's index, its end
         pose with the heading not yet wrapped, and the end pose's disc centres
-        flattened, (F, 8)."""
+        flattened, (F, 8).  Only the obstacles that the static broadphase
+        names for the pose's cell are tested; a pose off the table takes
+        them all."""
         st, par = self._stack, self.params
         cth, sth = math.cos(th), math.sin(th)
         wx = x + st[:, 0] * cth - st[:, 1] * sth
         wy = y + st[:, 0] * sth + st[:, 1] * cth
         poses = np.stack([wx, wy, th + st[:, 2]], axis=1)
         cen = disc_centers_arr(poses, par)
-        bad = self._blocked(cen).any(axis=-1)
         rows = np.concatenate([self._row_prim, poses, cen.reshape(-1, 4)], axis=1)
+        cells = self._static_cells()
+        nx, ny = self._shape
+        i, j = math.floor(x / self.grid.cell), math.floor(y / self.grid.cell)
+        boxes = cells[i * ny + j] if 0 <= i < nx and 0 <= j < ny else self._obs
+        if boxes is None:
+            return rows[self._end_rows]
+        bad = discs_blocked(cen, par.disc_radius, self.inst.map_width,
+                            self.inst.map_height, *boxes).any(axis=-1)
         return rows[self._end_rows[~np.logical_or.reduceat(bad, self._starts)]]
 
     # -- main search -------------------------------------------------------
@@ -343,8 +422,11 @@ class LowLevelPlanner:
         two_r = 2.0 * par.disc_radius
         fill = self._flood(agent_id)
         quantum, v_max = self.quantum, par.v_max
-        # the dynamic obstacles' disc centres (K, H + 1, 2, 2), indexed by time
+        # the dynamic obstacles' disc centres (K, H + 1, 2, 2), indexed by time,
+        # and for the dynamic broadphase their rear axles [t][k] = [x, y]
         dyn_cen = disc_centers_arr(dyn.poses, par)
+        dyn_xy = dyn.poses[:, :, :2].transpose(1, 0, 2).tolist()
+        far2 = self._far * self._far
         horizon = dyn.horizon
 
         # the pose memo (see the class docstring): sweeps are shared by every
@@ -510,9 +592,12 @@ class LowLevelPlanner:
             # time-dependent half, on every expansion: the dynamic obstacles at
             # it + 1, the reversal rule, the time-indexed key and the cost test
             if dyn.count:
-                at = dyn_cen[None, :, min(it + 1, horizon)]
-                end_cen = sweep[:, 4:].reshape(-1, 1, 2, 2)
-                sweep = sweep[~(disc_center_distance(end_cen, at) < two_r).any(axis=1)]
+                t = min(it + 1, horizon)
+                px, py = pose[0], pose[1]
+                if any((ax - px) ** 2 + (ay - py) ** 2 <= far2 for ax, ay in dyn_xy[t]):
+                    end_cen = sweep[:, 4:].reshape(-1, 1, 2, 2)
+                    near = disc_center_distance(end_cen, dyn_cen[None, :, t]) < two_r
+                    sweep = sweep[~near.any(axis=1)]
 
             g = ngs[idx]
             for a, ex, ey, eth in sweep[:, :4].tolist():

@@ -4,7 +4,10 @@ Everything here is deliberately written from first principles (dense sampling,
 dense linear algebra, brute-force enumeration) rather than reusing library
 internals, so the implementation and its checks stay on separate routes.  The
 one exception is `reference_admm`, which keeps the QP solver's set-up and
-checks its iteration loop alone.
+checks its iteration loop alone, and `reference_flood` and `reference_sweep`,
+which keep the low-level search's flood fill and static sweep test as they
+were before their broadphase and flat-list rewrites, so the planner's own
+versions can be held to them bit for bit.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpbtrs
 
+from fleetplan.geometry import box_gaps, disc_centers_arr
 from fleetplan.qp import (
     _ALPHA,
     _RHO0,
@@ -26,6 +30,7 @@ from fleetplan.qp import (
     _primal_infeasibility_certificate,
     kkt_residuals,
 )
+from fleetplan.search_low import _NBRS8, _SQRT2, discretize
 
 
 def point_in_box(px: float, py: float, cx: float, cy: float, hx: float, hy: float,
@@ -240,6 +245,52 @@ def reference_admm(qp, warm=None, *, eps_abs=1e-6, eps_rel=1e-6,
     x = x[inv]
     pr, du = kkt_residuals(qp, x, y)
     return QpSolution(x, y, status, pr, du, iters)
+
+
+def reference_flood(planner, agent_id) -> np.ndarray:
+    """`LowLevelPlanner._flood` before its flat-list rewrite, uncached: the
+    same Dijkstra over a numpy array with a bounds test per neighbour."""
+    cell = planner.grid.cell
+    nx = max(1, int(math.ceil(planner.inst.map_width / cell)))
+    ny = max(1, int(math.ceil(planner.inst.map_height / cell)))
+    cx = (np.arange(nx)[:, None] + 0.5) * cell
+    cy = (np.arange(ny)[None, :] + 0.5) * cell
+    # a cell is blocked where its centre lies in a box, edges included
+    dx, dy = box_gaps(cx, cy, *planner._obs)
+    blocked = ((dx == 0.0) & (dy == 0.0)).any(axis=-1)
+    goal = planner._task_by_id[agent_id].goal
+    gkey = discretize((goal.x, goal.y, goal.theta), planner.grid)
+    blocked[gkey.ix, gkey.iy] = False
+    dist = np.full((nx, ny), np.inf)
+    dist[gkey.ix, gkey.iy] = 0.0
+    diag = cell * _SQRT2
+    heap = [(0.0, gkey.ix, gkey.iy)]
+    while heap:
+        d, i, j = heapq.heappop(heap)
+        if d > dist[i, j]:
+            continue
+        for di, dj in _NBRS8:
+            ii, jj = i + di, j + dj
+            if 0 <= ii < nx and 0 <= jj < ny and not blocked[ii, jj]:
+                nd = d + (diag if di and dj else cell)
+                if nd < dist[ii, jj] - 1e-12:
+                    dist[ii, jj] = nd
+                    heapq.heappush(heap, (nd, ii, jj))
+    return dist
+
+
+def reference_sweep(planner, x, y, th) -> np.ndarray:
+    """`LowLevelPlanner._sweep` before its static broadphase: every sample of
+    every primitive goes through the disc test against every obstacle."""
+    st, par = planner._stack, planner.params
+    cth, sth = math.cos(th), math.sin(th)
+    wx = x + st[:, 0] * cth - st[:, 1] * sth
+    wy = y + st[:, 0] * sth + st[:, 1] * cth
+    poses = np.stack([wx, wy, th + st[:, 2]], axis=1)
+    cen = disc_centers_arr(poses, par)
+    bad = planner._blocked(cen).any(axis=-1)
+    rows = np.concatenate([planner._row_prim, poses, cen.reshape(-1, 4)], axis=1)
+    return rows[planner._end_rows[~np.logical_or.reduceat(bad, planner._starts)]]
 
 
 def rollout_curve(start, segments):

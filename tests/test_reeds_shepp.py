@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -47,6 +48,19 @@ def test_pure_left_arc(a, radius):
 def test_pure_arc_in_reverse(a):
     goal = (-math.sin(a), 1.0 - math.cos(a), -a)
     assert rs.shortest_path((0, 0, 0), goal, 1.0).length == pytest.approx(a, abs=1e-9)
+
+
+def test_curves_are_slotted_frozen_values():
+    """The pose memo keeps one curve per priced pose: curves and segments
+    carry no per-instance dict, and stay frozen, hashable values."""
+    c = rs.shortest_path((0.0, 0.0, 0.0), (4.0, 3.0, 1.0), 2.0)
+    twin = rs.shortest_path((0.0, 0.0, 0.0), (4.0, 3.0, 1.0), 2.0)
+    for obj in (c, c.segments[0]):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.length = 0.0
+    assert c == twin and c is not twin and hash(c) == hash(twin)
+    assert c != rs.RsCurve(c.segments[:-1], c.length)
 
 
 def test_every_query_reaches_goal():

@@ -15,7 +15,13 @@ from fleetplan.instance import (
 )
 from fleetplan import reeds_shepp as rs
 from fleetplan import search_low as sl
-from oracles import body_rect, brute_flood, corner_sat
+from oracles import body_rect, brute_flood, corner_sat, reference_flood, reference_sweep
+
+
+def bench_instances():
+    """The benchmark's pbs50 and rooms40 instance sets."""
+    return ([generate_random_instance(s, 50.0, 8, 8) for s in range(1, 11)]
+            + [generate_room_instance(s, 40.0, 3, door=3.5) for s in range(1, 9)])
 
 
 def plan_agent(inst, agent_id, dyn, grid, deadline=math.inf):
@@ -96,9 +102,9 @@ def flood_oracle(inst, planner, agent_id=0):
                        zip(*inst.obstacle_arrays()), (key.ix, key.iy))
 
 
-def test_flood_matches_per_obstacle_cell_loop():
-    """The flood's blocked cells come from one vectorized box-gap test; the
-    oracle blocks cells one obstacle at a time and runs its own Dijkstra."""
+def flood_cases():
+    """(instance, grid) pairs: a wall whose edges run through cell centres
+    and an open map, both on the unit grid, then random and room maps."""
     goal = State(3.0, 3.0, 0.0)
     # on the unit grid, cell centres sit at k + 0.5: this wall's edges run
     # exactly through the centres of columns 7 and 12 and rows 9 and 10
@@ -110,6 +116,14 @@ def test_flood_matches_per_obstacle_cell_loop():
     cases = [(edge, unit_grid()), (open_map, unit_grid())]
     cases += [(generate_random_instance(seed, 30.0, 6, 2), sl.GridSpec()) for seed in (1, 2, 3)]
     cases += [(generate_room_instance(seed, 40.0, 2), sl.GridSpec()) for seed in (1, 2)]
+    return cases
+
+
+def test_flood_matches_per_obstacle_cell_loop():
+    """The flood's blocked cells come from one vectorized box-gap test; the
+    oracle blocks cells one obstacle at a time and runs its own Dijkstra."""
+    cases = flood_cases()
+    (edge, _), (open_map, _) = cases[:2]
     for inst, grid in cases:
         planner = sl.LowLevelPlanner(inst, grid)
         fill = planner._flood(0)
@@ -123,6 +137,143 @@ def test_flood_matches_per_obstacle_cell_loop():
     for i, j in ((6, 9), (13, 10), (7, 8), (12, 11)):
         assert math.isfinite(fill[i, j])    # the next centre out
     assert np.isfinite(sl.LowLevelPlanner(open_map, unit_grid())._flood(0)).all()
+
+
+def test_flood_matches_reference_flood():
+    """The flat-list flood equals the array Dijkstra it replaced bit for bit,
+    on every agent goal of the cases above and of pbs50 and rooms40."""
+    for inst, grid in flood_cases() + [(inst, sl.GridSpec()) for inst in bench_instances()]:
+        planner = sl.LowLevelPlanner(inst, grid)
+        for task in inst.agents:
+            fill = planner._flood(task.id)
+            want = reference_flood(planner, task.id)
+            assert fill.shape == want.shape and fill.dtype == want.dtype
+            assert np.array_equal(fill, want), task.id
+
+
+# --- static broadphase ----------------------------------------------------
+
+def sweep_poses(planner, rng):
+    """Poses that probe the static broadphase: uniform over the map and a
+    margin around it, exactly on cell edges and one ulp either side, within
+    reach of each map edge, around each box at about the broadphase's reach,
+    and left of the map far enough that a wrapped cell index would land on
+    cells inside it."""
+    inst, cell, reach = planner.inst, planner.grid.cell, planner._reach
+    w, h = inst.map_width, inst.map_height
+    n = 100
+
+    def th(m):
+        return rng.uniform(-math.pi, math.pi, m)
+
+    out = [np.column_stack([rng.uniform(-3.0, w + 3.0, n), rng.uniform(-3.0, h + 3.0, n), th(n)])]
+    k = rng.integers(0, planner._shape[0] + 1, n) * cell
+    m = rng.integers(0, planner._shape[1] + 1, n) * cell
+    for step in (0.0, -np.inf, np.inf):
+        ex = k if step == 0.0 else np.nextafter(k, step)
+        ey = m if step == 0.0 else np.nextafter(m, step)
+        out.append(np.column_stack([ex, rng.uniform(0.0, h, n), th(n)]))
+        out.append(np.column_stack([rng.uniform(0.0, w, n), ey, th(n)]))
+    d = rng.uniform(0.0, reach + cell, n)
+    out.append(np.column_stack([d, rng.uniform(0.0, h, n), th(n)]))
+    out.append(np.column_stack([w - d, rng.uniform(0.0, h, n), th(n)]))
+    out.append(np.column_stack([rng.uniform(0.0, w, n), d, th(n)]))
+    out.append(np.column_stack([rng.uniform(0.0, w, n), h - d, th(n)]))
+    for cx, cy, hx, hy in zip(*planner._obs):
+        ang = rng.uniform(0.0, 2.0 * math.pi, 12)
+        rad = rng.uniform(reach - 1.0, reach + 1.0, 12)
+        px = cx + np.clip(np.cos(ang) * (hx + rad), -hx - rad, hx + rad)
+        py = cy + np.clip(np.sin(ang) * (hy + rad), -hy - rad, hy + rad)
+        out.append(np.column_stack([px, py, th(12)]))
+    left = -(np.arange(1, planner._shape[0]) + 0.5) * cell
+    out.append(np.column_stack([left, rng.uniform(0.0, h, left.size), th(left.size)]))
+    return np.vstack(out)
+
+
+def test_sweep_matches_reference_sweep():
+    """The broadphase only skips disc tests whose outcome is certain: on
+    seeded probe poses every sweep equals the full test's bit for bit, on
+    pbs50 and rooms40 maps and on a map with no obstacles."""
+    empty = MvtpInstance(40.0, 30.0, [], [AgentTask(0, State(5.0, 5.0, 0.0),
+                                                    State(30.0, 20.0, 0.0))], VehicleParams())
+    insts = bench_instances()
+    rng = np.random.default_rng(14)
+    for inst in (insts[0], insts[7], insts[10], insts[13], empty):
+        planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+        for x, y, th in sweep_poses(planner, rng).tolist():
+            got = planner._sweep(x, y, th)
+            assert np.array_equal(got, reference_sweep(planner, x, y, th)), (x, y, th)
+    # the no-obstacle map's interior needs no test at all; its rim and every
+    # pose off the table take the map test
+    cells = planner._static_cells()
+    assert any(c is None for c in cells) and any(c is not None for c in cells)
+    assert all(c is None or c[0].size == 0 for c in cells)
+
+
+# --- dynamic broadphase ---------------------------------------------------
+
+def exact_planner(inst):
+    """A planner whose dynamic broadphase never skips the exact test."""
+    planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+    planner._far = math.inf
+    return planner
+
+
+def test_dynamic_broadphase_changes_no_plan(monkeypatch):
+    """On pbs50 maps, every agent planned around the agents before it gives
+    the same status, expansions and trajectory with the broadphase as with
+    the exact test on every expansion, and the broadphase skips some."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return distance(*args)
+
+    distance = sl.disc_center_distance
+    monkeypatch.setattr(sl, "disc_center_distance", counted)
+    counts = []
+    for seed in (1, 3, 4, 5):
+        inst = generate_random_instance(seed, 50.0, 8, 8)
+        built, exact = sl.LowLevelPlanner(inst, sl.GridSpec()), exact_planner(inst)
+        free = {a.id: built.plan(a.id).trajectory for a in inst.agents}
+        for task in inst.agents:
+            dyn = sl.DynamicObstacleSet.from_trajectories(
+                [free[b] for b in sorted(free) if b < task.id])
+            pair = []
+            for planner in (built, exact):
+                calls.clear()
+                pair.append(planner.plan(task.id, dyn))
+                counts.append(len(calls))
+            got, want = pair
+            assert (got.status, got.expansions) == (want.status, want.expansions)
+            assert np.array_equal(got.trajectory.states, want.trajectory.states)
+            assert got.trajectory.segments == want.trajectory.segments
+    assert sum(counts[0::2]) < sum(counts[1::2])
+
+
+@pytest.mark.parametrize("gap", ["far", "inside"])
+def test_dynamic_broadphase_blocker_at_far_radius(gap):
+    """A parked blocker facing the start, straight ahead: exactly the far
+    radius away, or 1 mm inside the distance below which its discs reach
+    the straight primitive's end discs.  Either way the search equals the
+    exact one; the nearer blocker does change the search."""
+    inst = MvtpInstance(40.0, 30.0, [], [AgentTask(0, State(10.0, 15.0, 0.0),
+                                                   State(30.0, 15.0, 0.0))], VehicleParams())
+    planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+    par = inst.vehicle
+    # the straight primitive's front disc leads the pose by delta_s + the
+    # front disc offset, and the blocker's front disc faces back
+    touch = sl.GridSpec().delta_s + 2.0 * par.front_disc_offset + 2.0 * par.disc_radius
+    assert planner._far > touch
+    d = planner._far if gap == "far" else touch - 1e-3
+    dyn = sl.DynamicObstacleSet([np.array([[10.0 + d, 15.0, math.pi, 0.0]])])
+    got, want = planner.plan(0, dyn), exact_planner(inst).plan(0, dyn)
+    free = planner.plan(0)
+    assert got.ok and (got.status, got.expansions) == (want.status, want.expansions)
+    assert np.array_equal(got.trajectory.states, want.trajectory.states)
+    assert got.trajectory.segments == want.trajectory.segments
+    if gap == "inside":
+        assert got.expansions != free.expansions
 
 
 # --- heuristic floor ------------------------------------------------------
@@ -457,3 +608,17 @@ def test_dynamic_obstacle_set_padding():
     assert np.allclose(dyn.poses[:, 1], [[1, 0, 0], [5, 5, 1]])
     assert dyn.poses[:, 1:].reshape(-1, 3).shape == (2, 3)
     assert sl.DynamicObstacleSet([]).count == 0
+
+
+@pytest.mark.parametrize("states", [
+    np.zeros((0, 4)),                               # no state at all
+    np.zeros(4),                                    # one flat row
+    np.zeros((3, 2)),                               # no heading column
+    np.array([[0.0, 0.0, 0.0, 0.0], [math.nan, 1.0, 0.0, 0.0]]),
+    np.array([[0.0, math.inf, 0.0, 0.0]]),
+    np.array([[0.0, 0.0, -math.inf, 0.0]]),
+], ids=["empty", "flat", "narrow", "nan_x", "inf_y", "inf_theta"])
+def test_dynamic_obstacle_set_rejects_bad_states(states):
+    good = np.array([[1.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="dynamic obstacle 1"):
+        sl.DynamicObstacleSet([good, states])
