@@ -4,8 +4,10 @@ The search, the refinement, the verifier and the instance generator share
 one version of each of six kernels:
 
 - `advance_arc`: exact advance along a constant-curvature arc by a signed
-  length.  The search's motion primitives and goal shots, the Reeds-Shepp
-  word check and refinement's resampling of the coarse plan all use it.
+  length.  The search's `_piece_poses` (its one walk along motion
+  segments, for the primitive table, the goal shots and the replay check),
+  the Reeds-Shepp word check and refinement's resampling of the coarse plan
+  all use it.
 - `euler_step`: one forward-Euler step of the kinematic bicycle model over
   (..., 4) states.  Refinement linearizes and rolls out with it; the verifier
   re-simulates every plan step with it.

@@ -409,8 +409,15 @@ def _ang_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(d)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
-    """Check a plan against the instance; every violation becomes report data."""
+    """Check a plan against the instance; every violation becomes report data.
+
+    Every test asks whether a value stays within its bound, so a NaN or an
+    infinity in a state or control is a violation (boundary on the endpoint
+    rows, kinematic on a step that reads it, control_limit on v, omega and
+    phi); numpy's warnings on them are silenced.
+    """
     if plan.n_agents != instance.n_agents:
         raise ValueError("plan/instance agent count mismatch")
     if plan.horizon < 1:
@@ -430,8 +437,9 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
         for t_chk, ref in ((0, task.start), (T - 1, task.goal)):
             dp = math.hypot(zs[t_chk, 0] - ref.x, zs[t_chk, 1] - ref.y)
             da = abs(normalize_angle(zs[t_chk, 2] - ref.theta))
-            if dp > BOUNDARY_POS_EPS or da > BOUNDARY_ANG_EPS:
-                rep.violations.append(Violation("boundary", task.id, t_chk, max(dp, da)))
+            if not (dp <= BOUNDARY_POS_EPS and da <= BOUNDARY_ANG_EPS):
+                rep.violations.append(Violation("boundary", task.id, t_chk,
+                                                float(np.maximum(dp, da))))
         # kinematic consistency: one exact step from each sample
         if T > 1:
             pz = euler_step(zs[:-1], us, plan.dt, v.L)
@@ -439,17 +447,18 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
                 np.hypot(pz[:, 0] - zs[1:, 0], pz[:, 1] - zs[1:, 1]),
                 np.maximum(_ang_diff(pz[:, 2], zs[1:, 2]), np.abs(pz[:, 3] - zs[1:, 3])),
             )
-            for t in np.nonzero(err > KINEMATIC_EPS)[0]:
+            for t in np.nonzero(~(err <= KINEMATIC_EPS))[0]:
                 rep.violations.append(Violation("kinematic", task.id, int(t) + 1, float(err[t])))
             # control and steering boxes
             over_v = np.abs(us[:, 0]) - v.v_max
             over_w = np.abs(us[:, 1]) - v.omega_max
-            for t in np.nonzero((over_v > LIMIT_EPS) | (over_w > LIMIT_EPS))[0]:
+            for t in np.nonzero(~((over_v <= LIMIT_EPS) & (over_w <= LIMIT_EPS)))[0]:
                 rep.violations.append(
-                    Violation("control_limit", task.id, int(t), float(max(over_v[t], over_w[t])))
+                    Violation("control_limit", task.id, int(t),
+                              float(np.maximum(over_v[t], over_w[t])))
                 )
         over_phi = np.abs(zs[:, 3]) - v.phi_max
-        for t in np.nonzero(over_phi > LIMIT_EPS)[0]:
+        for t in np.nonzero(~(over_phi <= LIMIT_EPS))[0]:
             rep.violations.append(Violation("control_limit", task.id, int(t), float(over_phi[t])))
         # map containment and static obstacles
         rects.append(footprints(zs, v))
@@ -504,8 +513,10 @@ def read_plan(path) -> Plan:
         if not head.startswith("#"):
             raise ValueError("plan file missing header line")
         meta = dict(tok.split("=") for tok in head[1:].split() if "=" in tok)
-        dt = float(meta["dt"])
-        tau_f = float(meta["tau_f"])
+        try:
+            dt, tau_f = float(meta["dt"]), float(meta["tau_f"])
+        except KeyError as e:
+            raise ValueError(f"plan file header missing {e.args[0]}=") from None
         f.readline()  # column names
         rows: dict[int, list[list[float]]] = {}
         for line in f:

@@ -218,13 +218,6 @@ def _goal_in_start_frame(start, goal, radius):
     )
 
 
-def all_paths(start, goal, radius: float) -> list[RsCurve]:
-    """Every valid candidate curve in enumeration order (used by the tests)."""
-    x, y, phi = _goal_in_start_frame(start, goal, radius)
-    return [_to_curve(w, ls, radius) for w, ls in _solutions(x, y, phi)
-            if _reaches(w, ls, x, y, phi)]
-
-
 def shortest_path(start, goal, radius: float) -> RsCurve | None:
     x, y, phi = _goal_in_start_frame(start, goal, radius)
     if abs(x) < 1e-12 and abs(y) < 1e-12 and abs(phi) < 1e-12:

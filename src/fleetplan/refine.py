@@ -171,18 +171,6 @@ def _track_guess(states, controls, dt, params: VehicleParams):
     return out_s, out_u
 
 
-def classify_guess(report) -> dict:
-    """Count the minor-collision types in the verifier's report on the
-    interpolated guess: A inter-vehicle, B static obstacle, C off-map."""
-    kinds = {"inter_agent": "A", "static": "B", "off_map": "C"}
-    out = {"A": 0, "B": 0, "C": 0}
-    for v in report.violations:
-        k = kinds.get(v.kind)
-        if k:
-            out[k] += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # neighbor pairs and separating planes
 
@@ -531,7 +519,6 @@ class RefineTelemetry:
     iterations: int = 0
     residuals: list = field(default_factory=list)
     qp_time_s: float = 0.0
-    guess_collisions: dict = field(default_factory=dict)
     # (agent, iteration, reason): "empty_box" when the corridor and trust
     # region leave no room, else the QP status that was not "optimal"
     qp_rejections: list = field(default_factory=list)
@@ -564,10 +551,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
     states, controls, dt = interpolate(trajs_by_id, order, params)
     M, T = states.shape[:2]
     guess = Plan(states=list(states), controls=list(controls), dt=dt, tau_f=(T - 1) * dt)
-    report = validate_plan(instance, guess)
-    tele.guess_collisions = classify_guess(report)
-
-    if not report.violations:
+    if validate_plan(instance, guess).feasible:
         return RefineResult("ok", guess, tele)
     if T < 2:
         tele.failure = {"reason": "degenerate_guess", "iteration": 0}

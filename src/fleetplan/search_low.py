@@ -91,8 +91,7 @@ def discretize(pose, grid: GridSpec, it: int = 0) -> DiscreteState:
     return DiscreteState(ix, iy, k, it)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One time quantum of motion: signed direction, steering, arc length.
     direction 0 is a wait (hold the pose for the quantum)."""
 
@@ -103,6 +102,9 @@ class Segment:
     @property
     def is_wait(self) -> bool:
         return self.direction == 0.0
+
+
+_WAIT = Segment(0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -152,37 +154,36 @@ class DynamicObstacleSet:
         return cls([t.states for t in trajectories])
 
 
-def _split_curve(curve: rs.RsCurve, delta_s: float, wheelbase: float):
-    """Cut a curve at cusps and delta_s marks into (direction, steer, length)
-    pieces, each at most delta_s long (one time quantum each)."""
-    pieces = []
+def _split_curve(curve: rs.RsCurve, delta_s: float, wheelbase: float) -> list[Segment]:
+    """Cut a curve at cusps and delta_s marks into timed segments, each at
+    most delta_s long, with a wait before each direction change: a cusp
+    holds the pose for one quantum."""
+    timed = []
     for seg in curve.segments:
         d = 1.0 if seg.length >= 0.0 else -1.0
         steer = math.atan(seg.curvature * wheelbase)
         rem = abs(seg.length)
         while rem > 1e-9:
             ln = min(delta_s, rem)
-            pieces.append((d, steer, ln))
+            if timed and timed[-1].direction * d < 0:
+                timed.append(_WAIT)
+            timed.append(Segment(d, steer, ln))
             rem -= ln
-    return pieces
+    return timed
 
 
 class _Primitive(NamedTuple):
-    direction: float
-    steer: float
+    segment: Segment
     samples: np.ndarray  # (n, 3) local poses along the arc, endpoint last
 
 
 def _primitive_table(grid: GridSpec, params: VehicleParams):
     acts = []
-    n = max(1, int(round(grid.delta_s / SAMPLE_DS)))
-    sigma = np.arange(1, n + 1) * (grid.delta_s / n)
     for direction in (1.0, -1.0):
         for steer in (0.0, params.phi_max, -params.phi_max):
-            kappa = math.tan(steer) / params.L
-            local = np.array([advance_arc(0.0, 0.0, 0.0, kappa, s) for s in direction * sigma])
-            acts.append(_Primitive(direction, steer, local))
-    acts.append(_Primitive(0.0, 0.0, np.zeros((1, 3))))  # wait
+            seg = Segment(direction, steer, grid.delta_s)
+            acts.append(_Primitive(seg, _piece_poses(0.0, 0.0, 0.0, [seg], SAMPLE_DS, params.L)))
+    acts.append(_Primitive(_WAIT, np.zeros((1, 3))))
     return acts
 
 
@@ -206,6 +207,8 @@ class LowLevelPlanner:
     bring the vehicle back to the exact same (x, y, yaw) at later time
     indices, and PBS replans the same agent again and again around different
     higher-priority trajectories, so each expansion is split in two.
+    Primitives, goal shots and the replay check all walk their `Segment`s
+    with `_piece_poses`, the search's one use of `advance_arc`.
 
     Memoised across calls, keyed on the exact float pose, until
     `release_memo` drops it (`PrioritySearch.solve` does so on every exit):
@@ -213,14 +216,16 @@ class LowLevelPlanner:
     primitive's sweep stays on the map and clear of the static obstacles; and,
     per goal, the heuristic of each pose, the pose's shortest Reeds-Shepp
     curve to the goal, which the heuristic and the goal shot share, and the
-    shot: its cut into timed pieces, the end pose of each piece (one (n, 3)
-    array, walked once the static test passes, from which both the dynamic
-    test's disc centres and the returned trajectory are read) and those disc
-    centres.  None of it depends on time or on the dynamic obstacles.  The
-    dynamic obstacles' disc centres are computed once per call.  Run on every
-    expansion: the dynamic-obstacle test at the next time index, the reversal
-    rule, the cost comparison, and the goal shot's reversal rule, horizon cap
-    and dynamic checks.  Each node's time-indexed closed-set key is built
+    shot: its cut into timed segments and, filled in together once the
+    shot's static test passes, the end pose of each segment (one (n, 3)
+    array, which the returned trajectory reads) and their disc centres
+    (which the dynamic test reads).  The static test itself waits for the
+    first try that passes the reversal rule and horizon cap.  None of it
+    depends on time or on the dynamic obstacles.  The dynamic obstacles' disc
+    centres are computed once per call.  Run on every expansion: the
+    dynamic-obstacle test at the next time index, the reversal rule, the
+    cost comparison, and the goal shot's reversal rule, horizon cap and
+    dynamic checks.  Each node's time-indexed closed-set key is built
     once, when the node is pushed, and read back when it is popped.
 
     Two broadphases skip clearance tests whose outcome is certain, so every
@@ -485,42 +490,27 @@ class LowLevelPlanner:
             if curve is None:
                 return None
             if pose not in shots:
-                pieces = _split_curve(curve, grid.delta_s, par.L)
-                # a cusp inside the curve holds the pose for one quantum
-                timed = []
-                for p in pieces:
-                    if timed and timed[-1][0] * p[0] < 0:
-                        timed.append((0.0, 0.0, 0.0))
-                    timed.append(p)
-                # [timed pieces, their end poses (n, 3), the end poses' disc
-                # centres], the end poses walked once the static test passes
-                # and the centres filled in when first needed; None once the
-                # static test fails, for then the shot fails at every time
-                shots[pose] = [timed, None, None]
+                # [timed segments, their end poses (n, 3), the end poses' disc
+                # centres], poses and centres filled in once the static test
+                # passes; None once it fails, for then the shot fails at
+                # every time
+                shots[pose] = [_split_curve(curve, grid.delta_s, par.L), None, None]
             shot = shots[pose]
             if shot is None:
                 return None
             timed, steps, step_cen = shot
-            if timed and last_dir and timed[0][0] * last_dir < 0:
+            if timed and last_dir and timed[0].direction * last_dir < 0:
                 return None      # reversal needs a dwell; the wait successor covers it
             if it + len(timed) > grid.max_steps:
                 return None
             if steps is None:
-                pieces = [p for p in timed if p[0]]
-                cen = disc_centers_arr(_piece_poses(*pose, pieces, SAMPLE_DS, par.L), par)
+                cen = disc_centers_arr(_piece_poses(*pose, timed, SAMPLE_DS, par.L), par)
                 if self._blocked(cen).any():
                     shots[pose] = None
                     return None
-                x, y, th = pose
-                walk = []
-                for d, steer, ln in timed:
-                    x, y, th = advance_arc(x, y, th, math.tan(steer) / par.L, d * ln)
-                    th = normalize_angle(th)
-                    walk.append((x, y, th))
-                steps = shot[1] = np.array(walk).reshape(-1, 3)
+                steps = shot[1] = _piece_poses(*pose, timed, math.inf, par.L)
+                step_cen = shot[2] = disc_centers_arr(steps, par)
             if dyn.count:
-                if step_cen is None:
-                    step_cen = shot[2] = disc_centers_arr(steps, par)
                 # step m against the dynamic obstacles at time index it + 1 + m
                 at = np.minimum(np.arange(it + 1, it + 1 + len(timed)), horizon)
                 if (disc_center_distance(step_cen, dyn_cen[:, at]) < two_r).any():
@@ -538,13 +528,8 @@ class LowLevelPlanner:
                 idx = nparent[idx]
             chain.reverse()
             states = [(*nposes[i], 0.0) for i in chain]
-            segments = [None] * (len(chain) - 1)
-            for si, i in enumerate(chain[1:]):
-                p = self._prims[nact[i]]
-                segments[si] = Segment(p.direction, p.steer,
-                                       grid.delta_s if p.direction else 0.0)
+            segments = [self._prims[nact[i]].segment for i in chain[1:]] + timed
             states.extend((x, y, th, 0.0) for x, y, th in steps.tolist())
-            segments.extend(Segment(*p) for p in timed)
             traj = CoarseTrajectory(agent_id, np.array(states, dtype=float),
                                     tuple(segments), quantum)
             _replay_check(traj, par)
@@ -602,12 +587,12 @@ class LowLevelPlanner:
             g = ngs[idx]
             for a, ex, ey, eth in sweep[:, :4].tolist():
                 a = int(a)
-                prim = self._prims[a]
-                if prim.direction and last_dir and prim.direction * last_dir < 0:
+                d = self._prims[a].segment.direction
+                if d and last_dir and d * last_dir < 0:
                     continue  # reversal only out of a dwell
                 eth = normalize_angle(eth)
-                g2 = g + quantum * (REVERSE_PENALTY if prim.direction < 0 else 1.0)
-                dir2 = int(prim.direction) if prim.direction else 0
+                g2 = g + quantum * (REVERSE_PENALTY if d < 0 else 1.0)
+                dir2 = int(d) if d else 0
                 key2 = (discretize((ex, ey, eth), grid, it + 1), dir2)
                 if g2 < best.get(key2, math.inf) - 1e-12:
                     push((ex, ey, eth), g2, idx, a, key2)
@@ -615,10 +600,12 @@ class LowLevelPlanner:
         return LowLevelResult("exhausted", None, expansions)
 
 
-def _piece_poses(x, y, th, pieces, ds, wheelbase):
-    """Fine poses along curve pieces, every piece's endpoint included."""
+def _piece_poses(x, y, th, segments, ds, wheelbase):
+    """Poses along segments from (x, y, th), headings wrapped, (n, 3): each
+    segment in ceil(length / ds) equal steps, at least one, so every
+    segment's end pose is included; ds = inf gives one pose per segment."""
     fine = []
-    for d, steer, ln in pieces:
+    for d, steer, ln in segments:
         kappa = math.tan(steer) / wheelbase
         n = max(1, int(math.ceil(ln / ds - 1e-9)))
         for m in range(1, n + 1):
@@ -630,12 +617,7 @@ def _piece_poses(x, y, th, pieces, ds, wheelbase):
 
 def _replay_check(traj: CoarseTrajectory, params: VehicleParams):
     """Forward-simulating the segments must reproduce the stored states."""
-    x, y, th = traj.states[0, 0], traj.states[0, 1], traj.states[0, 2]
-    for t, seg in enumerate(traj.segments):
-        x, y, th = advance_arc(x, y, th, math.tan(seg.steer) / params.L,
-                               seg.direction * seg.length)
-        th = normalize_angle(th)
-        s = traj.states[t + 1]
-        dth = abs(normalize_angle(th - s[2]))
-        if max(abs(x - s[0]), abs(y - s[1]), dth) > 1e-9:
+    walk = _piece_poses(*traj.states[0, :3], traj.segments, math.inf, params.L)
+    for (x, y, th), s in zip(walk.tolist(), traj.states[1:].tolist(), strict=True):
+        if max(abs(x - s[0]), abs(y - s[1]), abs(normalize_angle(th - s[2]))) > 1e-9:
             raise RuntimeError("coarse trajectory replay mismatch")

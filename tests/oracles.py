@@ -3,11 +3,15 @@
 Everything here is deliberately written from first principles (dense sampling,
 dense linear algebra, brute-force enumeration) rather than reusing library
 internals, so the implementation and its checks stay on separate routes.  The
-one exception is `reference_admm`, which keeps the QP solver's set-up and
-checks its iteration loop alone, and `reference_flood` and `reference_sweep`,
-which keep the low-level search's flood fill and static sweep test as they
-were before their broadphase and flat-list rewrites, so the planner's own
-versions can be held to them bit for bit.
+exceptions keep a library loop as it was before a rewrite, so the new
+version can be held to it bit for bit: `reference_admm` keeps the QP
+solver's set-up and checks its iteration loop alone; `reference_flood` and
+`reference_sweep` keep the low-level search's flood fill and static sweep
+test from before their broadphase and flat-list rewrites; and
+`reference_primitive_table` and `reference_shot_walk` keep the search's own
+arc walks from before `_piece_poses` took them over.  `all_paths`, every
+Reeds-Shepp candidate, is built from the module's enumeration to check its
+search for the shortest.
 """
 from __future__ import annotations
 
@@ -17,7 +21,8 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpbtrs
 
-from fleetplan.geometry import box_gaps, disc_centers_arr
+from fleetplan import reeds_shepp as rs
+from fleetplan.geometry import advance_arc, box_gaps, disc_centers_arr, normalize_angle
 from fleetplan.qp import (
     _ALPHA,
     _RHO0,
@@ -30,7 +35,7 @@ from fleetplan.qp import (
     _primal_infeasibility_certificate,
     kkt_residuals,
 )
-from fleetplan.search_low import _NBRS8, _SQRT2, discretize
+from fleetplan.search_low import _NBRS8, _SQRT2, SAMPLE_DS, discretize
 
 
 def point_in_box(px: float, py: float, cx: float, cy: float, hx: float, hy: float,
@@ -291,6 +296,42 @@ def reference_sweep(planner, x, y, th) -> np.ndarray:
     bad = planner._blocked(cen).any(axis=-1)
     rows = np.concatenate([planner._row_prim, poses, cen.reshape(-1, 4)], axis=1)
     return rows[planner._end_rows[~np.logical_or.reduceat(bad, planner._starts)]]
+
+
+def reference_primitive_table(grid, params) -> list[tuple]:
+    """`_primitive_table` before `_piece_poses` walked it: per primitive
+    (direction, steer, local samples (n, 3)), the wait last, with
+    round(delta_s / SAMPLE_DS) samples m * delta_s / n along each arc."""
+    acts = []
+    n = max(1, int(round(grid.delta_s / SAMPLE_DS)))
+    sigma = np.arange(1, n + 1) * (grid.delta_s / n)
+    for direction in (1.0, -1.0):
+        for steer in (0.0, params.phi_max, -params.phi_max):
+            kappa = math.tan(steer) / params.L
+            local = np.array([advance_arc(0.0, 0.0, 0.0, kappa, s) for s in direction * sigma])
+            acts.append((direction, steer, local))
+    acts.append((0.0, 0.0, np.zeros((1, 3))))
+    return acts
+
+
+def reference_shot_walk(pose, segments, wheelbase) -> np.ndarray:
+    """The goal shot's end-pose walk before `_piece_poses` took it over: one
+    wrapped pose (n, 3) after each (direction, steer, length) segment."""
+    x, y, th = pose
+    walk = []
+    for d, steer, ln in segments:
+        x, y, th = advance_arc(x, y, th, math.tan(steer) / wheelbase, d * ln)
+        th = normalize_angle(th)
+        walk.append((x, y, th))
+    return np.array(walk).reshape(-1, 3)
+
+
+def all_paths(start, goal, radius: float) -> list:
+    """Every Reeds-Shepp candidate curve that reaches the goal, in the
+    module's enumeration order."""
+    x, y, phi = rs._goal_in_start_frame(start, goal, radius)
+    return [rs._to_curve(w, ls, radius) for w, ls in rs._solutions(x, y, phi)
+            if rs._reaches(w, ls, x, y, phi)]
 
 
 def rollout_curve(start, segments):

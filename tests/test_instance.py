@@ -291,6 +291,56 @@ def test_validate_boundary_mismatch():
     assert rep.count("boundary") == 1
 
 
+def test_validate_flags_every_non_finite_entry():
+    """A NaN or an infinity anywhere in a state or a control is a violation;
+    every bound test reads False on NaN, so each must be phrased to fail it."""
+    inst = parse_instance(MINIMAL.replace("goal: [15, 15, 0]", "goal: [5, 5, 0]"))
+    T = 6
+    assert validate_plan(inst, _hold_plan(inst, T)).feasible
+    cases = [("states", t, c) for t in (0, 2, T - 1) for c in range(4)]
+    cases += [("controls", t, c) for t in (0, T - 2) for c in range(2)]
+    for field_name, t, c in cases:
+        for bad in (math.nan, math.inf, -math.inf):
+            plan = _hold_plan(inst, T)
+            getattr(plan, field_name)[0][t, c] = bad
+            kinds = {v.kind for v in validate_plan(inst, plan).violations}
+            if field_name == "controls" or c == 3:
+                want = "control_limit"      # v, omega and phi have their boxes
+            elif t in (0, T - 1):
+                want = "boundary"
+            else:
+                want = "kinematic"
+            assert want in kinds, (field_name, t, c, bad, kinds)
+
+
+def test_validate_rejects_nan_plans_of_a_generated_instance():
+    inst = generate_random_instance(1, 30.0, 6, 2)
+    T = 5
+    nan = Plan([np.full((T, 4), math.nan) for _ in inst.agents],
+               [np.full((T - 1, 2), math.nan) for _ in inst.agents], 0.5, (T - 1) * 0.5)
+    rep = validate_plan(inst, nan)
+    assert {(v.agent, v.kind, v.t) for v in rep.violations if v.kind == "boundary"} == {
+        (a.id, "boundary", t) for a in inst.agents for t in (0, T - 1)}
+    # exact endpoints with NaN between them
+    for a, z in zip(inst.agents, nan.states):
+        z[0] = [a.start.x, a.start.y, a.start.theta, 0.0]
+        z[-1] = [a.goal.x, a.goal.y, a.goal.theta, 0.0]
+    rep = validate_plan(inst, nan)
+    assert rep.count("boundary") == 0
+    assert rep.count("kinematic") == len(inst.agents) * (T - 1)
+    assert not rep.feasible
+
+
+@pytest.mark.parametrize("head, key", [("# tau_f=2.0 agents=1", "dt"),
+                                       ("# dt=0.5 agents=1", "tau_f")],
+                         ids=["no_dt", "no_tau_f"])
+def test_read_plan_names_a_missing_header_key(tmp_path, head, key):
+    path = tmp_path / "plan.csv"
+    path.write_text(head + "\nagent_id,t_index,time_s,x,y,theta,phi,v,omega\n")
+    with pytest.raises(ValueError, match=f"missing {key}="):
+        read_plan(path)
+
+
 def test_plan_file_roundtrip(tmp_path):
     """Rows carry the agents' ids, not their positions, and reading keeps the
     file's order, so states[i] still belongs to the i-th agent."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fleetplan import reeds_shepp as rs
-from oracles import rollout_curve, rs_lower_bound
+from oracles import all_paths, rollout_curve, rs_lower_bound
 
 
 def rand_poses(n, seed, span=10.0):
@@ -101,7 +101,7 @@ def test_shortest_is_min_over_enumeration():
     poses = rand_poses(200, seed=5)
     for k in range(0, 200, 2):
         start, goal = poses[k], poses[k + 1]
-        cands = rs.all_paths(start, goal, 1.7)
+        cands = all_paths(start, goal, 1.7)
         assert cands, "candidate set must never be empty"
         best = min(c.length for c in cands)
         assert rs.shortest_path(start, goal, 1.7).length == pytest.approx(best, abs=1e-9)
@@ -123,7 +123,7 @@ def test_shortest_matches_running_minimum_over_all_paths():
         start, goal = poses[k], poses[k + 1]
         x, y, phi = rs._goal_in_start_frame(start, goal, radius)
         valid = [(w, ls) for w, ls in rs._solutions(x, y, phi) if rs._reaches(w, ls, x, y, phi)]
-        assert rs.all_paths(start, goal, radius) == [rs._to_curve(w, ls, radius) for w, ls in valid]
+        assert all_paths(start, goal, radius) == [rs._to_curve(w, ls, radius) for w, ls in valid]
         best, best_len = None, math.inf
         for w, ls in valid:
             total = sum(abs(l) for l in ls)

@@ -318,8 +318,8 @@ def test_rejection_reasons_name_empty_box_and_qp_status(monkeypatch):
 
 
 def test_guess_is_verified_once_then_once_per_round(monkeypatch):
-    """One validate_plan call on the interpolated guess feeds both the
-    collision census and the early exit; each SQP round adds one more."""
+    """One validate_plan call on the interpolated guess feeds the early
+    exit; each SQP round adds one more."""
     inst = generate_random_instance(1, 30.0, 6, 2)
     res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
     assert res.ok

@@ -1,10 +1,11 @@
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from fleetplan.geometry import OrientedBox, State, VehicleParams
+from fleetplan.geometry import OrientedBox, State, VehicleParams, disc_centers_arr
 from fleetplan.instance import (
     AgentTask,
     MvtpInstance,
@@ -15,13 +16,22 @@ from fleetplan.instance import (
 )
 from fleetplan import reeds_shepp as rs
 from fleetplan import search_low as sl
-from oracles import body_rect, brute_flood, corner_sat, reference_flood, reference_sweep
+from oracles import (
+    body_rect,
+    brute_flood,
+    corner_sat,
+    reference_flood,
+    reference_primitive_table,
+    reference_shot_walk,
+    reference_sweep,
+)
 
 
+@functools.cache
 def bench_instances():
-    """The benchmark's pbs50 and rooms40 instance sets."""
-    return ([generate_random_instance(s, 50.0, 8, 8) for s in range(1, 11)]
-            + [generate_room_instance(s, 40.0, 3, door=3.5) for s in range(1, 9)])
+    """The benchmark's pbs50 and rooms40 instance sets, built once."""
+    return tuple([generate_random_instance(s, 50.0, 8, 8) for s in range(1, 11)]
+                 + [generate_room_instance(s, 40.0, 3, door=3.5) for s in range(1, 9)])
 
 
 def plan_agent(inst, agent_id, dyn, grid, deadline=math.inf):
@@ -622,3 +632,60 @@ def test_dynamic_obstacle_set_rejects_bad_states(states):
     good = np.array([[1.0, 1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="dynamic obstacle 1"):
         sl.DynamicObstacleSet([good, states])
+
+
+# --- one arc walk ---------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [sl.GridSpec(), unit_grid()], ids=["default", "sqrt2"])
+def test_primitive_table_matches_reference(grid, params):
+    table = sl._primitive_table(grid, params)
+    ref = reference_primitive_table(grid, params)
+    assert len(table) == len(ref)
+    for prim, (direction, steer, local) in zip(table, ref):
+        assert prim.segment == sl.Segment(direction, steer, grid.delta_s if direction else 0.0)
+        assert np.array_equal(prim.samples, local)
+
+
+def test_goal_shots_match_reference_walk():
+    """Every goal shot that passes its static test while each agent of the
+    pbs50 and rooms40 instances is planned: the end poses equal the old
+    walk's bit for bit, and the disc centres are those of the end poses."""
+    built = cusps = 0
+    for inst in bench_instances():
+        planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+        for task in inst.agents:
+            assert planner.plan(task.id).ok
+        for _, _, shots in planner._by_goal.values():
+            for pose, shot in shots.items():
+                if shot is None or shot[1] is None:
+                    continue
+                timed, steps, step_cen = shot
+                assert np.array_equal(steps, reference_shot_walk(pose, timed, inst.vehicle.L))
+                assert np.array_equal(step_cen, disc_centers_arr(steps, inst.vehicle))
+                built += 1
+                cusps += any(s.is_wait for s in timed)
+    assert built > 100 and cusps > 0
+
+
+@pytest.mark.parametrize("grid", [sl.GridSpec(), unit_grid()], ids=["default", "sqrt2"])
+def test_split_curve_waits_once_per_cusp(grid, params):
+    rng = np.random.default_rng(3)
+    poses = rng.uniform([0.0, 0.0, -math.pi], [12.0, 12.0, math.pi], size=(400, 3))
+    changes = 0
+    for k in range(0, len(poses), 2):
+        curve = rs.shortest_path(tuple(poses[k]), tuple(poses[k + 1]), params.min_turn_radius)
+        timed = sl._split_curve(curve, grid.delta_s, params.L)
+        assert timed and not timed[0].is_wait and not timed[-1].is_wait
+        for a, b, c in zip(timed, timed[1:], timed[2:]):
+            if b.is_wait:
+                # a wait sits between two moves of opposite direction
+                assert b == sl.Segment(0.0, 0.0, 0.0)
+                assert not a.is_wait and not c.is_wait and a.direction * c.direction < 0
+        for a, b in zip(timed, timed[1:]):
+            if not a.is_wait and not b.is_wait:
+                assert a.direction == b.direction    # every reversal waits
+        moves = [s for s in timed if not s.is_wait]
+        assert all(s.direction in (1.0, -1.0) and 0.0 < s.length <= grid.delta_s for s in moves)
+        assert sum(s.length for s in moves) == pytest.approx(curve.length, abs=1e-9)
+        changes += len(timed) - len(moves)
+    assert changes > 0
