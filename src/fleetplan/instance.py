@@ -431,8 +431,9 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
     for idx, task in enumerate(instance.agents):
         zs = plan.states[idx]
         us = plan.controls[idx]
-        if zs.shape[0] != T:
-            raise ValueError("trajectories have unequal lengths")
+        if zs.shape != (T, 4) or us.shape != (T - 1, 2):
+            raise ValueError(f"agent {task.id}: states of shape {zs.shape} and controls of "
+                             f"shape {us.shape}, need ({T}, 4) and ({T - 1}, 2)")
         # endpoint boundary conditions
         for t_chk, ref in ((0, task.start), (T - 1, task.goal)):
             dp = math.hypot(zs[t_chk, 0] - ref.x, zs[t_chk, 1] - ref.y)
@@ -494,11 +495,14 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
 # plan file format
 
 
+_PLAN_COLUMNS = ("agent_id", "t_index", "time_s", "x", "y", "theta", "phi", "v", "omega")
+
+
 def write_plan(path, plan: Plan, agent_ids) -> None:
     """One CSV row per agent and time index; agent_ids[i] labels plan.states[i]."""
     with open(path, "w") as f:
         f.write(f"# dt={plan.dt!r} tau_f={plan.tau_f!r} agents={plan.n_agents}\n")
-        f.write("agent_id,t_index,time_s,x,y,theta,phi,v,omega\n")
+        f.write(",".join(_PLAN_COLUMNS) + "\n")
         for aid, zs, us in zip(agent_ids, plan.states, plan.controls):
             for t in range(zs.shape[0]):
                 v, w = (us[t] if t < us.shape[0] else (0.0, 0.0))
@@ -519,11 +523,14 @@ def read_plan(path) -> Plan:
             raise ValueError(f"plan file header missing {e.args[0]}=") from None
         f.readline()  # column names
         rows: dict[int, list[list[float]]] = {}
-        for line in f:
+        for lineno, line in enumerate(f, start=3):
             line = line.strip()
             if not line:
                 continue
             vals = line.split(",")
+            if len(vals) != len(_PLAN_COLUMNS):
+                raise ValueError(f"plan file line {lineno}: {len(vals)} fields, need "
+                                 f"{len(_PLAN_COLUMNS)} ({','.join(_PLAN_COLUMNS)})")
             rows.setdefault(int(vals[0]), []).append([float(x) for x in vals[2:]])
     states, controls = [], []
     for arr in map(np.array, rows.values()):

@@ -46,6 +46,9 @@ _RHO0 = 0.1
 _RHO_EQ_SCALE = 1e3    # equality rows get a stiffer penalty
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _PINF_EPS = 1e-5
+EPS_ABS = EPS_REL = 1e-5   # optimal: each residual <= EPS_ABS + EPS_REL * its terms' scale
+MAX_ITERS = 4000           # then max_iters; solve reads these three at each call
+CHECK_EVERY = 25           # iterations between residual checks
 
 
 def _ninf(v) -> float:
@@ -180,9 +183,7 @@ def _ordered(qp: QpProblem, mult):
     return perm, inv, factor, qp.P[perm][:, perm], qp.q[perm], A, A.T.tocsr()
 
 
-def solve(qp: QpProblem, warm: QpSolution | None = None, *,
-          eps_abs: float = 1e-6, eps_rel: float = 1e-6,
-          max_iters: int = 20000, check_every: int = 25) -> QpSolution:
+def solve(qp: QpProblem, warm: QpSolution | None = None) -> QpSolution:
     n, m = qp.n, qp.m
     mult = qp.rho_multipliers()
     # the iterations run on the variables in the banded order perm and map x
@@ -218,8 +219,8 @@ def solve(qp: QpProblem, warm: QpSolution | None = None, *,
     np.clip(a_mul(x, z), l, u, out=z)
 
     status = "max_iters"
-    iters = max_iters
-    for k in range(1, max_iters + 1):
+    iters = MAX_ITERS
+    for k in range(1, MAX_ITERS + 1):
         # x~ solves the step's system with right side sigma x - q + w; z~ = A x~
         np.multiply(rho, z, out=zt)
         np.subtract(zt, y, out=zt)
@@ -245,7 +246,7 @@ def solve(qp: QpProblem, warm: QpSolution | None = None, *,
         np.add(y_prev, z, out=y)
         z[:] = zt
 
-        if k % check_every:
+        if k % CHECK_EVERY:
             continue
 
         Ax = A @ x
@@ -253,8 +254,8 @@ def solve(qp: QpProblem, warm: QpSolution | None = None, *,
         Aty = At @ y
         r_prim = _ninf(Ax - z)
         r_dual = _ninf(Px + q + Aty)
-        eps_p = eps_abs + eps_rel * max(_ninf(Ax), _ninf(z))
-        eps_d = eps_abs + eps_rel * max(_ninf(Px), _ninf(Aty), _ninf(q))
+        eps_p = EPS_ABS + EPS_REL * max(_ninf(Ax), _ninf(z))
+        eps_d = EPS_ABS + EPS_REL * max(_ninf(Px), _ninf(Aty), _ninf(q))
         if r_prim <= eps_p and r_dual <= eps_d:
             status = "optimal"
             iters = k

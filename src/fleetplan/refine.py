@@ -108,10 +108,14 @@ def _track_guess(states, controls, dt, params: VehicleParams):
     small-gain lateral/heading regulator rides on top to bleed off the
     residual drift; it is weak enough never to fight the feedforward.
 
-    The result is dynamically exact by construction — a valid linearization
-    point with no defect to absorb — and stays within a small fraction of
-    the trust region of the guess; the residual goal mismatch is left for
-    the QP's own boundary handling on the final approach.
+    What the result guarantees: it is dynamically exact by construction, each
+    state the Euler step of the one before (a valid linearization point with
+    no defect to absorb); its speed, steering rate and steer stay in their
+    boxes; and it starts exactly at the start pose, at zero steer.  Its end
+    is not bounded: the drift it leaves may put the end more than R_TRUST
+    from the goal in some disc coordinate (misses of 0.65-1.32 m have been
+    measured on 30 m random instances), and then the agent's QP, whose trust
+    region is anchored here and whose goal rows are equalities, is infeasible.
     """
     T = states.shape[0]
     out_s = states.copy()
@@ -611,8 +615,7 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
                 sol = None
             else:
                 t0 = time.monotonic()
-                sol = qp_solve(qp, warm=warm[m],
-                               eps_abs=1e-5, eps_rel=1e-5, max_iters=4000)
+                sol = qp_solve(qp, warm=warm[m])
                 tele.qp_time_s += time.monotonic() - t0
             if sol is None or sol.status != "optimal":
                 # an over-constrained or unconverged agent keeps its iterate

@@ -44,7 +44,6 @@ _EUCLID_FLOOR = 1.0 - 1e-9
 N_YAW = 72                 # heading bins of the closed-set key
 _YAW_BIN = _TWO_PI / N_YAW
 SAMPLE_DS = 0.5            # collision-sample spacing along a motion [m]
-REVERSE_PENALTY = 1.0      # cost factor of a reverse primitive
 RS_RADIUS = 12.0           # goal distance within which Reeds-Shepp curves price and shoot [m]
 
 
@@ -223,10 +222,14 @@ class LowLevelPlanner:
     first try that passes the reversal rule and horizon cap.  None of it
     depends on time or on the dynamic obstacles.  The dynamic obstacles' disc
     centres are computed once per call.  Run on every expansion: the
-    dynamic-obstacle test at the next time index, the reversal rule, the
-    cost comparison, and the goal shot's reversal rule, horizon cap and
-    dynamic checks.  Each node's time-indexed closed-set key is built
-    once, when the node is pushed, and read back when it is popped.
+    dynamic-obstacle test at the next time index, the reversal rule, and the
+    goal shot's reversal rule, horizon cap and dynamic checks.  Each node's
+    time-indexed closed-set key is built once, when the node is pushed, and
+    read back when it is popped.
+
+    A node's cost is its arrival time: every primitive, forward, reverse or
+    wait, costs one quantum.  The key holds the time index, so every path to
+    a key costs the same, and the first push of a key is final.
 
     Two broadphases skip clearance tests whose outcome is certain, so every
     plan is the one the full tests give.  Every covering-disc centre of a
@@ -247,14 +250,11 @@ class LowLevelPlanner:
     Deferred until pop (Lazy A*, Tolpin et al., IJCAI 2013): a pose within
     RS_RADIUS of the goal whose curve is not yet known is pushed on a floor,
     the flood-fill and straight-line terms alone, with no Reeds-Shepp call.
-    If the node is still current when it is popped, its exact heuristic is
-    computed and it is pushed again under its original counter, unexpanded.
-    The floor is never above the exact key, so every such node is re-pushed
-    before any node whose (f, counter) follows its own, and the heap pops
-    nodes for expansion in exactly the order of a search that computes every
-    heuristic at push.  A node superseded before its pop is dropped unpriced;
-    the eager search would have popped and skipped it, since a key's best
-    cost only falls.
+    When the node is popped, its exact heuristic is computed and it is pushed
+    again under its original counter, unexpanded.  The floor is never above
+    the exact key, so every such node is re-pushed before any node whose
+    (f, counter) follows its own, and the heap pops nodes for expansion in
+    exactly the order of a search that computes every heuristic at push.
     """
 
     def __init__(self, instance, grid: GridSpec):
@@ -459,7 +459,7 @@ class LowLevelPlanner:
         nact: list[int] = []
         nkeys: list[tuple] = []
         deferred: list[bool] = []    # queued on the heuristic's floor
-        best: dict[tuple, float] = {}
+        closed: set[tuple] = set()   # the keys pushed so far
         open_heap: list[tuple[float, int, int]] = []
         counter = 0
         expansions = 0
@@ -469,18 +469,16 @@ class LowLevelPlanner:
             idx = len(nposes)
             nposes.append(pose); ngs.append(g); nparent.append(parent); nact.append(act)
             nkeys.append(key)
-            best[key] = g
+            closed.add(key)
             h = hs.get(pose)
             lazy = False
-            if h is None and pose not in curves:
+            if h is None:
                 hg, de = self._h_terms(fill, goal, pose[0], pose[1])
                 lazy = de <= RS_RADIUS
                 if lazy:
                     h = max(hg, de * _EUCLID_FLOOR) / v_max   # the curve waits for the pop
                 else:
                     h = hs[pose] = max(hg, de) / v_max   # _h's value beyond RS_RADIUS
-            elif h is None:
-                h = h_of(pose)
             deferred.append(lazy)
             heapq.heappush(open_heap, (g + h, counter, idx))
             counter += 1
@@ -546,8 +544,6 @@ class LowLevelPlanner:
                 return LowLevelResult("timeout", None, expansions)
             _, count, idx = heapq.heappop(open_heap)
             key = nkeys[idx]
-            if ngs[idx] > best.get(key, math.inf):
-                continue  # superseded by a cheaper node at the same key
             pose = nposes[idx]
             if deferred[idx]:
                 # popped on its floor: queue it again on its exact key, under
@@ -575,7 +571,7 @@ class LowLevelPlanner:
             if sweep is None:
                 sweep = sweeps[pose] = self._sweep(*pose)
             # time-dependent half, on every expansion: the dynamic obstacles at
-            # it + 1, the reversal rule, the time-indexed key and the cost test
+            # it + 1, the reversal rule and the time-indexed key
             if dyn.count:
                 t = min(it + 1, horizon)
                 px, py = pose[0], pose[1]
@@ -584,17 +580,16 @@ class LowLevelPlanner:
                     near = disc_center_distance(end_cen, dyn_cen[None, :, t]) < two_r
                     sweep = sweep[~near.any(axis=1)]
 
-            g = ngs[idx]
+            g2 = ngs[idx] + quantum
             for a, ex, ey, eth in sweep[:, :4].tolist():
                 a = int(a)
                 d = self._prims[a].segment.direction
                 if d and last_dir and d * last_dir < 0:
                     continue  # reversal only out of a dwell
                 eth = normalize_angle(eth)
-                g2 = g + quantum * (REVERSE_PENALTY if d < 0 else 1.0)
                 dir2 = int(d) if d else 0
                 key2 = (discretize((ex, ey, eth), grid, it + 1), dir2)
-                if g2 < best.get(key2, math.inf) - 1e-12:
+                if key2 not in closed:
                     push((ex, ey, eth), g2, idx, a, key2)
 
         return LowLevelResult("exhausted", None, expansions)

@@ -21,6 +21,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpbtrs
 
+from fleetplan import qp as qp_module
 from fleetplan import reeds_shepp as rs
 from fleetplan.geometry import advance_arc, box_gaps, disc_centers_arr, normalize_angle
 from fleetplan.qp import (
@@ -180,12 +181,15 @@ def kkt_solve(P, q, A, b):
     return sol[:n], sol[n:]
 
 
-def reference_admm(qp, warm=None, *, eps_abs=1e-6, eps_rel=1e-6,
-                   max_iters=20000, check_every=25):
+def reference_admm(qp, warm=None):
     """`fleetplan.qp.solve` with its iteration loop written as plain
     expressions: every iterate is a new array and every product is scipy's
     public `@`.  Ordering, band factor, constants, rho schedule and
-    termination are the solver's own, so both agree bit for bit."""
+    termination are the solver's own, so both agree bit for bit; the
+    stopping rule's constants are read from the solver's module at each
+    call, as `solve` reads them."""
+    eps_abs, eps_rel = qp_module.EPS_ABS, qp_module.EPS_REL
+    max_iters, check_every = qp_module.MAX_ITERS, qp_module.CHECK_EVERY
     n, m = qp.n, qp.m
     mult = qp.rho_multipliers()
     perm, inv, factor, P, q, A, At = _ordered(qp, mult)

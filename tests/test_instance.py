@@ -341,6 +341,26 @@ def test_read_plan_names_a_missing_header_key(tmp_path, head, key):
         read_plan(path)
 
 
+def test_read_plan_rejects_a_row_of_the_wrong_width(tmp_path):
+    """A plan file of four-column rows is refused by name, at its first data
+    row, and not loaded as (T, 1) states that the verifier trips over."""
+    path = tmp_path / "plan.csv"
+    path.write_text("# dt=0.5 tau_f=0.5 agents=1\nagent_id,t_index,time_s,x\n"
+                    "0,0,0.0,5.0\n0,1,0.5,5.0\n")
+    inst = parse_instance(MINIMAL)
+    with pytest.raises(ValueError, match="line 3: 4 fields, need 9"):
+        validate_plan(inst, read_plan(path))
+
+
+@pytest.mark.parametrize("field_name, shape", [("states", (6, 3)), ("controls", (5, 1))])
+def test_validate_rejects_a_wrongly_shaped_trajectory(field_name, shape):
+    inst = parse_instance(MINIMAL)
+    plan = _hold_plan(inst, T=6)
+    getattr(plan, field_name)[0] = getattr(plan, field_name)[0][:, : shape[1]]
+    with pytest.raises(ValueError, match=r"agent 0: .*need \(6, 4\) and \(5, 2\)"):
+        validate_plan(inst, plan)
+
+
 def test_plan_file_roundtrip(tmp_path):
     """Rows carry the agents' ids, not their positions, and reading keeps the
     file's order, so states[i] still belongs to the i-th agent."""

@@ -1,9 +1,21 @@
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fleetplan import qp
 from oracles import kkt_solve, reference_admm
+
+
+@contextlib.contextmanager
+def stopping(**constants):
+    """`qp.solve` under other values of its stopping rule's module constants
+    (EPS_ABS, EPS_REL, MAX_ITERS, CHECK_EVERY)."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in constants.items():
+            mp.setattr(qp, name, value)
+        yield
 
 
 def make_eq_qp(rng):
@@ -23,7 +35,8 @@ def kkt_parity_check(n_problems=200, seed=123, tol=1e-6):
     worst = 0.0
     for _ in range(n_problems):
         prob = make_eq_qp(rng)
-        sol = qp.solve(prob, eps_abs=1e-8, eps_rel=1e-8)
+        with stopping(EPS_ABS=1e-8, EPS_REL=1e-8, MAX_ITERS=20000):
+            sol = qp.solve(prob)
         assert sol.status == "optimal"
         x_ref, _ = kkt_solve(prob.P.toarray(), prob.q, prob.A.toarray(), prob.l)
         err = np.max(np.abs(sol.x - x_ref)) / (1.0 + np.max(np.abs(x_ref)))
@@ -72,11 +85,16 @@ def factors(monkeypatch):
     return calls
 
 
-def test_solution_does_not_depend_on_variable_or_row_order(factors):
+def test_solution_does_not_depend_on_variable_or_row_order(factors, monkeypatch):
     """The solver reorders the variables for its band factorization and must
     undo that: a QP with its variables and rows shuffled reaches the same
     status in the same iterations, with x and y equal once mapped back, cold
-    and warm-started, on QPs whose rho schedule refactors the matrix."""
+    and warm-started, on QPs whose rho schedule refactors the matrix.  It runs
+    under a stopping rule tighter than the solver's, which its residual bound
+    assumes."""
+    monkeypatch.setattr(qp, "EPS_ABS", 1e-6)
+    monkeypatch.setattr(qp, "EPS_REL", 1e-6)
+    monkeypatch.setattr(qp, "MAX_ITERS", 20000)
     for seed in (0, 3):
         rng = np.random.default_rng(seed)
         prob = make_sparse_qp(rng)
@@ -125,9 +143,10 @@ def test_solve_matches_reference_loop_bit_for_bit(refine30_solves, factors):
             sol = qp.solve(prob, warm=warm)
             assert len(factors) >= 2
             assert_same_solution(sol, reference_admm(prob, warm))
-    early = qp.solve(prob, max_iters=10, check_every=5)
-    assert early.status == "max_iters"
-    assert_same_solution(early, reference_admm(prob, max_iters=10, check_every=5))
+    with stopping(MAX_ITERS=10, CHECK_EVERY=5):
+        early = qp.solve(prob)
+        assert early.status == "max_iters"
+        assert_same_solution(early, reference_admm(prob))
     infeasible = infeasible_qp()
     sol = qp.solve(infeasible)
     assert sol.status == "primal_infeasible"
@@ -154,7 +173,8 @@ def test_solve_leaves_inputs_alone_and_returns_fresh_arrays():
     first = qp.solve(prob, warm=warm)
     first_xy = first.x.copy(), first.y.copy()
     second = qp.solve(prob, warm=first)
-    capped = qp.solve(prob, max_iters=10, check_every=5)
+    with stopping(MAX_ITERS=10, CHECK_EVERY=5):
+        capped = qp.solve(prob)
     infeasible = qp.solve(infeasible_qp())
     assert all(np.array_equal(a, b) for a, b in zip(arrays(), before))
     assert np.array_equal(first.x, first_xy[0]) and np.array_equal(first.y, first_xy[1])
@@ -279,7 +299,8 @@ def test_primal_infeasible_detected():
 def test_max_iters_reports_best_iterate():
     rng = np.random.default_rng(11)
     prob = make_eq_qp(rng)
-    sol = qp.solve(prob, max_iters=10, check_every=5)
+    with stopping(MAX_ITERS=10, CHECK_EVERY=5):
+        sol = qp.solve(prob)
     assert sol.status in ("max_iters", "optimal")
     if sol.status == "max_iters":
         assert sol.x.shape == (prob.n,)

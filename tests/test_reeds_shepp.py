@@ -116,14 +116,19 @@ def test_shortest_is_min_over_enumeration():
 def test_shortest_matches_running_minimum_over_all_paths():
     # reference: roll out every candidate, then keep the first strictly
     # shorter one in enumeration order; shortest_path rolls out only the
-    # candidates that would win and must pick the same word
+    # candidates that would win and must pick the same word.  Every candidate
+    # that the module's own test lets through must reach the goal when
+    # rolled out about its turn centres.
     poses = rand_poses(1000, seed=23)
     radius = 2.3
     for k in range(0, 1000, 2):
         start, goal = poses[k], poses[k + 1]
         x, y, phi = rs._goal_in_start_frame(start, goal, radius)
         valid = [(w, ls) for w, ls in rs._solutions(x, y, phi) if rs._reaches(w, ls, x, y, phi)]
-        assert all_paths(start, goal, radius) == [rs._to_curve(w, ls, radius) for w, ls in valid]
+        for w, ls in valid:
+            ex, ey, eth = rollout_curve(start, rs._to_curve(w, ls, radius).segments)
+            assert math.hypot(ex - goal[0], ey - goal[1]) < 1e-5, (k, w)
+            assert abs((eth - goal[2] + math.pi) % (2 * math.pi) - math.pi) < 1e-5, (k, w)
         best, best_len = None, math.inf
         for w, ls in valid:
             total = sum(abs(l) for l in ls)
