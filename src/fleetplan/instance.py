@@ -422,6 +422,8 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
         raise ValueError("plan/instance agent count mismatch")
     if plan.horizon < 1:
         raise ValueError("empty plan")
+    if not (math.isfinite(plan.dt) and plan.dt > 0):
+        raise ValueError(f"plan dt is {plan.dt}, need a finite dt > 0")
     v = instance.vehicle
     rep = VerificationReport()
     obstacles = _obstacle_rects(instance)

@@ -6,9 +6,12 @@
 Each iteration takes OSQP's reduced step (Stellato et al., "OSQP: an operator
 splitting solver for quadratic programs", Math. Prog. Comp. 2020): it solves
 the n x n system (P + sigma I + A' diag(rho) A) x~ = sigma x - q + A'(rho z - y)
-and sets z~ = A x~.  Once per solve a reverse Cuthill-McKee ordering of that
-matrix's pattern makes it banded (a time-indexed QP's couplings stay a few
-steps apart), and LAPACK's band Cholesky factors it once per rho.
+and sets z~ = A x~.  LAPACK's band Cholesky factors that matrix once per rho
+in the caller's variable order: the solver does not reorder, so the caller
+must keep coupled variables close.  Refinement's time-major layout, each
+step's state and control together, gives band half-width kd = 6 (Rao, Wright
+and Rawlings, "Application of Interior-Point Methods to Model Predictive
+Control", JOTA 1998).
 
 An iteration allocates nothing.  Each solve allocates its work vectors once:
 [x; z] and [x~; z~] are one stacked buffer each, so the over-relaxation of
@@ -21,10 +24,10 @@ products per iteration, A x~ and A'(rho z - y), call scipy's private
 `A @ v` reaches, so the bits are the same, but `@`'s Python dispatch cost
 about twice the arithmetic on these QPs.
 
-Single-threaded, deterministic: fixed iteration schedule, fixed ordering and
-factorization, no randomization anywhere, so identical inputs produce
-bit-identical outputs.  Warm starts reuse (x, y) from a previous solution,
-which is what makes repeated solves inside an SQP loop cheap.
+Single-threaded, deterministic: fixed iteration schedule and factorization,
+no randomization anywhere, so identical inputs produce bit-identical outputs.
+Warm starts reuse (x, y) from a previous solution, which is what makes
+repeated solves inside an SQP loop cheap.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 # the C++ kernel behind `A @ v` for a CSR matrix, called without scipy's
 # Python dispatch (see above); it is private, so a scipy that drops it fails
 # here, at import
@@ -119,15 +121,13 @@ def kkt_residuals(qp: QpProblem, x, y) -> tuple[float, float]:
     return primal, _ninf(grad)
 
 
-def _band(M, inv, kd: int) -> np.ndarray:
-    """LAPACK upper band storage, kd superdiagonals, of the symmetric matrix
-    M with its rows and columns renumbered by inv."""
+def _band(M, kd: int) -> np.ndarray:
+    """LAPACK upper band storage, kd superdiagonals, of the symmetric matrix M."""
     M = sp.coo_matrix(M)
     M.sum_duplicates()
-    i, j = inv[M.row], inv[M.col]
-    up = i <= j
+    up = M.row <= M.col
     ab = np.zeros((kd + 1, M.shape[0]))
-    ab[kd + i[up] - j[up], j[up]] = M.data[up]
+    ab[kd + M.row[up] - M.col[up], M.col[up]] = M.data[up]
     return ab
 
 
@@ -158,20 +158,15 @@ def _csr_product(M):
     return product
 
 
-def _ordered(qp: QpProblem, mult):
-    """The step's matrix H + rho_base G in a banded variable order perm:
-    returns perm, its inverse inv, factor(rho_base) (the band Cholesky of that
-    matrix), and P, q, A and A' (both CSR) with the variables in order perm."""
-    n = qp.n
-    H = qp.P + (_SIGMA + _REG) * sp.identity(n)
+def _step_matrices(qp: QpProblem, mult):
+    """(factor, A, A'), A and A' as CSR.  factor(rho_base) is the band
+    Cholesky, in the variables' own order, of the step's matrix
+    H + rho_base G, where H = P + (sigma + reg) I and G = A' diag(mult) A."""
+    H = qp.P + (_SIGMA + _REG) * sp.identity(qp.n)
     G = qp.A.T @ sp.diags(mult) @ qp.A
-    pattern = (abs(H) + abs(G)).tocsr()
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    pattern = pattern.tocoo()
-    kd = int(np.abs(inv[pattern.row] - inv[pattern.col]).max(initial=0))
-    band_H, band_G = _band(H, inv, kd), _band(G, inv, kd)
+    pattern = (abs(H) + abs(G)).tocoo()
+    kd = int(np.abs(pattern.row - pattern.col).max(initial=0))
+    band_H, band_G = _band(H, kd), _band(G, kd)
 
     def factor(rho_base):
         cf, info = dpbtrf(band_H + rho_base * band_G)
@@ -179,19 +174,18 @@ def _ordered(qp: QpProblem, mult):
             raise np.linalg.LinAlgError(f"band Cholesky failed at pivot {info}")
         return cf
 
-    A = qp.A[:, perm].tocsr()
-    return perm, inv, factor, qp.P[perm][:, perm], qp.q[perm], A, A.T.tocsr()
+    A = qp.A.tocsr()
+    return factor, A, A.T.tocsr()
 
 
 def solve(qp: QpProblem, warm: QpSolution | None = None) -> QpSolution:
     n, m = qp.n, qp.m
     mult = qp.rho_multipliers()
-    # the iterations run on the variables in the banded order perm and map x
-    # back at the end
-    perm, inv, factor, P, q, A, At = _ordered(qp, mult)
+    factor, A, At = _step_matrices(qp, mult)
+    P, q = qp.P, qp.q
 
     if m == 0:
-        x = dpbtrs(factor(0.0), -q)[0][inv]
+        x = dpbtrs(factor(0.0), -q)[0]
         pr, du = kkt_residuals(qp, x, np.zeros(0))
         return QpSolution(x, np.zeros(0), "optimal", pr, du, 1)
 
@@ -207,7 +201,7 @@ def solve(qp: QpProblem, warm: QpSolution | None = None) -> QpSolution:
     l, u = qp.l, qp.u
 
     if warm is not None and warm.x.shape[0] == n and warm.y.shape[0] == m:
-        x[:] = warm.x[perm]
+        x[:] = warm.x
         y[:] = warm.y
     else:
         x.fill(0.0)
@@ -261,9 +255,8 @@ def solve(qp: QpProblem, warm: QpSolution | None = None) -> QpSolution:
             iters = k
             break
         if _primal_infeasibility_certificate(qp, At, y - y_prev):
-            x = x[inv]
             pr, du = kkt_residuals(qp, x, y)
-            return QpSolution(x, y.copy(), "primal_infeasible", pr, du, k)
+            return QpSolution(x.copy(), y.copy(), "primal_infeasible", pr, du, k)
 
         # residual balancing: push rho toward equalizing scaled residuals
         num = r_prim / max(_ninf(Ax), _ninf(z), 1e-12)
@@ -275,6 +268,5 @@ def solve(qp: QpProblem, warm: QpSolution | None = None) -> QpSolution:
             rho = rho_base * mult
             cf = factor(rho_base)
 
-    x = x[inv]
     pr, du = kkt_residuals(qp, x, y)
-    return QpSolution(x, y.copy(), status, pr, du, iters)
+    return QpSolution(x.copy(), y.copy(), status, pr, du, iters)

@@ -374,16 +374,20 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
                 vbar0: float):
     """Quadratic subproblem for one agent at the current iterate.
 
-    Decision vector: all states then all controls.  Returns None when the
-    corridor/trust intersection is empty (the iterate has been squeezed out).
+    Decision vector, time-major: z_t at columns 6t..6t+3, u_t at 6t+4 and
+    6t+5, z_{T-1} last; no row couples variables more than 6 columns apart,
+    so the QP is banded as built.  Returns None when the corridor/trust
+    intersection is empty (the iterate has been squeezed out).
     Constraint rows, in order: linearized dynamics equalities, start and goal
     equalities, control boxes, steering-angle boxes, disc boxes (corridor
     intersected with the trust region), separating planes.
     """
     z = np.asarray(states, dtype=float)
     T = z.shape[0]
-    nz, nu = 4 * T, 2 * (T - 1)
-    n = nz + nu
+    nu = 2 * (T - 1)
+    n = 6 * T - 2
+    zc = 6 * np.arange(T)[:, None] + np.arange(4)          # (T, 4) state columns
+    uc = 6 * np.arange(T - 1)[:, None] + 4 + np.arange(2)  # (T-1, 2) control columns
 
     ylo = np.maximum(corridor.lo, Y0 - R_TRUST)
     yhi = np.minimum(corridor.hi, Y0 + R_TRUST)
@@ -399,7 +403,7 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     # first dv measured against the previous iterate's initial speed
     nv = T - 1
     rows, cols, vals = [], [], []
-    vidx = nz + 2 * np.arange(nv)
+    vidx = uc[:, 0]
     main = np.full(nv, 2.0)
     main[-1] = 1.0
     rows.append(vidx); cols.append(vidx); vals.append(2.0 * ALPHA_V * main)
@@ -408,29 +412,26 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
         vals.append(np.full(nv - 1, -2.0 * ALPHA_V))
         rows.append(vidx[1:]); cols.append(vidx[:-1])
         vals.append(np.full(nv - 1, -2.0 * ALPHA_V))
-    widx = vidx + 1
-    rows.append(widx); cols.append(widx)
+    rows.append(uc[:, 1]); cols.append(uc[:, 1])
     vals.append(np.full(nv, 2.0 * ALPHA_OMEGA))
     P = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsc()
     q = np.zeros(n)
-    q[nz] = -2.0 * ALPHA_V * vbar0
+    q[uc[0, 0]] = -2.0 * ALPHA_V * vbar0
 
     ar, ac, av, lb, ub = [], [], [], [], []
     row0 = 0
 
     # dynamics equalities
     nd = 4 * (T - 1)
-    tt = np.repeat(np.arange(T - 1), 4)
-    ii = np.tile(np.arange(4), T - 1)
     rdyn = np.arange(nd)
-    ar.append(rdyn); ac.append(4 * (tt + 1) + ii); av.append(np.ones(nd))
+    ar.append(rdyn); ac.append(zc[1:].ravel()); av.append(np.ones(nd))
     ar.append(np.repeat(rdyn, 4))
-    ac.append((4 * np.repeat(tt, 4) + np.tile(np.arange(4), nd)))
+    ac.append(np.repeat(zc[:-1], 4, axis=0).ravel())
     av.append(-lin.A.reshape(-1))
     ar.append(np.repeat(rdyn, 2))
-    ac.append(nz + 2 * np.repeat(tt, 2) + np.tile(np.arange(2), nd))
+    ac.append(np.repeat(uc, 4, axis=0).ravel())
     av.append(-lin.B.reshape(-1))
     lb.append(lin.c.reshape(-1)); ub.append(lin.c.reshape(-1))
     row0 += nd
@@ -440,20 +441,20 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     bc = np.array([start[0], start[1], start[2], 0.0,
                    goal[0], goal[1], g_th, 0.0])
     ar.append(row0 + np.arange(8))
-    ac.append(np.concatenate([np.arange(4), 4 * (T - 1) + np.arange(4)]))
+    ac.append(np.concatenate([zc[0], zc[-1]]))
     av.append(np.ones(8))
     lb.append(bc); ub.append(bc)
     row0 += 8
 
     # control boxes
-    ar.append(row0 + np.arange(nu)); ac.append(nz + np.arange(nu))
+    ar.append(row0 + np.arange(nu)); ac.append(uc.ravel())
     av.append(np.ones(nu))
     cb = np.tile([params.v_max, params.omega_max], T - 1)
     lb.append(-cb); ub.append(cb)
     row0 += nu
 
     # steering-angle boxes
-    ar.append(row0 + np.arange(T)); ac.append(4 * np.arange(T) + 3)
+    ar.append(row0 + np.arange(T)); ac.append(zc[:, 3])
     av.append(np.ones(T))
     lb.append(np.full(T, -params.phi_max)); ub.append(np.full(T, params.phi_max))
     row0 += T
@@ -462,8 +463,7 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     ny = 4 * T
     ry = np.arange(ny)
     ar.append(row0 + np.repeat(ry, 4))
-    ac.append(4 * np.repeat(np.repeat(np.arange(T), 4), 4)
-              + np.tile(np.arange(4), ny))
+    ac.append(np.repeat(zc, 4, axis=0).ravel())
     av.append(lin.D.reshape(-1))
     lb.append((ylo - lin.e).reshape(-1)); ub.append((yhi - lin.e).reshape(-1))
     row0 += ny
@@ -474,7 +474,7 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
         for (d, ux, uy, rhs) in plist:
             coeff = ux * lin.D[t, 2 * d] + uy * lin.D[t, 2 * d + 1]
             prow.extend([row0] * 4)
-            pcol.extend(4 * t + np.arange(4))
+            pcol.extend(zc[t])
             pval.extend(coeff)
             pub.append(rhs - ux * lin.e[t, 2 * d] - uy * lin.e[t, 2 * d + 1])
             row0 += 1
@@ -490,7 +490,9 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
 
 
 def _unpack(x, T):
-    return x[:4 * T].reshape(T, 4), x[4 * T:].reshape(T - 1, 2)
+    """(states (T, 4), controls (T-1, 2)) of `assemble_qp`'s time-major x."""
+    steps = x[:-4].reshape(T - 1, 6)
+    return np.vstack([steps[:, :4], x[-4:]]), steps[:, 4:]
 
 
 # ---------------------------------------------------------------------------

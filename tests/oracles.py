@@ -32,8 +32,8 @@ from fleetplan.qp import (
     _SIGMA,
     QpSolution,
     _ninf,
-    _ordered,
     _primal_infeasibility_certificate,
+    _step_matrices,
     kkt_residuals,
 )
 from fleetplan.search_low import _NBRS8, _SQRT2, SAMPLE_DS, discretize
@@ -181,26 +181,34 @@ def kkt_solve(P, q, A, b):
     return sol[:n], sol[n:]
 
 
+def pack_qp_x(states, controls) -> np.ndarray:
+    """`refine.assemble_qp`'s time-major decision vector of states (T, 4) and
+    controls (T - 1, 2): z_0, u_0, z_1, u_1, ..., u_{T-2}, z_{T-1}."""
+    steps = np.concatenate([states[:-1], controls], axis=1)
+    return np.concatenate([steps.ravel(), states[-1]])
+
+
 def reference_admm(qp, warm=None):
     """`fleetplan.qp.solve` with its iteration loop written as plain
     expressions: every iterate is a new array and every product is scipy's
-    public `@`.  Ordering, band factor, constants, rho schedule and
-    termination are the solver's own, so both agree bit for bit; the
-    stopping rule's constants are read from the solver's module at each
-    call, as `solve` reads them."""
+    public `@`.  Band factor, constants, rho schedule and termination are
+    the solver's own, so both agree bit for bit; the stopping rule's
+    constants are read from the solver's module at each call, as `solve`
+    reads them."""
     eps_abs, eps_rel = qp_module.EPS_ABS, qp_module.EPS_REL
     max_iters, check_every = qp_module.MAX_ITERS, qp_module.CHECK_EVERY
     n, m = qp.n, qp.m
     mult = qp.rho_multipliers()
-    perm, inv, factor, P, q, A, At = _ordered(qp, mult)
+    factor, A, At = _step_matrices(qp, mult)
+    P, q = qp.P, qp.q
 
     if m == 0:
-        x = dpbtrs(factor(0.0), -q)[0][inv]
+        x = dpbtrs(factor(0.0), -q)[0]
         pr, du = kkt_residuals(qp, x, np.zeros(0))
         return QpSolution(x, np.zeros(0), "optimal", pr, du, 1)
 
     if warm is not None and warm.x.shape[0] == n and warm.y.shape[0] == m:
-        x = warm.x[perm]
+        x = warm.x.copy()
         y = warm.y.copy()
     else:
         x = np.zeros(n)
@@ -237,7 +245,6 @@ def reference_admm(qp, warm=None):
             iters = k
             break
         if _primal_infeasibility_certificate(qp, At, y - y_prev):
-            x = x[inv]
             pr, du = kkt_residuals(qp, x, y)
             return QpSolution(x, y, "primal_infeasible", pr, du, k)
 
@@ -251,7 +258,6 @@ def reference_admm(qp, warm=None):
             rho = rho_base * mult
             cf = factor(rho_base)
 
-    x = x[inv]
     pr, du = kkt_residuals(qp, x, y)
     return QpSolution(x, y, status, pr, du, iters)
 

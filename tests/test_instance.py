@@ -361,6 +361,25 @@ def test_validate_rejects_a_wrongly_shaped_trajectory(field_name, shape):
         validate_plan(inst, plan)
 
 
+def test_validate_rejects_a_dt_that_is_not_finite_and_positive():
+    """Time runs forward: a straight plan at dt = 0.5 and v = 1 verifies, and
+    the same states at dt = -1 with v = -0.5, whose Euler steps are the same,
+    are refused, as are dt = 0, NaN and inf."""
+    inst = parse_instance(MINIMAL.replace("goal: [15, 15, 0]", "goal: [7, 5, 0]"))
+    T = 5
+    zs = np.zeros((T, 4))
+    zs[:, 0] = 5.0 + 0.5 * np.arange(T)
+    zs[:, 1] = 5.0
+
+    def straight(dt, v):
+        return Plan([zs], [np.tile([v, 0.0], (T - 1, 1))], dt, (T - 1) * dt)
+
+    assert validate_plan(inst, straight(0.5, 1.0)).feasible
+    for dt, v in ((-1.0, -0.5), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="need a finite dt > 0"):
+            validate_plan(inst, straight(dt, v))
+
+
 def test_plan_file_roundtrip(tmp_path):
     """Rows carry the agents' ids, not their positions, and reading keeps the
     file's order, so states[i] still belongs to the i-th agent."""

@@ -86,10 +86,11 @@ def factors(monkeypatch):
 
 
 def test_solution_does_not_depend_on_variable_or_row_order(factors, monkeypatch):
-    """The solver reorders the variables for its band factorization and must
-    undo that: a QP with its variables and rows shuffled reaches the same
-    status in the same iterations, with x and y equal once mapped back, cold
-    and warm-started, on QPs whose rho schedule refactors the matrix.  It runs
+    """The solver factors in the caller's variable order, so shuffling the
+    variables widens the band and changes the rounding, but not the answer:
+    a QP with its variables and rows shuffled reaches the same status in the
+    same iterations, with x and y equal once mapped back, cold and
+    warm-started, on QPs whose rho schedule refactors the matrix.  It runs
     under a stopping rule tighter than the solver's, which its residual bound
     assumes."""
     monkeypatch.setattr(qp, "EPS_ABS", 1e-6)
@@ -193,8 +194,8 @@ def test_unconstrained_identity():
 
 
 def test_unconstrained_matches_dense_solve():
-    # a chain objective with shuffled variables, so the band ordering is no
-    # identity and the solution must be mapped back
+    # a chain objective with shuffled variables: the solver does not reorder,
+    # so it factors a wide band here
     rng = np.random.default_rng(3)
     n = 30
     B = sp.diags([np.ones(n), -np.ones(n - 1)], [0, 1])

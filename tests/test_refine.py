@@ -22,6 +22,7 @@ from oracles import (
     fd_jacobians,
     loop_corridor,
     loop_relocate,
+    pack_qp_x,
 )
 
 
@@ -249,8 +250,9 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
         # states and controls move by 1e-2 per solve, controls from zero
         aid, states = assembled[-1]
         warms.append((aid, warm))
-        u = np.zeros(2 * (len(states) - 1)) if warm is None else warm.x[states.size:]
-        x = np.concatenate([states.ravel(), u]) + 1e-2
+        T = len(states)
+        u = np.zeros((T - 1, 2)) if warm is None else refine._unpack(warm.x, T)[1]
+        x = pack_qp_x(states, u) + 1e-2
         status = "max_iters" if aid == 0 else "optimal"
         return QpSolution(x, np.zeros(1), status, 0.0, 0.0, 4000)
 
@@ -301,7 +303,7 @@ def test_rejection_reasons_name_empty_box_and_qp_status(monkeypatch):
 
     def solve(qp, warm=None, **kw):
         aid, states = assembled[-1]
-        x = np.concatenate([states.ravel(), np.zeros(2 * (len(states) - 1))]) + 1e-2
+        x = pack_qp_x(states, np.zeros((len(states) - 1, 2))) + 1e-2
         status = "optimal" if rounds[aid] == 1 else "primal_infeasible"
         return QpSolution(x, np.zeros(1), status, 0.0, 0.0, 10)
 
@@ -389,7 +391,7 @@ def test_assemble_qp_rows_and_exact_rows_at_the_re_drive(first_round):
         T = states.shape[0]
         nd = 4 * (T - 1)
         assert qp.A.shape[0] == nd + 8 + 2 * (T - 1) + T + 4 * T
-        Ax = qp.A @ np.concatenate([s.ravel(), u.ravel()])
+        Ax = qp.A @ pack_qp_x(s, u)
         held = slice(0, nd + 4)   # dynamics rows, then the start's four
         assert np.array_equal(qp.l[held], qp.u[held])
         assert np.abs(Ax[held] - qp.l[held]).max() <= 1e-12
@@ -408,11 +410,24 @@ def test_assemble_qp_none_when_trust_region_misses_corridor(first_round):
         assert (qp is None) == empty
 
 
+def test_round0_qps_are_banded_as_built(first_round):
+    """`qp.solve` factors a QP in its own variable order, so refinement's
+    time-major layout is what keeps the factor narrow: over the pattern of
+    P + A'A, every round-0 QP of the baseline suite has band half-width at
+    most 6."""
+    for args, kwargs in first_round[1]:
+        qp = refine.assemble_qp(*args, **kwargs)
+        rows, cols = (abs(qp.P) + abs(qp.A).T @ abs(qp.A)).nonzero()
+        assert np.abs(rows - cols).max() <= 6
+
+
 # (status, ADMM iterations, x checksum) of every QP that `sqp_refine` solves
 # on the suite's n = 2 and 4, in solve order; a rejected agent's QP is solved
-# once, not again in later rounds.  The checksum is the mean of x
-# weighted by position (weights 0, 1, ..., n - 1, scaled to sum to 1), so it
-# also catches a solution returned in another variable order.
+# once, not again in later rounds.  The checksum is the mean of the solution's
+# states then controls, as `_unpack` reads them from x and stacked in that
+# order, weighted by position (weights 0, 1, ..., n - 1, scaled to sum to 1),
+# so it does not depend on the QP's variable layout but catches a solution
+# that `_unpack` reads in another order.
 QP_PINS = {
     2: [("optimal", 1300, 1.5078048871576228),
         ("primal_infeasible", 300, 3.4489881412272134)],
@@ -429,5 +444,45 @@ def test_refine30_qp_pins(refine30_runs):
         assert rr.status == "qp_infeasible"
         assert [(s, k) for s, k, _ in qps] == [(s, k) for s, k, _ in pins], n
         for (_, _, x), (_, _, checksum) in zip(qps, pins):
+            states, controls = refine._unpack(x, (x.size + 2) // 6)
+            x = np.concatenate([states.ravel(), controls.ravel()])
             w = np.arange(x.size) / (x.size * (x.size - 1) / 2)
             assert w @ x == pytest.approx(checksum, abs=1e-6), n
+
+
+# (SQP rounds, QP rejections, failure reason, failing agent) of `sqp_refine`
+# on `generate_random_instance(seed, 30.0, 6, n)`; every run ends
+# `qp_infeasible` on a QP of round 0
+SUITE_PINS = {
+    (1, 2): (2, 3, "primal_infeasible", 1),
+    (1, 4): (2, 6, "primal_infeasible", 1),
+    (1, 6): (2, 9, "primal_infeasible", 1),
+    (2, 2): (10, 10, "primal_infeasible", 0),
+    (2, 4): (10, 30, "primal_infeasible", 0),
+    (2, 6): (9, 45, "primal_infeasible", 0),
+    (3, 2): (1, 2, "max_iters", 0),
+    (3, 4): (2, 6, "max_iters", 0),
+    (3, 6): (7, 33, "max_iters", 0),
+}
+
+
+def test_refinement_suite_outcomes(coarse):
+    """Refinement on the 9-instance suite (seeds 1-3, n = 2, 4, 6): each
+    run's outcome is pinned, and the count of verified plans has a floor
+    that only ever rises."""
+    verified = 0
+    for (seed, n), pin in SUITE_PINS.items():
+        if seed == 1:
+            inst, trajs = coarse[n]
+        else:
+            inst = generate_random_instance(seed, 30.0, 6, n)
+            res = PrioritySearch(inst, GridSpec()).solve(time_budget=60.0)
+            assert res.ok
+            trajs = res.trajectories
+        rr = refine.sqp_refine(trajs, inst)
+        verified += rr.ok
+        tele = rr.telemetry
+        assert rr.status == "qp_infeasible", (seed, n)
+        assert (tele.iterations, len(tele.qp_rejections), tele.failure) == (
+            pin[0], pin[1], {"reason": pin[2], "agent": pin[3], "iteration": 0}), (seed, n)
+    assert verified >= 0

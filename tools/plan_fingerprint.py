@@ -12,14 +12,20 @@ search status, PBS nodes expanded, low-level calls, each `LowLevelPlanner.plan`
 call's (agent, status, expansions) in call order, and every coarse
 trajectory's states and segments; on refine30 also the `sqp_refine` status,
 iterations, residuals, rejections and failure, and each QP's status, ADMM
-iteration count, solution x and multipliers y (warm starts carry y).  The
-per-call record makes `compare` catch a change that reorders or lengthens the
-search even when the final plans match.  `compare` names each differing field by its dotted path (such
-as `refine.qps`), and exits 1 on any difference or when either record set
-holds no instance.
+iteration count, solution x and multipliers y (warm starts carry y).  x is
+kept as the checkout's own `refine._unpack` reads it, states then controls,
+so a change of the QP's variable layout alone does not read as a difference.
+The per-call record makes `compare` catch a change that reorders or lengthens
+the search even when the final plans match.  `compare` names each differing
+field by its dotted path (such as `refine.qps`), with the largest absolute
+difference over its numbers when the two sides differ in numbers only (so a
+rounding shift reads apart from a changed plan), and exits 1 on any
+difference or when either record set holds no instance.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import pickle
 import sys
 from pathlib import Path
@@ -64,7 +70,9 @@ def dump(checkout: Path, out: Path) -> None:
 
                 def recorded(*args, **kwargs):
                     sol = solve(*args, **kwargs)
-                    qps.append((sol.status, sol.iterations, sol.x.copy(), sol.y.copy()))
+                    states, controls = refine._unpack(sol.x, (sol.x.size + 2) // 6)
+                    qps.append((sol.status, sol.iterations, states.copy(), controls.copy(),
+                                sol.y.copy()))
                     return sol
 
                 refine.qp_solve = recorded
@@ -97,14 +105,41 @@ def same(x, y) -> bool:
     return x == y
 
 
-def differing(x, y, path: str) -> list[str]:
-    """Dotted paths of the fields where x and y differ, descending into dicts;
-    a field missing on one side differs."""
+def differing(x, y, path: str) -> list[tuple]:
+    """(dotted path, x's value, y's value) of each field where x and y differ,
+    descending into dicts; a field missing on one side differs."""
     if isinstance(x, dict) and isinstance(y, dict):
-        return [p for k in sorted(x.keys() | y.keys())
-                for p in differing(x.get(k, _MISSING), y.get(k, _MISSING),
+        return [d for k in sorted(x.keys() | y.keys())
+                for d in differing(x.get(k, _MISSING), y.get(k, _MISSING),
                                    f"{path}.{k}" if path else str(k))]
-    return [] if same(x, y) else [path or "record"]
+    return [] if same(x, y) else [(path or "record", x, y)]
+
+
+def _number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
+def largest_difference(x, y) -> float | None:
+    """The largest absolute difference between the numbers of x and y, or
+    None when they differ in more than numbers: in type, shape, length or
+    keys, in a string or flag, or by a non-finite amount."""
+    if same(x, y):
+        return 0.0
+    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and x.shape == y.shape:
+        gap = float(np.abs(x - y).max())
+    elif _number(x) and _number(y):
+        gap = abs(float(x) - float(y))
+    else:
+        if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+            parts = [largest_difference(x[k], y[k]) for k in x]
+        elif isinstance(x, (list, tuple)) and type(x) is type(y) and len(x) == len(y):
+            parts = [largest_difference(p, q) for p, q in zip(x, y)]
+        else:
+            return None
+        if None in parts:
+            return None
+        gap = max(parts)
+    return gap if math.isfinite(gap) else None
 
 
 def compare(a_path: Path, b_path: Path) -> int:
@@ -113,10 +148,12 @@ def compare(a_path: Path, b_path: Path) -> int:
     if not a or not b:
         print(f"compared {len(a)} and {len(b)} instances: nothing to compare")
         return 1
-    diffs = [(key, path) for key in sorted(a.keys() | b.keys())
-             for path in differing(a.get(key, _MISSING), b.get(key, _MISSING), "")]
-    for key, path in diffs:
-        print("differs:", key, path)
+    diffs = [(key, *d) for key in sorted(a.keys() | b.keys())
+             for d in differing(a.get(key, _MISSING), b.get(key, _MISSING), "")]
+    for key, path, x, y in diffs:
+        gap = largest_difference(x, y)
+        print("differs:", key, path,
+              "(not in numbers only)" if gap is None else f"(largest |difference| {gap:.3g})")
     print(f"compared {len(a)} instances:", f"{len(diffs)} differences" if diffs else "identical")
     return 1 if diffs else 0
 
