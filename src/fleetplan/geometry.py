@@ -1,7 +1,7 @@
 """Vehicle geometry: the shared motion kernels, footprints and collision tests.
 
 The search, the refinement, the verifier and the instance generator share
-one version of each of six kernels:
+one version of each of seven kernels:
 
 - `advance_arc`: exact advance along a constant-curvature arc by a signed
   length.  The search's `_piece_poses` (its one walk along motion
@@ -13,10 +13,15 @@ one version of each of six kernels:
   re-simulates every plan step with it.
 - `disc_center_distance`: the minimum distance between the covering-disc
   centres of two vehicles at matching times.  It is the low-level search's
-  dynamic-obstacle test, PBS's conflict test, refinement's neighbour filter
-  and the verifier's broadphase.  The search's dynamic broadphase only
-  decides, from rear-axle distances, where this test cannot fail and is
-  skipped; it is not a second test.
+  dynamic-obstacle test, and `pair_clearances` sweeps vehicle pairs with it.
+  The search's dynamic broadphase only decides, from rear-axle distances,
+  where this test cannot fail and is skipped; it is not a second test.
+- `pair_clearances`: `disc_center_distance` of every vehicle pair i < j at
+  every time of a stacked disc-centre table.  It is the one pair sweep of
+  PBS's conflict detection, refinement's neighbour filter and the verifier's
+  vehicle-pair broadphase, each with its own threshold.  PBS's dirty test, a
+  sweep of one agent against its ancestors only, passes their stacked table
+  to `disc_center_distance` directly.
 - `box_gaps`: the per-axis gaps between points and axis-aligned obstacle
   boxes.  `discs_blocked`, the search's flood-fill obstacle cells and
   static broadphase table and refinement's seed relocation use it.
@@ -53,6 +58,7 @@ __all__ = [
     "advance_arc",
     "euler_step",
     "disc_center_distance",
+    "pair_clearances",
     "footprints",
     "rects_overlap",
 ]
@@ -247,6 +253,14 @@ def disc_center_distance(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     d = da[..., :, None, :] - db[..., None, :, :]
     # a rounded sqrt is monotone, so taking it after the min changes no bit
     return np.sqrt((d * d).sum(axis=-1).min(axis=(-2, -1)))
+
+
+def pair_clearances(discs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair sweep: disc centres (M, T, 2, 2) of M vehicles -> (i, j, d), the
+    index arrays of every pair i < j in `np.triu_indices` order and their
+    `disc_center_distance` (P, T) at each time."""
+    i, j = np.triu_indices(discs.shape[0], k=1)
+    return i, j, disc_center_distance(discs[i], discs[j])
 
 
 def box_gaps(px, py, acx, acy, ahx, ahy) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,11 @@ from fleetplan.geometry import (
     State,
     VehicleParams,
     boxes_outside_map,
-    disc_center_distance,
     disc_centers_arr,
     euler_step,
     footprints,
     normalize_angle,
+    pair_clearances,
     rects_overlap,
 )
 
@@ -102,6 +102,9 @@ def _check_instance(inst: MvtpInstance) -> None:
     for name, val in sizes:
         if not (math.isfinite(val) and val > 0.0):
             raise InstanceError(f"{name} must be finite and positive, got {val!r}")
+    if not inst.vehicle.phi_max < math.pi / 2.0:
+        # tan(phi_max) sets the turning radius, which is positive only below pi/2
+        raise InstanceError(f"vehicle phi_max must be below pi/2, got {inst.vehicle.phi_max!r}")
     for k, o in enumerate(inst.obstacles):
         if not (all(map(math.isfinite, (o.cx, o.cy, o.hx, o.hy))) and o.hx > 0.0 and o.hy > 0.0):
             raise InstanceError(
@@ -473,23 +476,15 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
             rep.violations.append(Violation("static", task.id, int(t), 0.0))
 
     # pairwise collisions, disc-distance broadphase first
-    if plan.n_agents > 1:
-        discs = disc_centers_arr(np.stack(plan.states), v)  # (M,T,2,2)
-        two_rv = 2.0 * v.disc_radius
-        for i in range(plan.n_agents):
-            for j in range(i + 1, plan.n_agents):
-                dmin = disc_center_distance(discs[i], discs[j])
-                near = np.nonzero(dmin <= two_rv)[0]
-                for t in near[rects_overlap(rects[i][near], rects[j][near])]:
-                    rep.violations.append(
-                        Violation(
-                            "inter_agent",
-                            instance.agents[i].id,
-                            int(t),
-                            float(two_rv - dmin[t]),
-                            partner=instance.agents[j].id,
-                        )
-                    )
+    two_rv = 2.0 * v.disc_radius
+    i, j, d = pair_clearances(disc_centers_arr(np.stack(plan.states), v))
+    near, at = np.nonzero(d <= two_rv)
+    rects = np.stack(rects)
+    hit = rects_overlap(rects[i[near], at], rects[j[near], at])
+    for p, t in zip(near[hit].tolist(), at[hit].tolist()):
+        rep.violations.append(Violation("inter_agent", instance.agents[i[p]].id, t,
+                                        float(two_rv - d[p, t]),
+                                        partner=instance.agents[j[p]].id))
     return rep
 
 

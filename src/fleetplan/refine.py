@@ -23,10 +23,10 @@ from .geometry import (
     VehicleParams,
     advance_arc,
     box_gaps,
-    disc_center_distance,
     disc_centers_arr,
     discs_blocked,
     euler_step,
+    pair_clearances,
 )
 from .instance import MvtpInstance, Plan, validate_plan
 from .qp import QpProblem, solve as qp_solve
@@ -182,15 +182,9 @@ def _track_guess(states, controls, dt, params: VehicleParams):
 def find_neighbor_pairs(states, params: VehicleParams):
     """All (i, j, t), agent indices i < j, whose disc clearance at time index
     t is at most 2*sqrt(2)*R_TRUST, in sorted order."""
-    thresh = 2.0 * _SQRT2 * R_TRUST
-    discs = disc_centers_arr(states, params)   # (M, T, 2, 2)
-    M = discs.shape[0]
-    out = []
-    for a in range(M):
-        for b in range(a + 1, M):
-            dmin = disc_center_distance(discs[a], discs[b]) - 2.0 * params.disc_radius
-            out.extend((a, b, int(t)) for t in np.nonzero(dmin <= thresh)[0])
-    return out
+    i, j, d = pair_clearances(disc_centers_arr(states, params))
+    p, t = np.nonzero(d - 2.0 * params.disc_radius <= 2.0 * _SQRT2 * R_TRUST)
+    return list(zip(i[p].tolist(), j[p].tolist(), t.tolist()))
 
 
 def build_separation(pairs, states, params: VehicleParams) -> list:
@@ -486,6 +480,7 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     A = sp.coo_matrix((np.concatenate(av),
                        (np.concatenate(ar), np.concatenate(ac))),
                       shape=(row0, n)).tocsc()
+    A.eliminate_zeros()   # the structural zeros of the dense A, B and D blocks
     return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import disc_center_distance, disc_centers_arr
+from .geometry import disc_center_distance, disc_centers_arr, pair_clearances
 from .search_low import (
     CoarseTrajectory,
     DynamicObstacleSet,
@@ -56,50 +56,33 @@ class PbsResult:
         return self.node.trajs if self.node is not None else {}
 
 
-def _disc_table(trajs_by_id, params) -> dict:
-    """Agent id -> disc centres (T, 2, 2) of its trajectory, every trajectory
-    parked at its final pose out to the longest horizon, as
+def _disc_table(trajs_by_id, params) -> np.ndarray:
+    """Disc centres (M, T, 2, 2) of the trajectories in sorted-id order, every
+    trajectory parked at its final pose out to the longest horizon, as
     DynamicObstacleSet pads the higher-priority agents."""
-    ids = list(trajs_by_id)
-    poses = DynamicObstacleSet([trajs_by_id[a].states for a in ids]).poses
-    return dict(zip(ids, disc_centers_arr(poses, params)))
+    poses = DynamicObstacleSet([trajs_by_id[a].states for a in sorted(trajs_by_id)]).poses
+    return disc_centers_arr(poses, params)
 
 
-def _conflict_times(ca, cb, params):
-    """Time indices where two padded disc tables come closer than the
-    covering discs allow.  The disc metric (min center distance < 2 r_v) is
-    what the downstream separating planes require, so the coarse stage polices
-    exactly the clearance the refinement stage will need."""
-    dmin = disc_center_distance(ca, cb)
-    return np.nonzero(dmin < 2.0 * params.disc_radius - 1e-9)[0]
+def _conflict_distance(params) -> float:
+    """Disc-centre distance below which two vehicles conflict.  The disc
+    metric (min center distance < 2 r_v) is what the downstream separating
+    planes require, so the coarse stage polices exactly the clearance the
+    refinement stage will need."""
+    return 2.0 * params.disc_radius - 1e-9
 
 
 def detect_conflicts(trajs_by_id, params):
-    discs = _disc_table(trajs_by_id, params)
+    """(a, b, t) of every disc conflict, agent ids a < b, by pair then time."""
     ids = sorted(trajs_by_id)
-    return [(a, b, int(t))
-            for n, a in enumerate(ids) for b in ids[n + 1:]
-            for t in _conflict_times(discs[a], discs[b], params)]
+    i, j, d = pair_clearances(_disc_table(trajs_by_id, params))
+    p, t = np.nonzero(d < _conflict_distance(params))
+    return [(ids[a], ids[b], k) for a, b, k in zip(i[p].tolist(), j[p].tolist(), t.tolist())]
 
 
 def pick_conflict(node: PbsNode):
     """Earliest time index, then lexicographically smallest agent pair."""
     return min(node.conflicts, key=lambda c: (c[2], c[0], c[1]))
-
-
-def _ancestors(orders, agent):
-    """All agents reachable upward from `agent` through (higher, lower) pairs."""
-    parents = {}
-    for hi, lo in orders:
-        parents.setdefault(lo, set()).add(hi)
-    seen = set()
-    stack = [agent]
-    while stack:
-        for p in parents.get(stack.pop(), ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
 
 
 def _topological(ids, orders):
@@ -168,13 +151,16 @@ class PrioritySearch:
         orders = set(node.orders)
         orders.add(tuple(new_pair))
         trajs = dict(node.trajs)
+        row = {a: k for k, a in enumerate(self.ids)}
         discs = _disc_table(trajs, self.params)
+        above = {}   # agent -> its ancestors; a parent comes first in the walk
         for a in _topological(self.ids, orders):
-            anc = sorted(_ancestors(orders, a))
+            above[a] = set().union(*({hi} | above[hi] for hi, lo in orders if lo == a))
+            anc = sorted(above[a])
             if not anc:
                 continue
-            dirty = any(_conflict_times(discs[a], discs[b], self.params).size for b in anc)
-            if not dirty:
+            near = disc_center_distance(discs[row[a]], discs[[row[b] for b in anc]])
+            if not (near < _conflict_distance(self.params)).any():
                 continue
             dyn = DynamicObstacleSet.from_trajectories([trajs[b] for b in anc])
             res = self.low.plan(a, dyn, deadline=deadline)

@@ -45,16 +45,16 @@ N_YAW = 72                 # heading bins of the closed-set key
 _YAW_BIN = _TWO_PI / N_YAW
 SAMPLE_DS = 0.5            # collision-sample spacing along a motion [m]
 RS_RADIUS = 12.0           # goal distance within which Reeds-Shepp curves price and shoot [m]
+MAX_STEPS = 256            # cap on a node's time index
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search resolution: the motion-primitive arc length delta_s [m] and the
-    time-index cap max_steps.  The cell side is derived, delta_s / sqrt(2),
-    so that one motion step always changes cell or yaw bin."""
+    """Search resolution: the motion-primitive arc length delta_s [m].  The
+    cell side is derived, delta_s / sqrt(2), so that one motion step always
+    changes cell or yaw bin."""
 
     delta_s: float = 2.0
-    max_steps: int = 256
     cell: float = field(init=False)
 
     def __post_init__(self):
@@ -499,7 +499,7 @@ class LowLevelPlanner:
             timed, steps, step_cen = shot
             if timed and last_dir and timed[0].direction * last_dir < 0:
                 return None      # reversal needs a dwell; the wait successor covers it
-            if it + len(timed) > grid.max_steps:
+            if it + len(timed) > MAX_STEPS:
                 return None
             if steps is None:
                 cen = disc_centers_arr(_piece_poses(*pose, timed, SAMPLE_DS, par.L), par)
@@ -561,7 +561,7 @@ class LowLevelPlanner:
             else:
                 shot_countdown -= 1
 
-            if it >= grid.max_steps:
+            if it >= MAX_STEPS:
                 continue
             expansions += 1
 

@@ -53,7 +53,11 @@ def test_solve_reports_failure_and_writes_no_plan(tmp_path, capsys):
      b"vehicle: {L: 1.5, L_F: 2.0, L_B: 1.0, W: 2.0, v_max: 1.0, omega_max: 1.0, phi_max: 0.6}\n"
      b"agents:\n- {id: 0, start: [.nan, 5, 0], goal: [15, 15, 0]}\n",
      "agent 0 start pose must be finite"),
-], ids=["not_utf8", "nan_start"])
+    (b"map: {width: 20, height: 20}\nobstacles: []\n"
+     b"vehicle: {L: 1.5, L_F: 2.0, L_B: 1.0, W: 2.0, v_max: 1.0, omega_max: 1.0, phi_max: 1.6}\n"
+     b"agents:\n- {id: 0, start: [5, 5, 0], goal: [15, 15, 0]}\n",
+     "phi_max must be below pi/2"),
+], ids=["not_utf8", "nan_start", "steering_past_right_angle"])
 def test_unreadable_instance_exits_2(tmp_path, capsys, data, message):
     (tmp_path / "bad.yaml").write_bytes(data)
     code, out, err = run(capsys, "solve", str(tmp_path / "bad.yaml"))

@@ -18,6 +18,7 @@ from fleetplan.geometry import (
     euler_step,
     footprints,
     normalize_angle,
+    pair_clearances,
     rects_overlap,
 )
 from fleetplan.reeds_shepp import RsSegment
@@ -404,6 +405,20 @@ def test_disc_center_distance_matches_all_centre_pairs():
     for k in range(8):
         for m in range(5):
             assert aligned[k, m] == want[m, 5 * k + m]
+
+
+@pytest.mark.parametrize("M", [1, 5])
+def test_pair_clearances_match_per_pair_distance(M):
+    """Every pair i < j in double-loop order, each row bit for bit the
+    distance of that pair alone; one vehicle has no pairs."""
+    T = 7
+    discs = random_centers(np.random.default_rng(24 + M), M * T, 0.0, 12.0).reshape(M, T, 2, 2)
+    i, j, d = pair_clearances(discs)
+    pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
+    assert list(zip(i.tolist(), j.tolist())) == pairs
+    assert d.shape == (len(pairs), T)
+    for row, (a, b) in enumerate(pairs):
+        assert np.array_equal(d[row], disc_center_distance(discs[a], discs[b]))
 
 
 def test_point_in_box_oracle_sanity():

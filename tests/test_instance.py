@@ -103,6 +103,15 @@ def test_parse_rejects_bad_sizes(old, new):
         parse_instance(MINIMAL.replace(old, new))
 
 
+@pytest.mark.parametrize("phi_max", [math.pi / 2.0, 1.6])
+def test_parse_rejects_steering_limit_at_or_past_right_angle(phi_max):
+    """tan(phi_max) sets the turning radius: at pi/2 it is zero, past it
+    negative, and the planner would run on either until a later stage fails."""
+    assert parse_instance(MINIMAL.replace("phi_max: 0.6", "phi_max: 1.5"))
+    with pytest.raises(InstanceError, match="phi_max must be below pi/2"):
+        parse_instance(MINIMAL.replace("phi_max: 0.6", f"phi_max: {phi_max!r}"))
+
+
 @pytest.mark.parametrize("end", ["start", "goal"])
 @pytest.mark.parametrize("k,value", [(0, ".nan"), (1, ".inf"), (2, ".inf"), (2, ".nan")])
 def test_parse_rejects_non_finite_pose(end, k, value):

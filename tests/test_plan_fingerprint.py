@@ -4,6 +4,11 @@ from pathlib import Path
 
 import numpy as np
 
+from fleetplan import qp, refine
+from fleetplan.instance import Plan, generate_random_instance, validate_plan
+from fleetplan.search_high import PrioritySearch
+from fleetplan.search_low import GridSpec
+
 _SPEC = importlib.util.spec_from_file_location(
     "plan_fingerprint", Path(__file__).parents[1] / "tools" / "plan_fingerprint.py")
 fingerprint = importlib.util.module_from_spec(_SPEC)
@@ -30,3 +35,30 @@ def test_compare_prints_the_largest_difference_of_a_numeric_field(tmp_path, caps
     assert lines == ["differs: ('w', 0) refine.failure (not in numbers only)",
                      "differs: ('w', 0) refine.qps (largest |difference| 3e-09)",
                      "compared 1 instances: 2 differences"]
+
+
+def test_refine_record_keeps_every_verifier_report(tmp_path, capsys):
+    """The record holds one report per `validate_plan` call of `sqp_refine`,
+    the interpolated guess's first, restores the spied functions, and a
+    report that changes reads as a difference of `refine.reports`."""
+    inst = generate_random_instance(1, 30.0, 6, 4)
+    trajs = PrioritySearch(inst, GridSpec()).solve().trajectories
+    rec = fingerprint.refine_record(refine, trajs, inst)
+
+    assert (refine.qp_solve, refine.validate_plan) == (qp.solve, validate_plan)
+    assert len(rec["reports"]) == 1 + rec["iters"]
+    states, controls, dt = refine.interpolate(trajs, [a.id for a in inst.agents], inst.vehicle)
+    guess = Plan(list(states), list(controls), dt, (states.shape[1] - 1) * dt)
+    assert rec["reports"][0] == [(v.kind, v.agent, v.t, v.magnitude, v.partner)
+                                 for v in validate_plan(inst, guess).violations]
+    assert any(kind == "inter_agent" for report in rec["reports"] for kind, *_ in report)
+
+    moved = {**rec, "reports": [rec["reports"][0][:-1], *rec["reports"][1:]]}
+    paths = []
+    for name, r in (("a", rec), ("b", moved)):
+        paths.append(tmp_path / f"{name}.pkl")
+        paths[-1].write_bytes(pickle.dumps({("w", 0): {"refine": r}}))
+    assert fingerprint.compare(*paths) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: ('w', 0) refine.reports (not in numbers only)",
+        "compared 1 instances: 1 differences"]

@@ -20,6 +20,7 @@ from fleetplan.search_low import (
     CoarseTrajectory,
 )
 from fleetplan import search_high as sh
+from fleetplan import search_low as sl
 
 
 # ---------------------------------------------------------------- fixtures
@@ -331,9 +332,6 @@ def test_cascade_instance_solves():
 
 def test_order_helpers():
     orders = {(0, 1), (1, 2)}
-    assert sh._ancestors(orders, 2) == {0, 1}
-    assert sh._ancestors(orders, 1) == {0}
-    assert sh._ancestors(orders, 0) == set()
     assert sh._topological([2, 0, 1, 3], orders) == [0, 1, 2, 3]
     assert sh._topological([2, 1], {(2, 1)}) == [2, 1]
     with pytest.raises(ValueError):
@@ -368,12 +366,13 @@ def test_solve_timeout_status():
     assert res.node is None
 
 
-def test_root_infeasible_status():
+def test_root_infeasible_status(monkeypatch):
     walls = [OrientedBox(9.5, 12.0, 0.4, 2.0), OrientedBox(12.0, 9.5, 2.0, 0.4)]
     inst = MvtpInstance(14.0, 14.0, walls,
                         [AgentTask(0, State(3.0, 3.0, 0.0), State(12.0, 12.0, 0.0))],
                         VehicleParams())
-    res = sh.PrioritySearch(inst, GridSpec(max_steps=10)).solve(30.0)
+    monkeypatch.setattr(sl, "MAX_STEPS", 10)
+    res = sh.PrioritySearch(inst, GridSpec()).solve(30.0)
     assert res.status == "root_infeasible"
     assert res.node is None
 
@@ -395,7 +394,7 @@ def solve_and_check_exit(search, budget):
     return res.status
 
 
-def test_solve_releases_pose_memo_on_every_exit():
+def test_solve_releases_pose_memo_on_every_exit(monkeypatch):
     search = sh.PrioritySearch(corridor_instance(), GridSpec(), warm_start=False)
     assert solve_and_check_exit(search, 60.0) == "ok"
     assert solve_and_check_exit(search, 0.0) == "timeout"
@@ -403,7 +402,8 @@ def test_solve_releases_pose_memo_on_every_exit():
     sealed = MvtpInstance(14.0, 14.0, walls,
                           [AgentTask(0, State(3.0, 3.0, 0.0), State(12.0, 12.0, 0.0))],
                           VehicleParams())
-    search = sh.PrioritySearch(sealed, GridSpec(max_steps=10))
+    monkeypatch.setattr(sl, "MAX_STEPS", 10)
+    search = sh.PrioritySearch(sealed, GridSpec())
     assert solve_and_check_exit(search, 30.0) == "root_infeasible"
 
 

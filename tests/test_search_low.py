@@ -580,12 +580,13 @@ def test_deferred_node_keeps_its_counter():
     assert res.trajectory.states.sum() == pytest.approx(278.4784131000072, abs=1e-9)
 
 
-def test_exhausted_when_goal_sealed():
+def test_exhausted_when_goal_sealed(monkeypatch):
     walls = [OrientedBox(9.5, 12.0, 0.4, 2.0), OrientedBox(12.0, 9.5, 2.0, 0.4)]
     inst = MvtpInstance(14.0, 14.0, walls,
                         [AgentTask(0, State(3.0, 3.0, 0.0), State(12.0, 12.0, 0.0))],
                         VehicleParams())
-    res = plan_agent(inst, 0, None, sl.GridSpec(max_steps=10))
+    monkeypatch.setattr(sl, "MAX_STEPS", 10)
+    res = plan_agent(inst, 0, None, sl.GridSpec())
     assert res.status == "exhausted"
     assert res.trajectory is None
 

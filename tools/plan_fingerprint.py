@@ -11,10 +11,12 @@ Per instance of pbs50, rooms40 and refine30 a record holds the instance's
 search status, PBS nodes expanded, low-level calls, each `LowLevelPlanner.plan`
 call's (agent, status, expansions) in call order, and every coarse
 trajectory's states and segments; on refine30 also the `sqp_refine` status,
-iterations, residuals, rejections and failure, and each QP's status, ADMM
-iteration count, solution x and multipliers y (warm starts carry y).  x is
-kept as the checkout's own `refine._unpack` reads it, states then controls,
-so a change of the QP's variable layout alone does not read as a difference.
+iterations, residuals, rejections and failure, each QP's status, ADMM
+iteration count, solution x and multipliers y (warm starts carry y), and
+each verifier report it made, as (kind, agent, t, magnitude, partner) per
+violation.  x is kept as the checkout's own `refine._unpack` reads it, states
+then controls, so a change of the QP's variable layout alone does not read as
+a difference.
 The per-call record makes `compare` catch a change that reorders or lengthens
 the search even when the final plans match.  `compare` names each differing
 field by its dotted path (such as `refine.qps`), with the largest absolute
@@ -65,30 +67,39 @@ def dump(checkout: Path, out: Path) -> None:
                              for a, t in trajs.items()},
             }
             if wl.refine and res.ok:
-                qps = []
-                solve = refine.qp_solve
-
-                def recorded(*args, **kwargs):
-                    sol = solve(*args, **kwargs)
-                    states, controls = refine._unpack(sol.x, (sol.x.size + 2) // 6)
-                    qps.append((sol.status, sol.iterations, states.copy(), controls.copy(),
-                                sol.y.copy()))
-                    return sol
-
-                refine.qp_solve = recorded
-                try:
-                    rr = refine.sqp_refine(trajs, inst)
-                finally:
-                    refine.qp_solve = solve
-                tele = rr.telemetry
-                rec["refine"] = {"status": rr.status, "iters": tele.iterations,
-                                 "residuals": list(tele.residuals),
-                                 "rejections": list(tele.qp_rejections),
-                                 "failure": tele.failure, "qps": qps}
+                rec["refine"] = refine_record(refine, trajs, inst)
             records[(name, k)] = rec
             print(name, k, rec["status"], rec["nodes"], rec["low_calls"],
                   rec.get("refine", {}).get("status", ""), flush=True)
     out.write_bytes(pickle.dumps(records))
+
+
+def refine_record(refine, trajs, inst) -> dict:
+    """Run `refine.sqp_refine` with its QP solver and verifier spied on, and
+    return its outcome with every QP and every verifier report it made."""
+    qps, reports = [], []
+    solve, validate = refine.qp_solve, refine.validate_plan
+
+    def recorded_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        states, controls = refine._unpack(sol.x, (sol.x.size + 2) // 6)
+        qps.append((sol.status, sol.iterations, states.copy(), controls.copy(), sol.y.copy()))
+        return sol
+
+    def recorded_validate(*args, **kwargs):
+        rep = validate(*args, **kwargs)
+        reports.append([(v.kind, v.agent, v.t, v.magnitude, v.partner) for v in rep.violations])
+        return rep
+
+    refine.qp_solve, refine.validate_plan = recorded_solve, recorded_validate
+    try:
+        rr = refine.sqp_refine(trajs, inst)
+    finally:
+        refine.qp_solve, refine.validate_plan = solve, validate
+    tele = rr.telemetry
+    return {"status": rr.status, "iters": tele.iterations, "residuals": list(tele.residuals),
+            "rejections": list(tele.qp_rejections), "failure": tele.failure, "qps": qps,
+            "reports": reports}
 
 
 _MISSING = object()
