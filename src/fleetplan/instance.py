@@ -528,7 +528,11 @@ def read_plan(path) -> Plan:
             if len(vals) != len(_PLAN_COLUMNS):
                 raise ValueError(f"plan file line {lineno}: {len(vals)} fields, need "
                                  f"{len(_PLAN_COLUMNS)} ({','.join(_PLAN_COLUMNS)})")
-            rows.setdefault(int(vals[0]), []).append([float(x) for x in vals[2:]])
+            agent = rows.setdefault(int(vals[0]), [])
+            if int(vals[1]) != len(agent):
+                raise ValueError(f"plan file line {lineno}: t_index {vals[1]}, need "
+                                 f"{len(agent)} (each agent's rows run 0, 1, 2, ...)")
+            agent.append([float(x) for x in vals[2:]])
     states, controls = [], []
     for arr in map(np.array, rows.values()):
         states.append(arr[:, 1:5])

@@ -8,10 +8,12 @@ splitting solver for quadratic programs", Math. Prog. Comp. 2020): it solves
 the n x n system (P + sigma I + A' diag(rho) A) x~ = sigma x - q + A'(rho z - y)
 and sets z~ = A x~.  LAPACK's band Cholesky factors that matrix once per rho
 in the caller's variable order: the solver does not reorder, so the caller
-must keep coupled variables close.  Refinement's time-major layout, each
-step's state and control together, gives band half-width kd = 6 (Rao, Wright
-and Rawlings, "Application of Interior-Point Methods to Model Predictive
-Control", JOTA 1998).
+must keep coupled variables close.  Its band storage is written once per
+solve, straight from the entries on and above the diagonal of P and of
+A' diag(rho / rho_base) A, which fix the half-width kd; a new rho only
+rescales the second band.  Refinement's time-major layout, each step's state
+and control together, gives kd = 6 (Rao, Wright and Rawlings, "Application of
+Interior-Point Methods to Model Predictive Control", JOTA 1998).
 
 An iteration allocates nothing.  Each solve allocates its work vectors once:
 [x; z] and [x~; z~] are one stacked buffer each, so the over-relaxation of
@@ -20,9 +22,10 @@ Every update writes in place (`out=`) with the operands of the plain
 expression in the same order, and the band solve overwrites its right side,
 so the iterates are bit for bit those of allocating arithmetic.  The two
 products per iteration, A x~ and A'(rho z - y), call scipy's private
-`csr_matvec` on the fixed CSR arrays of A and A'.  That is the C++ routine
-`A @ v` reaches, so the bits are the same, but `@`'s Python dispatch cost
-about twice the arithmetic on these QPs.
+`csr_matvec` on the fixed CSR arrays of A and of A' (the CSR view of the
+problem's CSC A).  That is the C++ routine `A @ v` reaches, so the bits are
+the same, but `@`'s Python dispatch cost about twice the arithmetic on these
+QPs.
 
 Single-threaded, deterministic: fixed iteration schedule and factorization,
 no randomization anywhere, so identical inputs produce bit-identical outputs.
@@ -121,16 +124,6 @@ def kkt_residuals(qp: QpProblem, x, y) -> tuple[float, float]:
     return primal, _ninf(grad)
 
 
-def _band(M, kd: int) -> np.ndarray:
-    """LAPACK upper band storage, kd superdiagonals, of the symmetric matrix M."""
-    M = sp.coo_matrix(M)
-    M.sum_duplicates()
-    up = M.row <= M.col
-    ab = np.zeros((kd + 1, M.shape[0]))
-    ab[kd + M.row[up] - M.col[up], M.col[up]] = M.data[up]
-    return ab
-
-
 def _primal_infeasibility_certificate(qp: QpProblem, At, dy) -> bool:
     nd = _ninf(dy)
     if nd <= 1e-14:
@@ -160,22 +153,28 @@ def _csr_product(M):
 
 def _step_matrices(qp: QpProblem, mult):
     """(factor, A, A'), A and A' as CSR.  factor(rho_base) is the band
-    Cholesky, in the variables' own order, of the step's matrix
-    H + rho_base G, where H = P + (sigma + reg) I and G = A' diag(mult) A."""
-    H = qp.P + (_SIGMA + _REG) * sp.identity(qp.n)
-    G = qp.A.T @ sp.diags(mult) @ qp.A
-    pattern = (abs(H) + abs(G)).tocoo()
-    kd = int(np.abs(pattern.row - pattern.col).max(initial=0))
-    band_H, band_G = _band(H, kd), _band(G, kd)
+    Cholesky of the step's matrix P + (sigma + reg) I + rho_base G, where
+    G = A' diag(mult) A."""
+    At = qp.A.T                                  # the CSR view of the CSC A
+    G = At @ sp.diags(mult) @ qp.A               # CSR
+    n, P = qp.n, qp.P
+    # the upper triangles of P (CSC) and G (CSR), as rows and columns
+    pr, pc = P.indices, np.repeat(np.arange(n), np.diff(P.indptr))
+    gr, gc = np.repeat(np.arange(n), np.diff(G.indptr)), G.indices
+    pu, gu = pr <= pc, gr <= gc
+    kd = int(max(np.max(pc[pu] - pr[pu], initial=0), np.max(gc[gu] - gr[gu], initial=0)))
+    band_P, band_G = np.zeros((2, kd + 1, n))
+    np.add.at(band_P, (kd + pr[pu] - pc[pu], pc[pu]), P.data[pu])   # P may repeat an entry
+    band_G[kd + gr[gu] - gc[gu], gc[gu]] = G.data[gu]
+    band_P[kd] += _SIGMA + _REG
 
     def factor(rho_base):
-        cf, info = dpbtrf(band_H + rho_base * band_G)
+        cf, info = dpbtrf(band_P + rho_base * band_G)
         if info:
             raise np.linalg.LinAlgError(f"band Cholesky failed at pivot {info}")
         return cf
 
-    A = qp.A.tocsr()
-    return factor, A, A.T.tocsr()
+    return factor, qp.A.tocsr(), At
 
 
 def solve(qp: QpProblem, warm: QpSolution | None = None) -> QpSolution:

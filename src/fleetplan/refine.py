@@ -393,24 +393,16 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     ylo[tight] = mid[tight]
     yhi[tight] = mid[tight]
 
-    # objective: ALPHA_V * sum dv^2 + ALPHA_OMEGA * sum omega^2, with the
-    # first dv measured against the previous iterate's initial speed
-    nv = T - 1
-    rows, cols, vals = [], [], []
-    vidx = uc[:, 0]
-    main = np.full(nv, 2.0)
-    main[-1] = 1.0
-    rows.append(vidx); cols.append(vidx); vals.append(2.0 * ALPHA_V * main)
-    if nv > 1:
-        rows.append(vidx[:-1]); cols.append(vidx[1:])
-        vals.append(np.full(nv - 1, -2.0 * ALPHA_V))
-        rows.append(vidx[1:]); cols.append(vidx[:-1])
-        vals.append(np.full(nv - 1, -2.0 * ALPHA_V))
-    rows.append(uc[:, 1]); cols.append(uc[:, 1])
-    vals.append(np.full(nv, 2.0 * ALPHA_OMEGA))
-    P = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsc()
+    # objective: ALPHA_V [(v_0 - vbar0)^2 + sum (v_{t+1} - v_t)^2]
+    # + ALPHA_OMEGA sum omega_t^2, less its constant ALPHA_V vbar0^2; v_t and
+    # v_{t+1} sit 6 columns apart
+    main = np.zeros(n)
+    main[uc[:, 0]] = 4.0 * ALPHA_V
+    main[uc[-1, 0]] = 2.0 * ALPHA_V
+    main[uc[:, 1]] = 2.0 * ALPHA_OMEGA
+    off = np.zeros(n - 6)
+    off[uc[:-1, 0]] = -2.0 * ALPHA_V
+    P = sp.diags([off, main, off], [-6, 0, 6], format="csc")
     q = np.zeros(n)
     q[uc[0, 0]] = -2.0 * ALPHA_V * vbar0
 
@@ -462,20 +454,16 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     lb.append((ylo - lin.e).reshape(-1)); ub.append((yhi - lin.e).reshape(-1))
     row0 += ny
 
-    # separating planes
-    prow, pcol, pval, pub = [], [], [], []
-    for t, plist in planes_by_t.items():
-        for (d, ux, uy, rhs) in plist:
-            coeff = ux * lin.D[t, 2 * d] + uy * lin.D[t, 2 * d + 1]
-            prow.extend([row0] * 4)
-            pcol.extend(zc[t])
-            pval.extend(coeff)
-            pub.append(rhs - ux * lin.e[t, 2 * d] - uy * lin.e[t, 2 * d + 1])
-            row0 += 1
-    if prow:
-        ar.append(np.array(prow)); ac.append(np.array(pcol))
-        av.append(np.array(pval))
-        lb.append(np.full(len(pub), -np.inf)); ub.append(np.array(pub))
+    # separating planes, from rows (t, disc, nx, ny, rhs) in planes_by_t order
+    pl = np.array([(t, *p) for t, plist in planes_by_t.items() for p in plist],
+                  dtype=float).reshape(-1, 5)
+    t, d = pl[:, 0].astype(int), 2 * pl[:, 1].astype(int)
+    ux, uy = pl[:, 2:3], pl[:, 3:4]
+    ar.append(row0 + np.repeat(np.arange(len(pl)), 4)); ac.append(zc[t].ravel())
+    av.append((ux * lin.D[t, d] + uy * lin.D[t, d + 1]).ravel())
+    lb.append(np.full(len(pl), -np.inf))
+    ub.append(pl[:, 4] - ux[:, 0] * lin.e[t, d] - uy[:, 0] * lin.e[t, d + 1])
+    row0 += len(pl)
 
     A = sp.coo_matrix((np.concatenate(av),
                        (np.concatenate(ar), np.concatenate(ac))),

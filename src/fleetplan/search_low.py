@@ -271,6 +271,7 @@ class LowLevelPlanner:
         self._end_rows = np.cumsum(sizes) - 1         # each primitive's last stacked row
         self._starts = self._end_rows - sizes + 1      # and its first, for reduceat
         self._row_prim = np.repeat(np.arange(len(prims), dtype=float), sizes)[:, None]
+        self._ends = (self._stack[self._end_rows], self._row_prim[self._end_rows])
         cell = grid.cell
         self._shape = (max(1, int(math.ceil(instance.map_width / cell))),
                        max(1, int(math.ceil(instance.map_height / cell))))
@@ -396,19 +397,21 @@ class LowLevelPlanner:
         flattened, (F, 8).  Only the obstacles that the static broadphase
         names for the pose's cell are tested; a pose off the table takes
         them all."""
-        st, par = self._stack, self.params
+        par = self.params
+        cells = self._static_cells()
+        nx, ny = self._shape
+        i, j = math.floor(x / self.grid.cell), math.floor(y / self.grid.cell)
+        boxes = cells[i * ny + j] if 0 <= i < nx and 0 <= j < ny else self._obs
+        # a free cell's sweep is read only at the primitives' end rows
+        st, prim = self._ends if boxes is None else (self._stack, self._row_prim)
         cth, sth = math.cos(th), math.sin(th)
         wx = x + st[:, 0] * cth - st[:, 1] * sth
         wy = y + st[:, 0] * sth + st[:, 1] * cth
         poses = np.stack([wx, wy, th + st[:, 2]], axis=1)
         cen = disc_centers_arr(poses, par)
-        rows = np.concatenate([self._row_prim, poses, cen.reshape(-1, 4)], axis=1)
-        cells = self._static_cells()
-        nx, ny = self._shape
-        i, j = math.floor(x / self.grid.cell), math.floor(y / self.grid.cell)
-        boxes = cells[i * ny + j] if 0 <= i < nx and 0 <= j < ny else self._obs
+        rows = np.concatenate([prim, poses, cen.reshape(-1, 4)], axis=1)
         if boxes is None:
-            return rows[self._end_rows]
+            return rows
         bad = discs_blocked(cen, par.disc_radius, self.inst.map_width,
                             self.inst.map_height, *boxes).any(axis=-1)
         return rows[self._end_rows[~np.logical_or.reduceat(bad, self._starts)]]

@@ -361,6 +361,28 @@ def test_read_plan_rejects_a_row_of_the_wrong_width(tmp_path):
         validate_plan(inst, read_plan(path))
 
 
+@pytest.mark.parametrize("t_indices, line, t, need", [((2, 0, 1), 3, 2, 0),
+                                                      ((0, 2, 3), 4, 2, 1),
+                                                      ((0, 0, 1), 4, 0, 1)],
+                         ids=["shuffled", "gap", "repeat"])
+def test_read_plan_requires_each_agents_t_index_in_order(tmp_path, t_indices, line, t, need):
+    """Rows are read by their t_index, not their place: an agent whose rows run
+    out of order, skip an index or repeat one is refused at that row, where it
+    would load as the states of another order (t = 2, 0, 1 as x = 7, 5, 6)."""
+    path = tmp_path / "plan.csv"
+    rows = "".join(f"0,{k},{0.5 * k},{5.0 + k},5.0,0.0,0.0,1.0,0.0\n" for k in t_indices)
+    path.write_text("# dt=0.5 tau_f=1.0 agents=1\nagent_id,t_index,time_s,x,y,theta,phi,v,omega\n"
+                    + rows)
+    with pytest.raises(ValueError, match=f"line {line}: t_index {t}, need {need}"):
+        read_plan(path)
+    # a second agent's rows may interleave, each agent counting its own
+    path.write_text("# dt=0.5 tau_f=0.5 agents=2\nagent_id,t_index,time_s,x,y,theta,phi,v,omega\n"
+                    "0,0,0.0,5,5,0,0,1,0\n1,0,0.0,9,9,0,0,1,0\n0,1,0.5,5.5,5,0,0,0,0\n"
+                    "1,1,0.5,9.5,9,0,0,0,0\n")
+    back = read_plan(path)
+    assert [s[:, 0].tolist() for s in back.states] == [[5.0, 5.5], [9.0, 9.5]]
+
+
 @pytest.mark.parametrize("field_name, shape", [("states", (6, 3)), ("controls", (5, 1))])
 def test_validate_rejects_a_wrongly_shaped_trajectory(field_name, shape):
     inst = parse_instance(MINIMAL)

@@ -161,6 +161,30 @@ def test_solve_matches_reference_loop_bit_for_bit(refine30_solves, factors):
         assert np.array_equal(out, M @ v)
 
 
+def test_band_factor_is_the_dense_cholesky_of_the_step_matrix(refine30_solves):
+    """`reference_admm` shares the solver's set-up, so the set-up is checked
+    here on its own: the step matrix P + (sigma + reg) I + rho A' diag(mult) A
+    is built densely with numpy, and the band factor's half-width kd is that
+    matrix's half-bandwidth and its upper factor U is numpy's dense Cholesky
+    factor, on refine30's QPs and on sparse QPs, at two values of rho."""
+    probs = [args[0] for _, _, ss in refine30_solves.values() for args, _, _ in ss]
+    probs += [make_sparse_qp(np.random.default_rng(seed)) for seed in (0, 3)]
+    for prob in probs:
+        mult = prob.rho_multipliers()
+        factor = qp._step_matrices(prob, mult)[0]
+        A = prob.A.toarray()
+        for rho in (1e-6, 0.1):
+            M = (prob.P.toarray() + (qp._SIGMA + qp._REG) * np.eye(prob.n)
+                 + rho * (A.T * mult) @ A)
+            i, j = np.nonzero(M)
+            cf = factor(rho)
+            kd = cf.shape[0] - 1
+            assert kd == np.abs(i - j).max()
+            U = sum(np.diag(cf[kd - k, k:], k) for k in range(kd + 1))
+            L = np.linalg.cholesky(M)
+            assert np.abs(U - L.T).max() <= 1e-12 * np.abs(L).max()
+
+
 def test_solve_leaves_inputs_alone_and_returns_fresh_arrays():
     """`sqp_refine` keeps each solution as the next warm start and the trace
     keeps every solution, so a solve may change neither its problem nor its

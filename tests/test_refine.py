@@ -397,6 +397,49 @@ def test_assemble_qp_rows_and_exact_rows_at_the_re_drive(first_round):
         assert np.abs(Ax[held] - qp.l[held]).max() <= 1e-12
 
 
+def test_assemble_qp_objective_is_the_speed_and_rate_cost(first_round, monkeypatch):
+    """1/2 x'Px + q'x of every round-0 QP equals the cost written as plain
+    sums, ALPHA_V [(v_0 - vbar0)^2 + sum (v_{t+1} - v_t)^2]
+    + ALPHA_OMEGA sum omega_t^2 - ALPHA_V vbar0^2, at random x and vbar0.
+    The weights are set apart, so a swapped weight shows too."""
+    alpha_v, alpha_omega = 1.5, 0.25
+    monkeypatch.setattr(refine, "ALPHA_V", alpha_v)
+    monkeypatch.setattr(refine, "ALPHA_OMEGA", alpha_omega)
+    rng = np.random.default_rng(7)
+    for args, _ in first_round[1]:
+        vbar0 = rng.uniform(-2.0, 2.0)
+        qp = refine.assemble_qp(*args, vbar0=vbar0)
+        for _ in range(3):
+            x = rng.normal(size=qp.n)
+            _, u = refine._unpack(x, args[2].shape[0])
+            v, w = u[:, 0], u[:, 1]
+            cost = (alpha_v * ((v[0] - vbar0) ** 2 + np.sum(np.diff(v) ** 2))
+                    + alpha_omega * np.sum(w ** 2) - alpha_v * vbar0 ** 2)
+            assert 0.5 * x @ (qp.P @ x) + qp.q @ x == pytest.approx(cost, rel=1e-12, abs=1e-12)
+
+
+def test_assemble_qp_plane_rows_match_a_per_plane_loop(first_round):
+    """The separating-plane rows, the last K rows of every round-0 QP, hold
+    bit for bit what a loop over `planes_by_t` writes: for the plane
+    (t, d, nx, ny, rhs), nx D[t, 2d] + ny D[t, 2d + 1] on z_t's columns, no
+    lower bound and the upper bound rhs - nx e[t, 2d] - ny e[t, 2d + 1]."""
+    seen = 0
+    for args, kwargs in first_round[1]:
+        lin, planes = args[3], args[5]
+        qp = refine.assemble_qp(*args, **kwargs)
+        rows = [(t, *plane) for t, plist in planes.items() for plane in plist]
+        first = qp.m - len(rows)
+        A = qp.A.toarray()
+        for k, (t, d, nx, ny, rhs) in enumerate(rows, start=first):
+            want = np.zeros(qp.n)
+            want[6 * t:6 * t + 4] = nx * lin.D[t, 2 * d] + ny * lin.D[t, 2 * d + 1]
+            assert np.array_equal(A[k], want)
+            assert qp.l[k] == -np.inf
+            assert qp.u[k] == rhs - nx * lin.e[t, 2 * d] - ny * lin.e[t, 2 * d + 1]
+        seen += len(rows)
+    assert seen > 0
+
+
 def test_assemble_qp_none_when_trust_region_misses_corridor(first_round):
     """A disc coordinate of Y0 more than R_TRUST above the corridor's upper
     bound leaves corridor and trust region disjoint: no QP.  Just within
