@@ -44,7 +44,7 @@ _EUCLID_FLOOR = 1.0 - 1e-9
 N_YAW = 72                 # heading bins of the closed-set key
 _YAW_BIN = _TWO_PI / N_YAW
 SAMPLE_DS = 0.5            # collision-sample spacing along a motion [m]
-RS_RADIUS = 12.0           # goal distance within which Reeds-Shepp curves price and shoot [m]
+RS_RADIUS = 12.0           # goal distance within which the heuristic prices Reeds-Shepp curves [m]
 MAX_STEPS = 256            # cap on a node's time index
 
 
@@ -68,12 +68,11 @@ class DiscreteState(NamedTuple):
     it: int
 
 
-def discretize(pose, grid: GridSpec, it: int = 0) -> DiscreteState:
-    """Cell and yaw bin of a pose (x, y, theta); exact boundary ties go to
-    the lower index.  The pose must lie on the map: the search discretizes
-    only the start and goal, which the instance check keeps there, and end
+def cell_of(x: float, y: float, grid: GridSpec) -> tuple[int, int]:
+    """Grid cell (ix, iy) of a point; exact boundary ties go to the lower
+    index.  The point must lie on the map: the search takes cells only of
+    the start and goal, which the instance check keeps there, and of end
     poses whose covering discs, around the rear axle, passed the static test."""
-    x, y, th = pose
     cell = grid.cell
     sx, sy = x / cell, y / cell
     ix, iy = math.floor(sx), math.floor(sy)
@@ -81,13 +80,23 @@ def discretize(pose, grid: GridSpec, it: int = 0) -> DiscreteState:
         ix -= 1
     if iy == sy and iy > 0:
         iy -= 1
+    return ix, iy
+
+
+def yaw_bin(th: float) -> int:
+    """Heading bin of an angle; an exact tie between two bins goes to the
+    lower index."""
     s = th / _YAW_BIN
     lo = math.floor(s + 0.5)
     if lo - 0.5 == s:  # exactly between bins lo-1 and lo
-        k = min((lo - 1) % N_YAW, lo % N_YAW)
-    else:
-        k = lo % N_YAW
-    return DiscreteState(ix, iy, k, it)
+        return min((lo - 1) % N_YAW, lo % N_YAW)
+    return lo % N_YAW
+
+
+def discretize(pose, grid: GridSpec, it: int = 0) -> DiscreteState:
+    """Cell and yaw bin of a pose (x, y, theta), see `cell_of` and `yaw_bin`."""
+    x, y, th = pose
+    return DiscreteState(*cell_of(x, y, grid), yaw_bin(th), it)
 
 
 class Segment(NamedTuple):
@@ -186,6 +195,24 @@ def _primitive_table(grid: GridSpec, params: VehicleParams):
     return acts
 
 
+class _Heading(NamedTuple):
+    """The primitive table turned to a heading th, for every sample (`stack`)
+    and for the end rows (`ends`), each as three (n, 8) addends of `_sweep`'s
+    rows: at a pose (x, y, th) the rows are
+    (((-0, x, y, -0, x, y, x, y) + lead) + lag) + disc, that is per local
+    sample (u, v, theta) the primitive's index, the pose
+    ((x + u cos th) - v sin th, (y + u sin th) + v cos th, th + theta) and
+    its front and rear disc centres, rounded as `disc_centers_arr` rounds
+    them.  -0.0 fills the entries an addend leaves alone (v + -0.0 is v,
+    signed zeros included), and lag holds -(v sin th), which adds exactly as
+    v sin th subtracts.  `succ` holds per primitive the direction, wrapped
+    end heading and yaw bin of its successor."""
+
+    stack: tuple[np.ndarray, np.ndarray, np.ndarray]   # lead, lag, disc
+    ends: tuple[np.ndarray, np.ndarray, np.ndarray]
+    succ: list[tuple[int, float, int]]
+
+
 @dataclass
 class LowLevelResult:
     status: str                      # ok | timeout | exhausted
@@ -214,13 +241,22 @@ class LowLevelPlanner:
     the primitives' end poses and their disc centres and whether each
     primitive's sweep stays on the map and clear of the static obstacles; and,
     per goal, the heuristic of each pose, the pose's shortest Reeds-Shepp
-    curve to the goal, which the heuristic and the goal shot share, and the
-    shot: its cut into timed segments and, filled in together once the
-    shot's static test passes, the end pose of each segment (one (n, 3)
-    array, which the returned trajectory reads) and their disc centres
-    (which the dynamic test reads).  The static test itself waits for the
-    first try that passes the reversal rule and horizon cap.  None of it
-    depends on time or on the dynamic obstacles.  The dynamic obstacles' disc
+    curve to the goal, which the heuristic (within RS_RADIUS) and the goal
+    shot share, and the shot: its cut into timed segments and, filled in
+    together once the shot's static test passes, the end pose of each
+    segment (one (n, 3) array, which the returned trajectory reads) and their
+    disc centres (which the dynamic test reads).  The static test itself
+    waits for the first try that passes the reversal rule and horizon cap.
+    A shot is tried at any distance from the goal: at the first pop, then
+    once every hypot(goal - pose) / delta_s pops.  Memoised with the poses,
+    keyed on the exact float heading: the heading tables (`_Heading`), the
+    primitive table turned to each heading swept, so that `_sweep` only adds
+    the pose's (x, y), and each primitive's successor direction, wrapped end
+    heading and yaw bin, so that an expansion computes only the cell of each
+    end pose.  They hold the operands the rotation computed per pose, added
+    in its order, so no bit changes; pbs50 sweeps 15,210 poses at 524
+    headings.  None of it depends on time or on the dynamic obstacles.  The
+    dynamic obstacles' disc
     centres are computed once per call.  Run on every expansion: the
     dynamic-obstacle test at the next time index, the reversal rule, and the
     goal shot's reversal rule, horizon cap and dynamic checks.  Each node's
@@ -290,8 +326,10 @@ class LowLevelPlanner:
         self.release_memo()
 
     def release_memo(self) -> None:
-        """Drop the pose memo (see the class docstring); no plan depends on it."""
+        """Drop the pose memo and the heading tables (see the class docstring);
+        no plan depends on them."""
         self._sweeps: dict[tuple, np.ndarray] = {}
+        self._headings: dict[float, _Heading] = {}
         self._by_goal: dict[tuple, tuple[dict, dict, dict]] = {}
 
     # -- heuristic ---------------------------------------------------------
@@ -389,6 +427,29 @@ class LowLevelPlanner:
                            for f, k in zip(free.tolist(), which.ravel().tolist())]
         return self._cells
 
+    def _heading(self, th: float) -> _Heading:
+        """The heading table of th, built on first use while the memo lives."""
+        tab = self._headings.get(th)
+        if tab is None:
+            cth, sth = math.cos(th), math.sin(th)
+            f, r = self.params.front_disc_offset, self.params.rear_disc_offset
+
+            def turn(st, prim):
+                hd = th + st[:, 2]
+                c, s = np.cos(hd), np.sin(hd)
+                ux, uy = st[:, 0] * cth, st[:, 0] * sth
+                vx, vy = -(st[:, 1] * sth), st[:, 1] * cth
+                z = np.full(len(st), -0.0)
+                return (np.stack([prim[:, 0], ux, uy, hd, ux, uy, ux, uy], axis=1),
+                        np.stack([z, vx, vy, z, vx, vy, vx, vy], axis=1),
+                        np.stack([z, z, z, z, f * c, f * s, r * c, r * s], axis=1))
+
+            ends = turn(*self._ends)
+            eths = [normalize_angle(e) for e in ends[0][:, 3].tolist()]
+            succ = [(int(p.segment.direction), e, yaw_bin(e)) for p, e in zip(self._prims, eths)]
+            tab = self._headings[th] = _Heading(turn(self._stack, self._row_prim), ends, succ)
+        return tab
+
     def _sweep(self, x, y, th):
         """The pose-only half of an expansion from (x, y, th): one row per
         primitive whose whole sweep stays on the map and clear of the static
@@ -403,15 +464,14 @@ class LowLevelPlanner:
         i, j = math.floor(x / self.grid.cell), math.floor(y / self.grid.cell)
         boxes = cells[i * ny + j] if 0 <= i < nx and 0 <= j < ny else self._obs
         # a free cell's sweep is read only at the primitives' end rows
-        st, prim = self._ends if boxes is None else (self._stack, self._row_prim)
-        cth, sth = math.cos(th), math.sin(th)
-        wx = x + st[:, 0] * cth - st[:, 1] * sth
-        wy = y + st[:, 0] * sth + st[:, 1] * cth
-        poses = np.stack([wx, wy, th + st[:, 2]], axis=1)
-        cen = disc_centers_arr(poses, par)
-        rows = np.concatenate([prim, poses, cen.reshape(-1, 4)], axis=1)
+        tab = self._heading(th)
+        lead, lag, disc = tab.ends if boxes is None else tab.stack
+        rows = np.add((-0.0, x, y, -0.0, x, y, x, y), lead)
+        rows += lag
+        rows += disc
         if boxes is None:
             return rows
+        cen = rows.reshape(-1, 4, 2)[:, 2:]
         bad = discs_blocked(cen, par.disc_radius, self.inst.map_width,
                             self.inst.map_height, *boxes).any(axis=-1)
         return rows[self._end_rows[~np.logical_or.reduceat(bad, self._starts)]]
@@ -584,14 +644,13 @@ class LowLevelPlanner:
                     sweep = sweep[~near.any(axis=1)]
 
             g2 = ngs[idx] + quantum
-            for a, ex, ey, eth in sweep[:, :4].tolist():
+            succ = self._heading(pose[2]).succ
+            for a, ex, ey in sweep[:, :3].tolist():
                 a = int(a)
-                d = self._prims[a].segment.direction
-                if d and last_dir and d * last_dir < 0:
+                d, eth, k = succ[a]
+                if d * last_dir < 0:
                     continue  # reversal only out of a dwell
-                eth = normalize_angle(eth)
-                dir2 = int(d) if d else 0
-                key2 = (discretize((ex, ey, eth), grid, it + 1), dir2)
+                key2 = (DiscreteState(*cell_of(ex, ey, grid), k, it + 1), d)
                 if key2 not in closed:
                     push((ex, ey, eth), g2, idx, a, key2)
 

@@ -220,6 +220,26 @@ def test_sweep_matches_reference_sweep():
     assert all(c is None or c[0].size == 0 for c in cells)
 
 
+def test_heading_successors_match_discretize():
+    """Each primitive's successor in a heading's table, its direction,
+    wrapped end heading and yaw bin, is what `discretize` makes of
+    normalize_angle(th + end heading): at seeded headings, at headings on an
+    exact yaw-bin tie and at +-pi."""
+    planner = sl.LowLevelPlanner(empty_instance(), sl.GridSpec())
+    ends = planner._stack[planner._end_rows]
+    rng = np.random.default_rng(20)
+    ties = [(k + 0.5) * sl._YAW_BIN for k in range(-sl.N_YAW // 2, sl.N_YAW // 2)]
+    # most are exact ties, and a straight primitive's end heading is its start's
+    assert sum((th / sl._YAW_BIN) % 1.0 == 0.5 for th in ties) > sl.N_YAW // 2
+    headings = rng.uniform(-math.pi, math.pi, 200).tolist() + ties + [math.pi, -math.pi]
+    for th in headings:
+        for prim, end, (d, eth, k) in zip(planner._prims, ends.tolist(),
+                                          planner._heading(th).succ, strict=True):
+            want = sl.normalize_angle(th + end[2])
+            assert d == prim.segment.direction and eth == want and -math.pi < eth <= math.pi
+            assert k == sl.discretize((5.0, 5.0, want), planner.grid).iyaw, (th, prim)
+
+
 # --- dynamic broadphase ---------------------------------------------------
 
 def exact_planner(inst):
@@ -531,8 +551,10 @@ def test_pose_memo_live_across_agents_and_obstacle_sets():
         sizes.append(len(sweeps))
     assert sizes == sorted(sizes) and sizes[0] > 0
     assert len(planner._by_goal) == 2
+    # one heading table per distinct heading of a swept pose
+    assert set(planner._headings) == {pose[2] for pose in sweeps}
     planner.release_memo()
-    assert planner._sweeps == {} and planner._by_goal == {}
+    assert planner._sweeps == {} and planner._by_goal == {} and planner._headings == {}
 
 
 # Per planned agent of each instance: the call with no dynamic obstacles, then

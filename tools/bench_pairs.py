@@ -1,0 +1,85 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+    python3 tools/bench_pairs.py DIR_A DIR_B --workload pbs50 --pairs 10 --seconds 40
+
+Pair k runs `perfbench/run.py --trace 0` once in each checkout, from that
+checkout's root and with seed 201 + k on both sides; A runs first in the even
+pairs and B in the odd ones, so a drift of the host's speed falls on both
+sides alike.  Untraced runs write nothing under `perfbench/`.  For every
+end-to-end metric of `BENCHMARK.json` it prints each side's median and
+quartiles, B's wins over A (ties count for neither) and whether B's gain
+meets the claim rule: B wins at least nine tenths of the pairs, and the
+medians differ, in B's favour, by more than A's interquartile range.  Each
+run's `correct`, `failed` and `attempted` are printed as they come.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+FIRST_SEED = 201
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in a checkout: its JSON result."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def summarize(a: list[float], b: list[float], better: str) -> dict:
+    """Pairwise statistics of one metric: a[k] and b[k] come from pair k.
+    Quartiles interpolate linearly between order statistics."""
+    if len(a) != len(b) or not a:
+        raise ValueError("need the same number of runs on each side, at least one")
+    sign = 1.0 if better == "lower" else -1.0
+    qa, qb = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
+    wins = sum(sign * (x - y) > 0 for x, y in zip(a, b))
+    iqr = float(qa[2] - qa[0])
+    gain = sign * float(qa[1] - qb[1])
+    return {"a": [float(q) for q in qa], "b": [float(q) for q in qb], "wins": wins,
+            "pairs": len(a), "a_iqr": iqr, "gain": gain,
+            "claim": wins >= 0.9 * len(a) and gain > iqr}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("dir_a", type=Path)
+    ap.add_argument("dir_b", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    runs = {"A": [], "B": []}
+    for k in range(args.pairs):
+        order = ("A", "B") if k % 2 == 0 else ("B", "A")
+        for side in order:
+            checkout = args.dir_a if side == "A" else args.dir_b
+            res = run(checkout, args.workload, FIRST_SEED + k, args.seconds)
+            runs[side].append(res)
+            print(f"pair {k} {side}: correct={res['correct']} failed={res['failed']} "
+                  f"attempted={res['attempted']}", flush=True)
+    print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs; "
+          "quartiles q1 / median / q3, B wins over A")
+    for m in metrics:
+        name = m["name"]
+        s = summarize([r["metrics"][name]["value"] for r in runs["A"]],
+                      [r["metrics"][name]["value"] for r in runs["B"]], m["better"])
+        print(f"{name:18s} A {' / '.join(f'{v:.4g}' for v in s['a'])}   "
+              f"B {' / '.join(f'{v:.4g}' for v in s['b'])}   "
+              f"wins {s['wins']}/{s['pairs']}   gain {s['gain']:.4g} vs A IQR {s['a_iqr']:.4g}"
+              f"{'   claim met' if s['claim'] else ''}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
