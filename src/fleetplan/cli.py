@@ -7,7 +7,8 @@ SQP refinement and the independent verifier.  It prints one JSON line with
 the status and, unless the status is "ok", the failure (the stage that
 failed and why), and writes the plan only when the status is "ok".  Exit
 status: 0 for a verified plan, 1 for none, 2 for an unreadable or malformed
-instance file.
+instance file or a verified plan that cannot be written to OUT.csv (the
+JSON line is printed first, the error goes to stderr).
 """
 from __future__ import annotations
 
@@ -51,7 +52,11 @@ def main(argv=None) -> int:
     status, failure, plan = solve(inst)
     print(json.dumps({"status": status, "failure": failure}))
     if plan is not None and args.plan:
-        write_plan(args.plan, plan, [a.id for a in inst.agents])
+        try:
+            write_plan(args.plan, plan, [a.id for a in inst.agents])
+        except OSError as e:
+            print(f"fleetplan: {e}", file=sys.stderr)
+            return 2
     return 0 if status == "ok" else 1
 
 

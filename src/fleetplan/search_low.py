@@ -61,13 +61,6 @@ class GridSpec:
         object.__setattr__(self, "cell", self.delta_s / _SQRT2)
 
 
-class DiscreteState(NamedTuple):
-    ix: int
-    iy: int
-    iyaw: int
-    it: int
-
-
 def cell_of(x: float, y: float, grid: GridSpec) -> tuple[int, int]:
     """Grid cell (ix, iy) of a point; exact boundary ties go to the lower
     index.  The point must lie on the map: the search takes cells only of
@@ -91,12 +84,6 @@ def yaw_bin(th: float) -> int:
     if lo - 0.5 == s:  # exactly between bins lo-1 and lo
         return min((lo - 1) % N_YAW, lo % N_YAW)
     return lo % N_YAW
-
-
-def discretize(pose, grid: GridSpec, it: int = 0) -> DiscreteState:
-    """Cell and yaw bin of a pose (x, y, theta), see `cell_of` and `yaw_bin`."""
-    x, y, th = pose
-    return DiscreteState(*cell_of(x, y, grid), yaw_bin(th), it)
 
 
 class Segment(NamedTuple):
@@ -259,9 +246,12 @@ class LowLevelPlanner:
     dynamic obstacles' disc
     centres are computed once per call.  Run on every expansion: the
     dynamic-obstacle test at the next time index, the reversal rule, and the
-    goal shot's reversal rule, horizon cap and dynamic checks.  Each node's
-    time-indexed closed-set key is built once, when the node is pushed, and
-    read back when it is popped.
+    goal shot's reversal rule, horizon cap and dynamic checks.  A node is one
+    tuple (pose, g, parent, primitive, time index, dir), dir the sign of its
+    last motion, 0 after a wait or at the start.  Its closed-set key, the flat
+    tuple (ix, iy, yaw bin, time index, dir), is built once, before the push,
+    and kept only in the set of pushed keys; a pop reads the time index and
+    dir back from the node.
 
     A node's cost is its arrival time: every primitive, forward, reverse or
     wait, costs one quantum.  The key holds the time index, so every path to
@@ -286,11 +276,12 @@ class LowLevelPlanner:
     Deferred until pop (Lazy A*, Tolpin et al., IJCAI 2013): a pose within
     RS_RADIUS of the goal whose curve is not yet known is pushed on a floor,
     the flood-fill and straight-line terms alone, with no Reeds-Shepp call.
-    When the node is popped, its exact heuristic is computed and it is pushed
-    again under its original counter, unexpanded.  The floor is never above
-    the exact key, so every such node is re-pushed before any node whose
-    (f, counter) follows its own, and the heap pops nodes for expansion in
-    exactly the order of a search that computes every heuristic at push.
+    Its heap entry (f, index, lazy) says so.  When the node is popped, its
+    exact heuristic is computed and it is pushed again under its own index,
+    unexpanded.  The floor is never above the exact key, so every such node
+    is re-pushed before any node whose (f, index) follows its own, and the
+    heap pops nodes for expansion in exactly the order of a search that
+    computes every heuristic at push.
     """
 
     def __init__(self, instance, grid: GridSpec):
@@ -311,6 +302,9 @@ class LowLevelPlanner:
         cell = grid.cell
         self._shape = (max(1, int(math.ceil(instance.map_width / cell))),
                        max(1, int(math.ceil(instance.map_height / cell))))
+        # the cell centres, (nx, 1) and (1, ny)
+        self._centres = ((np.arange(self._shape[0])[:, None] + 0.5) * cell,
+                         (np.arange(self._shape[1])[None, :] + 0.5) * cell)
         # the broadphases' radii (see the class docstring), from the farthest
         # a covering-disc centre of any primitive's sweep gets from the pose
         # it starts from, which a rotation keeps
@@ -340,14 +334,12 @@ class LowLevelPlanner:
             return self._fills[agent_id]
         cell = self.grid.cell
         nx, ny = self._shape
-        cx = (np.arange(nx)[:, None] + 0.5) * cell
-        cy = (np.arange(ny)[None, :] + 0.5) * cell
         # a cell is blocked where its centre lies in a box, edges included
-        dx, dy = box_gaps(cx, cy, *self._obs)
+        dx, dy = box_gaps(*self._centres, *self._obs)
         blocked = ((dx == 0.0) & (dy == 0.0)).any(axis=-1)
         goal = self._task_by_id[agent_id].goal
-        gkey = discretize((goal.x, goal.y, goal.theta), self.grid)
-        blocked[gkey.ix, gkey.iy] = False
+        gi, gj = cell_of(goal.x, goal.y, self.grid)
+        blocked[gi, gj] = False
         # Dijkstra on flat lists: cell (i, j) sits at (i + 1) * w + j + 1
         # inside a ring of blocked cells, which takes the place of a bounds
         # test, and flat indices sort like (i, j), so heap ties break as
@@ -357,7 +349,7 @@ class LowLevelPlanner:
         ring[1:-1, 1:-1] = blocked
         closed = ring.ravel().tolist()
         dist = [math.inf] * len(closed)
-        start = (gkey.ix + 1) * w + gkey.iy + 1
+        start = (gi + 1) * w + gj + 1
         dist[start] = 0.0
         diag = cell * _SQRT2
         steps = [(di * w + dj, diag if di and dj else cell) for di, dj in _NBRS8]
@@ -412,8 +404,7 @@ class LowLevelPlanner:
         if self._cells is None:
             cell, reach = self.grid.cell, self._reach
             nx, ny = self._shape
-            cx = (np.arange(nx)[:, None] + 0.5) * cell
-            cy = (np.arange(ny)[None, :] + 0.5) * cell
+            cx, cy = self._centres
             acx, acy, ahx, ahy = self._obs
             # the gaps from each whole cell to each box
             dx, dy = box_gaps(cx, cy, acx, acy, ahx + 0.5 * cell, ahy + 0.5 * cell)
@@ -513,26 +504,18 @@ class LowLevelPlanner:
                 h = hs[pose] = self._h(fill, goal, *pose, curve_from)
             return h
 
-        # node store (structure-of-arrays; parent chain reconstructs the path).
-        # A node's closed-set key (DiscreteState, dir) is built once, at push;
-        # dir is the sign of the last motion, 0 after a wait or at the start.
-        nposes: list[tuple] = []
-        ngs: list[float] = []
-        nparent: list[int] = []
-        nact: list[int] = []
-        nkeys: list[tuple] = []
-        deferred: list[bool] = []    # queued on the heuristic's floor
+        # the nodes (pose, g, parent, primitive, it, dir) and their keys (see
+        # the class docstring); the parent chain reconstructs the path
+        nodes: list[tuple] = []
         closed: set[tuple] = set()   # the keys pushed so far
-        open_heap: list[tuple[float, int, int]] = []
-        counter = 0
+        open_heap: list[tuple[float, int, bool]] = []   # (f, index, lazy)
         expansions = 0
 
-        def push(pose, g, parent, act, key):
-            nonlocal counter
-            idx = len(nposes)
-            nposes.append(pose); ngs.append(g); nparent.append(parent); nact.append(act)
-            nkeys.append(key)
+        def push(node, key):
             closed.add(key)
+            idx = len(nodes)
+            nodes.append(node)
+            pose = node[0]
             h = hs.get(pose)
             lazy = False
             if h is None:
@@ -542,9 +525,7 @@ class LowLevelPlanner:
                     h = max(hg, de * _EUCLID_FLOOR) / v_max   # the curve waits for the pop
                 else:
                     h = hs[pose] = max(hg, de) / v_max   # _h's value beyond RS_RADIUS
-            deferred.append(lazy)
-            heapq.heappush(open_heap, (g + h, counter, idx))
-            counter += 1
+            heapq.heappush(open_heap, (node[1] + h, idx, lazy))
 
         def try_shot(pose, it, last_dir):
             curve = curve_from(pose)
@@ -585,19 +566,19 @@ class LowLevelPlanner:
         def build(idx, timed, steps):
             chain = []
             while idx >= 0:
-                chain.append(idx)
-                idx = nparent[idx]
+                chain.append(nodes[idx])
+                idx = chain[-1][2]
             chain.reverse()
-            states = [(*nposes[i], 0.0) for i in chain]
-            segments = [self._prims[nact[i]].segment for i in chain[1:]] + timed
+            states = [(*node[0], 0.0) for node in chain]
+            segments = [self._prims[node[3]].segment for node in chain[1:]] + timed
             states.extend((x, y, th, 0.0) for x, y, th in steps.tolist())
             traj = CoarseTrajectory(agent_id, np.array(states, dtype=float),
                                     tuple(segments), quantum)
             _replay_check(traj, par)
             return traj
 
-        start = (task.start.x, task.start.y, normalize_angle(task.start.theta))
-        push(start, 0.0, -1, -1, (discretize(start, grid, 0), 0))
+        sx, sy, sth = task.start.x, task.start.y, normalize_angle(task.start.theta)
+        push(((sx, sy, sth), 0.0, -1, -1, 0, 0), (*cell_of(sx, sy, grid), yaw_bin(sth), 0, 0))
 
         shot_countdown = 0
         pops = 0
@@ -605,16 +586,13 @@ class LowLevelPlanner:
             pops += 1
             if pops % 64 == 0 and time.monotonic() > deadline:
                 return LowLevelResult("timeout", None, expansions)
-            _, count, idx = heapq.heappop(open_heap)
-            key = nkeys[idx]
-            pose = nposes[idx]
-            if deferred[idx]:
+            _, idx, lazy = heapq.heappop(open_heap)
+            pose, g, _, _, it, last_dir = nodes[idx]
+            if lazy:
                 # popped on its floor: queue it again on its exact key, under
-                # its own counter, where it would have stood all along
-                deferred[idx] = False
-                heapq.heappush(open_heap, (ngs[idx] + h_of(pose), count, idx))
+                # its own index, where it would have stood all along
+                heapq.heappush(open_heap, (g + h_of(pose), idx, False))
                 continue
-            it, last_dir = key[0].it, key[1]
 
             if shot_countdown <= 0:
                 shot = try_shot(pose, it, last_dir)
@@ -643,16 +621,16 @@ class LowLevelPlanner:
                     near = disc_center_distance(end_cen, dyn_cen[None, :, t]) < two_r
                     sweep = sweep[~near.any(axis=1)]
 
-            g2 = ngs[idx] + quantum
+            g2, it2 = g + quantum, it + 1
             succ = self._heading(pose[2]).succ
             for a, ex, ey in sweep[:, :3].tolist():
                 a = int(a)
                 d, eth, k = succ[a]
                 if d * last_dir < 0:
                     continue  # reversal only out of a dwell
-                key2 = (DiscreteState(*cell_of(ex, ey, grid), k, it + 1), d)
+                key2 = (*cell_of(ex, ey, grid), k, it2, d)
                 if key2 not in closed:
-                    push((ex, ey, eth), g2, idx, a, key2)
+                    push(((ex, ey, eth), g2, idx, a, it2, d), key2)
 
         return LowLevelResult("exhausted", None, expansions)
 

@@ -36,7 +36,7 @@ from fleetplan.qp import (
     _step_matrices,
     kkt_residuals,
 )
-from fleetplan.search_low import _NBRS8, _SQRT2, SAMPLE_DS, discretize
+from fleetplan.search_low import _NBRS8, _SQRT2, SAMPLE_DS, cell_of
 
 
 def point_in_box(px: float, py: float, cx: float, cy: float, hx: float, hy: float,
@@ -274,12 +274,12 @@ def reference_flood(planner, agent_id) -> np.ndarray:
     dx, dy = box_gaps(cx, cy, *planner._obs)
     blocked = ((dx == 0.0) & (dy == 0.0)).any(axis=-1)
     goal = planner._task_by_id[agent_id].goal
-    gkey = discretize((goal.x, goal.y, goal.theta), planner.grid)
-    blocked[gkey.ix, gkey.iy] = False
+    gi, gj = cell_of(goal.x, goal.y, planner.grid)
+    blocked[gi, gj] = False
     dist = np.full((nx, ny), np.inf)
-    dist[gkey.ix, gkey.iy] = 0.0
+    dist[gi, gj] = 0.0
     diag = cell * _SQRT2
-    heap = [(0.0, gkey.ix, gkey.iy)]
+    heap = [(0.0, gi, gj)]
     while heap:
         d, i, j = heapq.heappop(heap)
         if d > dist[i, j]:

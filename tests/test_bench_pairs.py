@@ -39,3 +39,51 @@ def test_summarize_needs_matching_runs():
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([], [], "lower")
+
+
+def fixed_runs(walls, correct=True, failed=0, attempted=10):
+    return [{"correct": correct, "failed": failed, "attempted": attempted,
+             "metrics": {"wall_s": {"value": w}}} for w in walls]
+
+
+WALL = [{"name": "wall_s", "better": "lower"}]
+PARENT = [3.0, 3.1, 3.2, 3.1, 3.0, 3.2, 3.1, 3.0, 3.2, 3.1]
+FASTER = [2.5, 2.6, 2.4, 2.5, 2.6, 2.4, 2.5, 2.6, 2.4, 2.5]
+
+
+def test_report_claims_a_clean_gain(capsys):
+    runs = {"A": fixed_runs(PARENT), "B": fixed_runs(FASTER)}
+    assert bench_pairs.report(runs, WALL) == 0
+    out = capsys.readouterr().out
+    assert "claim met" in out and "no claim" not in out
+
+
+def test_report_voids_the_claim_of_an_incorrect_run(capsys):
+    change = fixed_runs(FASTER)
+    change[3]["correct"] = False
+    runs = {"A": fixed_runs(PARENT), "B": change}
+    assert bench_pairs.summarize(PARENT, FASTER, "lower")["claim"]
+    assert bench_pairs.report(runs, WALL) == 1
+    out = capsys.readouterr().out
+    assert "claim met" not in out
+    assert "no claim: pair 3 B: correct=False" in out
+    # an incorrect run on A's side voids the claim too
+    parent = fixed_runs(PARENT)
+    parent[0]["correct"] = False
+    assert bench_pairs.offences({"A": parent, "B": fixed_runs(FASTER)}) == [
+        "pair 0 A: correct=False"]
+
+
+def test_report_voids_the_claim_when_b_fails_a_larger_share(capsys):
+    # A fails 10 of 100 operations, B 11 of 100
+    change = fixed_runs(FASTER, failed=1)
+    change[7]["failed"] = 2
+    runs = {"A": fixed_runs(PARENT, failed=1), "B": change}
+    assert bench_pairs.report(runs, WALL) == 1
+    out = capsys.readouterr().out
+    assert "claim met" not in out
+    assert "no claim: B failed 0.11 of its operations, A 0.1" in out
+    # the same share on both sides is no offence, whatever it is
+    same = {"A": fixed_runs(PARENT, failed=3, attempted=3),
+            "B": fixed_runs(FASTER, failed=3, attempted=3)}
+    assert bench_pairs.offences(same) == []

@@ -22,10 +22,14 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def test_solve_writes_verified_plan(tmp_path, capsys):
-    inst = MvtpInstance(20.0, 20.0, [],
+def straight_instance():
+    return MvtpInstance(20.0, 20.0, [],
                         [AgentTask(0, State(5.0, 10.0, 0.0), State(15.0, 10.0, 0.0))],
                         VehicleParams())
+
+
+def test_solve_writes_verified_plan(tmp_path, capsys):
+    inst = straight_instance()
     save_instance(tmp_path / "inst.yaml", inst)
     code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"),
                        "--plan", str(tmp_path / "plan.csv"))
@@ -33,6 +37,17 @@ def test_solve_writes_verified_plan(tmp_path, capsys):
     assert out.count("\n") == 1
     assert json.loads(out) == {"status": "ok", "failure": None}
     assert validate_plan(inst, read_plan(tmp_path / "plan.csv")).feasible
+
+
+def test_unwritable_plan_file_exits_2(tmp_path, capsys):
+    save_instance(tmp_path / "inst.yaml", straight_instance())
+    plan = tmp_path / "missing" / "plan.csv"
+    code, out, err = run(capsys, "solve", str(tmp_path / "inst.yaml"), "--plan", str(plan))
+    assert code == 2
+    assert json.loads(out) == {"status": "ok", "failure": None}
+    assert err.startswith("fleetplan: ") and str(plan) in err
+    assert "Traceback" not in err
+    assert not plan.exists()
 
 
 def test_solve_reports_failure_and_writes_no_plan(tmp_path, capsys):

@@ -43,7 +43,7 @@ def empty_instance(size=60.0, agents=None):
     return MvtpInstance(size, size, [], agents, VehicleParams())
 
 
-# --- discretize -----------------------------------------------------------
+# --- discretization: cell_of and yaw_bin -----------------------------------
 
 def unit_grid():
     g = sl.GridSpec(delta_s=1.0 * math.sqrt(2.0))
@@ -53,18 +53,16 @@ def unit_grid():
 
 def test_discretize_basic():
     g = unit_grid()
-    d = sl.discretize((0.4, 0.4, 0.01), g, it=3)
-    assert (d.ix, d.iy, d.iyaw, d.it) == (0, 0, 0, 3)
+    assert (*sl.cell_of(0.4, 0.4, g), sl.yaw_bin(0.01)) == (0, 0, 0)
 
 
 def test_discretize_boundary_ties_go_low():
     g = unit_grid()
-    assert sl.discretize((1.0, 2.0, 0.0), g).ix == 0
-    assert sl.discretize((1.0, 2.0, 0.0), g).iy == 1
+    assert sl.cell_of(1.0, 2.0, g) == (0, 1)
     w = 2.0 * math.pi / sl.N_YAW
     # halfway between yaw bins 0 and 1 -> 0; between 71 and 0 -> 0
-    assert sl.discretize((5.0, 5.0, w / 2.0), g).iyaw == 0
-    assert sl.discretize((5.0, 5.0, -w / 2.0), g).iyaw == 0
+    assert sl.yaw_bin(w / 2.0) == 0
+    assert sl.yaw_bin(-w / 2.0) == 0
 
 
 def test_discretize_roundtrip_property():
@@ -74,10 +72,10 @@ def test_discretize_roundtrip_property():
     pts = rng.uniform([0.0, 0.0, -math.pi + 1e-9], [50.0, 50.0, math.pi], size=(10_000, 3))
     half_diag = g.cell * math.sqrt(2.0) / 2.0
     for x, y, th in pts:
-        d = sl.discretize((x, y, th), g)
-        cx, cy = (d.ix + 0.5) * g.cell, (d.iy + 0.5) * g.cell
+        ix, iy = sl.cell_of(x, y, g)
+        cx, cy = (ix + 0.5) * g.cell, (iy + 0.5) * g.cell
         assert math.hypot(x - cx, y - cy) <= half_diag + 1e-12
-        bth = d.iyaw * w
+        bth = sl.yaw_bin(th) * w
         diff = (th - bth + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(diff) <= w / 2.0 + 1e-12
 
@@ -107,9 +105,8 @@ def test_analytic_expand_zero_and_straight(params):
 
 def flood_oracle(inst, planner, agent_id=0):
     goal = inst.agents[agent_id].goal
-    key = sl.discretize((goal.x, goal.y, goal.theta), planner.grid)
     return brute_flood(inst.map_width, inst.map_height, planner.grid.cell,
-                       zip(*inst.obstacle_arrays()), (key.ix, key.iy))
+                       zip(*inst.obstacle_arrays()), sl.cell_of(goal.x, goal.y, planner.grid))
 
 
 def flood_cases():
@@ -222,7 +219,7 @@ def test_sweep_matches_reference_sweep():
 
 def test_heading_successors_match_discretize():
     """Each primitive's successor in a heading's table, its direction,
-    wrapped end heading and yaw bin, is what `discretize` makes of
+    wrapped end heading and yaw bin, is what `yaw_bin` makes of
     normalize_angle(th + end heading): at seeded headings, at headings on an
     exact yaw-bin tie and at +-pi."""
     planner = sl.LowLevelPlanner(empty_instance(), sl.GridSpec())
@@ -237,7 +234,7 @@ def test_heading_successors_match_discretize():
                                           planner._heading(th).succ, strict=True):
             want = sl.normalize_angle(th + end[2])
             assert d == prim.segment.direction and eth == want and -math.pi < eth <= math.pi
-            assert k == sl.discretize((5.0, 5.0, want), planner.grid).iyaw, (th, prim)
+            assert k == sl.yaw_bin(want), (th, prim)
 
 
 # --- dynamic broadphase ---------------------------------------------------

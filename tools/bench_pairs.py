@@ -10,7 +10,10 @@ end-to-end metric of `BENCHMARK.json` it prints each side's median and
 quartiles, B's wins over A (ties count for neither) and whether B's gain
 meets the claim rule: B wins at least nine tenths of the pairs, and the
 medians differ, in B's favour, by more than A's interquartile range.  Each
-run's `correct`, `failed` and `attempted` are printed as they come.
+run's `correct`, `failed` and `attempted` are printed as they come.  A run
+that reads `correct: false`, or B failing a larger share of its operations
+than A (sum of `failed` over sum of `attempted`), voids every claim: the tool
+names the offence, claims nothing and exits 1.
 """
 from __future__ import annotations
 
@@ -50,6 +53,35 @@ def summarize(a: list[float], b: list[float], better: str) -> dict:
             "claim": wins >= 0.9 * len(a) and gain > iqr}
 
 
+def offences(runs: dict[str, list[dict]]) -> list[str]:
+    """What voids a claim, one line each: every run of runs["A"] or runs["B"]
+    that is not correct, and B failing a larger share of its operations."""
+    found = [f"pair {k} {side}: correct={r['correct']}"
+             for side in ("A", "B") for k, r in enumerate(runs[side]) if r["correct"] is not True]
+    share = {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+             for side, rs in runs.items()}
+    if share["B"] > share["A"]:
+        found.append(f"B failed {share['B']:.4g} of its operations, A {share['A']:.4g}")
+    return found
+
+
+def report(runs: dict[str, list[dict]], metrics: list[dict]) -> int:
+    """Print each metric's pairwise statistics for runs["A"] and runs["B"],
+    then any offence; the exit status, 1 when an offence voids the claims."""
+    void = offences(runs)
+    for m in metrics:
+        name = m["name"]
+        s = summarize([r["metrics"][name]["value"] for r in runs["A"]],
+                      [r["metrics"][name]["value"] for r in runs["B"]], m["better"])
+        print(f"{name:18s} A {' / '.join(f'{v:.4g}' for v in s['a'])}   "
+              f"B {' / '.join(f'{v:.4g}' for v in s['b'])}   "
+              f"wins {s['wins']}/{s['pairs']}   gain {s['gain']:.4g} vs A IQR {s['a_iqr']:.4g}"
+              f"{'   claim met' if s['claim'] and not void else ''}")
+    for line in void:
+        print(f"no claim: {line}")
+    return 1 if void else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dir_a", type=Path)
@@ -70,15 +102,7 @@ def main(argv=None) -> int:
                   f"attempted={res['attempted']}", flush=True)
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs; "
           "quartiles q1 / median / q3, B wins over A")
-    for m in metrics:
-        name = m["name"]
-        s = summarize([r["metrics"][name]["value"] for r in runs["A"]],
-                      [r["metrics"][name]["value"] for r in runs["B"]], m["better"])
-        print(f"{name:18s} A {' / '.join(f'{v:.4g}' for v in s['a'])}   "
-              f"B {' / '.join(f'{v:.4g}' for v in s['b'])}   "
-              f"wins {s['wins']}/{s['pairs']}   gain {s['gain']:.4g} vs A IQR {s['a_iqr']:.4g}"
-              f"{'   claim met' if s['claim'] else ''}")
-    return 0
+    return report(runs, metrics)
 
 
 if __name__ == "__main__":
