@@ -9,25 +9,32 @@ failed and why), and writes the plan only when the status is "ok".  Exit
 status: 0 for a verified plan, 1 for none, 2 for an unreadable or malformed
 instance file or a verified plan that cannot be written to OUT.csv (the
 JSON line is printed first, the error goes to stderr).
+
+The search gets SEARCH_BUDGET_S seconds and refinement REFINE_BUDGET_S more;
+a stage out of time ends the run: status "timeout", that stage, exit 1.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import time
 
 from .instance import InstanceError, load_instance, validate_plan, write_plan
 from .refine import sqp_refine
 from .search_high import PrioritySearch
 from .search_low import GridSpec
 
+SEARCH_BUDGET_S = 60.0   # wall-clock budgets [s] of the search and of refinement
+REFINE_BUDGET_S = 60.0
+
 
 def solve(inst):
     """(status, failure, plan) for one instance; plan is None unless ok."""
-    res = PrioritySearch(inst, GridSpec()).solve()
+    res = PrioritySearch(inst, GridSpec()).solve(time_budget=SEARCH_BUDGET_S)
     if not res.ok:
         return res.status, {"stage": "search", "reason": res.status}, None
-    rr = sqp_refine(res.trajectories, inst)
+    rr = sqp_refine(res.trajectories, inst, deadline=time.monotonic() + REFINE_BUDGET_S)
     if not rr.ok:
         return rr.status, {"stage": "refine", **(rr.telemetry.failure or {})}, None
     report = validate_plan(inst, rr.plan)

@@ -186,11 +186,13 @@ def parse_instance(text: str) -> MvtpInstance:
         ]
         agents = []
         for a in doc.get("agents") or []:
+            if type(a["id"]) is not int:   # int() would read 2.7 as 2 and true as 1
+                raise TypeError(f"agent id must be an integer, got {a['id']!r}")
             sx, sy, sth = (float(c) for c in a["start"])
             gx, gy, gth = (float(c) for c in a["goal"])
             agents.append(
                 AgentTask(
-                    int(a["id"]),
+                    a["id"],
                     State(sx, sy, normalize_angle(sth)),
                     State(gx, gy, normalize_angle(gth)),
                 )

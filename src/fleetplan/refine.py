@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,9 @@ from .instance import MvtpInstance, Plan, validate_plan
 from .qp import QpProblem, solve as qp_solve
 
 _SQRT2 = math.sqrt(2.0)
+# math.hypot, not np.hypot: the two differ in the last bit on 1 in 200 vectors,
+# and one such bit can shift a QP's verdict by hundreds of ADMM iterations
+_hypot = np.vectorize(math.hypot, otypes=[float])
 
 N_INTERP = 3                  # points inserted per coarse segment
 R_TRUST = 0.6                 # trust-region half-width per disc coordinate [m]
@@ -180,45 +182,39 @@ def _track_guess(states, controls, dt, params: VehicleParams):
 
 
 def find_neighbor_pairs(states, params: VehicleParams):
-    """All (i, j, t), agent indices i < j, whose disc clearance at time index
-    t is at most 2*sqrt(2)*R_TRUST, in sorted order."""
+    """Index arrays (i, j, t), agent indices i < j, of every pair whose disc
+    clearance at time index t is at most 2*sqrt(2)*R_TRUST, in sorted order."""
     i, j, d = pair_clearances(disc_centers_arr(states, params))
     p, t = np.nonzero(d - 2.0 * params.disc_radius <= 2.0 * _SQRT2 * R_TRUST)
-    return list(zip(i[p].tolist(), j[p].tolist(), t.tolist()))
+    return i[p], j[p], t
 
 
 def build_separation(pairs, states, params: VehicleParams) -> list:
-    """Perpendicular-bisector planes for every neighbor pair, offset by the
-    disc radius toward the owning agent; each agent of the pair gets the
-    mirrored constraint, so the planes partition the gap.
+    """Perpendicular-bisector planes for every neighbor pair and disc pair,
+    offset by the disc radius toward the owning agent; each agent of the pair
+    gets the mirrored constraint, so the planes partition the gap.
 
-    Returns one {t: [(disc, nx, ny, rhs), ...]} dict per agent index, each
-    entry meaning nx*Y[disc].x + ny*Y[disc].y <= rhs.
+    Returns one (K, 5) array per agent index, rows (t, disc, nx, ny, rhs) in
+    pair order (pair, disc of i, disc of j), each meaning
+    nx*Y[disc].x + ny*Y[disc].y <= rhs at time index t.
     """
+    i, j, t = pairs
     discs = disc_centers_arr(states, params)   # (M, T, 2, 2)
+    a = discs[i, t][:, :, None]                # (P, 2, 1, 2): disc of i, P pairs
+    b = discs[j, t][:, None, :]                # (P, 1, 2, 2): disc of j
+    n = b - a                                  # (P, 2, 2, 2)
+    # coincident centers: fall back to the rear-axle bisector, then to an
+    # arbitrary 1e-3 jitter direction
+    for fallback in ((states[j, t, :2] - states[i, t, :2])[:, None, None], [1e-3, 0.0]):
+        n = np.where(_hypot(n[..., 0], n[..., 1])[..., None] < 1e-9, fallback, n)
+    u = n / _hypot(n[..., 0], n[..., 1])[..., None]
+    rhs = (u * (0.5 * (a + b))).sum(-1)
+    tt, di, dj = np.broadcast_arrays(t[:, None, None], *np.indices((2, 2)), rhs)[:3]
     offset = params.disc_radius
-    planes = [defaultdict(list) for _ in range(states.shape[0])]
-    for (i, j, t) in pairs:
-        for di in (0, 1):
-            for dj in (0, 1):
-                a = discs[i, t, di]
-                b = discs[j, t, dj]
-                n = b - a
-                ln = math.hypot(n[0], n[1])
-                if ln < 1e-9:
-                    # coincident centers: fall back to the rear-axle bisector,
-                    # then to an arbitrary 1e-3 jitter direction
-                    n = states[j, t, :2] - states[i, t, :2]
-                    ln = math.hypot(n[0], n[1])
-                    if ln < 1e-9:
-                        n = np.array([1e-3, 0.0])
-                        ln = 1e-3
-                ux, uy = n[0] / ln, n[1] / ln
-                mid = 0.5 * (a + b)
-                rhs = ux * mid[0] + uy * mid[1]
-                planes[i][t].append((di, ux, uy, rhs - offset))
-                planes[j][t].append((dj, -ux, -uy, -rhs - offset))
-    return [dict(p) for p in planes]
+    rows = np.stack([np.stack([tt, di, u[..., 0], u[..., 1], rhs - offset], -1),
+                     np.stack([tt, dj, -u[..., 0], -u[..., 1], -rhs - offset], -1)], 1)
+    owner = np.stack([i, j], 1)
+    return [rows[owner == m].reshape(-1, 5) for m in range(states.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +360,7 @@ def linearize_dynamics(states, controls, params: VehicleParams, dt) -> LinearDyn
 
 
 def assemble_qp(start, goal, states, lin: LinearDynamics,
-                corridor: CorridorBoxes, planes_by_t, Y0, params: VehicleParams,
+                corridor: CorridorBoxes, planes, Y0, params: VehicleParams,
                 vbar0: float):
     """Quadratic subproblem for one agent at the current iterate.
 
@@ -454,16 +450,14 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     lb.append((ylo - lin.e).reshape(-1)); ub.append((yhi - lin.e).reshape(-1))
     row0 += ny
 
-    # separating planes, from rows (t, disc, nx, ny, rhs) in planes_by_t order
-    pl = np.array([(t, *p) for t, plist in planes_by_t.items() for p in plist],
-                  dtype=float).reshape(-1, 5)
-    t, d = pl[:, 0].astype(int), 2 * pl[:, 1].astype(int)
-    ux, uy = pl[:, 2:3], pl[:, 3:4]
-    ar.append(row0 + np.repeat(np.arange(len(pl)), 4)); ac.append(zc[t].ravel())
+    # separating planes, one row per (t, disc, nx, ny, rhs) row of planes
+    t, d = planes[:, 0].astype(int), 2 * planes[:, 1].astype(int)
+    ux, uy = planes[:, 2:3], planes[:, 3:4]
+    ar.append(row0 + np.repeat(np.arange(len(planes)), 4)); ac.append(zc[t].ravel())
     av.append((ux * lin.D[t, d] + uy * lin.D[t, d + 1]).ravel())
-    lb.append(np.full(len(pl), -np.inf))
-    ub.append(pl[:, 4] - ux[:, 0] * lin.e[t, d] - uy[:, 0] * lin.e[t, d + 1])
-    row0 += len(pl)
+    lb.append(np.full(len(planes), -np.inf))
+    ub.append(planes[:, 4] - ux[:, 0] * lin.e[t, d] - uy[:, 0] * lin.e[t, d + 1])
+    row0 += len(planes)
 
     A = sp.coo_matrix((np.concatenate(av),
                        (np.concatenate(ar), np.concatenate(ac))),
@@ -580,13 +574,11 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
     for k in range(MAX_SQP_ITERS):
         if time.monotonic() > deadline:
             return fail("timeout", None, k, "deadline exceeded")
-        new_s = np.empty_like(cur_s)
-        new_u = np.empty_like(cur_u)
+        new_s, new_u = cur_s.copy(), cur_u.copy()
         for m, task in enumerate(instance.agents):
             aid = task.id
             if m in rejected:
                 tele.qp_rejections.append((aid, k, rejected[m]))
-                new_s[m], new_u[m] = cur_s[m], cur_u[m]
                 continue
             try:
                 corridor = build_corridor(cur_s[m], instance)
@@ -606,7 +598,6 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
                 # an over-constrained or unconverged agent keeps its iterate
                 rejected[m] = "empty_box" if sol is None else sol.status
                 tele.qp_rejections.append((aid, k, rejected[m]))
-                new_s[m], new_u[m] = cur_s[m], cur_u[m]
                 continue
             warm[m] = sol
             new_s[m], new_u[m] = _unpack(sol.x, T)
@@ -616,11 +607,9 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
         tele.iterations = k + 1
         cur_s, cur_u = new_s, new_u
 
-        zs, us = [], []
-        for m, task in enumerate(instance.agents):
-            z, u = rollout_controls(task.start.as_array(), cur_u[m], params, dt)
-            zs.append(z); us.append(u)
-        plan = Plan(states=zs, controls=us, dt=dt, tau_f=(T - 1) * dt)
+        zs, us = zip(*(rollout_controls(task.start.as_array(), cur_u[m], params, dt)
+                       for m, task in enumerate(instance.agents)))
+        plan = Plan(states=list(zs), controls=list(us), dt=dt, tau_f=(T - 1) * dt)
         if not validate_plan(instance, plan).violations:
             return RefineResult("ok", plan, tele)
         if resid < eps:

@@ -404,6 +404,31 @@ def brute_neighbor_pairs(states, params, threshold):
     return out
 
 
+def loop_separation(pairs, states, params):
+    """`refine.build_separation` as one plane at a time: per agent, a list of
+    (t, disc, nx, ny, rhs) rows in pair order, disc of i outer."""
+    discs = disc_centers_arr(states, params)
+    offset = params.disc_radius
+    rows = [[] for _ in range(states.shape[0])]
+    for i, j, t in pairs:
+        for di in (0, 1):
+            for dj in (0, 1):
+                a, b = discs[i, t, di], discs[j, t, dj]
+                n = b - a
+                ln = math.hypot(n[0], n[1])
+                if ln < 1e-9:
+                    n = states[j, t, :2] - states[i, t, :2]
+                    ln = math.hypot(n[0], n[1])
+                    if ln < 1e-9:
+                        n, ln = np.array([1e-3, 0.0]), 1e-3
+                ux, uy = n[0] / ln, n[1] / ln
+                mid = 0.5 * (a + b)
+                rhs = ux * mid[0] + uy * mid[1]
+                rows[i].append((t, di, ux, uy, rhs - offset))
+                rows[j].append((t, dj, -ux, -uy, -rhs - offset))
+    return rows
+
+
 def brute_discs_near_boxes(centers, radius, boxes) -> np.ndarray:
     """Per disc centre (N, 2): does it come closer than radius to a box?
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from fleetplan import cli
 from fleetplan.cli import main
-from fleetplan.geometry import State, VehicleParams
+from fleetplan.geometry import OrientedBox, State, VehicleParams
 from fleetplan.instance import (
     AgentTask,
     InstanceError,
@@ -37,6 +38,24 @@ def test_solve_writes_verified_plan(tmp_path, capsys):
     assert out.count("\n") == 1
     assert json.loads(out) == {"status": "ok", "failure": None}
     assert validate_plan(inst, read_plan(tmp_path / "plan.csv")).feasible
+
+
+def test_search_out_of_budget_exits_1_with_timeout(tmp_path, capsys, monkeypatch):
+    """The goal lies in a closed room, so no plan reaches it and the
+    time-indexed search would never end: the search budget ends the run."""
+    walls = [OrientedBox(22.0, 19.5, 4.5, 0.3), OrientedBox(22.0, 10.5, 4.5, 0.3),
+             OrientedBox(17.5, 15.0, 0.3, 4.5), OrientedBox(26.5, 15.0, 0.3, 4.5)]
+    inst = MvtpInstance(30.0, 30.0, walls,
+                        [AgentTask(0, State(5.0, 5.0, 0.0), State(22.0, 15.0, 0.0))],
+                        VehicleParams())
+    save_instance(tmp_path / "inst.yaml", inst)
+    monkeypatch.setattr(cli, "SEARCH_BUDGET_S", 1.0)
+    code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"),
+                       "--plan", str(tmp_path / "plan.csv"))
+    assert code == 1
+    assert json.loads(out) == {"status": "timeout",
+                               "failure": {"stage": "search", "reason": "timeout"}}
+    assert not (tmp_path / "plan.csv").exists()
 
 
 def test_unwritable_plan_file_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -137,6 +138,19 @@ def test_parse_rejects_bad_obstacle_field(field, value):
     box = "obstacles:\n- {%s}" % ", ".join(f"{f}: {v}" for f, v in fields.items())
     with pytest.raises(InstanceError, match="obstacle 0 needs finite fields"):
         parse_instance(MINIMAL.replace("obstacles: []", box))
+
+
+@pytest.mark.parametrize("value,loaded", [
+    ("2.7", "2.7"), ("7.0", "7.0"), ("true", "True"), ('"7"', "'7'"), ("null", "None"),
+    ("[1]", "[1]"),
+])
+def test_parse_rejects_non_integer_agent_id(value, loaded):
+    # int() would truncate 2.7 to agent 2 and read true as agent 1
+    assert parse_instance(MINIMAL).agents[0].id == 0
+    assert "{id: 0," in MINIMAL
+    message = f"agent id must be an integer, got {loaded}"
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        parse_instance(MINIMAL.replace("{id: 0,", "{id: %s," % value))
 
 
 def test_parse_rejects_rotated_obstacle():
