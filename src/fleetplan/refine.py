@@ -561,10 +561,9 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
 
     cur_s = base_s
     cur_u = base_u
-    warm = [None] * M
     # agent index -> reason of its rejected QP.  The QP depends only on the
-    # agent's own iterate, planes, Y0 row and warm start, none of which a
-    # rejection changes, so every later round would reach the same verdict.
+    # agent's own iterate, planes and Y0 row, none of which a rejection
+    # changes, so every later round would reach the same verdict.
     rejected = {}
 
     def fail(status, agent, k, reason):
@@ -592,14 +591,13 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
                 sol = None
             else:
                 t0 = time.monotonic()
-                sol = qp_solve(qp, warm=warm[m])
+                sol = qp_solve(qp)
                 tele.qp_time_s += time.monotonic() - t0
             if sol is None or sol.status != "optimal":
                 # an over-constrained or unconverged agent keeps its iterate
                 rejected[m] = "empty_box" if sol is None else sol.status
                 tele.qp_rejections.append((aid, k, rejected[m]))
                 continue
-            warm[m] = sol
             new_s[m], new_u[m] = _unpack(sol.x, T)
         resid = float(np.sqrt(((new_s - cur_s) ** 2).sum()
                               + ((new_u - cur_u) ** 2).sum()))

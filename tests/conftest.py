@@ -37,8 +37,7 @@ def coarse():
 def refine30_solves(coarse):
     """Full `sqp_refine` runs on the suite: n -> (result, [(states,
     instance)] per `build_corridor` call, [(args, kwargs, solution)] per QP
-    solve, the solution's x and y copied as returned).  n = 6 is the one
-    whose refinement warm-starts a QP."""
+    solve, the solution's x and y copied as returned)."""
     out = {}
     corridor, solve = refine.build_corridor, refine.qp_solve
     for n in (2, 4, 6):
@@ -63,7 +62,7 @@ def refine30_solves(coarse):
 
 @pytest.fixture(scope="session")
 def refine30_runs(refine30_solves):
-    """`refine30_solves` on n = 2 and 4, with each QP solve as (status, ADMM
-    iterations, x)."""
+    """`refine30_solves` on n = 2 and 4, with each QP solve as (status,
+    solver iterations, x)."""
     return {n: (rr, corridors, [(s.status, s.iterations, s.x) for _, _, s in solves])
             for n, (rr, corridors, solves) in refine30_solves.items() if n in (2, 4)}

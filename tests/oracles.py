@@ -4,8 +4,7 @@ Everything here is deliberately written from first principles (dense sampling,
 dense linear algebra, brute-force enumeration) rather than reusing library
 internals, so the implementation and its checks stay on separate routes.  The
 exceptions keep a library loop as it was before a rewrite, so the new
-version can be held to it bit for bit: `reference_admm` keeps the QP
-solver's set-up and checks its iteration loop alone; `reference_flood` and
+version can be held to it bit for bit: `reference_flood` and
 `reference_sweep` keep the low-level search's flood fill and static sweep
 test from before their broadphase and flat-list rewrites; and
 `reference_primitive_table` and `reference_shot_walk` keep the search's own
@@ -19,23 +18,11 @@ import heapq
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrs
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
-from fleetplan import qp as qp_module
 from fleetplan import reeds_shepp as rs
 from fleetplan.geometry import advance_arc, box_gaps, disc_centers_arr, normalize_angle
-from fleetplan.qp import (
-    _ALPHA,
-    _RHO0,
-    _RHO_MAX,
-    _RHO_MIN,
-    _SIGMA,
-    QpSolution,
-    _ninf,
-    _primal_infeasibility_certificate,
-    _step_matrices,
-    kkt_residuals,
-)
 from fleetplan.search_low import _NBRS8, _SQRT2, SAMPLE_DS, cell_of
 
 
@@ -188,78 +175,28 @@ def pack_qp_x(states, controls) -> np.ndarray:
     return np.concatenate([steps.ravel(), states[-1]])
 
 
-def reference_admm(qp, warm=None):
-    """`fleetplan.qp.solve` with its iteration loop written as plain
-    expressions: every iterate is a new array and every product is scipy's
-    public `@`.  Band factor, constants, rho schedule and termination are
-    the solver's own, so both agree bit for bit; the stopping rule's
-    constants are read from the solver's module at each call, as `solve`
-    reads them."""
-    eps_abs, eps_rel = qp_module.EPS_ABS, qp_module.EPS_REL
-    max_iters, check_every = qp_module.MAX_ITERS, qp_module.CHECK_EVERY
-    n, m = qp.n, qp.m
-    mult = qp.rho_multipliers()
-    factor, A, At = _step_matrices(qp, mult)
-    P, q = qp.P, qp.q
-
-    if m == 0:
-        x = dpbtrs(factor(0.0), -q)[0]
-        pr, du = kkt_residuals(qp, x, np.zeros(0))
-        return QpSolution(x, np.zeros(0), "optimal", pr, du, 1)
-
-    if warm is not None and warm.x.shape[0] == n and warm.y.shape[0] == m:
-        x = warm.x.copy()
-        y = warm.y.copy()
-    else:
-        x = np.zeros(n)
-        y = np.zeros(m)
-
-    rho_base = _RHO0
-    rho = rho_base * mult
-    cf = factor(rho_base)
-    z = np.clip(A @ x, qp.l, qp.u)
-
-    status = "max_iters"
-    iters = max_iters
-    for k in range(1, max_iters + 1):
-        xt = dpbtrs(cf, _SIGMA * x - q + At @ (rho * z - y))[0]
-        zt = A @ xt
-        x = _ALPHA * xt + (1.0 - _ALPHA) * x
-        z_pre = _ALPHA * zt + (1.0 - _ALPHA) * z
-        y_prev = y
-        z = np.minimum(np.maximum(z_pre + y / rho, qp.l), qp.u)
-        y = y_prev + rho * (z_pre - z)
-
-        if k % check_every:
-            continue
-
-        Ax = A @ x
-        Px = P @ x
-        Aty = At @ y
-        r_prim = _ninf(Ax - z)
-        r_dual = _ninf(Px + q + Aty)
-        eps_p = eps_abs + eps_rel * max(_ninf(Ax), _ninf(z))
-        eps_d = eps_abs + eps_rel * max(_ninf(Px), _ninf(Aty), _ninf(q))
-        if r_prim <= eps_p and r_dual <= eps_d:
-            status = "optimal"
-            iters = k
-            break
-        if _primal_infeasibility_certificate(qp, At, y - y_prev):
-            pr, du = kkt_residuals(qp, x, y)
-            return QpSolution(x, y, "primal_infeasible", pr, du, k)
-
-        # residual balancing: push rho toward equalizing scaled residuals
-        num = r_prim / max(_ninf(Ax), _ninf(z), 1e-12)
-        den = r_dual / max(_ninf(Px), _ninf(Aty), _ninf(q), 1e-12)
-        ratio = np.sqrt(num / max(den, 1e-18))
-        new_base = float(np.clip(rho_base * ratio, _RHO_MIN, _RHO_MAX))
-        if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
-            rho_base = new_base
-            rho = rho_base * mult
-            cf = factor(rho_base)
-
-    pr, du = kkt_residuals(qp, x, y)
-    return QpSolution(x, y, status, pr, du, iters)
+def lp_margin(A, l, u) -> float:
+    """The largest t such that some x holds every equality row of
+    l <= Ax <= u (l == u) exactly and every other finite bound with slack t,
+    by HiGHS (t is capped at 1); -inf when no x holds the equalities.  The
+    bounds are infeasible when t < 0, and feasible with room t when t > 0."""
+    A = sp.csr_matrix(A)
+    n = A.shape[1]
+    eq = l == u
+    up, lo = ~eq & np.isfinite(u), ~eq & np.isfinite(l)
+    slack = lambda rows: sp.csr_matrix(np.ones((int(rows.sum()), 1)))
+    A_ub = sp.vstack([sp.hstack([A[up], slack(up)]), sp.hstack([-A[lo], slack(lo)])])
+    A_eq = sp.hstack([A[eq], sp.csr_matrix((int(eq.sum()), 1))])
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=A_ub if A_ub.shape[0] else None,
+                  b_ub=np.concatenate([u[up], -l[lo]]) if A_ub.shape[0] else None,
+                  A_eq=A_eq if A_eq.shape[0] else None, b_eq=u[eq] if A_eq.shape[0] else None,
+                  bounds=[(None, None)] * n + [(None, 1.0)], method="highs")
+    if res.status == 2:
+        return -np.inf
+    assert res.status == 0, res.message
+    return float(res.x[-1])
 
 
 def reference_flood(planner, agent_id) -> np.ndarray:

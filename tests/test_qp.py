@@ -1,21 +1,9 @@
-import contextlib
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fleetplan import qp
-from oracles import kkt_solve, reference_admm
-
-
-@contextlib.contextmanager
-def stopping(**constants):
-    """`qp.solve` under other values of its stopping rule's module constants
-    (EPS_ABS, EPS_REL, MAX_ITERS, CHECK_EVERY)."""
-    with pytest.MonkeyPatch.context() as mp:
-        for name, value in constants.items():
-            mp.setattr(qp, name, value)
-        yield
+from fleetplan import qp, refine
+from oracles import kkt_solve, lp_margin
 
 
 def make_eq_qp(rng):
@@ -35,8 +23,7 @@ def kkt_parity_check(n_problems=200, seed=123, tol=1e-6):
     worst = 0.0
     for _ in range(n_problems):
         prob = make_eq_qp(rng)
-        with stopping(EPS_ABS=1e-8, EPS_REL=1e-8, MAX_ITERS=20000):
-            sol = qp.solve(prob)
+        sol = qp.solve(prob)
         assert sol.status == "optimal"
         x_ref, _ = kkt_solve(prob.P.toarray(), prob.q, prob.A.toarray(), prob.l)
         err = np.max(np.abs(sol.x - x_ref)) / (1.0 + np.max(np.abs(x_ref)))
@@ -65,12 +52,6 @@ def make_sparse_qp(rng, n=60):
     return qp.QpProblem(B.T @ B + 0.1 * sp.identity(n), 10.0 * rng.normal(size=n), A, lo, hi)
 
 
-def near_solution(prob, rng):
-    """The solution of prob with q perturbed: a warm start near prob's own."""
-    return qp.solve(qp.QpProblem(prob.P, prob.q + rng.normal(size=prob.n), prob.A,
-                                 prob.l, prob.u))
-
-
 def infeasible_qp():
     # x <= -1 and x >= 1 cannot both hold
     return qp.QpProblem([[1.0]], [0.0], [[1.0], [1.0]], [-np.inf, 1.0], [-1.0, np.inf])
@@ -78,136 +59,174 @@ def infeasible_qp():
 
 @pytest.fixture
 def factors(monkeypatch):
-    """One entry per band Cholesky factorization the solver makes."""
+    """One entry per band LU factorization the solver makes."""
     calls = []
-    band_cholesky = qp.dpbtrf
-    monkeypatch.setattr(qp, "dpbtrf", lambda *a, **k: calls.append(1) or band_cholesky(*a, **k))
+    band_lu = qp.dgbtrf
+    monkeypatch.setattr(qp, "dgbtrf", lambda *a, **k: calls.append(1) or band_lu(*a, **k))
     return calls
 
 
-def test_solution_does_not_depend_on_variable_or_row_order(factors, monkeypatch):
+def test_solution_does_not_depend_on_variable_or_row_order(factors):
     """The solver factors in the caller's variable order, so shuffling the
     variables widens the band and changes the rounding, but not the answer:
     a QP with its variables and rows shuffled reaches the same status in the
-    same iterations, with x and y equal once mapped back, cold and
-    warm-started, on QPs whose rho schedule refactors the matrix.  It runs
-    under a stopping rule tighter than the solver's, which its residual bound
-    assumes."""
-    monkeypatch.setattr(qp, "EPS_ABS", 1e-6)
-    monkeypatch.setattr(qp, "EPS_REL", 1e-6)
-    monkeypatch.setattr(qp, "MAX_ITERS", 20000)
+    same iterations, with x and y equal once mapped back."""
     for seed in (0, 3):
         rng = np.random.default_rng(seed)
         prob = make_sparse_qp(rng)
         pc, pr = rng.permutation(prob.n), rng.permutation(prob.m)
         shuffled = qp.QpProblem(prob.P[pc][:, pc], prob.q[pc], prob.A[pr][:, pc],
                                 prob.l[pr], prob.u[pr])
-        near = near_solution(prob, rng)
-        for warm in (None, near):
-            factors.clear()
-            sol = qp.solve(prob, warm=warm)
-            assert sol.status == "optimal" and len(factors) >= 2
-            assert sol.primal_res <= 1e-5
-            warm_shuffled = warm and qp.QpSolution(warm.x[pc], warm.y[pr], warm.status,
-                                                   warm.primal_res, warm.dual_res)
-            other = qp.solve(shuffled, warm=warm_shuffled)
-            assert (other.status, other.iterations) == (sol.status, sol.iterations)
-            x, y = np.empty(prob.n), np.empty(prob.m)
-            x[pc], y[pr] = other.x, other.y
-            assert np.abs(x - sol.x).max() <= 1e-9
-            assert np.abs(y - sol.y).max() <= 1e-9
+        factors.clear()
+        sol = qp.solve(prob)
+        # one factor for the start, one per iteration, one for the polish
+        assert sol.status == "optimal" and len(factors) == sol.iterations + 2
+        assert sol.primal_res <= 1e-8
+        other = qp.solve(shuffled)
+        assert (other.status, other.iterations) == (sol.status, sol.iterations)
+        x, y = np.empty(prob.n), np.empty(prob.m)
+        x[pc], y[pr] = other.x, other.y
+        assert np.abs(x - sol.x).max() <= 1e-9
+        # y is not unique where the active rows are dependent: each y is
+        # held to its own dual residual and both agree to 1e-7 of their size
+        assert max(sol.dual_res, other.dual_res) <= 1e-9
+        assert np.abs(y - sol.y).max() <= 1e-7 * (1.0 + np.abs(sol.y).max())
 
 
-def assert_same_solution(a, b):
-    assert (a.status, a.iterations) == (b.status, b.iterations)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-    assert (a.primal_res, a.dual_res) == (b.primal_res, b.dual_res)
+def dense_kkt(P, E, AI, w):
+    """The KKT system that `qp._Kkt.factor(w)` factors, built densely in the
+    caller's order: [[P + AI' diag(w) AI + delta I, E'], [E, -delta I]]."""
+    n, me = P.shape[0], E.shape[0]
+    K = np.zeros((n + me, n + me))
+    K[:n, :n] = P.toarray() + (AI.T.toarray() * w) @ AI.toarray() + qp._DELTA * np.eye(n)
+    K[:n, n:] = E.T.toarray()
+    K[n:, :n] = E.toarray()
+    K[n:, n:] = -qp._DELTA * np.eye(me)
+    return K
 
 
-def test_solve_matches_reference_loop_bit_for_bit(refine30_solves, factors):
-    """The in-place iteration on the direct CSR kernel gives the plain
-    expressions' bits (`reference_admm`): on refine30's 13 QPs with their
-    warm starts, on sparse QPs cold and warm across refactorizations, on an
-    infeasible QP and at an early max_iters exit.  The kernel itself equals
-    `@`, also on a matrix with an empty row and an empty column."""
-    solves = [s for _, _, ss in refine30_solves.values() for s in ss]
-    assert len(solves) == 13 and any(kw["warm"] is not None for _, kw, _ in solves)
-    for args, kwargs, sol in solves:
-        assert_same_solution(sol, reference_admm(*args, **kwargs))
+def test_kkt_factor_solves_the_dense_system(refine30_solves):
+    """The band LU of `qp._Kkt` solves the same system as numpy's dense
+    solve, on refine30's QPs and on sparse QPs, at two spreads of the
+    inequality weights; its half-width is the widest entry's distance from
+    the diagonal in the interleaved order, at most 11 on refine30, where
+    each row's multiplier sits halfway along its columns.  Refinement's
+    dependent equality rows (a tight disc box beside the endpoint rows) and
+    widely spread weights make the system ill-conditioned, so the solve is
+    held to a rounding-sized residual, and on the sparse QPs also to the
+    dense solution within what the condition number allows."""
+    refine_qps = [args[0] for _, _, ss in refine30_solves.values() for args, _, _ in ss]
+    sparse_qps = [make_sparse_qp(np.random.default_rng(seed)) for seed in (0, 3)]
+    rng = np.random.default_rng(1)
+    widths = []
+    for prob in refine_qps + sparse_qps:
+        A = prob.A.tocsr()
+        eq = prob.u - prob.l < qp._EQ_GAP
+        E, AI = A[np.flatnonzero(eq)], A[np.flatnonzero(~eq)]
+        kkt = qp._Kkt(prob.P, sp.vstack([E, AI], format="csr"), E.shape[0])
+        i, j = np.nonzero(dense_kkt(prob.P, E, AI, np.ones(AI.shape[0])))
+        assert kkt.k == np.abs(kkt.pos[i] - kkt.pos[j]).max()
+        widths.append(kkt.k)
+        for spread in (1.0, 1e6):
+            w = np.exp(rng.uniform(-np.log(spread), np.log(spread), AI.shape[0]))
+            K = dense_kkt(prob.P, E, AI, w)
+            rhs = rng.normal(size=K.shape[0])
+            got = kkt.solve(kkt.factor(w), rhs)
+            # a backward-stable solve: the residual is rounding-sized
+            scale = np.abs(K).sum(axis=1).max() * np.abs(got).max() + np.abs(rhs).max()
+            assert np.abs(K @ got - rhs).max() <= 1e-13 * scale
+            if prob in sparse_qps:
+                ref = np.linalg.solve(K, rhs)
+                bound = 1e-14 * np.linalg.cond(K) * np.abs(ref).max()
+                assert np.abs(got - ref).max() <= bound
+    assert max(widths[:len(refine_qps)]) == 11
 
-    for seed in (0, 3):
-        rng = np.random.default_rng(seed)
-        prob = make_sparse_qp(rng)
-        near = near_solution(prob, rng)
-        for warm in (None, near):
-            factors.clear()
-            sol = qp.solve(prob, warm=warm)
-            assert len(factors) >= 2
-            assert_same_solution(sol, reference_admm(prob, warm))
-    with stopping(MAX_ITERS=10, CHECK_EVERY=5):
-        early = qp.solve(prob)
-        assert early.status == "max_iters"
-        assert_same_solution(early, reference_admm(prob))
-    infeasible = infeasible_qp()
-    sol = qp.solve(infeasible)
+
+def lp_says(margin):
+    return "infeasible" if margin < -1e-7 else "feasible" if margin > 1e-7 else "marginal"
+
+
+def test_refine30_verdicts_agree_with_linprog(refine30_solves):
+    """Every QP that refinement solves on refine30 ends `optimal` or
+    `primal_infeasible`, never `max_iters`.  An `optimal` x meets its bounds
+    to 1e-6 on QPs that `linprog` finds feasible or within 1e-7 of feasible;
+    each `primal_infeasible` verdict is on bounds that `linprog` proves
+    infeasible by more than 1e-7."""
+    solves = [(args[0], sol) for _, _, ss in refine30_solves.values() for args, _, sol in ss]
+    assert len(solves) == 21
+    for prob, sol in solves:
+        says = lp_says(lp_margin(prob.A, prob.l, prob.u))
+        if sol.status == "optimal":
+            assert says != "infeasible"
+            assert sol.primal_res <= 1e-6
+        else:
+            assert (sol.status, says) == ("primal_infeasible", "infeasible")
+
+
+def agent_solves(coarse, n):
+    """(agent, QpProblem, QpSolution) of every QP that `sqp_refine` solves
+    on the refine30 instance with n agents, in solve order."""
+    inst, trajs = coarse[n]
+    agent_of = {tuple(a.start.as_array()): a.id for a in inst.agents}
+    out = []
+    assemble, solve = refine.assemble_qp, refine.qp_solve
+
+    def spy_assemble(start, *args, **kwargs):
+        prob = assemble(start, *args, **kwargs)
+        out.append([agent_of[tuple(start)], prob])
+        return prob
+
+    def spy_solve(prob):
+        sol = solve(prob)
+        out[-1].append(sol)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "assemble_qp", spy_assemble)
+        mp.setattr(refine, "qp_solve", spy_solve)
+        refine.sqp_refine(trajs, inst)
+    return [tuple(rec) for rec in out if rec[1] is not None]
+
+
+def test_former_max_iters_qps_are_resolved(coarse):
+    """The three refine30 QPs that an iteration cap used to end: agent 3's
+    first QP at n = 4 and at n = 6 has a zero margin (linprog: feasible, with
+    no room), so no interior point exists; each ends `optimal` with its
+    bounds met to 1e-9.  Agent 4's second QP at n = 6 is infeasible by
+    4.8 mm and ends `primal_infeasible`."""
+    for n in (4, 6):
+        solves = agent_solves(coarse, n)
+        prob, sol = next((p, s) for a, p, s in solves if a == 3)
+        assert abs(lp_margin(prob.A, prob.l, prob.u)) <= 1e-9
+        assert sol.status == "optimal" and sol.primal_res <= 1e-9
+    prob, sol = [(p, s) for a, p, s in solves if a == 4][1]
+    assert lp_margin(prob.A, prob.l, prob.u) == pytest.approx(-4.8e-3, abs=1e-4)
     assert sol.status == "primal_infeasible"
-    assert_same_solution(sol, reference_admm(infeasible))
-
-    gaps = sp.csr_matrix(np.array([[0.0, 2.0, 0.0, -1.5], [0.0] * 4, [3.0, 0.0, 0.0, 0.25]]))
-    for M in (prob.A.tocsr(), prob.A.T.tocsr(), gaps, gaps.T.tocsr()):
-        v = rng.normal(size=M.shape[1])
-        out = np.full(M.shape[0], 7.0)
-        assert qp._csr_product(M)(v, out) is out
-        assert np.array_equal(out, M @ v)
-
-
-def test_band_factor_is_the_dense_cholesky_of_the_step_matrix(refine30_solves):
-    """`reference_admm` shares the solver's set-up, so the set-up is checked
-    here on its own: the step matrix P + (sigma + reg) I + rho A' diag(mult) A
-    is built densely with numpy, and the band factor's half-width kd is that
-    matrix's half-bandwidth and its upper factor U is numpy's dense Cholesky
-    factor, on refine30's QPs and on sparse QPs, at two values of rho."""
-    probs = [args[0] for _, _, ss in refine30_solves.values() for args, _, _ in ss]
-    probs += [make_sparse_qp(np.random.default_rng(seed)) for seed in (0, 3)]
-    for prob in probs:
-        mult = prob.rho_multipliers()
-        factor = qp._step_matrices(prob, mult)[0]
-        A = prob.A.toarray()
-        for rho in (1e-6, 0.1):
-            M = (prob.P.toarray() + (qp._SIGMA + qp._REG) * np.eye(prob.n)
-                 + rho * (A.T * mult) @ A)
-            i, j = np.nonzero(M)
-            cf = factor(rho)
-            kd = cf.shape[0] - 1
-            assert kd == np.abs(i - j).max()
-            U = sum(np.diag(cf[kd - k, k:], k) for k in range(kd + 1))
-            L = np.linalg.cholesky(M)
-            assert np.abs(U - L.T).max() <= 1e-12 * np.abs(L).max()
 
 
 def test_solve_leaves_inputs_alone_and_returns_fresh_arrays():
-    """`sqp_refine` keeps each solution as the next warm start and the trace
-    keeps every solution, so a solve may change neither its problem nor its
-    warm start, and must return x and y in memory of their own."""
-    rng = np.random.default_rng(0)
-    prob = make_sparse_qp(rng)
-    warm = near_solution(prob, rng)
+    """The trace keeps every problem and solution, so a solve may not change
+    its problem, and must return x and y in memory of their own, whatever
+    its verdict."""
+    prob = make_sparse_qp(np.random.default_rng(0))
     arrays = lambda: [prob.P.data, prob.P.indices, prob.P.indptr, prob.q, prob.A.data,
-                      prob.A.indices, prob.A.indptr, prob.l, prob.u, warm.x, warm.y]
+                      prob.A.indices, prob.A.indptr, prob.l, prob.u]
     before = [a.copy() for a in arrays()]
-    first = qp.solve(prob, warm=warm)
+    first = qp.solve(prob)
     first_xy = first.x.copy(), first.y.copy()
-    second = qp.solve(prob, warm=first)
-    with stopping(MAX_ITERS=10, CHECK_EVERY=5):
+    second = qp.solve(prob)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "MAX_ITERS", 2)
         capped = qp.solve(prob)
     infeasible = qp.solve(infeasible_qp())
     assert all(np.array_equal(a, b) for a, b in zip(arrays(), before))
     assert np.array_equal(first.x, first_xy[0]) and np.array_equal(first.y, first_xy[1])
-    assert (capped.status, infeasible.status) == ("max_iters", "primal_infeasible")
+    assert (first.status, capped.status, infeasible.status) == (
+        "optimal", "max_iters", "primal_infeasible")
     for sol in (first, second, capped, infeasible):
         assert sol.x.base is None and sol.y.base is None
     for a in (first.x, first.y):
-        for b in (warm.x, warm.y, second.x, second.y, capped.x, capped.y):
+        for b in (second.x, second.y, capped.x, capped.y):
             assert not np.shares_memory(a, b)
 
 
@@ -306,30 +325,87 @@ def test_objective_scaling_invariance():
     assert np.max(np.abs(base.x - scaled.x)) <= 10 * 1e-6
 
 
-def test_warm_start_reuses_iterates():
-    rng = np.random.default_rng(5)
-    prob = make_eq_qp(rng)
-    cold = qp.solve(prob)
-    warm = qp.solve(prob, warm=cold)
-    assert warm.status == "optimal"
-    assert warm.iterations <= cold.iterations
-    assert np.max(np.abs(warm.x - cold.x)) < 1e-5
-
-
 def test_primal_infeasible_detected():
     sol = qp.solve(infeasible_qp())
     assert sol.status == "primal_infeasible"
 
 
-def test_max_iters_reports_best_iterate():
-    rng = np.random.default_rng(11)
-    prob = make_eq_qp(rng)
-    with stopping(MAX_ITERS=10, CHECK_EVERY=5):
-        sol = qp.solve(prob)
-    assert sol.status in ("max_iters", "optimal")
-    if sol.status == "max_iters":
-        assert sol.x.shape == (prob.n,)
-        assert np.isfinite(sol.primal_res) and np.isfinite(sol.dual_res)
+def test_edge_cases():
+    """No rows; equalities only; rows that bound nothing (no inequality, so
+    no complementarity to drive down); inconsistent equalities; a bound far
+    from the start; an LP (P = 0) and a rank-deficient P."""
+    P = np.diag([2.0, 1.0, 4.0])
+    q = np.array([1.0, -2.0, 0.5])
+    sol = qp.solve(qp.QpProblem(P, q))
+    assert sol.status == "optimal" and sol.y.shape == (0,)
+    assert np.allclose(sol.x, -q / np.diag(P), atol=1e-10)
+
+    E = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
+    b = np.array([1.0, 0.5])
+    x_ref, y_ref = kkt_solve(P, q, E, b)
+    sol = qp.solve(qp.QpProblem(P, q, E, b, b))
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, x_ref, atol=1e-9) and np.allclose(sol.y, y_ref, atol=1e-8)
+
+    free = qp.QpProblem(P, q, np.vstack([E, [[1.0, -3.0, 2.0]]]), [*b, -np.inf], [*b, np.inf])
+    sol = qp.solve(free)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, x_ref, atol=1e-9) and abs(sol.y[2]) <= 1e-12
+
+    twice = qp.QpProblem(P, q, [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [1.0, 3.0], [1.0, 3.0])
+    assert qp.solve(twice).status == "primal_infeasible"
+
+    # min 50 x^2 with x >= 20: the start (x = 0.198) and a multiplier on
+    # x >= 20 form a Farkas certificate that rules out only |x| < 20, so the
+    # QP is not called infeasible on the way to x = 20
+    far = qp.solve(qp.QpProblem([[100.0]], [0.0], [[1.0]], [20.0], [np.inf]))
+    assert far.status == "optimal" and far.x[0] == pytest.approx(20.0, abs=1e-9)
+
+    # min x1 - x2 + 0 x3 over the box [0, 1]^3 with x1 + x3 <= 1.5
+    lp = qp.QpProblem(np.zeros((3, 3)), [1.0, -1.0, 0.0],
+                      sp.vstack([sp.identity(3), sp.csr_matrix([[1.0, 0.0, 1.0]])]),
+                      [0.0, 0.0, 0.0, -np.inf], [1.0, 1.0, 1.0, 1.5])
+    sol = qp.solve(lp)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x[:2], [0.0, 1.0], atol=1e-7) and -1e-7 <= sol.x[2] <= 1.0 + 1e-7
+
+    # min 1/2 (x1 + x2)^2 - x3 with x1 - x2 = 1 and x3 <= 2: x1 + x2 = 0
+    low = qp.QpProblem(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+                       [0.0, 0.0, -1.0], [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+                       [1.0, -np.inf], [1.0, 2.0])
+    sol = qp.solve(low)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, [0.5, -0.5, 2.0], atol=1e-7)
+
+
+def test_symmetry_check_matches_the_dense_difference(refine30_solves):
+    """`QpProblem` refuses P when max |P - P'| > 1e-9, as the sparse
+    difference reads it: the same verdict on refine30's P matrices and on
+    matrices with an asymmetric pattern, explicit zeros, duplicate entries
+    and entries just inside and outside the tolerance."""
+    def dense_verdict(P):
+        D = P.toarray()
+        return bool(np.abs(D - D.T).max(initial=0.0) > 1e-9)
+
+    rng = np.random.default_rng(4)
+    M = sp.random(8, 8, density=0.4, random_state=5, format="csc")
+    S = (M + M.T).tocsc()
+    mats = [args[0].P for _, _, ss in refine30_solves.values() for args, _, _ in ss]
+    mats += [S, M, sp.csc_matrix((5, 5))]
+    for eps in (0.5e-9, 2e-9):
+        T = S.copy()
+        T.data[rng.integers(T.nnz)] += eps
+        mats.append(T)
+    zero = S.copy()
+    zero.data[0] = 0.0             # an explicit zero mirrored by a nonzero
+    # duplicate entries and unsorted rows: column 0 holds rows 1, 0, 1
+    dup = sp.csc_matrix((np.array([0.25, 1.0, 0.25, 0.5, 1.0]), np.array([1, 0, 1, 0, 1]),
+                         np.array([0, 3, 5])), shape=(2, 2))
+    off = dup.copy()
+    off.data[2] += 1e-8            # P[1, 0] = 0.5 + 1e-8 against P[0, 1] = 0.5
+    mats += [zero, dup, off]
+    for P in mats:
+        assert qp._asymmetric(sp.csc_matrix(P)) == dense_verdict(P)
 
 
 def test_rejects_bad_problems():

@@ -11,10 +11,9 @@ Per instance of pbs50, rooms40 and refine30 a record holds the instance's
 search status, PBS nodes expanded, low-level calls, each `LowLevelPlanner.plan`
 call's (agent, status, expansions) in call order, and every coarse
 trajectory's states and segments; on refine30 also the `sqp_refine` status,
-iterations, residuals, rejections and failure, each QP's status, ADMM
-iteration count, solution x and multipliers y (warm starts carry y), and
-each verifier report it made, as (kind, agent, t, magnitude, partner) per
-violation.  x is kept as the checkout's own `refine._unpack` reads it, states
+iterations, residuals, rejections and failure, each QP's status, solver
+iteration count, solution x and multipliers y, and each verifier report it
+made, as (kind, agent, t, magnitude, partner) per violation.  x is kept as the checkout's own `refine._unpack` reads it, states
 then controls, so a change of the QP's variable layout alone does not read as
 a difference.
 The per-call record makes `compare` catch a change that reorders or lengthens
