@@ -14,8 +14,9 @@ one version of each of seven kernels:
 - `disc_center_distance`: the minimum distance between the covering-disc
   centres of two vehicles at matching times.  It is the low-level search's
   dynamic-obstacle test, and `pair_clearances` sweeps vehicle pairs with it.
-  The search's dynamic broadphase only decides, from rear-axle distances,
-  where this test cannot fail and is skipped; it is not a second test.
+  The search's dynamic broadphase only decides, from the distances to the
+  obstacles' disc midpoints, where this test cannot fail and is skipped; it
+  is not a second test.
 - `pair_clearances`: `disc_center_distance` of every vehicle pair i < j at
   every time of a stacked disc-centre table.  It is the one pair sweep of
   PBS's conflict detection, refinement's neighbour filter and the verifier's

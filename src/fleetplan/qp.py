@@ -64,9 +64,11 @@ feasible set is thinner than double precision resolves (a zero margin, or
 infeasible by less than about 1e-5) stops making progress instead.  A step
 makes progress when it improves the best estimate or at least doubles the
 certificate's reach since the last progress.  After _STALL steps without
-progress, or at MAX_ITERS, the best estimate is `optimal` when its primal,
-dual and complementarity residuals are all within _REDUCED tolerances, else
-the result is `max_iters`.  solve reads MAX_ITERS at each call.
+progress, at MAX_ITERS, or once the tau equation's denominator is zero or
+not finite (the path has converged as far as double precision allows), the
+best estimate is `optimal` when its primal, dual and complementarity
+residuals are all within _REDUCED tolerances, else the result is
+`max_iters`.  solve reads MAX_ITERS at each call.
 
 Single-threaded and deterministic: a fixed sequence of operations and no
 randomization, so identical inputs produce bit-identical outputs.
@@ -95,17 +97,7 @@ def _ninf(v) -> float:
 
 
 def _asymmetric(P) -> bool:
-    """max |P - P'| > 1e-9 for a CSC matrix P.  When P is canonical and its
-    pattern is symmetric, each entry is compared with its mirror in place,
-    found by sorting the mirrored (column, row) keys; otherwise P - P' is
-    formed."""
-    n = P.shape[0]
-    if P.has_canonical_format:
-        cols = np.repeat(np.arange(n), np.diff(P.indptr))
-        mirror = P.indices * n + cols
-        order = np.argsort(mirror)
-        if np.array_equal(mirror[order], cols * n + P.indices):
-            return bool(P.nnz) and float(np.max(np.abs(P.data[order] - P.data))) > 1e-9
+    """max |P - P'| > 1e-9 for a sparse matrix P."""
     asym = abs(P - P.T)
     return bool(asym.nnz) and asym.max() > 1e-9
 
@@ -379,6 +371,8 @@ def solve(qp: QpProblem) -> QpSolution:
         u2, v2 = kkt.newton(f, gsh - q, b)
         c = q + 2.0 * Px / tau + gsh
         den = float(c @ u2 + b @ v2) - kappa / tau - float(h @ (sig * h)) - xPx / tau ** 2
+        if den == 0.0 or not np.isfinite(den):
+            break    # the path has converged as far as doubles resolve: a stall
 
         def direction(eta, r_s, r_k):
             t = (eta * z * rz - r_s) / s

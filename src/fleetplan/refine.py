@@ -31,8 +31,9 @@ from .instance import MvtpInstance, Plan, validate_plan
 from .qp import QpProblem, solve as qp_solve
 
 _SQRT2 = math.sqrt(2.0)
-# math.hypot, not np.hypot: the two differ in the last bit on 1 in 200 vectors,
-# and one such bit can shift a QP's verdict by hundreds of ADMM iterations
+# math.hypot, not np.hypot: the two differ in the last bit on about 1 in 200
+# vectors, and math.hypot keeps the planes, the QPs and the pinned results
+# bit-identical
 _hypot = np.vectorize(math.hypot, otypes=[float])
 
 N_INTERP = 3                  # points inserted per coarse segment

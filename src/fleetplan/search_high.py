@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import disc_center_distance, disc_centers_arr, pair_clearances
-from .search_low import (
-    CoarseTrajectory,
-    DynamicObstacleSet,
-    GridSpec,
-    LowLevelPlanner,
-)
+from .geometry import disc_center_distance, pair_clearances
+from .search_low import CoarseTrajectory, GridSpec, LowLevelPlanner, disc_table
 
 
 @dataclass
@@ -57,11 +52,10 @@ class PbsResult:
 
 
 def _disc_table(trajs_by_id, params) -> np.ndarray:
-    """Disc centres (M, T, 2, 2) of the trajectories in sorted-id order, every
-    trajectory parked at its final pose out to the longest horizon, as
-    DynamicObstacleSet pads the higher-priority agents."""
-    poses = DynamicObstacleSet([trajs_by_id[a].states for a in sorted(trajs_by_id)]).poses
-    return disc_centers_arr(poses, params)
+    """`disc_table` of the trajectories in sorted-id order, (M, T, 2, 2): the
+    one table that conflict detection sweeps and whose rows the low-level
+    search takes as its dynamic obstacles."""
+    return disc_table([trajs_by_id[a].states for a in sorted(trajs_by_id)], params)
 
 
 def _conflict_distance(params) -> float:
@@ -130,13 +124,10 @@ class PrioritySearch:
         used for warming are NOT recorded — the root's order set is empty."""
         trajs = {}
         for a in self.ids:
-            dyn = None
-            if self.warm_start and trajs:
-                dyn = DynamicObstacleSet.from_trajectories(
-                    [trajs[b] for b in self.ids if b in trajs])
-            res = self.low.plan(a, dyn, deadline=deadline)
+            table = _disc_table(trajs, self.params) if self.warm_start and trajs else None
+            res = self.low.plan(a, table, deadline=deadline)
             self.telemetry.low_level_calls += 1
-            if not res.ok and dyn is not None and dyn.count:
+            if not res.ok and table is not None:
                 res = self.low.plan(a, None, deadline=deadline)
                 self.telemetry.low_level_calls += 1
                 self.telemetry.free_replans += 1
@@ -159,11 +150,11 @@ class PrioritySearch:
             anc = sorted(above[a])
             if not anc:
                 continue
-            near = disc_center_distance(discs[row[a]], discs[[row[b] for b in anc]])
-            if not (near < _conflict_distance(self.params)).any():
+            table = discs[[row[b] for b in anc]]
+            if not (disc_center_distance(discs[row[a]], table)
+                    < _conflict_distance(self.params)).any():
                 continue
-            dyn = DynamicObstacleSet.from_trajectories([trajs[b] for b in anc])
-            res = self.low.plan(a, dyn, deadline=deadline)
+            res = self.low.plan(a, table, deadline=deadline)
             self.telemetry.low_level_calls += 1
             if not res.ok:
                 return None

@@ -118,35 +118,24 @@ class CoarseTrajectory:
         return len(self.segments) * self.quantum
 
 
-class DynamicObstacleSet:
-    """Higher-priority trajectories indexed by time quantum, parked at their
-    final state beyond their own horizon.  Each state array is (T >= 1, >= 3)
-    with finite poses (x, y, theta) in its first three columns; anything
-    else raises ValueError."""
-
-    def __init__(self, state_arrays):
-        arrays = [np.asarray(a, dtype=float) for a in state_arrays]
-        for k, a in enumerate(arrays):
-            if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 3:
-                raise ValueError(f"dynamic obstacle {k}: states of shape {a.shape}, "
-                                 "need (T >= 1, >= 3)")
-            if not np.isfinite(a[:, :3]).all():
-                raise ValueError(f"dynamic obstacle {k}: a pose is not finite")
-        self.count = len(arrays)
-        if self.count:
-            T = max(a.shape[0] for a in arrays)
-            poses = np.empty((self.count, T, 3))
-            for k, a in enumerate(arrays):
-                poses[k, : a.shape[0]] = a[:, :3]
-                poses[k, a.shape[0]:] = a[-1, :3]
-            self.poses = poses
-        else:
-            self.poses = np.zeros((0, 1, 3))
-        self.horizon = self.poses.shape[1] - 1
-
-    @classmethod
-    def from_trajectories(cls, trajectories) -> "DynamicObstacleSet":
-        return cls([t.states for t in trajectories])
+def disc_table(state_arrays, params: VehicleParams) -> np.ndarray:
+    """Disc centres (K, H + 1, 2, 2) of K trajectories indexed by time
+    quantum, each parked at its final pose out to the longest horizon H.
+    Each state array is (T >= 1, >= 3) with finite poses (x, y, theta) in its
+    first three columns; anything else raises ValueError.  No array gives
+    (0, 1, 2, 2)."""
+    arrays = [np.asarray(a, dtype=float) for a in state_arrays]
+    for k, a in enumerate(arrays):
+        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 3:
+            raise ValueError(f"dynamic obstacle {k}: states of shape {a.shape}, "
+                             "need (T >= 1, >= 3)")
+        if not np.isfinite(a[:, :3]).all():
+            raise ValueError(f"dynamic obstacle {k}: a pose is not finite")
+    poses = np.zeros((len(arrays), max((a.shape[0] for a in arrays), default=1), 3))
+    for k, a in enumerate(arrays):
+        poses[k, : a.shape[0]] = a[:, :3]
+        poses[k, a.shape[0]:] = a[-1, :3]
+    return disc_centers_arr(poses, params)
 
 
 def _split_curve(curve: rs.RsCurve, delta_s: float, wheelbase: float) -> list[Segment]:
@@ -242,16 +231,16 @@ class LowLevelPlanner:
     heading and yaw bin, so that an expansion computes only the cell of each
     end pose.  They hold the operands the rotation computed per pose, added
     in its order, so no bit changes; pbs50 sweeps 15,210 poses at 524
-    headings.  None of it depends on time or on the dynamic obstacles.  The
-    dynamic obstacles' disc
-    centres are computed once per call.  Run on every expansion: the
-    dynamic-obstacle test at the next time index, the reversal rule, and the
-    goal shot's reversal rule, horizon cap and dynamic checks.  A node is one
-    tuple (pose, g, parent, primitive, time index, dir), dir the sign of its
-    last motion, 0 after a wait or at the start.  Its closed-set key, the flat
-    tuple (ix, iy, yaw bin, time index, dir), is built once, before the push,
-    and kept only in the set of pushed keys; a pop reads the time index and
-    dir back from the node.
+    headings.  None of it depends on time or on the dynamic obstacles, which
+    arrive as the disc-centre table the caller built (`disc_table`) and are
+    read as given.  Run on every expansion: the dynamic-obstacle test at the
+    next time index, the reversal rule, and the goal shot's reversal rule,
+    horizon cap and dynamic checks.  A node is one tuple (pose, g, parent,
+    primitive, time index, dir), dir the sign of its last motion, 0 after a
+    wait or at the start.  Its closed-set key, the flat tuple (ix, iy, yaw
+    bin, time index, dir), is built once, before the push, and kept only in
+    the set of pushed keys; a pop reads the time index and dir back from the
+    node.
 
     A node's cost is its arrival time: every primitive, forward, reverse or
     wait, costs one quantum.  The key holds the time index, so every path to
@@ -266,10 +255,12 @@ class LowLevelPlanner:
     close: a box farther off cannot come within r_v of a disc, so `_sweep`
     runs `discs_blocked` on the named boxes alone, and skips it where the
     cell has neither.  A pose off the table takes every box.  The dynamic
-    broadphase compares the pose with the dynamic obstacles' rear axles at
-    the next time index, kept as Python lists per call: an obstacle farther
-    off than that offset + its larger disc offset + 2 r_v + 1e-6 has no disc
-    centre within 2 r_v of an end pose's, so `disc_center_distance` runs
+    broadphase compares the pose with the dynamic obstacles' disc midpoints
+    at the next time index, kept as Python lists per call.  Both of an
+    obstacle's disc centres lie |front - rear offset| / 2 from its midpoint,
+    so by the triangle inequality an obstacle whose midpoint is farther off
+    than that offset + |front - rear offset| / 2 + 2 r_v + 1e-6 has no disc
+    centre within 2 r_v of an end pose's, and `disc_center_distance` runs
     only when some obstacle is that close.  The 1e-6 margins dwarf the
     ~1e-14 rounding of world coordinates.
 
@@ -312,8 +303,8 @@ class LowLevelPlanner:
         offset = float(np.sqrt((local * local).sum(axis=-1)).max())
         r = self.params.disc_radius
         self._reach = offset + r + 1e-6
-        self._far = (offset + max(abs(self.params.front_disc_offset),
-                                  abs(self.params.rear_disc_offset)) + 2.0 * r + 1e-6)
+        self._far = (offset + 0.5 * abs(self.params.front_disc_offset
+                                        - self.params.rear_disc_offset) + 2.0 * r + 1e-6)
         self._cells: list | None = None
         self._fills: dict[int, np.ndarray] = {}
         self._task_by_id = {a.id: a for a in instance.agents}
@@ -469,10 +460,13 @@ class LowLevelPlanner:
 
     # -- main search -------------------------------------------------------
 
-    def plan(self, agent_id: int, dyn: DynamicObstacleSet | None = None,
+    def plan(self, agent_id: int, table: np.ndarray | None = None,
              deadline: float = math.inf) -> LowLevelResult:
-        if dyn is None:
-            dyn = DynamicObstacleSet([])
+        """Plan agent_id around the dynamic obstacles' disc centres table,
+        (K, H + 1, 2, 2) indexed by time quantum as `disc_table` gives them;
+        None plans it alone."""
+        if table is None:
+            table = disc_table([], self.params)
         grid, par = self.grid, self.params
         task = self._task_by_id[agent_id]
         goal = task.goal
@@ -481,12 +475,10 @@ class LowLevelPlanner:
         two_r = 2.0 * par.disc_radius
         fill = self._flood(agent_id)
         quantum, v_max = self.quantum, par.v_max
-        # the dynamic obstacles' disc centres (K, H + 1, 2, 2), indexed by time,
-        # and for the dynamic broadphase their rear axles [t][k] = [x, y]
-        dyn_cen = disc_centers_arr(dyn.poses, par)
-        dyn_xy = dyn.poses[:, :, :2].transpose(1, 0, 2).tolist()
+        # for the dynamic broadphase, each obstacle's disc midpoint [t][k] = [x, y]
+        count, horizon = table.shape[0], table.shape[1] - 1
+        mids = (0.5 * (table[:, :, 0] + table[:, :, 1])).transpose(1, 0, 2).tolist()
         far2 = self._far * self._far
-        horizon = dyn.horizon
 
         # the pose memo (see the class docstring): sweeps are shared by every
         # goal; curves, heuristics and shots are kept per goal
@@ -552,13 +544,13 @@ class LowLevelPlanner:
                     return None
                 steps = shot[1] = _piece_poses(*pose, timed, math.inf, par.L)
                 step_cen = shot[2] = disc_centers_arr(steps, par)
-            if dyn.count:
+            if count:
                 # step m against the dynamic obstacles at time index it + 1 + m
                 at = np.minimum(np.arange(it + 1, it + 1 + len(timed)), horizon)
-                if (disc_center_distance(step_cen, dyn_cen[:, at]) < two_r).any():
+                if (disc_center_distance(step_cen, table[:, at]) < two_r).any():
                     return None
                 # staying parked at the goal must remain safe for all later times
-                if (disc_center_distance(goal_cen, dyn_cen[:, min(it + len(timed), horizon):])
+                if (disc_center_distance(goal_cen, table[:, min(it + len(timed), horizon):])
                         < two_r).any():
                     return None
             return timed, steps
@@ -613,12 +605,12 @@ class LowLevelPlanner:
                 sweep = sweeps[pose] = self._sweep(*pose)
             # time-dependent half, on every expansion: the dynamic obstacles at
             # it + 1, the reversal rule and the time-indexed key
-            if dyn.count:
+            if count:
                 t = min(it + 1, horizon)
                 px, py = pose[0], pose[1]
-                if any((ax - px) ** 2 + (ay - py) ** 2 <= far2 for ax, ay in dyn_xy[t]):
+                if any((mx - px) ** 2 + (my - py) ** 2 <= far2 for mx, my in mids[t]):
                     end_cen = sweep[:, 4:].reshape(-1, 1, 2, 2)
-                    near = disc_center_distance(end_cen, dyn_cen[None, :, t]) < two_r
+                    near = disc_center_distance(end_cen, table[None, :, t]) < two_r
                     sweep = sweep[~near.any(axis=1)]
 
             g2, it2 = g + quantum, it + 1

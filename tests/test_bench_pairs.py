@@ -46,7 +46,7 @@ def fixed_runs(walls, correct=True, failed=0, attempted=10):
              "metrics": {"wall_s": {"value": w}}} for w in walls]
 
 
-WALL = [{"name": "wall_s", "better": "lower"}]
+WALL = [{"name": "wall_s", "better": "lower", "bound": 0.15}]
 PARENT = [3.0, 3.1, 3.2, 3.1, 3.0, 3.2, 3.1, 3.0, 3.2, 3.1]
 FASTER = [2.5, 2.6, 2.4, 2.5, 2.6, 2.4, 2.5, 2.6, 2.4, 2.5]
 
@@ -87,3 +87,19 @@ def test_report_voids_the_claim_when_b_fails_a_larger_share(capsys):
     same = {"A": fixed_runs(PARENT, failed=3, attempted=3),
             "B": fixed_runs(FASTER, failed=3, attempted=3)}
     assert bench_pairs.offences(same) == []
+
+
+def test_report_names_a_regression_beyond_the_bound(capsys):
+    slower = [1.2 * v for v in PARENT]
+    assert bench_pairs.report({"A": fixed_runs(PARENT), "B": fixed_runs(slower)}, WALL) == 1
+    out = capsys.readouterr().out
+    assert "claim met" not in out
+    assert "no claim: regression: wall_s median 3.72 against A's 3.1" in out
+    # 5 % worse is within the 15 % bound: no offence
+    slightly = [1.05 * v for v in PARENT]
+    assert bench_pairs.report({"A": fixed_runs(PARENT), "B": fixed_runs(slightly)}, WALL) == 0
+    assert "no claim" not in capsys.readouterr().out
+    # better-is-higher metrics regress downwards
+    rate = [{"name": "wall_s", "better": "higher", "bound": 0.15}]
+    assert bench_pairs.report({"A": fixed_runs(slower), "B": fixed_runs(PARENT)}, rate) == 1
+    assert "regression: wall_s" in capsys.readouterr().out

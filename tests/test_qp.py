@@ -281,6 +281,19 @@ def test_psd_rank_deficient_objective():
     assert np.allclose(sol.x, [1.0, 1.0], atol=1e-5)
 
 
+def test_converged_path_stalls_instead_of_dividing_by_zero(monkeypatch):
+    """Tolerances tighter than double precision meets: the tau equation's
+    denominator reaches zero, which ends the loop as a stall, and the best
+    estimate is still optimal."""
+    monkeypatch.setattr(qp, "_EPS_ABS", 1e-12)
+    monkeypatch.setattr(qp, "_EPS_REL", 1e-12)
+    P = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    prob = qp.QpProblem(P, [-1.0, 0.0], sp.identity(2), -np.ones(2), np.ones(2))
+    sol = qp.solve(prob)
+    assert (sol.status, sol.iterations) == ("optimal", 34)
+    assert np.array_equal(sol.x, [1.0, 1.0])
+
+
 def test_residual_contract():
     rng = np.random.default_rng(7)
     prob = make_eq_qp(rng)

@@ -13,11 +13,11 @@ from fleetplan.instance import (
     validate_plan,
 )
 from fleetplan.search_low import (
-    DynamicObstacleSet,
     GridSpec,
     LowLevelPlanner,
     Segment,
     CoarseTrajectory,
+    disc_table,
 )
 from fleetplan import search_high as sh
 from fleetplan import search_low as sl
@@ -91,9 +91,9 @@ def record_replans(searcher):
     log = []
     orig = searcher.low.plan
 
-    def wrapped(agent_id, dyn=None, **kw):
+    def wrapped(agent_id, table=None, **kw):
         log.append(agent_id)
-        return orig(agent_id, dyn, **kw)
+        return orig(agent_id, table, **kw)
 
     searcher.low.plan = wrapped
     return log
@@ -117,8 +117,8 @@ def two_agent_order_surrogate(seeds, size=18.0, n_obstacles=3, grid=None):
             r1 = low.plan(first, None, deadline=time.monotonic() + 5.0)
             if not r1.ok:
                 continue
-            dyn = DynamicObstacleSet.from_trajectories([r1.trajectory])
-            if low.plan(second, dyn, deadline=time.monotonic() + 5.0).ok:
+            table = disc_table([r1.trajectory.states], inst.vehicle)
+            if low.plan(second, table, deadline=time.monotonic() + 5.0).ok:
                 seq_ok = True
                 break
         if not seq_ok:

@@ -264,8 +264,8 @@ def test_dynamic_broadphase_changes_no_plan(monkeypatch):
         built, exact = sl.LowLevelPlanner(inst, sl.GridSpec()), exact_planner(inst)
         free = {a.id: built.plan(a.id).trajectory for a in inst.agents}
         for task in inst.agents:
-            dyn = sl.DynamicObstacleSet.from_trajectories(
-                [free[b] for b in sorted(free) if b < task.id])
+            dyn = sl.disc_table([free[b].states for b in sorted(free) if b < task.id],
+                                inst.vehicle)
             pair = []
             for planner in (built, exact):
                 calls.clear()
@@ -278,22 +278,52 @@ def test_dynamic_broadphase_changes_no_plan(monkeypatch):
     assert sum(counts[0::2]) < sum(counts[1::2])
 
 
+def test_padding_length_changes_no_plan():
+    """On the same pbs50 maps, every agent planned around the agents before
+    it, their rows padded to their own longest horizon or cut from the table
+    of all agents (as `PrioritySearch.update_plan` passes them), gives the
+    same status, expansions and trajectory: past its own horizon each row
+    repeats its parked pose."""
+    padded = 0
+    for seed in (1, 3, 4, 5):
+        inst = generate_random_instance(seed, 50.0, 8, 8)
+        planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+        free = {a.id: planner.plan(a.id).trajectory for a in inst.agents}
+        ids = sorted(free)
+        everyone = sl.disc_table([free[b].states for b in ids], inst.vehicle)
+        for task in inst.agents:
+            earlier = [b for b in ids if b < task.id]
+            own = sl.disc_table([free[b].states for b in earlier], inst.vehicle)
+            cut = everyone[[ids.index(b) for b in earlier]]
+            padded += own.shape[1] < cut.shape[1]
+            got, want = planner.plan(task.id, cut), planner.plan(task.id, own)
+            assert (got.status, got.expansions) == (want.status, want.expansions)
+            assert np.array_equal(got.trajectory.states, want.trajectory.states)
+            assert got.trajectory.segments == want.trajectory.segments
+    assert padded > 0
+
+
 @pytest.mark.parametrize("gap", ["far", "inside"])
 def test_dynamic_broadphase_blocker_at_far_radius(gap):
-    """A parked blocker facing the start, straight ahead: exactly the far
-    radius away, or 1 mm inside the distance below which its discs reach
-    the straight primitive's end discs.  Either way the search equals the
-    exact one; the nearer blocker does change the search."""
+    """A parked blocker facing the start, straight ahead: its disc midpoint
+    exactly the far radius away, or 1 mm inside the distance below which its
+    discs reach the straight primitive's end discs.  Either way the search
+    equals the exact one; the nearer blocker does change the search."""
     inst = MvtpInstance(40.0, 30.0, [], [AgentTask(0, State(10.0, 15.0, 0.0),
                                                    State(30.0, 15.0, 0.0))], VehicleParams())
     planner = sl.LowLevelPlanner(inst, sl.GridSpec())
     par = inst.vehicle
-    # the straight primitive's front disc leads the pose by delta_s + the
-    # front disc offset, and the blocker's front disc faces back
-    touch = sl.GridSpec().delta_s + 2.0 * par.front_disc_offset + 2.0 * par.disc_radius
+    f, r = par.front_disc_offset, par.rear_disc_offset
+    # the straight primitive's front disc leads the pose by delta_s + f, and
+    # the blocker faces back, so its front disc trails its disc midpoint by
+    # half the disc spacing
+    touch = sl.GridSpec().delta_s + f + 0.5 * (f - r) + 2.0 * par.disc_radius
     assert planner._far > touch
     d = planner._far if gap == "far" else touch - 1e-3
-    dyn = sl.DynamicObstacleSet([np.array([[10.0 + d, 15.0, math.pi, 0.0]])])
+    # facing back, the rear axle sits (f + r) / 2 beyond the midpoint
+    blocker = np.array([[10.0 + d + 0.5 * (f + r), 15.0, math.pi, 0.0]])
+    dyn = sl.disc_table([blocker], par)
+    assert 0.5 * (dyn[0, 0, 0, 0] + dyn[0, 0, 1, 0]) == pytest.approx(10.0 + d, abs=1e-12)
     got, want = planner.plan(0, dyn), exact_planner(inst).plan(0, dyn)
     free = planner.plan(0)
     assert got.ok and (got.status, got.expansions) == (want.status, want.expansions)
@@ -445,7 +475,7 @@ def blocker_states():
 def test_blocked_corridor_waits_or_detours():
     inst = corridor_instance()
     blocker = blocker_states()
-    dyn = sl.DynamicObstacleSet([blocker])
+    dyn = sl.disc_table([blocker], inst.vehicle)
     res = plan_agent(inst, 1, dyn, sl.GridSpec(), deadline=time.monotonic() + 30.0)
     assert res.ok
     traj = res.trajectory
@@ -491,7 +521,7 @@ def crossing_blocker():
 def test_waits_at_one_pose_until_crossing_blocker_clears():
     inst = crossing_instance()
     blocker = crossing_blocker()
-    res = plan_agent(inst, 0, sl.DynamicObstacleSet([blocker]), sl.GridSpec())
+    res = plan_agent(inst, 0, sl.disc_table([blocker], inst.vehicle), sl.GridSpec())
     assert res.ok
     traj = res.trajectory
     waits = [t for t, seg in enumerate(traj.segments) if seg.is_wait]
@@ -505,7 +535,7 @@ def test_waits_at_one_pose_until_crossing_blocker_clears():
 
 def test_pose_memo_outlives_calls_and_holds_no_time():
     inst = crossing_instance()
-    dyn = sl.DynamicObstacleSet([crossing_blocker()])
+    dyn = sl.disc_table([crossing_blocker()], inst.vehicle)
     planner = sl.LowLevelPlanner(inst, sl.GridSpec())
     first = planner.plan(0, dyn)
     unblocked = planner.plan(0, None)
@@ -531,8 +561,8 @@ def test_pose_memo_live_across_agents_and_obstacle_sets():
             for a in inst.agents}
 
     def around_earlier(agent_id):
-        return sl.DynamicObstacleSet.from_trajectories(
-            [free[b] for b in sorted(free) if b < agent_id])
+        return sl.disc_table([free[b].states for b in sorted(free) if b < agent_id],
+                             inst.vehicle)
 
     calls = [(6, around_earlier(6)), (6, None), (7, around_earlier(7)), (6, around_earlier(6))]
     planner = sl.LowLevelPlanner(inst, sl.GridSpec())
@@ -581,7 +611,7 @@ def test_search_pins():
         earlier = []
         for task, pins in zip(inst.agents, SEARCH_PINS[name], strict=True):
             for dyn, (status, expansions, horizon, total) in zip(
-                    (None, sl.DynamicObstacleSet.from_trajectories(earlier)), pins):
+                    (None, sl.disc_table([t.states for t in earlier], inst.vehicle)), pins):
                 res = planner.plan(task.id, dyn)
                 assert (res.status, res.expansions, res.trajectory.horizon) == \
                     (status, expansions, horizon), (name, task.id, dyn is not None)
@@ -626,18 +656,16 @@ def test_replay_check_catches_corruption():
         sl._replay_check(traj, inst.vehicle)
 
 
-def test_dynamic_obstacle_set_padding():
+def test_dynamic_obstacle_set_padding(params):
     a = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     b = np.array([[5.0, 5.0, 1.0, 0.0]])
-    dyn = sl.DynamicObstacleSet([a, b])
-    assert dyn.count == 2 and dyn.horizon == 1
-    # poses[:, t] holds every obstacle at time index t; the shorter one is
-    # parked at its final pose
-    assert dyn.poses.shape == (2, 2, 3)
-    assert np.allclose(dyn.poses[:, 0], [[0, 0, 0], [5, 5, 1]])
-    assert np.allclose(dyn.poses[:, 1], [[1, 0, 0], [5, 5, 1]])
-    assert dyn.poses[:, 1:].reshape(-1, 3).shape == (2, 3)
-    assert sl.DynamicObstacleSet([]).count == 0
+    table = sl.disc_table([a, b], params)
+    # table[:, t] holds every obstacle's disc centres at time index t; the
+    # shorter one is parked at its final pose
+    assert table.shape == (2, 2, 2, 2)
+    assert np.array_equal(table[:, 0], disc_centers_arr(np.array([a[0, :3], b[0, :3]]), params))
+    assert np.array_equal(table[:, 1], disc_centers_arr(np.array([a[1, :3], b[0, :3]]), params))
+    assert sl.disc_table([], params).shape == (0, 1, 2, 2)
 
 
 @pytest.mark.parametrize("states", [
@@ -648,10 +676,10 @@ def test_dynamic_obstacle_set_padding():
     np.array([[0.0, math.inf, 0.0, 0.0]]),
     np.array([[0.0, 0.0, -math.inf, 0.0]]),
 ], ids=["empty", "flat", "narrow", "nan_x", "inf_y", "inf_theta"])
-def test_dynamic_obstacle_set_rejects_bad_states(states):
+def test_dynamic_obstacle_set_rejects_bad_states(states, params):
     good = np.array([[1.0, 1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="dynamic obstacle 1"):
-        sl.DynamicObstacleSet([good, states])
+        sl.disc_table([good, states], params)
 
 
 # --- one arc walk ---------------------------------------------------------

@@ -11,9 +11,11 @@ quartiles, B's wins over A (ties count for neither) and whether B's gain
 meets the claim rule: B wins at least nine tenths of the pairs, and the
 medians differ, in B's favour, by more than A's interquartile range.  Each
 run's `correct`, `failed` and `attempted` are printed as they come.  A run
-that reads `correct: false`, or B failing a larger share of its operations
-than A (sum of `failed` over sum of `attempted`), voids every claim: the tool
-names the offence, claims nothing and exits 1.
+that reads `correct: false`, B failing a larger share of its operations
+than A (sum of `failed` over sum of `attempted`), or a metric whose B median
+is worse than A's by more than its relative `bound` (the no-regression
+rule), voids every claim: the tool names the offence, claims nothing and
+exits 1.
 """
 from __future__ import annotations
 
@@ -68,12 +70,19 @@ def offences(runs: dict[str, list[dict]]) -> list[str]:
 def report(runs: dict[str, list[dict]], metrics: list[dict]) -> int:
     """Print each metric's pairwise statistics for runs["A"] and runs["B"],
     then any offence; the exit status, 1 when an offence voids the claims."""
-    void = offences(runs)
-    for m in metrics:
-        name = m["name"]
-        s = summarize([r["metrics"][name]["value"] for r in runs["A"]],
-                      [r["metrics"][name]["value"] for r in runs["B"]], m["better"])
-        print(f"{name:18s} A {' / '.join(f'{v:.4g}' for v in s['a'])}   "
+    def values(side, name):
+        return [r["metrics"][name]["value"] for r in runs[side]]
+
+    stats = [(m, summarize(values("A", m["name"]), values("B", m["name"]), m["better"]))
+             for m in metrics]
+    # the no-regression rule: B's median worse than A's by more than the
+    # bound, relative to A's median
+    void = offences(runs) + [
+        f"regression: {m['name']} median {s['b'][1]:.4g} against A's {s['a'][1]:.4g}, "
+        f"worse by more than {m['bound']:.0%}"
+        for m, s in stats if -s["gain"] > m["bound"] * abs(s["a"][1])]
+    for m, s in stats:
+        print(f"{m['name']:18s} A {' / '.join(f'{v:.4g}' for v in s['a'])}   "
               f"B {' / '.join(f'{v:.4g}' for v in s['b'])}   "
               f"wins {s['wins']}/{s['pairs']}   gain {s['gain']:.4g} vs A IQR {s['a_iqr']:.4g}"
               f"{'   claim met' if s['claim'] and not void else ''}")
