@@ -73,16 +73,8 @@ class MvtpInstance:
     def obstacle_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Obstacle centers and half extents as flat arrays (cached)."""
         if self._obstacle_arrays is None:
-            if self.obstacles:
-                self._obstacle_arrays = (
-                    np.array([o.cx for o in self.obstacles]),
-                    np.array([o.cy for o in self.obstacles]),
-                    np.array([o.hx for o in self.obstacles]),
-                    np.array([o.hy for o in self.obstacles]),
-                )
-            else:
-                z = np.zeros(0)
-                self._obstacle_arrays = (z, z, z, z)
+            self._obstacle_arrays = tuple(np.array([getattr(o, f) for o in self.obstacles])
+                                          for f in ("cx", "cy", "hx", "hy"))
         return self._obstacle_arrays
 
 

@@ -366,19 +366,22 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     """Quadratic subproblem for one agent at the current iterate.
 
     Decision vector, time-major: z_t at columns 6t..6t+3, u_t at 6t+4 and
-    6t+5, z_{T-1} last; no row couples variables more than 6 columns apart,
-    so the QP is banded as built.  Returns None when the corridor/trust
-    intersection is empty (the iterate has been squeezed out).
+    6t+5, z_{T-1} last.  Returns None when the corridor/trust intersection
+    is empty (the iterate has been squeezed out).
     Constraint rows, in order: linearized dynamics equalities, start and goal
     equalities, control boxes, steering-angle boxes, disc boxes (corridor
-    intersected with the trust region), separating planes.
+    intersected with the trust region), separating planes.  Each row touches
+    one stage t only, so it is stored as its stage and a window of 10
+    coefficients on the columns 6t..6t+9 (z_t, u_t, z_{t+1}).  A holds only
+    the windows' nonzeros: a dynamics row's nonzeros lie at most 6 columns
+    apart, so the QP is banded as built (half-width 6), where the zeros of
+    the full window would widen the band to 9.
     """
     z = np.asarray(states, dtype=float)
     T = z.shape[0]
-    nu = 2 * (T - 1)
     n = 6 * T - 2
-    zc = 6 * np.arange(T)[:, None] + np.arange(4)          # (T, 4) state columns
-    uc = 6 * np.arange(T - 1)[:, None] + 4 + np.arange(2)  # (T-1, 2) control columns
+    ts = np.arange(T)
+    uc = 6 * ts[:-1, None] + 4 + np.arange(2)   # (T-1, 2) control columns
 
     ylo = np.maximum(corridor.lo, Y0 - R_TRUST)
     yhi = np.minimum(corridor.hi, Y0 + R_TRUST)
@@ -403,68 +406,39 @@ def assemble_qp(start, goal, states, lin: LinearDynamics,
     q = np.zeros(n)
     q[uc[0, 0]] = -2.0 * ALPHA_V * vbar0
 
-    ar, ac, av, lb, ub = [], [], [], [], []
-    row0 = 0
-
-    # dynamics equalities
-    nd = 4 * (T - 1)
-    rdyn = np.arange(nd)
-    ar.append(rdyn); ac.append(zc[1:].ravel()); av.append(np.ones(nd))
-    ar.append(np.repeat(rdyn, 4))
-    ac.append(np.repeat(zc[:-1], 4, axis=0).ravel())
-    av.append(-lin.A.reshape(-1))
-    ar.append(np.repeat(rdyn, 2))
-    ac.append(np.repeat(uc, 4, axis=0).ravel())
-    av.append(-lin.B.reshape(-1))
-    lb.append(lin.c.reshape(-1)); ub.append(lin.c.reshape(-1))
-    row0 += nd
-
-    # endpoint equalities; the goal heading is lifted to the iterate's branch
+    # (stage, lower, upper) of each row group; the goal heading is lifted to
+    # the iterate's branch, and plane row (t, disc, nx, ny, rhs) bounds
+    # nx*Y[2 disc] + ny*Y[2 disc + 1] at time index t
     g_th = goal[2] + 2.0 * math.pi * round((z[-1, 2] - goal[2]) / (2.0 * math.pi))
-    bc = np.array([start[0], start[1], start[2], 0.0,
-                   goal[0], goal[1], g_th, 0.0])
-    ar.append(row0 + np.arange(8))
-    ac.append(np.concatenate([zc[0], zc[-1]]))
-    av.append(np.ones(8))
-    lb.append(bc); ub.append(bc)
-    row0 += 8
-
-    # control boxes
-    ar.append(row0 + np.arange(nu)); ac.append(uc.ravel())
-    av.append(np.ones(nu))
+    bc = np.array([start[0], start[1], start[2], 0.0, goal[0], goal[1], g_th, 0.0])
     cb = np.tile([params.v_max, params.omega_max], T - 1)
-    lb.append(-cb); ub.append(cb)
-    row0 += nu
-
-    # steering-angle boxes
-    ar.append(row0 + np.arange(T)); ac.append(zc[:, 3])
-    av.append(np.ones(T))
-    lb.append(np.full(T, -params.phi_max)); ub.append(np.full(T, params.phi_max))
-    row0 += T
-
-    # disc boxes through the linearized state->disc map
-    ny = 4 * T
-    ry = np.arange(ny)
-    ar.append(row0 + np.repeat(ry, 4))
-    ac.append(np.repeat(zc, 4, axis=0).ravel())
-    av.append(lin.D.reshape(-1))
-    lb.append((ylo - lin.e).reshape(-1)); ub.append((yhi - lin.e).reshape(-1))
-    row0 += ny
-
-    # separating planes, one row per (t, disc, nx, ny, rhs) row of planes
     t, d = planes[:, 0].astype(int), 2 * planes[:, 1].astype(int)
     ux, uy = planes[:, 2:3], planes[:, 3:4]
-    ar.append(row0 + np.repeat(np.arange(len(planes)), 4)); ac.append(zc[t].ravel())
-    av.append((ux * lin.D[t, d] + uy * lin.D[t, d + 1]).ravel())
-    lb.append(np.full(len(planes), -np.inf))
-    ub.append(planes[:, 4] - ux[:, 0] * lin.e[t, d] - uy[:, 0] * lin.e[t, d + 1])
-    row0 += len(planes)
+    groups = [
+        (np.repeat(ts[:-1], 4), lin.c.ravel(), lin.c.ravel()),                # dynamics
+        (np.repeat([0, T - 1], 4), bc, bc),                                   # endpoints
+        (np.repeat(ts[:-1], 2), -cb, cb),                                     # controls
+        (ts, np.full(T, -params.phi_max), np.full(T, params.phi_max)),        # steering
+        (np.repeat(ts, 4), (ylo - lin.e).ravel(), (yhi - lin.e).ravel()),     # disc boxes
+        (t, np.full(len(t), -np.inf),                                         # planes
+         planes[:, 4] - ux[:, 0] * lin.e[t, d] - uy[:, 0] * lin.e[t, d + 1]),
+    ]
+    stage, lb, ub = (np.concatenate(g) for g in zip(*groups))
+    W = np.zeros((stage.size, 10))
+    dyn, ends, ctl, steer, box, sep = np.split(W, np.cumsum([g[0].size for g in groups[:-1]]))
+    dyn = dyn.reshape(T - 1, 4, 10)   # row-block views of W
+    dyn[:, :, :4] = -lin.A
+    dyn[:, :, 4:6] = -lin.B
+    dyn[:, :, 6:] = np.eye(4)
+    ends.reshape(2, 4, 10)[:, :, :4] = np.eye(4)
+    ctl.reshape(T - 1, 2, 10)[:, :, 4:6] = np.eye(2)
+    steer[:, 3] = 1.0
+    box.reshape(T, 4, 10)[:, :, :4] = lin.D
+    sep[:, :4] = ux * lin.D[t, d] + uy * lin.D[t, d + 1]
 
-    A = sp.coo_matrix((np.concatenate(av),
-                       (np.concatenate(ar), np.concatenate(ac))),
-                      shape=(row0, n)).tocsc()
-    A.eliminate_zeros()   # the structural zeros of the dense A, B and D blocks
-    return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub))
+    r, c = np.nonzero(W)
+    A = sp.csc_matrix((W[r, c], (r, 6 * stage[r] + c)), shape=(stage.size, n))
+    return QpProblem(P, q, A, lb, ub)
 
 
 def _unpack(x, T):

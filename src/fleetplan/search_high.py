@@ -105,7 +105,6 @@ class PrioritySearch:
     def __init__(self, instance, grid: GridSpec, warm_start: bool = True):
         self.inst = instance
         self.low = LowLevelPlanner(instance, grid)
-        self.grid = self.low.grid
         self.params = instance.vehicle
         self.ids = sorted(a.id for a in instance.agents)
         self.warm_start = warm_start

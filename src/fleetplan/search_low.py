@@ -365,9 +365,7 @@ class LowLevelPlanner:
         Within RS_RADIUS, max(hg, de * _EUCLID_FLOOR) / v_max is a floor
         under the heuristic that costs no Reeds-Shepp call."""
         cell = self.grid.cell
-        i = min(int(x / cell), fill.shape[0] - 1)
-        j = min(int(y / cell), fill.shape[1] - 1)
-        d = fill[i, j]
+        d = fill[cell_of(x, y, self.grid)]
         hg = max(0.0, d * _GRID_DISCOUNT - cell * _SQRT2) if math.isfinite(d) else 0.0
         return hg, math.hypot(goal.x - x, goal.y - y)
 

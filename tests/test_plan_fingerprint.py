@@ -3,6 +3,7 @@ import pickle
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from fleetplan import qp, refine
 from fleetplan.instance import Plan, generate_random_instance, validate_plan
@@ -39,8 +40,10 @@ def test_compare_prints_the_largest_difference_of_a_numeric_field(tmp_path, caps
 
 def test_refine_record_keeps_every_verifier_report(tmp_path, capsys):
     """The record holds one report per `validate_plan` call of `sqp_refine`,
-    the interpolated guess's first, restores the spied functions, and a
-    report that changes reads as a difference of `refine.reports`."""
+    the interpolated guess's first, and the data of every QP it solves,
+    restores the spied functions, and a report that changes reads as a
+    difference of `refine.reports`, one A value that moves as a difference
+    of `refine.qp_data`."""
     inst = generate_random_instance(1, 30.0, 6, 4)
     trajs = PrioritySearch(inst, GridSpec()).solve().trajectories
     rec = fingerprint.refine_record(refine, trajs, inst)
@@ -52,13 +55,26 @@ def test_refine_record_keeps_every_verifier_report(tmp_path, capsys):
     assert rec["reports"][0] == [(v.kind, v.agent, v.t, v.magnitude, v.partner)
                                  for v in validate_plan(inst, guess).violations]
     assert any(kind == "inter_agent" for report in rec["reports"] for kind, *_ in report)
+    assert len(rec["qp_data"]) == len(rec["qps"]) > 0
+    for data in rec["qp_data"]:
+        indptr, indices, values = data["A"]
+        A = sp.csr_matrix((values, indices, indptr), shape=(data["l"].size, data["q"].size))
+        assert A.has_sorted_indices and A.nnz == values.size
 
-    moved = {**rec, "reports": [rec["reports"][0][:-1], *rec["reports"][1:]]}
-    paths = []
-    for name, r in (("a", rec), ("b", moved)):
-        paths.append(tmp_path / f"{name}.pkl")
-        paths[-1].write_bytes(pickle.dumps({("w", 0): {"refine": r}}))
-    assert fingerprint.compare(*paths) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "differs: ('w', 0) refine.reports (not in numbers only)",
-        "compared 1 instances: 1 differences"]
+    a_moved = [dict(d) for d in rec["qp_data"]]
+    indptr, indices, values = a_moved[-1]["A"]
+    values = values.copy()
+    values[0] += 0.5
+    a_moved[-1]["A"] = (indptr, indices, values)
+    for moved, line in (
+            ({**rec, "reports": [rec["reports"][0][:-1], *rec["reports"][1:]]},
+             "differs: ('w', 0) refine.reports (not in numbers only)"),
+            ({**rec, "qp_data": a_moved},
+             "differs: ('w', 0) refine.qp_data (largest |difference| 0.5)")):
+        paths = []
+        for name, r in (("a", rec), ("b", moved)):
+            paths.append(tmp_path / f"{name}.pkl")
+            paths[-1].write_bytes(pickle.dumps({("w", 0): {"refine": r}}))
+        assert fingerprint.compare(*paths) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [line, "compared 1 instances: 1 differences"]

@@ -449,26 +449,63 @@ def test_assemble_qp_objective_is_the_speed_and_rate_cost(first_round, monkeypat
             assert 0.5 * x @ (qp.P @ x) + qp.q @ x == pytest.approx(cost, rel=1e-12, abs=1e-12)
 
 
-def test_assemble_qp_plane_rows_match_a_per_plane_loop(first_round):
-    """The separating-plane rows, the last K rows of every round-0 QP, hold
-    bit for bit what a loop over the agent's plane rows writes: for the row
-    (t, d, nx, ny, rhs), nx D[t, 2d] + ny D[t, 2d + 1] on z_t's columns, no
-    lower bound and the upper bound rhs - nx e[t, 2d] - ny e[t, 2d + 1]."""
-    seen = 0
+def test_assemble_qp_rows_match_a_per_row_loop(first_round):
+    """Every row of every round-0 QP holds bit for bit what a loop over the
+    six row groups writes, in order: per t < T-1 and k, the dynamics row
+    z_{t+1,k} - A[t, k] z_t - B[t, k] u_t = c[t, k]; the start and goal pose
+    at zero steer (the goal heading on the iterate's branch); the control and
+    steering boxes; per t and k, D[t, k] z_t within the corridor intersected
+    with the trust region (a crossed pair meets at its midpoint) less e[t, k];
+    and for each plane row (t, d, nx, ny, rhs), nx D[t, 2d] + ny D[t, 2d + 1]
+    on z_t, no lower bound and the upper bound
+    rhs - nx e[t, 2d] - ny e[t, 2d + 1]."""
+    planes_seen = 0
     for args, kwargs in first_round[1]:
-        lin, planes = args[3], args[5]
+        start, goal, states, lin, corridor, planes, Y0, p = args
         qp = refine.assemble_qp(*args, **kwargs)
-        rows = [(int(t), int(d), nx, ny, rhs) for t, d, nx, ny, rhs in planes]
-        first = qp.m - len(rows)
-        A = qp.A.toarray()
-        for k, (t, d, nx, ny, rhs) in enumerate(rows, start=first):
+        T = states.shape[0]
+        rows = []
+
+        def row(coefs, lo, hi):
             want = np.zeros(qp.n)
-            want[6 * t:6 * t + 4] = nx * lin.D[t, 2 * d] + ny * lin.D[t, 2 * d + 1]
-            assert np.array_equal(A[k], want)
-            assert qp.l[k] == -np.inf
-            assert qp.u[k] == rhs - nx * lin.e[t, 2 * d] - ny * lin.e[t, 2 * d + 1]
-        seen += len(rows)
-    assert seen > 0
+            for col, v in coefs:
+                want[col] = v
+            rows.append((want, lo, hi))
+
+        for t in range(T - 1):
+            for k in range(4):
+                row([(6 * t + j, -lin.A[t, k, j]) for j in range(4)]
+                    + [(6 * t + 4 + j, -lin.B[t, k, j]) for j in range(2)]
+                    + [(6 * (t + 1) + k, 1.0)], lin.c[t, k], lin.c[t, k])
+        g_th = goal[2] + 2.0 * math.pi * round((states[-1, 2] - goal[2]) / (2.0 * math.pi))
+        for t, pose in ((0, start[:3]), (T - 1, [goal[0], goal[1], g_th])):
+            for k, b in enumerate([*pose, 0.0]):
+                row([(6 * t + k, 1.0)], b, b)
+        for t in range(T - 1):
+            for j, cap in enumerate((p.v_max, p.omega_max)):
+                row([(6 * t + 4 + j, 1.0)], -cap, cap)
+        for t in range(T):
+            row([(6 * t + 3, 1.0)], -p.phi_max, p.phi_max)
+        for t in range(T):
+            for k in range(4):
+                lo = max(corridor.lo[t, k], Y0[t, k] - refine.R_TRUST)
+                hi = min(corridor.hi[t, k], Y0[t, k] + refine.R_TRUST)
+                if lo > hi:
+                    lo = hi = 0.5 * (lo + hi)
+                row([(6 * t + j, lin.D[t, k, j]) for j in range(4)],
+                    lo - lin.e[t, k], hi - lin.e[t, k])
+        for t, d, nx, ny, rhs in planes:
+            t, d = int(t), 2 * int(d)
+            row(enumerate(nx * lin.D[t, d] + ny * lin.D[t, d + 1], start=6 * t), -np.inf,
+                rhs - nx * lin.e[t, d] - ny * lin.e[t, d + 1])
+        planes_seen += len(planes)
+
+        assert qp.m == len(rows)
+        A = qp.A.toarray()
+        for k, (want, lo, hi) in enumerate(rows):
+            assert np.array_equal(A[k], want), k
+            assert (qp.l[k], qp.u[k]) == (lo, hi), k
+    assert planes_seen > 0
 
 
 def test_assemble_qp_none_when_trust_region_misses_corridor(first_round):

@@ -366,9 +366,7 @@ def test_heuristic_floor_never_exceeds_heuristic():
         assert floor <= planner._h(fill, goal, x, y, th, curve_from), (x, y, th)
         counts["within"] += de <= radius
         counts["rim"] += de == radius
-        i, j = min(int(x / planner.grid.cell), fill.shape[0] - 1), \
-            min(int(y / planner.grid.cell), fill.shape[1] - 1)
-        counts["unreachable_cell"] += not math.isfinite(fill[i, j])
+        counts["unreachable_cell"] += not math.isfinite(fill[sl.cell_of(x, y, planner.grid)])
     assert len(poses) >= 2000
     assert counts["within"] >= 1000 and counts["rim"] == len(rim)
     assert counts["unreachable_cell"] >= 20

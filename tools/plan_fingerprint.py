@@ -12,10 +12,14 @@ search status, PBS nodes expanded, low-level calls, each `LowLevelPlanner.plan`
 call's (agent, status, expansions) in call order, and every coarse
 trajectory's states and segments; on refine30 also the `sqp_refine` status,
 iterations, residuals, rejections and failure, each QP's status, solver
-iteration count, solution x and multipliers y, and each verifier report it
-made, as (kind, agent, t, magnitude, partner) per violation.  x is kept as the checkout's own `refine._unpack` reads it, states
-then controls, so a change of the QP's variable layout alone does not read as
-a difference.
+iteration count, solution x and multipliers y, each solved QP's data
+(`refine.qp_data`: P and A as sorted-index CSR arrays indptr, indices and
+data, then q, l and u), and each verifier report it made, as (kind, agent, t,
+magnitude, partner) per violation.  x is kept as the checkout's own
+`refine._unpack` reads it, states then controls, so a change of the QP's
+variable layout alone does not read as a difference in `refine.qps`; it does
+in `refine.qp_data`, which also names a changed QP whose solution does not
+move (an explicit zero left in A, say).
 The per-call record makes `compare` catch a change that reorders or lengthens
 the search even when the final plans match.  `compare` names each differing
 field by its dotted path (such as `refine.qps`), with the largest absolute
@@ -76,11 +80,16 @@ def dump(checkout: Path, out: Path) -> None:
 def refine_record(refine, trajs, inst) -> dict:
     """Run `refine.sqp_refine` with its QP solver and verifier spied on, and
     return its outcome with every QP and every verifier report it made."""
-    qps, reports = [], []
+    qps, qp_data, reports = [], [], []
     solve, validate = refine.qp_solve, refine.validate_plan
 
-    def recorded_solve(*args, **kwargs):
-        sol = solve(*args, **kwargs)
+    def recorded_solve(qp, *args, **kwargs):
+        sol = solve(qp, *args, **kwargs)
+        P, A = (M.tocsr(copy=True) for M in (qp.P, qp.A))
+        for M in (P, A):
+            M.sort_indices()
+        qp_data.append({"P": (P.indptr, P.indices, P.data), "A": (A.indptr, A.indices, A.data),
+                        "q": qp.q.copy(), "l": qp.l.copy(), "u": qp.u.copy()})
         states, controls = refine._unpack(sol.x, (sol.x.size + 2) // 6)
         qps.append((sol.status, sol.iterations, states.copy(), controls.copy(), sol.y.copy()))
         return sol
@@ -98,7 +107,7 @@ def refine_record(refine, trajs, inst) -> dict:
     tele = rr.telemetry
     return {"status": rr.status, "iters": tele.iterations, "residuals": list(tele.residuals),
             "rejections": list(tele.qp_rejections), "failure": tele.failure, "qps": qps,
-            "reports": reports}
+            "qp_data": qp_data, "reports": reports}
 
 
 _MISSING = object()
