@@ -9,8 +9,9 @@ one version of each of seven kernels:
   the Reeds-Shepp word check and refinement's resampling of the coarse plan
   all use it.
 - `euler_step`: one forward-Euler step of the kinematic bicycle model over
-  (..., 4) states.  Refinement linearizes and rolls out with it; the verifier
-  re-simulates every plan step with it.
+  (..., 4) states, the state plus its `euler_increment`.  Refinement
+  linearizes with it and the verifier re-simulates every plan step with it;
+  refinement's rollout sums its increments.
 - `disc_center_distance`: the minimum distance between the covering-disc
   centres of two vehicles at matching times.  It is the low-level search's
   dynamic-obstacle test, and `pair_clearances` sweeps vehicle pairs with it.
@@ -57,6 +58,7 @@ __all__ = [
     "OrientedBox",
     "normalize_angle",
     "advance_arc",
+    "euler_increment",
     "euler_step",
     "disc_center_distance",
     "pair_clearances",
@@ -146,24 +148,37 @@ def advance_arc(x, y, th, kappa, s):
     )
 
 
+def euler_increment(z, u, dt: float, wheelbase: float) -> np.ndarray:
+    """The state change of one forward-Euler step of the kinematic bicycle
+    model: `euler_step` adds it to z.
+
+    z holds states (..., 4) as (x, y, theta, phi) and u controls (..., 2) as
+    (v, omega); the result has the states' shape.  Its phi column reads no
+    state, its theta column only phi and its x and y columns only theta, so
+    a rollout can sum it one column group after the other.
+    """
+    # unpacking the transpose keeps a single state on numpy scalars, which
+    # keeps `_track_guess`'s one-state-at-a-time re-drive cheap
+    _, _, th, ph = np.asarray(z, dtype=float).T
+    v, omega = np.asarray(u, dtype=float).T
+    return np.array(
+        [
+            v * np.cos(th) * dt,
+            v * np.sin(th) * dt,
+            v * np.tan(ph) / wheelbase * dt,
+            omega * dt,
+        ]
+    ).T
+
+
 def euler_step(z, u, dt: float, wheelbase: float) -> np.ndarray:
     """One forward-Euler step of the kinematic bicycle model.
 
     z holds states (..., 4) as (x, y, theta, phi) and u controls (..., 2) as
     (v, omega); the result has the states' shape, heading not wrapped.
     """
-    # unpacking the transpose keeps a single state on numpy scalars, which
-    # the per-step rollout loop needs to stay cheap
-    x, y, th, ph = np.asarray(z, dtype=float).T
-    v, omega = np.asarray(u, dtype=float).T
-    return np.array(
-        [
-            x + v * np.cos(th) * dt,
-            y + v * np.sin(th) * dt,
-            th + v * np.tan(ph) / wheelbase * dt,
-            ph + omega * dt,
-        ]
-    ).T
+    z = np.asarray(z, dtype=float)
+    return z + euler_increment(z, u, dt, wheelbase)
 
 
 @dataclass(frozen=True)

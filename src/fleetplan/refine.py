@@ -24,6 +24,7 @@ from .geometry import (
     box_gaps,
     disc_centers_arr,
     discs_blocked,
+    euler_increment,
     euler_step,
     pair_clearances,
 )
@@ -50,7 +51,10 @@ def _clip(x, lo, hi):
 
 
 class RelocationError(RuntimeError):
-    """No safe position found for a corridor seed point."""
+    """No safe position found for a corridor seed point.  `build_corridor`
+    sets `index`, the seed's (..., t, disc) index in its stacked states."""
+
+    index: tuple = ()
 
 
 def interpolate(trajs_by_id, order, params: VehicleParams):
@@ -276,10 +280,14 @@ def _grow(u0, u1, v_start, v_limit, ocu, ocv, hu, hv, r):
 
 @dataclass
 class CorridorBoxes:
-    """Axis-aligned bounds on the disc-center vector Y=[xF,yF,xR,yR]."""
+    """Axis-aligned bounds on the disc-center vector Y=[xF,yF,xR,yR]; a
+    stacked corridor's element i is agent i's."""
 
-    lo: np.ndarray   # (T, 4)
-    hi: np.ndarray   # (T, 4)
+    lo: np.ndarray   # (..., T, 4)
+    hi: np.ndarray   # (..., T, 4)
+
+    def __getitem__(self, i) -> CorridorBoxes:
+        return CorridorBoxes(self.lo[i], self.hi[i])
 
 
 def build_corridor(states, instance: MvtpInstance) -> CorridorBoxes:
@@ -287,8 +295,11 @@ def build_corridor(states, instance: MvtpInstance) -> CorridorBoxes:
 
     Starting from the (relocated) disc center, the box edges are extended
     clockwise — up, right, down, left — until a dilated obstacle, the eroded
-    map boundary, or CORRIDOR_MAX_EXTENT stops them.  All 2T seeds grow
-    together, one pass per direction.
+    map boundary, or CORRIDOR_MAX_EXTENT stops them.  Every seed of the
+    (..., T, 4) states (one per time and disc, of every agent when they are
+    stacked) grows in the same pass, one pass per direction; each seed's box
+    is the one it gets alone.  Seeds are relocated in index order, and a
+    RelocationError carries the index of the first that cannot be.
     """
     params = instance.vehicle
     r = params.disc_radius
@@ -297,16 +308,22 @@ def build_corridor(states, instance: MvtpInstance) -> CorridorBoxes:
     wh = instance.map_width, instance.map_height
     w, h = wh
     ext = CORRIDOR_MAX_EXTENT
-    seeds = disc_centers_arr(np.asarray(states), params).reshape(-1, 2)   # (2T, 2)
+    states = np.asarray(states)
+    seeds = disc_centers_arr(states, params).reshape(-1, 2)   # (... 2T, 2)
     for s in np.nonzero(discs_blocked(seeds, r, w, h, *obs))[0]:
-        seeds[s] = relocate_unsafe_point(seeds[s], wh, obs, r)
+        try:
+            seeds[s] = relocate_unsafe_point(seeds[s], wh, obs, r)
+        except RelocationError as exc:
+            exc.index = np.unravel_index(s, (*states.shape[:-1], 2))
+            raise
     px, py = seeds[:, 0], seeds[:, 1]
     y1 = _grow(px, px, py, np.minimum(h - r, py + ext), acx, acy, ahx, ahy, r)
     x1 = _grow(py, y1, px, np.minimum(w - r, px + ext), acy, acx, ahy, ahx, r)
     y0 = -_grow(px, x1, -py, np.minimum(-r, -(py - ext)), acx, -acy, ahx, ahy, r)
     x0 = -_grow(y0, y1, -px, np.minimum(-r, -(px - ext)), acy, -acx, ahy, ahx, r)
-    return CorridorBoxes(np.stack([x0, y0], 1).reshape(-1, 4),
-                         np.stack([x1, y1], 1).reshape(-1, 4))
+    shape = (*states.shape[:-1], 4)
+    return CorridorBoxes(np.stack([x0, y0], 1).reshape(shape),
+                         np.stack([x1, y1], 1).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -315,44 +332,52 @@ def build_corridor(states, instance: MvtpInstance) -> CorridorBoxes:
 
 @dataclass
 class LinearDynamics:
-    A: np.ndarray   # (T-1, 4, 4) state Jacobians
-    B: np.ndarray   # (T-1, 4, 2) control Jacobians
-    c: np.ndarray   # (T-1, 4)    Taylor remainders
-    D: np.ndarray   # (T, 4, 4)   state -> disc-center Jacobians
-    e: np.ndarray   # (T, 4)      disc-map remainders
+    """The affine models at an iterate; a stacked model's element i is
+    agent i's."""
+
+    A: np.ndarray   # (..., T-1, 4, 4) state Jacobians
+    B: np.ndarray   # (..., T-1, 4, 2) control Jacobians
+    c: np.ndarray   # (..., T-1, 4)    Taylor remainders
+    D: np.ndarray   # (..., T, 4, 4)   state -> disc-center Jacobians
+    e: np.ndarray   # (..., T, 4)      disc-map remainders
+
+    def __getitem__(self, i) -> LinearDynamics:
+        return LinearDynamics(self.A[i], self.B[i], self.c[i], self.D[i], self.e[i])
 
 
 def linearize_dynamics(states, controls, params: VehicleParams, dt) -> LinearDynamics:
     """Exact Jacobians of the Euler step and of the state->disc map at the
     iterate, with remainders chosen so the affine models reproduce the
-    nonlinear maps exactly at the linearization point."""
+    nonlinear maps exactly at the linearization point.  States (..., T, 4)
+    and controls (..., T-1, 2) may carry leading agent axes."""
     z = np.asarray(states, dtype=float)
     u = np.asarray(controls, dtype=float)
-    T = z.shape[0]
+    lead, T = z.shape[:-2], z.shape[-2]
     L = params.L
-    th, ph, v = z[:-1, 2], z[:-1, 3], u[:, 0]
-    A = np.tile(np.eye(4), (T - 1, 1, 1))
-    A[:, 0, 2] = -v * np.sin(th) * dt
-    A[:, 1, 2] = v * np.cos(th) * dt
-    A[:, 2, 3] = v * dt / (L * np.cos(ph) ** 2)
-    B = np.zeros((T - 1, 4, 2))
-    B[:, 0, 0] = np.cos(th) * dt
-    B[:, 1, 0] = np.sin(th) * dt
-    B[:, 2, 0] = np.tan(ph) / L * dt
-    B[:, 3, 1] = dt
-    f = euler_step(z[:-1], u, dt, L)
-    c = f - np.einsum("tij,tj->ti", A, z[:-1]) - np.einsum("tij,tj->ti", B, u)
+    th, ph, v = z[..., :-1, 2], z[..., :-1, 3], u[..., 0]
+    A = np.tile(np.eye(4), (*lead, T - 1, 1, 1))
+    A[..., 0, 2] = -v * np.sin(th) * dt
+    A[..., 1, 2] = v * np.cos(th) * dt
+    A[..., 2, 3] = v * dt / (L * np.cos(ph) ** 2)
+    B = np.zeros((*lead, T - 1, 4, 2))
+    B[..., 0, 0] = np.cos(th) * dt
+    B[..., 1, 0] = np.sin(th) * dt
+    B[..., 2, 0] = np.tan(ph) / L * dt
+    B[..., 3, 1] = dt
+    f = euler_step(z[..., :-1, :], u, dt, L)
+    c = (f - np.einsum("...ij,...j->...i", A, z[..., :-1, :])
+         - np.einsum("...ij,...j->...i", B, u))
 
-    tha = z[:, 2]
+    tha = z[..., 2]
     fo, ro = params.front_disc_offset, params.rear_disc_offset
-    D = np.zeros((T, 4, 4))
-    D[:, 0, 0] = D[:, 1, 1] = D[:, 2, 0] = D[:, 3, 1] = 1.0
-    D[:, 0, 2] = -fo * np.sin(tha)
-    D[:, 1, 2] = fo * np.cos(tha)
-    D[:, 2, 2] = -ro * np.sin(tha)
-    D[:, 3, 2] = ro * np.cos(tha)
-    Y = disc_centers_arr(z, params).reshape(T, 4)
-    e = Y - np.einsum("tij,tj->ti", D, z)
+    D = np.zeros((*lead, T, 4, 4))
+    D[..., 0, 0] = D[..., 1, 1] = D[..., 2, 0] = D[..., 3, 1] = 1.0
+    D[..., 0, 2] = -fo * np.sin(tha)
+    D[..., 1, 2] = fo * np.cos(tha)
+    D[..., 2, 2] = -ro * np.sin(tha)
+    D[..., 3, 2] = ro * np.cos(tha)
+    Y = disc_centers_arr(z, params).reshape(*lead, T, 4)
+    e = Y - np.einsum("...ij,...j->...i", D, z)
     return LinearDynamics(A, B, c, D, e)
 
 
@@ -456,19 +481,25 @@ def rollout_controls(start, controls, params: VehicleParams, dt):
 
     Clipping keeps v and omega inside their boxes and prevents phi from
     leaving its range, so the produced plan is consistent with the verifier's
-    step check by construction.
+    step check by construction.  v and omega are clipped to their boxes as
+    whole arrays; only the phi clip runs step by step, since each reads the
+    phi before it.  phi, then theta, then x and y are running sums of
+    whole-array `euler_increment`s, added in step order, so the result is
+    bit for bit the state-by-state `euler_step` recursion's.
     """
-    u = np.array(controls, dtype=float)
-    T1 = u.shape[0]
-    z = np.empty((T1 + 1, 4))
+    vmax, wmax, pmax = params.v_max, params.omega_max, params.phi_max
+    u = np.clip(np.array(controls, dtype=float).reshape(-1, 2), [-vmax, -wmax], [vmax, wmax])
+    w = u[:, 1].tolist()
+    ph = 0.0
+    for t, wt in enumerate(w):
+        w[t] = wt = _clip(wt, (-pmax - ph) / dt, (pmax - ph) / dt)
+        ph = ph + wt * dt   # euler_increment's phi column
+    u[:, 1] = w
+    z = np.zeros((len(u) + 1, 4))
     z[0] = (start[0], start[1], start[2], 0.0)
-    for t in range(T1):
-        ph = z[t, 3]
-        v = min(max(u[t, 0], -params.v_max), params.v_max)
-        w = min(max(u[t, 1], -params.omega_max), params.omega_max)
-        w = min(max(w, (-params.phi_max - ph) / dt), (params.phi_max - ph) / dt)
-        u[t] = (v, w)
-        z[t + 1] = euler_step(z[t], u[t], dt, params.L)
+    for c in (slice(3, 4), slice(2, 3), slice(0, 2)):
+        z[1:, c] = euler_increment(z[:-1], u, dt, params.L)[:, c]
+        np.cumsum(z[:, c], axis=0, out=z[:, c])
     return z, u
 
 
@@ -500,8 +531,14 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
     Separating planes and trust regions are anchored at the `_track_guess`
     Euler re-drive of the interpolated guess, padded with rest steps at the
     goal; corridors and linearizations are rebuilt from the current iterate
-    each round.  Stops on verifier acceptance, iterate convergence
-    (CONVERGENCE_TOL) or MAX_SQP_ITERS; only a verifier-clean plan counts.
+    each round.  Within a round every agent's QP depends on the last round
+    only, so the corridors and linearizations of all agents whose QP was
+    not rejected are built in one stacked call each; the QPs are then
+    assembled and solved one at a time, in agent order.  A seed that cannot
+    be relocated ends the round before its QPs, naming the first agent in
+    agent order that owns such a seed.  Stops on verifier acceptance,
+    iterate convergence (CONVERGENCE_TOL) or MAX_SQP_ITERS; only a
+    verifier-clean plan counts.
     """
     params = instance.vehicle
     tele = RefineTelemetry()
@@ -549,18 +586,22 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
         if time.monotonic() > deadline:
             return fail("timeout", None, k, "deadline exceeded")
         new_s, new_u = cur_s.copy(), cur_u.copy()
+        # each QP reads only the last round's iterate: one corridor and one
+        # linearization pass over the stacked iterates of the live agents
+        live = [m for m in range(M) if m not in rejected]
+        try:
+            corridors = build_corridor(cur_s[live], instance)
+        except RelocationError as exc:
+            return fail("relocation_failed", order[live[exc.index[0]]], k, str(exc))
+        lins = linearize_dynamics(cur_s[live], cur_u[live], params, dt)
         for m, task in enumerate(instance.agents):
             aid = task.id
             if m in rejected:
                 tele.qp_rejections.append((aid, k, rejected[m]))
                 continue
-            try:
-                corridor = build_corridor(cur_s[m], instance)
-            except RelocationError as exc:
-                return fail("relocation_failed", aid, k, str(exc))
-            lin = linearize_dynamics(cur_s[m], cur_u[m], params, dt)
+            i = live.index(m)
             qp = assemble_qp(task.start.as_array(), task.goal.as_array(),
-                             cur_s[m], lin, corridor, planes[m], Y0[m], params,
+                             cur_s[m], lins[i], corridors[i], planes[m], Y0[m], params,
                              vbar0=float(cur_u[m, 0, 0]))
             if qp is None:
                 sol = None

@@ -35,9 +35,10 @@ def coarse():
 
 @pytest.fixture(scope="session")
 def refine30_solves(coarse):
-    """Full `sqp_refine` runs on the suite: n -> (result, [(states,
-    instance)] per `build_corridor` call, [(args, kwargs, solution)] per QP
-    solve, the solution's x and y copied as returned)."""
+    """Full `sqp_refine` runs on the suite: n -> (result, [(states (T, 4),
+    instance)] per agent of each stacked `build_corridor` call,
+    [(args, kwargs, solution)] per QP solve, the solution's x and y copied as
+    returned)."""
     out = {}
     corridor, solve = refine.build_corridor, refine.qp_solve
     for n in (2, 4, 6):
@@ -45,7 +46,7 @@ def refine30_solves(coarse):
         corridors, solves = [], []
 
         def spy_corridor(states, instance):
-            corridors.append((states.copy(), instance))
+            corridors.extend((s.copy(), instance) for s in states)
             return corridor(states, instance)
 
         def spy_solve(*args, **kwargs):

@@ -8,7 +8,9 @@ version can be held to it bit for bit: `reference_flood` and
 `reference_sweep` keep the low-level search's flood fill and static sweep
 test from before their broadphase and flat-list rewrites; and
 `reference_primitive_table` and `reference_shot_walk` keep the search's own
-arc walks from before `_piece_poses` took them over.  `all_paths`, every
+arc walks from before `_piece_poses` took them over; `loop_rollout` keeps
+refinement's state-by-state rollout from before it summed whole-array
+increments.  `all_paths`, every
 Reeds-Shepp candidate, is built from the module's enumeration to check its
 search for the shortest.
 """
@@ -22,7 +24,13 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from fleetplan import reeds_shepp as rs
-from fleetplan.geometry import advance_arc, box_gaps, disc_centers_arr, normalize_angle
+from fleetplan.geometry import (
+    advance_arc,
+    box_gaps,
+    disc_centers_arr,
+    euler_step,
+    normalize_angle,
+)
 from fleetplan.search_low import _NBRS8, _SQRT2, SAMPLE_DS, cell_of
 
 
@@ -153,6 +161,24 @@ def fd_disc_jacobian(z, params, h=1e-7):
         dz[k] = h
         D[:, k] = (y_of(z + dz) - y_of(z - dz)) / (2 * h)
     return D
+
+
+def loop_rollout(start, controls, params, dt):
+    """`refine.rollout_controls` as one `euler_step` per step: clip v and
+    omega to their boxes and omega so that phi stays in its range, then
+    step."""
+    u = np.array(controls, dtype=float)
+    T1 = u.shape[0]
+    z = np.empty((T1 + 1, 4))
+    z[0] = (start[0], start[1], start[2], 0.0)
+    for t in range(T1):
+        ph = z[t, 3]
+        v = min(max(u[t, 0], -params.v_max), params.v_max)
+        w = min(max(u[t, 1], -params.omega_max), params.omega_max)
+        w = min(max(w, (-params.phi_max - ph) / dt), (params.phi_max - ph) / dt)
+        u[t] = (v, w)
+        z[t + 1] = euler_step(z[t], u[t], dt, params.L)
+    return z, u
 
 
 def kkt_solve(P, q, A, b):

@@ -22,6 +22,7 @@ from oracles import (
     fd_jacobians,
     loop_corridor,
     loop_relocate,
+    loop_rollout,
     loop_separation,
     pack_qp_x,
 )
@@ -224,10 +225,11 @@ def test_relocation_fails_where_no_disc_fits_the_map():
 
 def test_batched_corridor_matches_per_seed_loop(coarse, first_round, refine30_runs):
     """`build_corridor` grows all seeds at once; it must give the boxes of the
-    per-seed loop bit for bit, on the refine30 iterates (every round-0 call
-    of n = 2, 4, 6 and every call of the full n = 2 and 4 runs), on those
-    iterates jittered by metres, and on poses anywhere on the map, so that
-    many seeds are relocated; also on a map without obstacles."""
+    per-seed loop bit for bit, on the refine30 iterates (every round-0 QP's
+    of n = 2, 4, 6 and every agent's of each stacked call of the full n = 2
+    and 4 runs), on those iterates jittered by metres, and on poses anywhere
+    on the map, so that many seeds are relocated; also on a map without
+    obstacles."""
     round0_insts = [inst for inst, _ in coarse.values() for _ in inst.agents]
     calls = [(args[2], inst) for (args, _), inst in zip(first_round[1], round0_insts)]
     calls += [c for _, corridors, _ in refine30_runs.values() for c in corridors]
@@ -259,6 +261,95 @@ def test_batched_corridor_matches_per_seed_loop(coarse, first_round, refine30_ru
                                p.disc_radius, refine.CORRIDOR_MAX_EXTENT, relocate)
         assert np.array_equal(boxes.lo, lo) and np.array_equal(boxes.hi, hi)
     assert len(relocated) >= 100
+
+
+def test_stacked_linearization_and_corridor_match_per_agent_calls(coarse, first_round):
+    """`sqp_refine` linearizes and builds corridors for all its live agents
+    in one stacked call each; element i of each result must be agent i's
+    own call bit for bit, on the round-0 iterates of n = 2, 4, 6 and on
+    those iterates jittered by metres, so that many seeds are relocated."""
+    tracks = iter(first_round[0])   # `_track_guess` calls, agent by agent
+    (_, _, dt, p), _ = first_round[0][0]
+    rng = np.random.default_rng(26)
+    relocated = 0
+    for inst, _ in coarse.values():
+        s, u = (np.stack(a) for a in zip(*(next(tracks)[1] for _ in inst.agents)))
+        jitter = (s + rng.normal(0.0, [1.5, 1.5, 0.5, 0.05], s.shape),
+                  u + rng.normal(0.0, 0.2, u.shape))
+        for states, controls in ((s, u), jitter):
+            M, T = states.shape[:2]
+            lin = refine.linearize_dynamics(states, controls, p, dt)
+            boxes = refine.build_corridor(states, inst)
+            assert lin.A.shape == (M, T - 1, 4, 4) and boxes.lo.shape == (M, T, 4)
+            for i in range(M):
+                one = refine.linearize_dynamics(states[i], controls[i], p, dt)
+                for name in ("A", "B", "c", "D", "e"):
+                    assert np.array_equal(getattr(lin[i], name), getattr(one, name)), name
+                box = refine.build_corridor(states[i], inst)
+                assert np.array_equal(boxes[i].lo, box.lo) and np.array_equal(boxes[i].hi, box.hi)
+            relocated += discs_blocked(disc_centers_arr(states, p), p.disc_radius, inst.map_width,
+                                       inst.map_height, *inst.obstacle_arrays()).sum()
+    assert relocated >= 50
+
+
+def test_relocation_failure_names_the_first_live_agent_and_round(coarse, monkeypatch):
+    """A corridor seed that cannot be relocated ends refinement
+    `relocation_failed`, naming by id the first agent, in agent order, that
+    owns such a seed, and the round.  Here seeds near the start poses of
+    agents 0 and 2 are blocked and cannot be relocated from round 1 on;
+    agent 0's QP is an empty box in round 0, so its seeds stay out of the
+    later corridor passes and agent 2 is named."""
+    inst, trajs = coarse[4]
+    relabel = {0: 7, 1: 3, 2: 5, 3: 1}
+    inst = MvtpInstance(inst.map_width, inst.map_height, inst.obstacles,
+                        [AgentTask(relabel[a.id], a.start, a.goal) for a in inst.agents],
+                        inst.vehicle)
+    trajs = {relabel[a]: t for a, t in trajs.items()}
+    p = inst.vehicle
+    agent_of = {tuple(a.start.as_array()): m for m, a in enumerate(inst.agents)}
+    poisoned = np.concatenate([disc_centers_arr(np.array([*inst.agents[m].start.as_array(), 0.0]), p)
+                               for m in (0, 2)])
+
+    def near(points):
+        return (np.linalg.norm(np.asarray(points)[..., None, :] - poisoned, axis=-1) < 0.3).any(-1)
+
+    passes = []   # the stacked states of each corridor pass
+    corridor, relocate, blocked = refine.build_corridor, refine.relocate_unsafe_point, refine.discs_blocked
+
+    def spy_corridor(states, instance):
+        passes.append(states.copy())
+        return corridor(states, instance)
+
+    def poisoned_relocate(q, *args):
+        if len(passes) > 1 and near(q):
+            raise refine.RelocationError("poisoned seed")
+        return relocate(q, *args)
+
+    # the stub "QP" is the iterate itself; its solution moves it by 1e-2
+    def assemble(start, goal, states, *args, **kw):
+        return None if agent_of[tuple(start)] == 0 else states
+
+    def solve(states):
+        x = pack_qp_x(states, np.zeros((len(states) - 1, 2))) + 1e-2
+        return QpSolution(x, np.zeros(1), "optimal", 0.0, 0.0, 10)
+
+    monkeypatch.setattr(refine, "build_corridor", spy_corridor)
+    monkeypatch.setattr(refine, "relocate_unsafe_point", poisoned_relocate)
+    monkeypatch.setattr(refine, "discs_blocked", lambda q, *args: blocked(q, *args) | near(q))
+    monkeypatch.setattr(refine, "assemble_qp", assemble)
+    monkeypatch.setattr(refine, "qp_solve", solve)
+    monkeypatch.setattr(refine, "CONVERGENCE_TOL", 1e-12)
+    rr = refine.sqp_refine(trajs, inst)
+
+    # round 0 stacks all four agents, round 1 agents 1, 2 and 3; only agents
+    # 0 and 2 own poisoned seeds
+    assert [len(s) for s in passes] == [4, 3]
+    hit = [near(disc_centers_arr(s, p)).any(axis=(1, 2)).tolist() for s in passes]
+    assert hit == [[True, False, True, False], [False, True, False]]
+    assert rr.status == "relocation_failed"
+    assert rr.telemetry.failure == {"reason": "poisoned seed", "agent": 5, "iteration": 1}
+    assert rr.telemetry.qp_rejections == [(7, 0, "empty_box")]
+    assert rr.telemetry.iterations == 1
 
 
 def test_max_iters_qp_result_is_rejected(monkeypatch):
@@ -393,6 +484,35 @@ def test_agent_ids_only_label_the_output(monkeypatch):
     if fa is not None and fa.get("agent") is not None:
         fa = {**fa, "agent": relabel[fa["agent"]]}
     assert b.telemetry.failure == fa
+
+
+def test_rollout_matches_the_per_step_loop(params):
+    """`rollout_controls` sums whole-array Euler increments; it must give the
+    states and clipped controls of one `euler_step` per step bit for bit, on
+    seeded controls inside and far past the v and omega boxes, on omega
+    held at one sign so that phi is driven to +-phi_max and clipped there,
+    and on 0 and 1 steps."""
+    rng = np.random.default_rng(26)
+    p = params
+    cases = []
+    for n in (0, 1, 2, 17, 84, 200):
+        for scale in (0.5, 1.5, 6.0):
+            cases.append(rng.uniform(-scale, scale, size=(n, 2)))
+        # full steer one way, then the other: phi sits at its bounds
+        w = np.repeat(rng.choice([-3.0, 3.0], size=4), -(-n // 4))[:n]
+        cases.append(np.column_stack([rng.uniform(-2.0, 2.0, n), w]))
+    v_sat = w_sat = at_bound = 0
+    for controls in cases:
+        start = rng.uniform([0.0, 0.0, -math.pi], [30.0, 30.0, math.pi])
+        dt = rng.choice([0.125, 0.25, 0.5])
+        z, u = refine.rollout_controls(start, controls, p, dt)
+        want_z, want_u = loop_rollout(start, controls, p, dt)
+        assert z.shape == want_z.shape and u.shape == want_u.shape
+        assert np.array_equal(z, want_z) and np.array_equal(u, want_u)
+        v_sat += (np.abs(u[:, 0]) == p.v_max).sum()
+        w_sat += (np.abs(u[:, 1]) == p.omega_max).sum()
+        at_bound += (np.abs(z[:, 3]) >= p.phi_max - 1e-9).sum()
+    assert v_sat >= 200 and w_sat >= 200 and at_bound >= 200
 
 
 def test_track_guess_is_a_box_feasible_euler_rollout(first_round):
