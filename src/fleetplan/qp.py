@@ -18,10 +18,15 @@ solves the quasi-definite system
     [[P + G' Sigma G + delta I, E'], [E, -delta I]] [dx; dy] = r,
     Sigma = diag(z / s),
 
-followed by one step of iterative refinement against the same system
-without delta (delta only keeps a rank-deficient P or E factorable).  One
+in one band solve, delta included: delta only keeps a rank-deficient P or E
+factorable, as in Altman and Gondzio's regularized interior point (Optim.
+Methods Softw. 1999), and an interior-point method tolerates directions
+that are not exact (Gondzio, "Interior point methods 25 years later", EJOR
+2012), since the verdicts are read from the iterates themselves.  One
 factorization per iteration serves the embedding's fixed right side, the
-predictor and the corrector.
+predictor and the corrector, one solve each.  The start point and the
+polish need an exact answer, so their solve is followed by one step of
+iterative refinement against the same system without delta.
 
 Band layout.  The system's unknowns are x's columns in the caller's order,
 with each equality row's multiplier placed after the column halfway along
@@ -233,15 +238,22 @@ class _Kkt:
         v[self.pos] = rhs
         return dgbtrs(f[0], self.k, self.k, v, f[1], overwrite_b=True)[0][self.pos]
 
-    def newton(self, f, rx, ry):
-        """(dx, dy) solving the system for the right side (rx, ry), then one
-        refinement step against the system without delta."""
-        n, me, w = self.n, self.me, f[2]
+    def split_solve(self, f, rx, ry):
+        """(dx, dy) solving the system for the right side (rx, ry): one band
+        solve, delta included."""
         d = self.solve(f, np.concatenate([rx, ry]))
-        ad = self.A2 @ d[:n]
-        ex = rx - self.P @ d[:n] - self.A2t @ np.concatenate([d[n:], w * ad[me:]])
-        d += self.solve(f, np.concatenate([ex, ry - ad[:me]]))
-        return d[:n], d[n:]
+        return d[:self.n], d[self.n:]
+
+    def newton(self, f, rx, ry):
+        """(dx, dy) of `split_solve`, then one refinement step against the
+        system without delta, for the start point and the polish, which need
+        an exact answer."""
+        me, w = self.me, f[2]
+        dx, dy = self.split_solve(f, rx, ry)
+        ad = self.A2 @ dx
+        ex = rx - self.P @ dx - self.A2t @ np.concatenate([dy, w * ad[me:]])
+        cx, cy = self.split_solve(f, ex, ry - ad[:me])
+        return dx + cx, dy + cy
 
 
 def _polish(qp: QpProblem, A, x, y):
@@ -263,7 +275,7 @@ def _polish(qp: QpProblem, A, x, y):
     yp[rows] = yr
     # a multiplier of the wrong sign for its bound, as a residual
     wrong = max(_ninf(np.minimum(yp[upper & ~eq], 0.0)), _ninf(np.maximum(yp[lower], 0.0)))
-    return xp.copy(), yp, wrong
+    return xp, yp, wrong
 
 
 def solve(qp: QpProblem) -> QpSolution:
@@ -368,7 +380,7 @@ def solve(qp: QpProblem) -> QpSolution:
         w = np.bincount(sel, sig, minlength=mi)
         f = kkt.factor(w)
         gsh = Gt(sig * h)
-        u2, v2 = kkt.newton(f, gsh - q, b)
+        u2, v2 = kkt.split_solve(f, gsh - q, b)
         c = q + 2.0 * Px / tau + gsh
         den = float(c @ u2 + b @ v2) - kappa / tau - float(h @ (sig * h)) - xPx / tau ** 2
         if den == 0.0 or not np.isfinite(den):
@@ -376,7 +388,7 @@ def solve(qp: QpProblem) -> QpSolution:
 
         def direction(eta, r_s, r_k):
             t = (eta * z * rz - r_s) / s
-            u1, v1 = kkt.newton(f, -eta * rx - Gt(t), -eta * ry)
+            u1, v1 = kkt.split_solve(f, -eta * rx - Gt(t), -eta * ry)
             dtau = (-eta * rtau + r_k / tau - float(c @ u1 + b @ v1 + h @ t)) / den
             dx, dy = u1 + dtau * u2, v1 + dtau * v2
             Gdx = G(dx)

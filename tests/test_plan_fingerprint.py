@@ -1,8 +1,10 @@
 import importlib.util
 import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from fleetplan import qp, refine
@@ -36,6 +38,20 @@ def test_compare_prints_the_largest_difference_of_a_numeric_field(tmp_path, caps
     assert lines == ["differs: ('w', 0) refine.failure (not in numbers only)",
                      "differs: ('w', 0) refine.qps (largest |difference| 3e-09)",
                      "compared 1 instances: 2 differences"]
+
+
+def test_largest_difference_reads_equal_infinities_as_no_gap():
+    """A QP's bounds hold infinities: where both sides hold the same one the
+    entry does not differ, so moved finite entries give a finite gap (and no
+    warning), while an infinity against a finite value is no gap in numbers."""
+    l = np.array([-np.inf, 1.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fingerprint.largest_difference(l, l + [0.0, 5.6e-8, 0.0]) == pytest.approx(5.6e-8)
+        assert fingerprint.largest_difference({"l": [l, 2.0]},
+                                              {"l": [l + [0.0, 0.5, 0.0], 2.0]}) == 0.5
+        assert fingerprint.largest_difference(l, np.array([-1.0, 1.0, np.inf])) is None
+        assert fingerprint.largest_difference(l, -l) is None
 
 
 def test_refine_record_keeps_every_verifier_report(tmp_path, capsys):

@@ -66,6 +66,33 @@ def factors(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def band_solves(monkeypatch):
+    """One entry per band solve (`dgbtrs`) the solver makes."""
+    calls = []
+    band_solve = qp.dgbtrs
+    monkeypatch.setattr(qp, "dgbtrs", lambda *a, **k: calls.append(1) or band_solve(*a, **k))
+    return calls
+
+
+def test_each_direction_takes_one_band_solve(band_solves, refine30_solves):
+    """An interior-point direction need not be exact, so each of an
+    iteration's three (the embedding's fixed right side, the predictor and
+    the corrector) is one solve with the regularized factor; only the start
+    and the polish refine theirs, at two solves each.  So an optimal QP
+    makes exactly 3 iterations + 4 band solves, on sparse QPs and on
+    refine30's optimal QPs."""
+    probs = [make_sparse_qp(np.random.default_rng(seed)) for seed in range(4)]
+    probs += [args[0] for _, _, ss in refine30_solves.values()
+              for args, _, sol in ss if sol.status == "optimal"]
+    assert len(probs) == 4 + 16
+    for prob in probs:
+        band_solves.clear()
+        sol = qp.solve(prob)
+        assert sol.status == "optimal"
+        assert len(band_solves) == 3 * sol.iterations + 4
+
+
 def test_solution_does_not_depend_on_variable_or_row_order(factors):
     """The solver factors in the caller's variable order, so shuffling the
     variables widens the band and changes the rounding, but not the answer:
@@ -91,6 +118,15 @@ def test_solution_does_not_depend_on_variable_or_row_order(factors):
         # held to its own dual residual and both agree to 1e-7 of their size
         assert max(sol.dual_res, other.dual_res) <= 1e-9
         assert np.abs(y - sol.y).max() <= 1e-7 * (1.0 + np.abs(sol.y).max())
+
+
+def band_kkt(prob):
+    """(E, AI, the `qp._Kkt` of prob) as `qp.solve` splits prob's rows into
+    equalities E and the other rows AI."""
+    A = prob.A.tocsr()
+    eq = prob.u - prob.l < qp._EQ_GAP
+    E, AI = A[np.flatnonzero(eq)], A[np.flatnonzero(~eq)]
+    return E, AI, qp._Kkt(prob.P, sp.vstack([E, AI], format="csr"), E.shape[0])
 
 
 def dense_kkt(P, E, AI, w):
@@ -120,10 +156,7 @@ def test_kkt_factor_solves_the_dense_system(refine30_solves):
     rng = np.random.default_rng(1)
     widths = []
     for prob in refine_qps + sparse_qps:
-        A = prob.A.tocsr()
-        eq = prob.u - prob.l < qp._EQ_GAP
-        E, AI = A[np.flatnonzero(eq)], A[np.flatnonzero(~eq)]
-        kkt = qp._Kkt(prob.P, sp.vstack([E, AI], format="csr"), E.shape[0])
+        E, AI, kkt = band_kkt(prob)
         i, j = np.nonzero(dense_kkt(prob.P, E, AI, np.ones(AI.shape[0])))
         assert kkt.k == np.abs(kkt.pos[i] - kkt.pos[j]).max()
         widths.append(kkt.k)
@@ -140,6 +173,27 @@ def test_kkt_factor_solves_the_dense_system(refine30_solves):
                 bound = 1e-14 * np.linalg.cond(K) * np.abs(ref).max()
                 assert np.abs(got - ref).max() <= bound
     assert max(widths[:len(refine_qps)]) == 11
+
+
+def test_refined_newton_beats_one_solve_without_delta():
+    """The start and the polish need an exact answer, so `_Kkt.newton`
+    follows its solve with one refinement step against the system without
+    delta: on the sparse QPs whose equality rows have full rank (so that
+    system is nonsingular), its residual there is smaller than that of one
+    `split_solve`, at two spreads of the inequality weights."""
+    rng = np.random.default_rng(2)
+    for seed in (3, 4, 6):
+        prob = make_sparse_qp(np.random.default_rng(seed))
+        E, AI, kkt = band_kkt(prob)
+        n, me = prob.n, E.shape[0]
+        assert np.linalg.matrix_rank(E.toarray()) == me
+        for spread in (1.0, 1e6):
+            w = np.exp(rng.uniform(-np.log(spread), np.log(spread), AI.shape[0]))
+            K = dense_kkt(prob.P, E, AI, w) - qp._DELTA * np.diag(np.repeat([1.0, -1.0], [n, me]))
+            rx, ry = rng.normal(size=n), rng.normal(size=me)
+            f = kkt.factor(w)
+            residual = lambda d: np.abs(K @ np.concatenate(d) - np.concatenate([rx, ry])).max()
+            assert residual(kkt.newton(f, rx, ry)) < 0.5 * residual(kkt.split_solve(f, rx, ry))
 
 
 def lp_says(margin):
@@ -290,7 +344,7 @@ def test_converged_path_stalls_instead_of_dividing_by_zero(monkeypatch):
     P = np.array([[1.0, -1.0], [-1.0, 1.0]])
     prob = qp.QpProblem(P, [-1.0, 0.0], sp.identity(2), -np.ones(2), np.ones(2))
     sol = qp.solve(prob)
-    assert (sol.status, sol.iterations) == ("optimal", 34)
+    assert (sol.status, sol.iterations) == ("optimal", 52)
     assert np.array_equal(sol.x, [1.0, 1.0])
 
 

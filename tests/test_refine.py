@@ -666,7 +666,7 @@ QP_PINS = {
     4: [("optimal", 14, 1.652975480324489),
         ("primal_infeasible", 6, 3.44115842574976),
         ("optimal", 12, 4.402895677970571),
-        ("optimal", 15, 4.374109789989412),
+        ("optimal", 14, 4.374109789989412),
         ("optimal", 15, 4.372981331625481),
         ("optimal", 16, 4.373557048824791),
         ("optimal", 15, 4.373859885585945),

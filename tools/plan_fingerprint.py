@@ -141,11 +141,14 @@ def _number(v) -> bool:
 def largest_difference(x, y) -> float | None:
     """The largest absolute difference between the numbers of x and y, or
     None when they differ in more than numbers: in type, shape, length or
-    keys, in a string or flag, or by a non-finite amount."""
+    keys, in a string or flag, or by a non-finite amount.  Equal numbers
+    differ by 0, infinities included."""
     if same(x, y):
         return 0.0
     if isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and x.shape == y.shape:
-        gap = float(np.abs(x - y).max())
+        # equal entries are a gap of 0, also where both hold the same infinity
+        moved = x != y
+        gap = float(np.abs(x[moved] - y[moved]).max())
     elif _number(x) and _number(y):
         gap = abs(float(x) - float(y))
     else:
