@@ -413,7 +413,8 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
     Every test asks whether a value stays within its bound, so a NaN or an
     infinity in a state or control is a violation (boundary on the endpoint
     rows, kinematic on a step that reads it, control_limit on v, omega and
-    phi); numpy's warnings on them are silenced.
+    phi); numpy's warnings on them are silenced.  Each test runs once on the
+    stacked plan; the report lists each agent's violations, then the pairs'.
     """
     if plan.n_agents != instance.n_agents:
         raise ValueError("plan/instance agent count mismatch")
@@ -421,59 +422,51 @@ def validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
         raise ValueError("empty plan")
     if not (math.isfinite(plan.dt) and plan.dt > 0):
         raise ValueError(f"plan dt is {plan.dt}, need a finite dt > 0")
-    v = instance.vehicle
-    rep = VerificationReport()
-    obstacles = _obstacle_rects(instance)
     T = plan.horizon
-    rects = []
-
-    for idx, task in enumerate(instance.agents):
-        zs = plan.states[idx]
-        us = plan.controls[idx]
+    for task, zs, us in zip(instance.agents, plan.states, plan.controls):
         if zs.shape != (T, 4) or us.shape != (T - 1, 2):
             raise ValueError(f"agent {task.id}: states of shape {zs.shape} and controls of "
                              f"shape {us.shape}, need ({T}, 4) and ({T - 1}, 2)")
-        # endpoint boundary conditions
-        for t_chk, ref in ((0, task.start), (T - 1, task.goal)):
-            dp = math.hypot(zs[t_chk, 0] - ref.x, zs[t_chk, 1] - ref.y)
-            da = abs(normalize_angle(zs[t_chk, 2] - ref.theta))
-            if not (dp <= BOUNDARY_POS_EPS and da <= BOUNDARY_ANG_EPS):
-                rep.violations.append(Violation("boundary", task.id, t_chk,
-                                                float(np.maximum(dp, da))))
-        # kinematic consistency: one exact step from each sample
-        if T > 1:
-            pz = euler_step(zs[:-1], us, plan.dt, v.L)
-            err = np.maximum(
-                np.hypot(pz[:, 0] - zs[1:, 0], pz[:, 1] - zs[1:, 1]),
-                np.maximum(_ang_diff(pz[:, 2], zs[1:, 2]), np.abs(pz[:, 3] - zs[1:, 3])),
-            )
-            for t in np.nonzero(~(err <= KINEMATIC_EPS))[0]:
-                rep.violations.append(Violation("kinematic", task.id, int(t) + 1, float(err[t])))
-            # control and steering boxes
-            over_v = np.abs(us[:, 0]) - v.v_max
-            over_w = np.abs(us[:, 1]) - v.omega_max
-            for t in np.nonzero(~((over_v <= LIMIT_EPS) & (over_w <= LIMIT_EPS)))[0]:
-                rep.violations.append(
-                    Violation("control_limit", task.id, int(t),
-                              float(np.maximum(over_v[t], over_w[t])))
-                )
-        over_phi = np.abs(zs[:, 3]) - v.phi_max
-        for t in np.nonzero(~(over_phi <= LIMIT_EPS))[0]:
-            rep.violations.append(Violation("control_limit", task.id, int(t), float(over_phi[t])))
-        # map containment and static obstacles
-        rects.append(footprints(zs, v))
-        off = boxes_outside_map(rects[-1], instance.map_width, instance.map_height)
-        for t in np.nonzero(off)[0]:
-            rep.violations.append(Violation("off_map", task.id, int(t), 0.0))
-        hit = rects_overlap(rects[-1][:, None], obstacles[None]).any(axis=1)
-        for t in np.nonzero(hit)[0]:
-            rep.violations.append(Violation("static", task.id, int(t), 0.0))
+    v = instance.vehicle
+    Z, U = np.stack(plan.states), np.stack(plan.controls)
+    # endpoint errors (M, 2, 2): position and angle at t = 0 and T - 1;
+    # normalize_angle passes an in-range difference through unrounded
+    ends = np.array([[(math.hypot(zs[t, 0] - ref.x, zs[t, 1] - ref.y),
+                       abs(normalize_angle(zs[t, 2] - ref.theta)))
+                      for t, ref in ((0, task.start), (T - 1, task.goal))]
+                     for task, zs in zip(instance.agents, Z)])
+    # kinematic consistency: one exact step from each sample
+    pz = euler_step(Z[:, :-1], U, plan.dt, v.L)
+    err = np.maximum(
+        np.hypot(pz[..., 0] - Z[:, 1:, 0], pz[..., 1] - Z[:, 1:, 1]),
+        np.maximum(_ang_diff(pz[..., 2], Z[:, 1:, 2]), np.abs(pz[..., 3] - Z[:, 1:, 3])),
+    )
+    over_u = np.abs(U) - [v.v_max, v.omega_max]
+    over_phi = np.abs(Z[..., 3]) - v.phi_max
+    rects = footprints(Z, v)
+    zero = np.zeros(Z.shape[:2])
+    # (kind, bad (M, n), magnitude (M, n), t of sample k) in report order
+    tests = [
+        ("boundary", ~(ends <= [BOUNDARY_POS_EPS, BOUNDARY_ANG_EPS]).all(-1), ends.max(-1),
+         (0, T - 1)),
+        ("kinematic", ~(err <= KINEMATIC_EPS), err, range(1, T)),
+        ("control_limit", ~(over_u <= LIMIT_EPS).all(-1), over_u.max(-1), range(T - 1)),
+        ("control_limit", ~(over_phi <= LIMIT_EPS), over_phi, range(T)),
+        ("off_map", boxes_outside_map(rects, instance.map_width, instance.map_height),
+         zero, range(T)),
+        ("static", rects_overlap(rects[:, :, None], _obstacle_rects(instance)).any(axis=-1),
+         zero, range(T)),
+    ]
+    rep = VerificationReport()
+    for m, task in enumerate(instance.agents):
+        for kind, bad, mag, ts in tests:
+            for k in np.nonzero(bad[m])[0]:
+                rep.violations.append(Violation(kind, task.id, ts[k], float(mag[m, k])))
 
     # pairwise collisions, disc-distance broadphase first
     two_rv = 2.0 * v.disc_radius
-    i, j, d = pair_clearances(disc_centers_arr(np.stack(plan.states), v))
+    i, j, d = pair_clearances(disc_centers_arr(Z, v))
     near, at = np.nonzero(d <= two_rv)
-    rects = np.stack(rects)
     hit = rects_overlap(rects[i[near], at], rects[j[near], at])
     for p, t in zip(near[hit].tolist(), at[hit].tolist()):
         rep.violations.append(Violation("inter_agent", instance.agents[i[p]].id, t,
@@ -494,7 +487,7 @@ def write_plan(path, plan: Plan, agent_ids) -> None:
     with open(path, "w") as f:
         f.write(f"# dt={plan.dt!r} tau_f={plan.tau_f!r} agents={plan.n_agents}\n")
         f.write(",".join(_PLAN_COLUMNS) + "\n")
-        for aid, zs, us in zip(agent_ids, plan.states, plan.controls):
+        for aid, zs, us in zip(agent_ids, plan.states, plan.controls, strict=True):
             for t in range(zs.shape[0]):
                 v, w = (us[t] if t < us.shape[0] else (0.0, 0.0))
                 row = (t * plan.dt, zs[t, 0], zs[t, 1], zs[t, 2], zs[t, 3], v, w)

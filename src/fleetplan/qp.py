@@ -109,7 +109,7 @@ def _asymmetric(P) -> bool:
 
 class QpProblem:
     """Problem data; P symmetric PSD, A sparse, elementwise l <= u.  P, q
-    and A are finite; l and u may hold -inf and +inf but no NaN."""
+    and A are finite; l may hold -inf and u +inf, but neither holds NaN."""
 
     def __init__(self, P, q, A=None, l=None, u=None):
         self.P = sp.csc_matrix(P, dtype=float)
@@ -133,8 +133,9 @@ class QpProblem:
         self.u = np.full(m, np.inf) if u is None else np.asarray(u, dtype=float).ravel()
         if self.l.shape[0] != m or self.u.shape[0] != m:
             raise ValueError("bound dimension mismatch")
-        if np.isnan(self.l).any() or np.isnan(self.u).any():
-            raise ValueError("l and u must not be NaN (+-inf is allowed)")
+        if not ((self.l < np.inf).all() and (self.u > -np.inf).all()):
+            # NaN fails both tests; a row with l = +inf or u = -inf has no finite side
+            raise ValueError("l must be below +inf and u above -inf, neither NaN")
         if np.any(self.l > self.u):
             raise ValueError("l > u")
         self.n = n

@@ -10,7 +10,8 @@ test from before their broadphase and flat-list rewrites; and
 `reference_primitive_table` and `reference_shot_walk` keep the search's own
 arc walks from before `_piece_poses` took them over; `loop_rollout` keeps
 refinement's state-by-state rollout from before it summed whole-array
-increments.  `all_paths`, every
+increments; `loop_validate_plan` keeps the verifier's agent-by-agent loop
+from before it ran each test once on the stacked plan.  `all_paths`, every
 Reeds-Shepp candidate, is built from the module's enumeration to check its
 search for the shortest.
 """
@@ -27,9 +28,25 @@ from fleetplan import reeds_shepp as rs
 from fleetplan.geometry import (
     advance_arc,
     box_gaps,
+    boxes_outside_map,
     disc_centers_arr,
     euler_step,
+    footprints,
     normalize_angle,
+    pair_clearances,
+    rects_overlap,
+)
+from fleetplan.instance import (
+    BOUNDARY_ANG_EPS,
+    BOUNDARY_POS_EPS,
+    KINEMATIC_EPS,
+    LIMIT_EPS,
+    MvtpInstance,
+    Plan,
+    VerificationReport,
+    Violation,
+    _ang_diff,
+    _obstacle_rects,
 )
 from fleetplan.search_low import _NBRS8, _SQRT2, SAMPLE_DS, cell_of
 
@@ -179,6 +196,82 @@ def loop_rollout(start, controls, params, dt):
         u[t] = (v, w)
         z[t + 1] = euler_step(z[t], u[t], dt, params.L)
     return z, u
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def loop_validate_plan(instance: MvtpInstance, plan: Plan) -> VerificationReport:
+    """Check a plan against the instance; every violation becomes report data.
+
+    Every test asks whether a value stays within its bound, so a NaN or an
+    infinity in a state or control is a violation (boundary on the endpoint
+    rows, kinematic on a step that reads it, control_limit on v, omega and
+    phi); numpy's warnings on them are silenced.
+    """
+    if plan.n_agents != instance.n_agents:
+        raise ValueError("plan/instance agent count mismatch")
+    if plan.horizon < 1:
+        raise ValueError("empty plan")
+    if not (math.isfinite(plan.dt) and plan.dt > 0):
+        raise ValueError(f"plan dt is {plan.dt}, need a finite dt > 0")
+    v = instance.vehicle
+    rep = VerificationReport()
+    obstacles = _obstacle_rects(instance)
+    T = plan.horizon
+    rects = []
+
+    for idx, task in enumerate(instance.agents):
+        zs = plan.states[idx]
+        us = plan.controls[idx]
+        if zs.shape != (T, 4) or us.shape != (T - 1, 2):
+            raise ValueError(f"agent {task.id}: states of shape {zs.shape} and controls of "
+                             f"shape {us.shape}, need ({T}, 4) and ({T - 1}, 2)")
+        # endpoint boundary conditions
+        for t_chk, ref in ((0, task.start), (T - 1, task.goal)):
+            dp = math.hypot(zs[t_chk, 0] - ref.x, zs[t_chk, 1] - ref.y)
+            da = abs(normalize_angle(zs[t_chk, 2] - ref.theta))
+            if not (dp <= BOUNDARY_POS_EPS and da <= BOUNDARY_ANG_EPS):
+                rep.violations.append(Violation("boundary", task.id, t_chk,
+                                                float(np.maximum(dp, da))))
+        # kinematic consistency: one exact step from each sample
+        if T > 1:
+            pz = euler_step(zs[:-1], us, plan.dt, v.L)
+            err = np.maximum(
+                np.hypot(pz[:, 0] - zs[1:, 0], pz[:, 1] - zs[1:, 1]),
+                np.maximum(_ang_diff(pz[:, 2], zs[1:, 2]), np.abs(pz[:, 3] - zs[1:, 3])),
+            )
+            for t in np.nonzero(~(err <= KINEMATIC_EPS))[0]:
+                rep.violations.append(Violation("kinematic", task.id, int(t) + 1, float(err[t])))
+            # control and steering boxes
+            over_v = np.abs(us[:, 0]) - v.v_max
+            over_w = np.abs(us[:, 1]) - v.omega_max
+            for t in np.nonzero(~((over_v <= LIMIT_EPS) & (over_w <= LIMIT_EPS)))[0]:
+                rep.violations.append(
+                    Violation("control_limit", task.id, int(t),
+                              float(np.maximum(over_v[t], over_w[t])))
+                )
+        over_phi = np.abs(zs[:, 3]) - v.phi_max
+        for t in np.nonzero(~(over_phi <= LIMIT_EPS))[0]:
+            rep.violations.append(Violation("control_limit", task.id, int(t), float(over_phi[t])))
+        # map containment and static obstacles
+        rects.append(footprints(zs, v))
+        off = boxes_outside_map(rects[-1], instance.map_width, instance.map_height)
+        for t in np.nonzero(off)[0]:
+            rep.violations.append(Violation("off_map", task.id, int(t), 0.0))
+        hit = rects_overlap(rects[-1][:, None], obstacles[None]).any(axis=1)
+        for t in np.nonzero(hit)[0]:
+            rep.violations.append(Violation("static", task.id, int(t), 0.0))
+
+    # pairwise collisions, disc-distance broadphase first
+    two_rv = 2.0 * v.disc_radius
+    i, j, d = pair_clearances(disc_centers_arr(np.stack(plan.states), v))
+    near, at = np.nonzero(d <= two_rv)
+    rects = np.stack(rects)
+    hit = rects_overlap(rects[i[near], at], rects[j[near], at])
+    for p, t in zip(near[hit].tolist(), at[hit].tolist()):
+        rep.violations.append(Violation("inter_agent", instance.agents[i[p]].id, t,
+                                        float(two_rv - d[p, t]),
+                                        partner=instance.agents[j[p]].id))
+    return rep
 
 
 def kkt_solve(P, q, A, b):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fleetplan.geometry import OrientedBox, State, VehicleParams
+from fleetplan.geometry import OrientedBox, State, VehicleParams, euler_step
 from fleetplan.instance import (
     AgentTask,
     InstanceError,
@@ -22,7 +22,7 @@ from fleetplan.instance import (
     validate_plan,
     write_plan,
 )
-from oracles import body_rect, corner_sat
+from oracles import body_rect, corner_sat, loop_validate_plan
 
 MINIMAL = """
 map: {width: 20, height: 20}
@@ -354,6 +354,71 @@ def test_validate_rejects_nan_plans_of_a_generated_instance():
     assert not rep.feasible
 
 
+def _report_rows(rep):
+    """A report's violations field for field; NaN magnitudes as "nan", every
+    other magnitude compared with ==."""
+    return [(v.kind, v.agent, v.t, v.partner,
+             "nan" if math.isnan(v.magnitude) else v.magnitude) for v in rep.violations]
+
+
+def _offset_hypots_differ(rng, ref):
+    """A point (x, y) more than 0.01 m from ref whose difference back to ref
+    makes np.hypot and math.hypot disagree in the last bit."""
+    while True:
+        x, y = ref.x + rng.uniform(-1, 1), ref.y + rng.uniform(-1, 1)
+        ex, ey = x - ref.x, y - ref.y
+        if math.hypot(ex, ey) > 0.01 and np.hypot(ex, ey) != math.hypot(ex, ey):
+            return x, y
+
+
+def test_validate_matches_the_agent_by_agent_reference():
+    """The stacked verifier gives the report of the agent-by-agent loop it
+    replaced, bit for bit and in the same order, on 1-6 agents whose ids are
+    shuffled, with every kind of violation, NaN and infinite entries, and
+    endpoint errors on which np.hypot and math.hypot disagree."""
+    rng = np.random.default_rng(28)
+    kinds, nan_seen, hypot_cases = set(), False, 0
+    for trial in range(36):
+        M = trial % 6 + 1
+        inst = generate_random_instance(trial, 30.0, 8, M)
+        ids = rng.choice(100, M, replace=False)
+        inst.agents = [AgentTask(int(k), a.start, a.goal) for k, a in zip(ids, inst.agents)]
+        v = inst.vehicle
+        T = (1, 2)[trial % 2] if trial % 9 == 0 else int(rng.integers(3, 40))
+        dt = rng.uniform(0.2, 0.8)
+        states, controls = [], []
+        for a in inst.agents:
+            u = rng.uniform(-1.3, 1.3, (T - 1, 2)) * [v.v_max, v.omega_max]
+            z = np.empty((T, 4))
+            z[0] = [a.start.x, a.start.y, a.start.theta, rng.uniform(-1.2, 1.2) * v.phi_max]
+            for t in range(T - 1):   # an exact rollout, then kicks on some samples
+                z[t + 1] = euler_step(z[t], u[t], dt, v.L)
+            kick = rng.random(T) < 0.3
+            z[kick] += rng.normal(0, 0.5, (int(kick.sum()), 4))
+            # drift to the map centre, so that agents meet and cross obstacles
+            z[:, :2] += rng.random() * np.linspace(0, 1, T)[:, None] * (15.0 - z[0, :2])
+            if rng.random() < 0.5:
+                z[-1, :3] = a.goal.x, a.goal.y, a.goal.theta
+            if rng.random() < 0.3:
+                z[0, :2] = _offset_hypots_differ(rng, a.start)
+                z[0, 2] = a.start.theta
+                hypot_cases += 1
+            for arr in (z, u):
+                if arr.size and rng.random() < 0.3:
+                    arr[tuple(rng.integers(0, arr.shape))] = rng.choice([np.nan, np.inf, -np.inf])
+            states.append(z)
+            controls.append(u)
+        plan = Plan(states, controls, dt, (T - 1) * dt)
+        rep, ref = validate_plan(inst, plan), loop_validate_plan(inst, plan)
+        assert _report_rows(rep) == _report_rows(ref), trial
+        assert rep.epsilons == ref.epsilons
+        kinds |= {x.kind for x in rep.violations}
+        nan_seen |= any(math.isnan(x.magnitude) for x in rep.violations)
+    assert kinds == {"boundary", "kinematic", "control_limit", "static", "off_map",
+                     "inter_agent"}
+    assert nan_seen and hypot_cases
+
+
 @pytest.mark.parametrize("head, key", [("# tau_f=2.0 agents=1", "dt"),
                                        ("# dt=0.5 agents=1", "tau_f")],
                          ids=["no_dt", "no_tau_f"])
@@ -443,3 +508,11 @@ def test_plan_file_roundtrip(tmp_path):
     assert head[0].startswith("#") and "dt=" in head[0] and "tau_f=" in head[0]
     assert head[1] == "agent_id,t_index,time_s,x,y,theta,phi,v,omega"
     assert [int(r.split(",")[0]) for r in head[2:]] == [7] * 7 + [3] * 7
+
+
+def test_write_plan_needs_one_id_per_agent(tmp_path):
+    """An id list shorter or longer than the plan is refused, not cut to fit."""
+    plan = Plan([np.zeros((3, 4))] * 2, [np.zeros((2, 2))] * 2, 0.5, 1.0)
+    for ids in ([7], [7, 3, 5]):
+        with pytest.raises(ValueError):
+            write_plan(tmp_path / "plan.csv", plan, ids)

@@ -482,14 +482,17 @@ def test_rejects_bad_problems():
         qp.QpProblem([[1.0, 0.5], [0.0, 1.0]], np.zeros(2))
     with pytest.raises(ValueError):
         qp.QpProblem(np.eye(1), np.zeros(1), [[1.0]], [2.0], [1.0])
-    # non-finite data and NaN bounds; infinite bounds are one-sided rows
+    # non-finite data, NaN bounds and rows with no finite side (l = +inf or
+    # u = -inf); -inf in l and +inf in u are one-sided rows
     eye = np.eye(2)
     for P, q, A, l, u in [(eye, [np.nan, 0.0], eye, [-1, -1], [1, 1]),
                           (eye, [np.inf, 0.0], eye, [-1, -1], [1, 1]),
                           ([[1.0, 0.0], [0.0, np.nan]], [0, 0], eye, [-1, -1], [1, 1]),
                           (eye, [0, 0], [[1.0, np.inf], [0.0, 1.0]], [-1, -1], [1, 1]),
                           (eye, [0, 0], eye, [np.nan, -1], [1, 1]),
-                          (eye, [0, 0], eye, [-1, -1], [1, np.nan])]:
+                          (eye, [0, 0], eye, [-1, -1], [1, np.nan]),
+                          (eye, [0, 0], eye, [np.inf, -1], [np.inf, 1]),
+                          (eye, [0, 0], eye, [-1, -np.inf], [1, -np.inf])]:
         with pytest.raises(ValueError):
             qp.QpProblem(P, q, A, l, u)
     one_sided = qp.QpProblem(eye, [0, 0], eye, [-np.inf, -1], [1, np.inf])
