@@ -38,7 +38,6 @@ __all__ = [
     "generate_room_instance",
     "validate_plan",
     "write_plan",
-    "read_plan",
 ]
 
 # verifier tolerances; documented in every VerificationReport
@@ -483,7 +482,11 @@ _PLAN_COLUMNS = ("agent_id", "t_index", "time_s", "x", "y", "theta", "phi", "v",
 
 
 def write_plan(path, plan: Plan, agent_ids) -> None:
-    """One CSV row per agent and time index; agent_ids[i] labels plan.states[i]."""
+    """One CSV row per agent and time index; agent_ids[i] labels plan.states[i].
+    A `# dt=.. tau_f=.. agents=M` line and the column names come first, floats
+    are written as their repr, and an agent's last row has v = omega = 0."""
+    if len(agent_ids) != plan.n_agents:
+        raise ValueError(f"{len(agent_ids)} agent ids for a plan of {plan.n_agents} agents")
     with open(path, "w") as f:
         f.write(f"# dt={plan.dt!r} tau_f={plan.tau_f!r} agents={plan.n_agents}\n")
         f.write(",".join(_PLAN_COLUMNS) + "\n")
@@ -493,35 +496,3 @@ def write_plan(path, plan: Plan, agent_ids) -> None:
                 row = (t * plan.dt, zs[t, 0], zs[t, 1], zs[t, 2], zs[t, 3], v, w)
                 f.write(f"{aid},{t}," + ",".join(repr(float(c)) for c in row) + "\n")
 
-
-def read_plan(path) -> Plan:
-    """Inverse of write_plan; the agents keep the file's order."""
-    with open(path) as f:
-        head = f.readline()
-        if not head.startswith("#"):
-            raise ValueError("plan file missing header line")
-        meta = dict(tok.split("=") for tok in head[1:].split() if "=" in tok)
-        try:
-            dt, tau_f = float(meta["dt"]), float(meta["tau_f"])
-        except KeyError as e:
-            raise ValueError(f"plan file header missing {e.args[0]}=") from None
-        f.readline()  # column names
-        rows: dict[int, list[list[float]]] = {}
-        for lineno, line in enumerate(f, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            vals = line.split(",")
-            if len(vals) != len(_PLAN_COLUMNS):
-                raise ValueError(f"plan file line {lineno}: {len(vals)} fields, need "
-                                 f"{len(_PLAN_COLUMNS)} ({','.join(_PLAN_COLUMNS)})")
-            agent = rows.setdefault(int(vals[0]), [])
-            if int(vals[1]) != len(agent):
-                raise ValueError(f"plan file line {lineno}: t_index {vals[1]}, need "
-                                 f"{len(agent)} (each agent's rows run 0, 1, 2, ...)")
-            agent.append([float(x) for x in vals[2:]])
-    states, controls = [], []
-    for arr in map(np.array, rows.values()):
-        states.append(arr[:, 1:5])
-        controls.append(arr[:-1, 5:7])
-    return Plan(states, controls, dt, tau_f)

@@ -532,13 +532,13 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
     Euler re-drive of the interpolated guess, padded with rest steps at the
     goal; corridors and linearizations are rebuilt from the current iterate
     each round.  Within a round every agent's QP depends on the last round
-    only, so the corridors and linearizations of all agents whose QP was
-    not rejected are built in one stacked call each; the QPs are then
-    assembled and solved one at a time, in agent order.  A seed that cannot
-    be relocated ends the round before its QPs, naming the first agent in
-    agent order that owns such a seed.  Stops on verifier acceptance,
-    iterate convergence (CONVERGENCE_TOL) or MAX_SQP_ITERS; only a
-    verifier-clean plan counts.
+    only, so the corridors and linearizations of all agents, rejected ones
+    included (their rows rebuild unchanged), are built in one stacked call
+    each; the QPs are then assembled and solved one at a time, in agent
+    order.  A seed that cannot be relocated ends the round before its QPs,
+    naming the first agent in agent order that owns such a seed.  Stops on
+    verifier acceptance, iterate convergence (CONVERGENCE_TOL) or
+    MAX_SQP_ITERS; only a verifier-clean plan counts.
     """
     params = instance.vehicle
     tele = RefineTelemetry()
@@ -587,21 +587,19 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
             return fail("timeout", None, k, "deadline exceeded")
         new_s, new_u = cur_s.copy(), cur_u.copy()
         # each QP reads only the last round's iterate: one corridor and one
-        # linearization pass over the stacked iterates of the live agents
-        live = [m for m in range(M) if m not in rejected]
+        # linearization pass over the stacked iterates of all agents
         try:
-            corridors = build_corridor(cur_s[live], instance)
+            corridors = build_corridor(cur_s, instance)
         except RelocationError as exc:
-            return fail("relocation_failed", order[live[exc.index[0]]], k, str(exc))
-        lins = linearize_dynamics(cur_s[live], cur_u[live], params, dt)
+            return fail("relocation_failed", order[exc.index[0]], k, str(exc))
+        lins = linearize_dynamics(cur_s, cur_u, params, dt)
         for m, task in enumerate(instance.agents):
             aid = task.id
             if m in rejected:
                 tele.qp_rejections.append((aid, k, rejected[m]))
                 continue
-            i = live.index(m)
             qp = assemble_qp(task.start.as_array(), task.goal.as_array(),
-                             cur_s[m], lins[i], corridors[i], planes[m], Y0[m], params,
+                             cur_s[m], lins[m], corridors[m], planes[m], Y0[m], params,
                              vbar0=float(cur_u[m, 0, 0]))
             if qp is None:
                 sol = None

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fleetplan import cli
@@ -11,7 +12,6 @@ from fleetplan.instance import (
     MvtpInstance,
     generate_random_instance,
     parse_instance,
-    read_plan,
     save_instance,
     validate_plan,
 )
@@ -29,15 +29,31 @@ def straight_instance():
                         VehicleParams())
 
 
-def test_solve_writes_verified_plan(tmp_path, capsys):
+def test_solve_writes_verified_plan(tmp_path, capsys, monkeypatch):
+    """The plan file holds, bit for bit, the plan that `solve` returned and
+    the verifier accepted."""
     inst = straight_instance()
     save_instance(tmp_path / "inst.yaml", inst)
+    solved, solve = [], cli.solve
+
+    def spy(instance):
+        solved.append(solve(instance))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve", spy)
     code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"),
                        "--plan", str(tmp_path / "plan.csv"))
     assert code == 0
     assert out.count("\n") == 1
     assert json.loads(out) == {"status": "ok", "failure": None}
-    assert validate_plan(inst, read_plan(tmp_path / "plan.csv")).feasible
+    [(_, _, plan)] = solved
+    assert validate_plan(inst, plan).feasible
+    (z,), (u,) = plan.states, plan.controls
+    T = len(z)
+    want = np.column_stack([np.zeros(T), np.arange(T), np.arange(T) * plan.dt, z,
+                            np.vstack([u, [0.0, 0.0]])])
+    rows = np.loadtxt(tmp_path / "plan.csv", delimiter=",", skiprows=2)
+    assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
 
 
 def test_search_out_of_budget_exits_1_with_timeout(tmp_path, capsys, monkeypatch):

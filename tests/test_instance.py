@@ -17,7 +17,6 @@ from fleetplan.instance import (
     generate_random_instance,
     generate_room_instance,
     parse_instance,
-    read_plan,
     serialize_instance,
     validate_plan,
     write_plan,
@@ -419,49 +418,6 @@ def test_validate_matches_the_agent_by_agent_reference():
     assert nan_seen and hypot_cases
 
 
-@pytest.mark.parametrize("head, key", [("# tau_f=2.0 agents=1", "dt"),
-                                       ("# dt=0.5 agents=1", "tau_f")],
-                         ids=["no_dt", "no_tau_f"])
-def test_read_plan_names_a_missing_header_key(tmp_path, head, key):
-    path = tmp_path / "plan.csv"
-    path.write_text(head + "\nagent_id,t_index,time_s,x,y,theta,phi,v,omega\n")
-    with pytest.raises(ValueError, match=f"missing {key}="):
-        read_plan(path)
-
-
-def test_read_plan_rejects_a_row_of_the_wrong_width(tmp_path):
-    """A plan file of four-column rows is refused by name, at its first data
-    row, and not loaded as (T, 1) states that the verifier trips over."""
-    path = tmp_path / "plan.csv"
-    path.write_text("# dt=0.5 tau_f=0.5 agents=1\nagent_id,t_index,time_s,x\n"
-                    "0,0,0.0,5.0\n0,1,0.5,5.0\n")
-    inst = parse_instance(MINIMAL)
-    with pytest.raises(ValueError, match="line 3: 4 fields, need 9"):
-        validate_plan(inst, read_plan(path))
-
-
-@pytest.mark.parametrize("t_indices, line, t, need", [((2, 0, 1), 3, 2, 0),
-                                                      ((0, 2, 3), 4, 2, 1),
-                                                      ((0, 0, 1), 4, 0, 1)],
-                         ids=["shuffled", "gap", "repeat"])
-def test_read_plan_requires_each_agents_t_index_in_order(tmp_path, t_indices, line, t, need):
-    """Rows are read by their t_index, not their place: an agent whose rows run
-    out of order, skip an index or repeat one is refused at that row, where it
-    would load as the states of another order (t = 2, 0, 1 as x = 7, 5, 6)."""
-    path = tmp_path / "plan.csv"
-    rows = "".join(f"0,{k},{0.5 * k},{5.0 + k},5.0,0.0,0.0,1.0,0.0\n" for k in t_indices)
-    path.write_text("# dt=0.5 tau_f=1.0 agents=1\nagent_id,t_index,time_s,x,y,theta,phi,v,omega\n"
-                    + rows)
-    with pytest.raises(ValueError, match=f"line {line}: t_index {t}, need {need}"):
-        read_plan(path)
-    # a second agent's rows may interleave, each agent counting its own
-    path.write_text("# dt=0.5 tau_f=0.5 agents=2\nagent_id,t_index,time_s,x,y,theta,phi,v,omega\n"
-                    "0,0,0.0,5,5,0,0,1,0\n1,0,0.0,9,9,0,0,1,0\n0,1,0.5,5.5,5,0,0,0,0\n"
-                    "1,1,0.5,9.5,9,0,0,0,0\n")
-    back = read_plan(path)
-    assert [s[:, 0].tolist() for s in back.states] == [[5.0, 5.5], [9.0, 9.5]]
-
-
 @pytest.mark.parametrize("field_name, shape", [("states", (6, 3)), ("controls", (5, 1))])
 def test_validate_rejects_a_wrongly_shaped_trajectory(field_name, shape):
     inst = parse_instance(MINIMAL)
@@ -491,28 +447,39 @@ def test_validate_rejects_a_dt_that_is_not_finite_and_positive():
 
 
 def test_plan_file_roundtrip(tmp_path):
-    """Rows carry the agents' ids, not their positions, and reading keeps the
-    file's order, so states[i] still belongs to the i-th agent."""
+    """`write_plan`'s layout: a header line with dt, tau_f (as repr) and the
+    agent count, the column names, then each agent's rows in the order of
+    the ids given, t_index 0..T-1 at time_s = t * dt, with v = omega = 0 on
+    the last row.  Every float comes back bit for bit through `np.loadtxt`,
+    -0.0 and values that need 17 digits included."""
     rng = np.random.default_rng(0)
-    states = [rng.uniform(0, 20, (7, 4)) for _ in range(2)]
-    controls = [rng.uniform(-1, 1, (6, 2)) for _ in range(2)]
-    plan = Plan(states, controls, 0.5, 3.0)
+    dt, tau_f = 0.1 + 0.2, 1 / 3
+    states = [rng.uniform(0, 20, (7, 4)), rng.uniform(-5, 5, (4, 4))]
+    controls = [rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (3, 2))]
+    states[1][1] = -0.0, 5e-324, 2 / 3, -1.7976931348623157e308
+    controls[1][0] = -0.0, 1e-17
     path = tmp_path / "plan.csv"
-    write_plan(path, plan, [7, 3])
-    back = read_plan(path)
-    assert back.dt == plan.dt and back.tau_f == plan.tau_f
-    for a in range(2):
-        assert np.array_equal(back.states[a], plan.states[a])
-        assert np.array_equal(back.controls[a], plan.controls[a])
-    head = path.read_text().splitlines()
-    assert head[0].startswith("#") and "dt=" in head[0] and "tau_f=" in head[0]
-    assert head[1] == "agent_id,t_index,time_s,x,y,theta,phi,v,omega"
-    assert [int(r.split(",")[0]) for r in head[2:]] == [7] * 7 + [3] * 7
+    write_plan(path, Plan(states, controls, dt, tau_f), [7, 3])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# dt=0.30000000000000004 tau_f=0.3333333333333333 agents=2"
+    assert lines[1] == "agent_id,t_index,time_s,x,y,theta,phi,v,omega"
+    assert len(lines) == 2 + 7 + 4
+    rows = np.loadtxt(path, delimiter=",", skiprows=2)
+    for aid, z, u, r in ((7, states[0], controls[0], rows[:7]),
+                         (3, states[1], controls[1], rows[7:])):
+        T = len(z)
+        want = np.column_stack([np.full(T, aid), np.arange(T),
+                                [t * dt for t in range(T)], z, np.vstack([u, [0.0, 0.0]])])
+        assert np.array_equal(r.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(rows[8, 3]) and np.signbit(rows[7, 7])
 
 
 def test_write_plan_needs_one_id_per_agent(tmp_path):
-    """An id list shorter or longer than the plan is refused, not cut to fit."""
+    """An id list shorter or longer than the plan is refused, not cut to fit,
+    and before any file is written."""
     plan = Plan([np.zeros((3, 4))] * 2, [np.zeros((2, 2))] * 2, 0.5, 1.0)
     for ids in ([7], [7, 3, 5]):
-        with pytest.raises(ValueError):
-            write_plan(tmp_path / "plan.csv", plan, ids)
+        path = tmp_path / f"plan{len(ids)}.csv"
+        with pytest.raises(ValueError, match=f"{len(ids)} agent ids for a plan of 2 agents"):
+            write_plan(path, plan, ids)
+        assert not path.exists()

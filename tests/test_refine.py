@@ -264,8 +264,8 @@ def test_batched_corridor_matches_per_seed_loop(coarse, first_round, refine30_ru
 
 
 def test_stacked_linearization_and_corridor_match_per_agent_calls(coarse, first_round):
-    """`sqp_refine` linearizes and builds corridors for all its live agents
-    in one stacked call each; element i of each result must be agent i's
+    """`sqp_refine` linearizes and builds corridors for all its agents in
+    one stacked call each; element i of each result must be agent i's
     own call bit for bit, on the round-0 iterates of n = 2, 4, 6 and on
     those iterates jittered by metres, so that many seeds are relocated."""
     tracks = iter(first_round[0])   # `_track_guess` calls, agent by agent
@@ -292,13 +292,15 @@ def test_stacked_linearization_and_corridor_match_per_agent_calls(coarse, first_
     assert relocated >= 50
 
 
-def test_relocation_failure_names_the_first_live_agent_and_round(coarse, monkeypatch):
+def test_relocation_failure_names_the_first_agent_and_round(coarse, monkeypatch):
     """A corridor seed that cannot be relocated ends refinement
     `relocation_failed`, naming by id the first agent, in agent order, that
-    owns such a seed, and the round.  Here seeds near the start poses of
-    agents 0 and 2 are blocked and cannot be relocated from round 1 on;
-    agent 0's QP is an empty box in round 0, so its seeds stay out of the
-    later corridor passes and agent 2 is named."""
+    owns such a seed, and the round.  Here seeds within 0.1 m of the start
+    discs of agents 2 and 3 are blocked and cannot be relocated from round 1
+    on, so agent 2 is named.  Agent 0's QP is an empty box in round 0; every
+    corridor pass still stacks all four agents, agent 0's rows unchanged
+    (they pass 0.295 m from agent 2's start discs, so a 0.3 m radius would
+    poison them too)."""
     inst, trajs = coarse[4]
     relabel = {0: 7, 1: 3, 2: 5, 3: 1}
     inst = MvtpInstance(inst.map_width, inst.map_height, inst.obstacles,
@@ -308,10 +310,10 @@ def test_relocation_failure_names_the_first_live_agent_and_round(coarse, monkeyp
     p = inst.vehicle
     agent_of = {tuple(a.start.as_array()): m for m, a in enumerate(inst.agents)}
     poisoned = np.concatenate([disc_centers_arr(np.array([*inst.agents[m].start.as_array(), 0.0]), p)
-                               for m in (0, 2)])
+                               for m in (2, 3)])
 
     def near(points):
-        return (np.linalg.norm(np.asarray(points)[..., None, :] - poisoned, axis=-1) < 0.3).any(-1)
+        return (np.linalg.norm(np.asarray(points)[..., None, :] - poisoned, axis=-1) < 0.1).any(-1)
 
     passes = []   # the stacked states of each corridor pass
     corridor, relocate, blocked = refine.build_corridor, refine.relocate_unsafe_point, refine.discs_blocked
@@ -341,11 +343,11 @@ def test_relocation_failure_names_the_first_live_agent_and_round(coarse, monkeyp
     monkeypatch.setattr(refine, "CONVERGENCE_TOL", 1e-12)
     rr = refine.sqp_refine(trajs, inst)
 
-    # round 0 stacks all four agents, round 1 agents 1, 2 and 3; only agents
-    # 0 and 2 own poisoned seeds
-    assert [len(s) for s in passes] == [4, 3]
+    # both rounds stack all four agents; only agents 2 and 3 own poisoned seeds
+    assert [len(s) for s in passes] == [4, 4]
+    assert np.array_equal(passes[1][0], passes[0][0])
     hit = [near(disc_centers_arr(s, p)).any(axis=(1, 2)).tolist() for s in passes]
-    assert hit == [[True, False, True, False], [False, True, False]]
+    assert hit == [[False, False, True, True]] * 2
     assert rr.status == "relocation_failed"
     assert rr.telemetry.failure == {"reason": "poisoned seed", "agent": 5, "iteration": 1}
     assert rr.telemetry.qp_rejections == [(7, 0, "empty_box")]
