@@ -52,20 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "VehicleParams",
-    "State",
-    "OrientedBox",
-    "normalize_angle",
-    "advance_arc",
-    "euler_increment",
-    "euler_step",
-    "disc_center_distance",
-    "pair_clearances",
-    "footprints",
-    "rects_overlap",
-]
-
 
 def normalize_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]; angles already in range pass through exactly."""

@@ -24,21 +24,6 @@ from fleetplan.geometry import (
     rects_overlap,
 )
 
-__all__ = [
-    "AgentTask",
-    "MvtpInstance",
-    "Plan",
-    "Violation",
-    "VerificationReport",
-    "parse_instance",
-    "serialize_instance",
-    "load_instance",
-    "save_instance",
-    "generate_random_instance",
-    "generate_room_instance",
-    "validate_plan",
-    "write_plan",
-]
 
 # verifier tolerances; documented in every VerificationReport
 KINEMATIC_EPS = 1e-6   # per-step re-simulation error [m, rad]
@@ -280,12 +265,24 @@ def _place_agents(rng, inst: MvtpInstance, n_agents: int) -> MvtpInstance:
     return inst
 
 
+def _check_args(size: float, n_agents: int) -> None:
+    """Refuse a generator's map side that is not a finite positive number,
+    and fewer than one agent."""
+    if not (math.isfinite(size) and size > 0.0):
+        raise InstanceError(f"map size {size} m is not a finite positive number")
+    if n_agents < 1:
+        raise InstanceError("n_agents must be >= 1")
+
+
 def generate_random_instance(seed: int, size: float, n_obstacles: int,
                              n_agents: int) -> MvtpInstance:
     """Seeded random scenario for the default vehicle: rectangular obstacles
-    plus agent start/goal poses."""
-    if n_agents < 1:
-        raise InstanceError("n_agents must be >= 1")
+    plus agent start/goal poses.  With obstacles, the map side must hold the
+    widest obstacle, 2 * OBSTACLE_HALF_EXTENTS[1]."""
+    _check_args(size, n_agents)
+    if n_obstacles > 0 and size < 2.0 * OBSTACLE_HALF_EXTENTS[1]:
+        raise InstanceError(f"map size {size} m is narrower than the widest obstacle "
+                            f"({2.0 * OBSTACLE_HALF_EXTENTS[1]} m)")
     vehicle = VehicleParams()
     rng = np.random.default_rng(seed)
     obstacles = []
@@ -305,16 +302,17 @@ def generate_room_instance(seed: int, size: float, n_agents: int,
     lattice with one random door per edge.
 
     A door must be wider than the covering-disc diameter, or no plan can
-    cross it.
+    cross it, and narrower than a room side, or the lattice has no walls.
     """
-    if n_agents < 1:
-        raise InstanceError("n_agents must be >= 1")
+    _check_args(size, n_agents)
     vehicle = VehicleParams()
-    if door <= 2.0 * vehicle.disc_radius:
+    pitch = size / ROOMS
+    if not door > 2.0 * vehicle.disc_radius:
         raise InstanceError(
             f"door {door} m is not wider than the covering discs ({2.0 * vehicle.disc_radius} m)")
+    if not door < pitch:
+        raise InstanceError(f"door {door} m is not narrower than a room side ({pitch} m)")
     rng = np.random.default_rng(seed)
-    pitch = size / ROOMS
     hw = WALL / 2.0
     obstacles = []
 

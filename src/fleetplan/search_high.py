@@ -40,7 +40,6 @@ class PbsResult:
     status: str                  # ok | timeout | exhausted | root_infeasible
     node: PbsNode | None
     telemetry: PbsTelemetry
-    quantum: float
 
     @property
     def ok(self) -> bool:
@@ -190,22 +189,22 @@ class PrioritySearch:
             tele.root_time_s = time.monotonic() - t0
             if root is None:
                 status = "timeout" if time.monotonic() > deadline else "root_infeasible"
-                return PbsResult(status, None, tele, self.low.quantum)
+                return PbsResult(status, None, tele)
 
             frontier = [root]   # depth-first: a stack
             while frontier:
                 if time.monotonic() > deadline:
-                    return PbsResult("timeout", None, tele, self.low.quantum)
+                    return PbsResult("timeout", None, tele)
                 node = frontier.pop()
                 if not node.conflicts:
-                    return PbsResult("ok", node, tele, self.low.quantum)
+                    return PbsResult("ok", node, tele)
                 conflict = pick_conflict(node)
                 tele.nodes_expanded += 1
                 # push in reverse so the better child is popped first
                 frontier.extend(reversed(self.expand(node, conflict, deadline)))
 
             status = "timeout" if time.monotonic() > deadline else "exhausted"
-            return PbsResult(status, None, tele, self.low.quantum)
+            return PbsResult(status, None, tele)
         finally:
             tele.total_time_s = time.monotonic() - t0
             self.low.release_memo()

@@ -172,9 +172,9 @@ def _primitive_table(grid: GridSpec, params: VehicleParams):
 
 
 class _Heading(NamedTuple):
-    """The primitive table turned to a heading th, for every sample (`stack`)
-    and for the end rows (`ends`), each as three (n, 8) addends of `_sweep`'s
-    rows: at a pose (x, y, th) the rows are
+    """The primitive table turned to a heading th: `stack` holds every
+    sample of every primitive as three (n, 8) addends of `_sweep`'s rows.  At
+    a pose (x, y, th) the rows are
     (((-0, x, y, -0, x, y, x, y) + lead) + lag) + disc, that is per local
     sample (u, v, theta) the primitive's index, the pose
     ((x + u cos th) - v sin th, (y + u sin th) + v cos th, th + theta) and
@@ -185,7 +185,6 @@ class _Heading(NamedTuple):
     end heading and yaw bin of its successor."""
 
     stack: tuple[np.ndarray, np.ndarray, np.ndarray]   # lead, lag, disc
-    ends: tuple[np.ndarray, np.ndarray, np.ndarray]
     succ: list[tuple[int, float, int]]
 
 
@@ -225,11 +224,11 @@ class LowLevelPlanner:
     waits for the first try that passes the reversal rule and horizon cap.
     A shot is tried at any distance from the goal: at the first pop, then
     once every hypot(goal - pose) / delta_s pops.  Memoised with the poses,
-    keyed on the exact float heading: the heading tables (`_Heading`), the
-    primitive table turned to each heading swept, so that `_sweep` only adds
-    the pose's (x, y), and each primitive's successor direction, wrapped end
-    heading and yaw bin, so that an expansion computes only the cell of each
-    end pose.  They hold the operands the rotation computed per pose, added
+    keyed on the exact float heading: one table per heading swept
+    (`_Heading`), the primitive table turned to it, so that `_sweep` only
+    adds the pose's (x, y), and each primitive's successor direction,
+    wrapped end heading and yaw bin, so that an expansion computes only the
+    cell of each end pose.  They hold the operands the rotation computed per pose, added
     in its order, so no bit changes; pbs50 sweeps 15,210 poses at 524
     headings.  None of it depends on time or on the dynamic obstacles, which
     arrive as the disc-centre table the caller built (`disc_table`) and are
@@ -289,7 +288,6 @@ class LowLevelPlanner:
         self._end_rows = np.cumsum(sizes) - 1         # each primitive's last stacked row
         self._starts = self._end_rows - sizes + 1      # and its first, for reduceat
         self._row_prim = np.repeat(np.arange(len(prims), dtype=float), sizes)[:, None]
-        self._ends = (self._stack[self._end_rows], self._row_prim[self._end_rows])
         cell = grid.cell
         self._shape = (max(1, int(math.ceil(instance.map_width / cell))),
                        max(1, int(math.ceil(instance.map_height / cell))))
@@ -413,21 +411,18 @@ class LowLevelPlanner:
         if tab is None:
             cth, sth = math.cos(th), math.sin(th)
             f, r = self.params.front_disc_offset, self.params.rear_disc_offset
-
-            def turn(st, prim):
-                hd = th + st[:, 2]
-                c, s = np.cos(hd), np.sin(hd)
-                ux, uy = st[:, 0] * cth, st[:, 0] * sth
-                vx, vy = -(st[:, 1] * sth), st[:, 1] * cth
-                z = np.full(len(st), -0.0)
-                return (np.stack([prim[:, 0], ux, uy, hd, ux, uy, ux, uy], axis=1),
-                        np.stack([z, vx, vy, z, vx, vy, vx, vy], axis=1),
-                        np.stack([z, z, z, z, f * c, f * s, r * c, r * s], axis=1))
-
-            ends = turn(*self._ends)
-            eths = [normalize_angle(e) for e in ends[0][:, 3].tolist()]
+            st, prim = self._stack, self._row_prim
+            hd = th + st[:, 2]
+            c, s = np.cos(hd), np.sin(hd)
+            ux, uy = st[:, 0] * cth, st[:, 0] * sth
+            vx, vy = -(st[:, 1] * sth), st[:, 1] * cth
+            z = np.full(len(st), -0.0)
+            stack = (np.stack([prim[:, 0], ux, uy, hd, ux, uy, ux, uy], axis=1),
+                     np.stack([z, vx, vy, z, vx, vy, vx, vy], axis=1),
+                     np.stack([z, z, z, z, f * c, f * s, r * c, r * s], axis=1))
+            eths = [normalize_angle(e) for e in stack[0][self._end_rows, 3].tolist()]
             succ = [(int(p.segment.direction), e, yaw_bin(e)) for p, e in zip(self._prims, eths)]
-            tab = self._headings[th] = _Heading(turn(self._stack, self._row_prim), ends, succ)
+            tab = self._headings[th] = _Heading(stack, succ)
         return tab
 
     def _sweep(self, x, y, th):
@@ -443,14 +438,12 @@ class LowLevelPlanner:
         nx, ny = self._shape
         i, j = math.floor(x / self.grid.cell), math.floor(y / self.grid.cell)
         boxes = cells[i * ny + j] if 0 <= i < nx and 0 <= j < ny else self._obs
-        # a free cell's sweep is read only at the primitives' end rows
-        tab = self._heading(th)
-        lead, lag, disc = tab.ends if boxes is None else tab.stack
+        lead, lag, disc = self._heading(th).stack
         rows = np.add((-0.0, x, y, -0.0, x, y, x, y), lead)
         rows += lag
         rows += disc
-        if boxes is None:
-            return rows
+        if boxes is None:   # a free cell's sweep is read only at the end rows
+            return rows[self._end_rows]
         cen = rows.reshape(-1, 4, 2)[:, 2:]
         bad = discs_blocked(cen, par.disc_radius, self.inst.map_width,
                             self.inst.map_height, *boxes).any(axis=-1)

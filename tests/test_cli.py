@@ -74,6 +74,21 @@ def test_search_out_of_budget_exits_1_with_timeout(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "plan.csv").exists()
 
 
+def test_refine_out_of_budget_exits_1_with_timeout(tmp_path, capsys, monkeypatch):
+    """A refinement budget already spent ends the run before refinement's
+    first QP (this instance's coarse plan does not verify, so refinement
+    starts), and no plan is written."""
+    save_instance(tmp_path / "inst.yaml", generate_random_instance(1, 30.0, 6, 2))
+    monkeypatch.setattr(cli, "REFINE_BUDGET_S", -1.0)
+    code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"),
+                       "--plan", str(tmp_path / "plan.csv"))
+    assert code == 1
+    assert json.loads(out) == {"status": "timeout",
+                               "failure": {"stage": "refine", "reason": "deadline exceeded",
+                                           "agent": None, "iteration": 0}}
+    assert not (tmp_path / "plan.csv").exists()
+
+
 def test_unwritable_plan_file_exits_2(tmp_path, capsys):
     save_instance(tmp_path / "inst.yaml", straight_instance())
     plan = tmp_path / "missing" / "plan.csv"

@@ -204,6 +204,31 @@ def test_room_generator_rejects_impassable_door():
         generate_room_instance(3, 50.0, 4, door=2.0)
 
 
+@pytest.mark.parametrize("size,n_obstacles,match", [
+    (3.0, 3, "narrower than the widest obstacle"),
+    (-5.0, 2, "not a finite positive number"),
+    (0.0, 0, "not a finite positive number"),
+    (math.nan, 0, "not a finite positive number"),
+    (math.inf, 1, "not a finite positive number"),
+])
+def test_generator_rejects_out_of_range_size(size, n_obstacles, match):
+    with pytest.raises(InstanceError, match=match):
+        generate_random_instance(1, size, n_obstacles, 1)
+
+
+@pytest.mark.parametrize("size,door,match", [
+    (12.0, 3.5, "not narrower than a room side"),
+    # a door as wide as a room side leaves the lattice with no walls
+    (14.0, 3.5, "not narrower than a room side"),
+    (40.0, math.nan, "door nan"),
+    (40.0, math.inf, "door inf"),
+    (math.nan, 3.5, "not a finite positive number"),
+])
+def test_room_generator_rejects_out_of_range_size_or_door(size, door, match):
+    with pytest.raises(InstanceError, match=match):
+        generate_room_instance(1, size, 1, door=door)
+
+
 def _hold_plan(inst, T=6, dt=0.5):
     states, controls = [], []
     for a in inst.agents:

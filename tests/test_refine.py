@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -352,6 +353,18 @@ def test_relocation_failure_names_the_first_agent_and_round(coarse, monkeypatch)
     assert rr.telemetry.failure == {"reason": "poisoned seed", "agent": 5, "iteration": 1}
     assert rr.telemetry.qp_rejections == [(7, 0, "empty_box")]
     assert rr.telemetry.iterations == 1
+
+
+def test_past_deadline_ends_refinement_with_timeout(coarse):
+    """A deadline already past ends refinement before its first QP: status
+    timeout, no plan, and the failure names no agent and round 0."""
+    inst, trajs = coarse[2]
+    rr = refine.sqp_refine(trajs, inst, deadline=time.monotonic() - 1.0)
+    assert rr.status == "timeout"
+    assert rr.plan is None
+    assert rr.telemetry.failure == {"reason": "deadline exceeded", "agent": None,
+                                    "iteration": 0}
+    assert rr.telemetry.iterations == 0
 
 
 def test_max_iters_qp_result_is_rejected(monkeypatch):

@@ -62,7 +62,11 @@ def cascade_instance():
     )
 
 
-def joint_plan(node: sh.PbsNode, quantum: float) -> Plan:
+def joint_plan(node: sh.PbsNode, v_max: float) -> Plan:
+    # every trajectory carries the search's quantum, as refine.interpolate
+    # needs: it takes trajs[0].quantum for every agent
+    quantum = GridSpec().delta_s / v_max
+    assert all(t.quantum == quantum for t in node.trajs.values())
     T = max(t.states.shape[0] for t in node.trajs.values())
     states = []
     for a in sorted(node.trajs):
@@ -75,8 +79,8 @@ def joint_plan(node: sh.PbsNode, quantum: float) -> Plan:
                 dt=quantum, tau_f=(T - 1) * quantum)
 
 
-def spatial_violations(inst, node, quantum):
-    report = validate_plan(inst, joint_plan(node, quantum))
+def spatial_violations(inst, node):
+    report = validate_plan(inst, joint_plan(node, inst.vehicle.v_max))
     return [v for v in report.violations
             if v.kind in ("inter_agent", "static", "off_map")]
 
@@ -171,7 +175,7 @@ def test_head_on_corridor_solved_and_verified():
     assert node.conflicts == []
     assert node.orders  # resolved by adding priority pairs
     assert sh.detect_conflicts(node.trajs, inst.vehicle) == []
-    assert spatial_violations(inst, node, res.quantum) == []
+    assert spatial_violations(inst, node) == []
     assert ordered_pairs_clean(node, inst.vehicle)
 
 
@@ -189,12 +193,12 @@ def test_five_agent_open_map():
     res = sh.PrioritySearch(inst, grid, warm_start=False).solve(60.0)
     assert res.ok
     assert res.telemetry.nodes_expanded >= 1
-    assert spatial_violations(inst, res.node, res.quantum) == []
+    assert spatial_violations(inst, res.node) == []
     assert ordered_pairs_clean(res.node, inst.vehicle)
 
     warm = sh.PrioritySearch(inst, grid, warm_start=True).solve(60.0)
     assert warm.ok
-    assert spatial_violations(inst, warm.node, warm.quantum) == []
+    assert spatial_violations(inst, warm.node) == []
 
 
 def test_pick_conflict_rule():
@@ -319,7 +323,7 @@ def test_nook_solved_with_single_expansion():
     assert res.ok
     assert res.telemetry.nodes_expanded == 1
     assert res.node.orders == frozenset({(1, 0)})
-    assert spatial_violations(inst, res.node, res.quantum) == []
+    assert spatial_violations(inst, res.node) == []
 
 
 def test_cascade_instance_solves():
@@ -327,7 +331,7 @@ def test_cascade_instance_solves():
     res = sh.PrioritySearch(inst, GridSpec(), warm_start=False).solve(120.0)
     assert res.ok
     assert ordered_pairs_clean(res.node, inst.vehicle)
-    assert spatial_violations(inst, res.node, res.quantum) == []
+    assert spatial_violations(inst, res.node) == []
 
 
 def test_order_helpers():
