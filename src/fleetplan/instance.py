@@ -6,6 +6,7 @@ both planning stages are judged against it, never against their own checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -25,7 +26,7 @@ from fleetplan.geometry import (
 )
 
 
-# verifier tolerances; documented in every VerificationReport
+# verifier tolerances, fixed: the one statement of what validate_plan accepts
 KINEMATIC_EPS = 1e-6   # per-step re-simulation error [m, rad]
 BOUNDARY_POS_EPS = 1e-3   # endpoint position tolerance [m]
 BOUNDARY_ANG_EPS = 1e-2   # endpoint angle tolerance [rad]
@@ -265,13 +266,20 @@ def _place_agents(rng, inst: MvtpInstance, n_agents: int) -> MvtpInstance:
     return inst
 
 
-def _check_args(size: float, n_agents: int) -> None:
-    """Refuse a generator's map side that is not a finite positive number,
-    and fewer than one agent."""
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a generator's seed or count that is not an integer (numpy
+    integers are) or is below least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise InstanceError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_args(seed: int, size: float, n_agents: int) -> None:
+    """Refuse a generator's negative or non-integer seed, a map side that is
+    not a finite positive number, and fewer than one agent."""
+    _check_count("seed", seed, 0)
     if not (math.isfinite(size) and size > 0.0):
         raise InstanceError(f"map size {size} m is not a finite positive number")
-    if n_agents < 1:
-        raise InstanceError("n_agents must be >= 1")
+    _check_count("n_agents", n_agents, 1)
 
 
 def generate_random_instance(seed: int, size: float, n_obstacles: int,
@@ -279,7 +287,8 @@ def generate_random_instance(seed: int, size: float, n_obstacles: int,
     """Seeded random scenario for the default vehicle: rectangular obstacles
     plus agent start/goal poses.  With obstacles, the map side must hold the
     widest obstacle, 2 * OBSTACLE_HALF_EXTENTS[1]."""
-    _check_args(size, n_agents)
+    _check_args(seed, size, n_agents)
+    _check_count("n_obstacles", n_obstacles, 0)
     if n_obstacles > 0 and size < 2.0 * OBSTACLE_HALF_EXTENTS[1]:
         raise InstanceError(f"map size {size} m is narrower than the widest obstacle "
                             f"({2.0 * OBSTACLE_HALF_EXTENTS[1]} m)")
@@ -304,7 +313,7 @@ def generate_room_instance(seed: int, size: float, n_agents: int,
     A door must be wider than the covering-disc diameter, or no plan can
     cross it, and narrower than a room side, or the lattice has no walls.
     """
-    _check_args(size, n_agents)
+    _check_args(seed, size, n_agents)
     vehicle = VehicleParams()
     pitch = size / ROOMS
     if not door > 2.0 * vehicle.disc_radius:
@@ -374,14 +383,6 @@ class Violation:
 @dataclass
 class VerificationReport:
     violations: list[Violation] = field(default_factory=list)
-    epsilons: dict[str, float] = field(
-        default_factory=lambda: {
-            "kinematic": KINEMATIC_EPS,
-            "boundary_pos": BOUNDARY_POS_EPS,
-            "boundary_ang": BOUNDARY_ANG_EPS,
-            "control_limit": LIMIT_EPS,
-        }
-    )
 
     @property
     def feasible(self) -> bool:

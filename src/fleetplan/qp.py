@@ -234,15 +234,12 @@ class _Kkt:
             raise np.linalg.LinAlgError(f"band LU failed at pivot {info}")
         return lu, piv, w
 
-    def solve(self, f, rhs):
-        v = np.empty(self.N)
-        v[self.pos] = rhs
-        return dgbtrs(f[0], self.k, self.k, v, f[1], overwrite_b=True)[0][self.pos]
-
     def split_solve(self, f, rx, ry):
         """(dx, dy) solving the system for the right side (rx, ry): one band
         solve, delta included."""
-        d = self.solve(f, np.concatenate([rx, ry]))
+        v = np.empty(self.N)
+        v[self.pos] = np.concatenate([rx, ry])
+        d = dgbtrs(f[0], self.k, self.k, v, f[1], overwrite_b=True)[0][self.pos]
         return d[:self.n], d[self.n:]
 
     def newton(self, f, rx, ry):

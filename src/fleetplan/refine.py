@@ -548,9 +548,6 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
     guess = Plan(states=list(states), controls=list(controls), dt=dt, tau_f=(T - 1) * dt)
     if validate_plan(instance, guess).feasible:
         return RefineResult("ok", guess, tele)
-    if T < 2:
-        tele.failure = {"reason": "degenerate_guess", "iteration": 0}
-        return RefineResult("not_feasible", None, tele)
 
     # one extra quantum parked at the goal: the rollout below may land a hair
     # off, and the rest steps give the QP two-sided reach to close that gap

@@ -30,9 +30,6 @@ class PbsNode:
 class PbsTelemetry:
     nodes_expanded: int = 0
     low_level_calls: int = 0
-    free_replans: int = 0
-    root_time_s: float = 0.0
-    total_time_s: float = 0.0
 
 
 @dataclass
@@ -102,7 +99,6 @@ def _topological(ids, orders):
 
 class PrioritySearch:
     def __init__(self, instance, grid: GridSpec, warm_start: bool = True):
-        self.inst = instance
         self.low = LowLevelPlanner(instance, grid)
         self.params = instance.vehicle
         self.ids = sorted(a.id for a in instance.agents)
@@ -128,7 +124,6 @@ class PrioritySearch:
             if not res.ok and table is not None:
                 res = self.low.plan(a, None, deadline=deadline)
                 self.telemetry.low_level_calls += 1
-                self.telemetry.free_replans += 1
             if not res.ok:
                 return None
             trajs[a] = res.trajectory
@@ -179,14 +174,11 @@ class PrioritySearch:
 
     def solve(self, time_budget: float | None = None) -> PbsResult:
         """Search from a fresh root with fresh telemetry.  On every exit the
-        total time is recorded and the low-level pose memo that the replans
-        share is dropped."""
-        t0 = time.monotonic()
-        deadline = math.inf if time_budget is None else t0 + time_budget
+        low-level pose memo that the replans share is dropped."""
+        deadline = math.inf if time_budget is None else time.monotonic() + time_budget
         tele = self.telemetry = PbsTelemetry()
         try:
             root = self.generate_root(deadline)
-            tele.root_time_s = time.monotonic() - t0
             if root is None:
                 status = "timeout" if time.monotonic() > deadline else "root_infeasible"
                 return PbsResult(status, None, tele)
@@ -206,5 +198,4 @@ class PrioritySearch:
             status = "timeout" if time.monotonic() > deadline else "exhausted"
             return PbsResult(status, None, tele)
         finally:
-            tele.total_time_s = time.monotonic() - t0
             self.low.release_memo()

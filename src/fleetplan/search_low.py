@@ -317,10 +317,14 @@ class LowLevelPlanner:
 
     # -- heuristic ---------------------------------------------------------
 
-    def _flood(self, agent_id: int) -> np.ndarray:
-        """Distances-to-goal on the 8-connected cell grid (meters)."""
+    def _flood(self, agent_id: int, deadline: float = math.inf) -> np.ndarray | None:
+        """Distances-to-goal on the 8-connected cell grid (meters), or None
+        when the deadline passes first: the clock is read at the start and
+        every 1,024 heap pops, and a fill cut short is not kept."""
         if agent_id in self._fills:
             return self._fills[agent_id]
+        if time.monotonic() > deadline:
+            return None
         cell = self.grid.cell
         nx, ny = self._shape
         # a cell is blocked where its centre lies in a box, edges included
@@ -343,7 +347,11 @@ class LowLevelPlanner:
         diag = cell * _SQRT2
         steps = [(di * w + dj, diag if di and dj else cell) for di, dj in _NBRS8]
         heap = [(0.0, start)]
+        pops = 0
         while heap:
+            pops += 1
+            if pops % 1024 == 0 and time.monotonic() > deadline:
+                return None
             d, k = heapq.heappop(heap)
             if d > dist[k]:
                 continue
@@ -464,7 +472,9 @@ class LowLevelPlanner:
         goal_t = (goal.x, goal.y, goal.theta)
         goal_cen = disc_centers_arr(np.array([goal_t]), par)     # (1, 2, 2)
         two_r = 2.0 * par.disc_radius
-        fill = self._flood(agent_id)
+        fill = self._flood(agent_id, deadline)
+        if fill is None:
+            return LowLevelResult("timeout", None, 0)
         quantum, v_max = self.quantum, par.v_max
         # for the dynamic broadphase, each obstacle's disc midpoint [t][k] = [x, y]
         count, horizon = table.shape[0], table.shape[1] - 1

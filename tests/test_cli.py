@@ -15,6 +15,9 @@ from fleetplan.instance import (
     save_instance,
     validate_plan,
 )
+from fleetplan.refine import sqp_refine
+from fleetplan.search_high import PrioritySearch
+from fleetplan.search_low import GridSpec
 
 
 def run(capsys, *argv):
@@ -54,6 +57,31 @@ def test_solve_writes_verified_plan(tmp_path, capsys, monkeypatch):
                             np.vstack([u, [0.0, 0.0]])])
     rows = np.loadtxt(tmp_path / "plan.csv", delimiter=",", skiprows=2)
     assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+
+
+def test_agents_at_their_goals_get_a_one_sample_plan(tmp_path, capsys):
+    """Agents that start at their goals get coarse trajectories with no
+    segment, and the one-sample guess interpolated from them verifies, so
+    refinement returns it at once and the plan file holds one row per
+    agent."""
+    poses = [State(5.0, 5.0, 0.3), State(15.0, 15.0, -2.0)]
+    inst = MvtpInstance(20.0, 20.0, [], [AgentTask(k, p, p) for k, p in enumerate(poses)],
+                        VehicleParams())
+    res = PrioritySearch(inst, GridSpec()).solve(60.0)
+    assert res.ok
+    assert [res.trajectories[a].horizon for a in (0, 1)] == [0, 0]
+    rr = sqp_refine(res.trajectories, inst)
+    assert rr.ok
+    assert (rr.plan.horizon, rr.telemetry.iterations) == (1, 0)
+    save_instance(tmp_path / "inst.yaml", inst)
+    code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"),
+                       "--plan", str(tmp_path / "plan.csv"))
+    assert code == 0
+    assert json.loads(out) == {"status": "ok", "failure": None}
+    lines = (tmp_path / "plan.csv").read_text().splitlines()
+    assert lines[0].startswith("# dt=") and lines[0].endswith(" agents=2")
+    assert lines[1] == "agent_id,t_index,time_s,x,y,theta,phi,v,omega"
+    assert [row.split(",")[:3] for row in lines[2:]] == [["0", "0", "0.0"], ["1", "0", "0.0"]]
 
 
 def test_search_out_of_budget_exits_1_with_timeout(tmp_path, capsys, monkeypatch):

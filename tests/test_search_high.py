@@ -224,7 +224,7 @@ def test_generate_root_free_replan_when_boxed_in():
     s = sh.PrioritySearch(inst, GridSpec(), warm_start=True)
     root = s.generate_root()
     assert root is not None
-    assert s.telemetry.free_replans == 1
+    assert s.telemetry.low_level_calls == 3  # two agents plus the free replan
     assert root.conflicts, "freely planned agent must collide with its blocker"
     assert root.orders == frozenset()
 
@@ -233,7 +233,6 @@ def test_warm_start_off_plans_everyone_freely():
     inst = nook_instance()
     s = sh.PrioritySearch(inst, GridSpec(), warm_start=False)
     s.generate_root()
-    assert s.telemetry.free_replans == 0
     assert s.telemetry.low_level_calls == 2
 
 
@@ -387,14 +386,12 @@ def test_solve_telemetry():
     t = res.telemetry
     assert t.nodes_expanded >= 1
     assert t.low_level_calls >= 3  # two root plans plus at least one replan
-    assert 0.0 < t.root_time_s <= t.total_time_s
 
 
 def solve_and_check_exit(search, budget):
-    """Every exit drops the pose memo and records the total time."""
+    """Every exit drops the pose memo."""
     res = search.solve(budget)
     assert search.low._sweeps == {} and search.low._by_goal == {}
-    assert 0.0 < res.telemetry.root_time_s <= res.telemetry.total_time_s
     return res.status
 
 
@@ -418,9 +415,8 @@ def test_each_solve_has_its_own_telemetry():
     second = search.solve()
     assert first.ok and second.ok
     assert first.telemetry is not second.telemetry
-    counts = [(r.telemetry.nodes_expanded, r.telemetry.low_level_calls,
-               r.telemetry.free_replans) for r in (first, second)]
-    assert counts == [(6, 20, 0)] * 2
+    counts = [(r.telemetry.nodes_expanded, r.telemetry.low_level_calls) for r in (first, second)]
+    assert counts == [(6, 20)] * 2
 
 
 def test_solve_deterministic():

@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -642,6 +644,22 @@ def test_timeout_reported():
     inst = detour_instance()
     res = plan_agent(inst, 0, None, sl.GridSpec(), deadline=time.monotonic())
     assert res.status == "timeout"
+
+
+def test_flood_stops_at_the_deadline(monkeypatch):
+    """The flood reads the clock at its start and every 1,024 heap pops, so a
+    deadline that passes before or during a large fill ends the call in
+    `timeout`, and no fill is kept."""
+    planner = sl.LowLevelPlanner(empty_instance(1000.0), sl.GridSpec())
+    res = planner.plan(0, None, deadline=time.monotonic() - 1.0)
+    assert (res.status, res.trajectory, res.expansions) == ("timeout", None, 0)
+    assert planner._fills == {}
+    # a clock one second further on at each read passes a 1.5 s deadline at
+    # its third read, the one after the 2,048th pop
+    clock = itertools.count()
+    monkeypatch.setattr(sl, "time", SimpleNamespace(monotonic=functools.partial(next, clock)))
+    assert planner._flood(0, deadline=1.5) is None
+    assert next(clock) == 3 and planner._fills == {}
 
 
 def test_replay_check_catches_corruption():
