@@ -7,8 +7,9 @@ SQP refinement and the independent verifier.  It prints one JSON line with
 the status and, unless the status is "ok", the failure (the stage that
 failed and why), and writes the plan only when the status is "ok".  Exit
 status: 0 for a verified plan, 1 for none, 2 for an unreadable or malformed
-instance file or a verified plan that cannot be written to OUT.csv (the
-JSON line is printed first, the error goes to stderr).
+instance file, a map with more search-grid cells than
+`search_low.MAX_CELLS`, or a verified plan that cannot be written to
+OUT.csv (the JSON line is printed first, the error goes to stderr).
 
 The search gets SEARCH_BUDGET_S seconds and refinement REFINE_BUDGET_S more;
 a stage out of time ends the run: status "timeout", that stage, exit 1.
@@ -53,10 +54,10 @@ def main(argv=None) -> int:
 
     try:
         inst = load_instance(args.instance)
+        status, failure, plan = solve(inst)
     except (InstanceError, OSError) as e:
         print(f"fleetplan: {e}", file=sys.stderr)
         return 2
-    status, failure, plan = solve(inst)
     print(json.dumps({"status": status, "failure": failure}))
     if plan is not None and args.plan:
         try:

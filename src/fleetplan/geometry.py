@@ -25,8 +25,9 @@ one version of each of seven kernels:
   sweep of one agent against its ancestors only, passes their stacked table
   to `disc_center_distance` directly.
 - `box_gaps`: the per-axis gaps between points and axis-aligned obstacle
-  boxes.  `discs_blocked`, the search's flood-fill obstacle cells and
-  static broadphase table and refinement's seed relocation use it.
+  boxes.  `discs_blocked`, the search's flood-fill obstacle cells, its
+  static broadphase (one cell at a time, as the search reaches it) and
+  refinement's seed relocation use it.
 - `discs_blocked`: whether discs leave the map or come closer than their
   radius to an obstacle.  It is the search's static test of primitive sweeps
   and goal shots, and refinement's test of corridor seeds and of their

@@ -30,6 +30,7 @@ from .geometry import (
     discs_blocked,
     normalize_angle,
 )
+from .instance import InstanceError
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -46,6 +47,7 @@ _YAW_BIN = _TWO_PI / N_YAW
 SAMPLE_DS = 0.5            # collision-sample spacing along a motion [m]
 RS_RADIUS = 12.0           # goal distance within which the heuristic prices Reeds-Shepp curves [m]
 MAX_STEPS = 256            # cap on a node's time index
+MAX_CELLS = 2 ** 22        # cap on the search grid's cells, nx * ny
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ class LowLevelPlanner:
 
     The planner keeps per-instance data for the life of the instance: the
     obstacle arrays, the primitive table, and the flood fills and the static
-    broadphase table, both built on first use.  Waits and reordered moves
+    broadphase's cell entries, both built on first use.  Waits and reordered moves
     bring the vehicle back to the exact same (x, y, yaw) at later time
     indices, and PBS replans the same agent again and again around different
     higher-priority trajectories, so each expansion is split in two.
@@ -249,19 +251,19 @@ class LowLevelPlanner:
     plan is the one the full tests give.  Every covering-disc centre of a
     primitive's sweep lies within the primitive table's largest disc-centre
     offset of the pose the sweep starts from, whatever the heading.  The
-    static table, one entry per search-grid cell, names the boxes within
-    that offset + r_v + 1e-6 of the cell and whether a map edge is that
-    close: a box farther off cannot come within r_v of a disc, so `_sweep`
-    runs `discs_blocked` on the named boxes alone, and skips it where the
-    cell has neither.  A pose off the table takes every box.  The dynamic
-    broadphase compares the pose with the dynamic obstacles' disc midpoints
-    at the next time index, kept as Python lists per call.  Both of an
-    obstacle's disc centres lie |front - rear offset| / 2 from its midpoint,
-    so by the triangle inequality an obstacle whose midpoint is farther off
-    than that offset + |front - rear offset| / 2 + 2 r_v + 1e-6 has no disc
-    centre within 2 r_v of an end pose's, and `disc_center_distance` runs
-    only when some obstacle is that close.  The 1e-6 margins dwarf the
-    ~1e-14 rounding of world coordinates.
+    static entry of a search-grid cell (i, j), on the map or off it, built
+    when a sweep first starts there, names the boxes within that offset +
+    r_v + 1e-6 of the cell and whether a map edge is that close: a box
+    farther off cannot come within r_v of a disc, so `_sweep` runs
+    `discs_blocked` on the named boxes alone, and skips it where the cell
+    has neither.  The dynamic broadphase compares the pose with the dynamic
+    obstacles' disc midpoints at the next time index, kept as Python lists
+    per call.  Both of an obstacle's disc centres lie |front - rear offset|
+    / 2 from its midpoint, so by the triangle inequality an obstacle whose
+    midpoint is farther off than that offset + |front - rear offset| / 2 +
+    2 r_v + 1e-6 has no disc centre within 2 r_v of an end pose's, and
+    `disc_center_distance` runs only when some obstacle is that close.  The
+    1e-6 margins dwarf the ~1e-14 rounding of world coordinates.
 
     Deferred until pop (Lazy A*, Tolpin et al., IJCAI 2013): a pose within
     RS_RADIUS of the goal whose curve is not yet known is pushed on a floor,
@@ -275,6 +277,13 @@ class LowLevelPlanner:
     """
 
     def __init__(self, instance, grid: GridSpec):
+        cell = grid.cell
+        self._shape = (max(1, int(math.ceil(instance.map_width / cell))),
+                       max(1, int(math.ceil(instance.map_height / cell))))
+        cells = self._shape[0] * self._shape[1]
+        if cells > MAX_CELLS:
+            raise InstanceError(f"the {instance.map_width:g} x {instance.map_height:g} m map has "
+                                f"{cells:,} search-grid cells, more than MAX_CELLS = {MAX_CELLS:,}")
         self.inst = instance
         self.grid = grid
         self.params = instance.vehicle
@@ -288,12 +297,6 @@ class LowLevelPlanner:
         self._end_rows = np.cumsum(sizes) - 1         # each primitive's last stacked row
         self._starts = self._end_rows - sizes + 1      # and its first, for reduceat
         self._row_prim = np.repeat(np.arange(len(prims), dtype=float), sizes)[:, None]
-        cell = grid.cell
-        self._shape = (max(1, int(math.ceil(instance.map_width / cell))),
-                       max(1, int(math.ceil(instance.map_height / cell))))
-        # the cell centres, (nx, 1) and (1, ny)
-        self._centres = ((np.arange(self._shape[0])[:, None] + 0.5) * cell,
-                         (np.arange(self._shape[1])[None, :] + 0.5) * cell)
         # the broadphases' radii (see the class docstring), from the farthest
         # a covering-disc centre of any primitive's sweep gets from the pose
         # it starts from, which a rotation keeps
@@ -303,7 +306,7 @@ class LowLevelPlanner:
         self._reach = offset + r + 1e-6
         self._far = (offset + 0.5 * abs(self.params.front_disc_offset
                                         - self.params.rear_disc_offset) + 2.0 * r + 1e-6)
-        self._cells: list | None = None
+        self._cells: dict[tuple[int, int], tuple | None] = {}
         self._fills: dict[int, np.ndarray] = {}
         self._task_by_id = {a.id: a for a in instance.agents}
         self.release_memo()
@@ -328,7 +331,8 @@ class LowLevelPlanner:
         cell = self.grid.cell
         nx, ny = self._shape
         # a cell is blocked where its centre lies in a box, edges included
-        dx, dy = box_gaps(*self._centres, *self._obs)
+        dx, dy = box_gaps((np.arange(nx)[:, None] + 0.5) * cell,
+                          (np.arange(ny)[None, :] + 0.5) * cell, *self._obs)
         blocked = ((dx == 0.0) & (dy == 0.0)).any(axis=-1)
         goal = self._task_by_id[agent_id].goal
         gi, gj = cell_of(goal.x, goal.y, self.grid)
@@ -391,27 +395,24 @@ class LowLevelPlanner:
         return discs_blocked(cen, self.params.disc_radius, self.inst.map_width,
                              self.inst.map_height, *self._obs)
 
-    def _static_cells(self) -> list:
-        """The static broadphase, built on first use: per search-grid cell,
-        flat at i * ny + j, None where no primitive's sweep from a pose in
-        the cell can reach a map edge or an obstacle, else the obstacle
-        boxes (acx, acy, ahx, ahy) that such a sweep can reach, maybe none."""
-        if self._cells is None:
+    def _near_boxes(self, i: int, j: int):
+        """The static broadphase entry of search-grid cell (i, j), on the
+        grid or off it, built on first use: None where no primitive's sweep
+        from a pose in the cell can reach a map edge or an obstacle, else the
+        obstacle boxes (acx, acy, ahx, ahy) that such a sweep can reach,
+        maybe none."""
+        key = (i, j)
+        if key not in self._cells:
             cell, reach = self.grid.cell, self._reach
-            nx, ny = self._shape
-            cx, cy = self._centres
+            cx, cy = (i + 0.5) * cell, (j + 0.5) * cell
             acx, acy, ahx, ahy = self._obs
-            # the gaps from each whole cell to each box
+            # the gaps from the whole cell to each box
             dx, dy = box_gaps(cx, cy, acx, acy, ahx + 0.5 * cell, ahy + 0.5 * cell)
-            near = (dx * dx + dy * dy < reach * reach).reshape(nx * ny, -1)
-            edge = ((np.minimum(cx, self.inst.map_width - cx) < reach + 0.5 * cell)
-                    | (np.minimum(cy, self.inst.map_height - cy) < reach + 0.5 * cell))
-            free = ~(near.any(axis=1) | edge.ravel())
-            subsets, which = np.unique(near, axis=0, return_inverse=True)
-            boxes = [tuple(a[k] for a in self._obs) for k in subsets]
-            self._cells = [None if f else boxes[k]
-                           for f, k in zip(free.tolist(), which.ravel().tolist())]
-        return self._cells
+            near = dx * dx + dy * dy < reach * reach
+            edge = (min(cx, self.inst.map_width - cx) < reach + 0.5 * cell
+                    or min(cy, self.inst.map_height - cy) < reach + 0.5 * cell)
+            self._cells[key] = tuple(a[near] for a in self._obs) if edge or near.any() else None
+        return self._cells[key]
 
     def _heading(self, th: float) -> _Heading:
         """The heading table of th, built on first use while the memo lives."""
@@ -439,13 +440,9 @@ class LowLevelPlanner:
         obstacles, in primitive order, holding the primitive's index, its end
         pose with the heading not yet wrapped, and the end pose's disc centres
         flattened, (F, 8).  Only the obstacles that the static broadphase
-        names for the pose's cell are tested; a pose off the table takes
-        them all."""
+        names for the pose's cell are tested."""
         par = self.params
-        cells = self._static_cells()
-        nx, ny = self._shape
-        i, j = math.floor(x / self.grid.cell), math.floor(y / self.grid.cell)
-        boxes = cells[i * ny + j] if 0 <= i < nx and 0 <= j < ny else self._obs
+        boxes = self._near_boxes(math.floor(x / self.grid.cell), math.floor(y / self.grid.cell))
         lead, lag, disc = self._heading(th).stack
         rows = np.add((-0.0, x, y, -0.0, x, y, x, y), lead)
         rows += lag

@@ -364,6 +364,27 @@ def reference_sweep(planner, x, y, th) -> np.ndarray:
     return rows[planner._end_rows[~np.logical_or.reduceat(bad, planner._starts)]]
 
 
+def brute_near_boxes(planner, i, j):
+    """`LowLevelPlanner._near_boxes(i, j)` by scalar loops over the boxes:
+    None when no box, widened by half a cell, lies within the broadphase's
+    reach of the cell centre ((i + 0.5) cell, (j + 0.5) cell) and no map
+    edge lies within reach + half a cell of it; else the near boxes as
+    (acx, acy, ahx, ahy), in box order."""
+    cell, reach = planner.grid.cell, planner._reach
+    half = 0.5 * cell
+    cx, cy = (i + 0.5) * cell, (j + 0.5) * cell
+    near = []
+    for k, (bx, by, hx, hy) in enumerate(zip(*(a.tolist() for a in planner._obs))):
+        dx = max(abs(cx - bx) - (hx + half), 0.0)
+        dy = max(abs(cy - by) - (hy + half), 0.0)
+        if dx * dx + dy * dy < reach * reach:
+            near.append(k)
+    w, h = planner.inst.map_width, planner.inst.map_height
+    if not near and min(cx, w - cx) >= reach + half and min(cy, h - cy) >= reach + half:
+        return None
+    return tuple(a[near] for a in planner._obs)
+
+
 def reference_primitive_table(grid, params) -> list[tuple]:
     """`_primitive_table` before `_piece_poses` walked it: per primitive
     (direction, steer, local samples (n, 3)), the wait last, with

@@ -128,6 +128,20 @@ def test_unwritable_plan_file_exits_2(tmp_path, capsys):
     assert not plan.exists()
 
 
+def test_map_too_large_to_grid_exits_2(tmp_path, capsys):
+    """A map with more search-grid cells than MAX_CELLS ends with one
+    `fleetplan: ` line naming the cell count, not an allocation traceback."""
+    inst = MvtpInstance(1e12, 1e12, [], straight_instance().agents, VehicleParams())
+    save_instance(tmp_path / "inst.yaml", inst)
+    code, out, err = run(capsys, "solve", str(tmp_path / "inst.yaml"),
+                         "--plan", str(tmp_path / "plan.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fleetplan: ") and err.count("\n") == 1
+    assert "search-grid cells, more than MAX_CELLS" in err
+    assert not (tmp_path / "plan.csv").exists()
+
+
 def test_solve_reports_failure_and_writes_no_plan(tmp_path, capsys):
     save_instance(tmp_path / "inst.yaml", generate_random_instance(1, 30.0, 6, 2))
     code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"),

@@ -10,6 +10,7 @@ import pytest
 from fleetplan.geometry import OrientedBox, State, VehicleParams, disc_centers_arr
 from fleetplan.instance import (
     AgentTask,
+    InstanceError,
     MvtpInstance,
     Plan,
     generate_random_instance,
@@ -21,6 +22,7 @@ from fleetplan import search_low as sl
 from oracles import (
     body_rect,
     brute_flood,
+    brute_near_boxes,
     corner_sat,
     reference_flood,
     reference_primitive_table,
@@ -212,11 +214,42 @@ def test_sweep_matches_reference_sweep():
         for x, y, th in sweep_poses(planner, rng).tolist():
             got = planner._sweep(x, y, th)
             assert np.array_equal(got, reference_sweep(planner, x, y, th)), (x, y, th)
-    # the no-obstacle map's interior needs no test at all; its rim and every
-    # pose off the table take the map test
-    cells = planner._static_cells()
-    assert any(c is None for c in cells) and any(c is not None for c in cells)
-    assert all(c is None or c[0].size == 0 for c in cells)
+    # the no-obstacle map's interior needs no test at all; its rim and the
+    # ring of cells just off the grid take the map test alone
+    nx, ny = planner._shape
+    assert planner._near_boxes(nx // 2, ny // 2) is None
+    for i, j in rim_cells(0, nx - 1, 0, ny - 1) + rim_cells(-1, nx, -1, ny):
+        boxes = planner._near_boxes(i, j)
+        assert boxes is not None and len(boxes) == 4, (i, j)
+        assert all(a.size == 0 for a in boxes), (i, j)
+
+
+def rim_cells(i0, i1, j0, j1):
+    """The cells on the border of the block [i0, i1] x [j0, j1], each once."""
+    return ([(i, j) for i in range(i0, i1 + 1) for j in (j0, j1)]
+            + [(i, j) for i in (i0, i1) for j in range(j0 + 1, j1)])
+
+
+def test_near_boxes_match_brute_near_boxes():
+    """Every cell of a pbs50 map and a rooms40 map, and the ring of cells
+    just off each grid, gets the scalar loop's entry: the same None or the
+    same boxes in the same order."""
+    insts = bench_instances()
+    kinds = set()
+    for inst in (insts[0], insts[10]):
+        planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+        nx, ny = planner._shape
+        cells = list(itertools.product(range(nx), range(ny))) + rim_cells(-1, nx, -1, ny)
+        for i, j in cells:
+            got, want = planner._near_boxes(i, j), brute_near_boxes(planner, i, j)
+            kinds.add(None if got is None else min(len(got[0]), 1))
+            assert (got is None) == (want is None), (i, j)
+            if want is not None:
+                assert len(got) == 4, (i, j)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (i, j)
+        assert len(planner._cells) == len(cells)
+    assert kinds == {None, 0, 1}   # free cells, edge-only cells and cells near a box
 
 
 def test_heading_successors_match_discretize():
@@ -660,6 +693,39 @@ def test_flood_stops_at_the_deadline(monkeypatch):
     monkeypatch.setattr(sl, "time", SimpleNamespace(monotonic=functools.partial(next, clock)))
     assert planner._flood(0, deadline=1.5) is None
     assert next(clock) == 3 and planner._fills == {}
+
+
+def test_static_broadphase_keeps_a_short_budget_on_a_1_km_map():
+    """The static broadphase is built one cell at a time inside the
+    expansion loop, which reads the deadline: on a 1 km map, a plan started
+    after the flood fill with a 0.2 s budget ends `timeout` well within a
+    second, having built entries only for the cells it swept from."""
+    planner = sl.LowLevelPlanner(generate_random_instance(1, 1000.0, 8, 2), sl.GridSpec())
+    planner._flood(0)
+    t0 = time.monotonic()
+    res = planner.plan(0, None, deadline=t0 + 0.2)
+    elapsed = time.monotonic() - t0
+    assert res.status == "timeout"
+    assert elapsed < 0.2 + 0.7, elapsed
+    assert 0 < len(planner._cells) < planner._shape[0] * planner._shape[1] // 20
+
+
+def test_a_map_with_too_many_cells_is_refused():
+    """A map of more than MAX_CELLS search-grid cells raises InstanceError
+    naming its cell count before anything is allocated per cell; a map of
+    exactly MAX_CELLS cells is accepted."""
+    def planner(width, height):
+        inst = MvtpInstance(width, height, [], empty_instance().agents, VehicleParams())
+        return sl.LowLevelPlanner(inst, sl.GridSpec())
+
+    cell = sl.GridSpec().cell
+    side = math.isqrt(sl.MAX_CELLS)
+    assert side * side == sl.MAX_CELLS
+    assert planner((side - 0.5) * cell, (side - 0.5) * cell)._shape == (side, side)
+    with pytest.raises(InstanceError, match=f" {(side + 1) * side:,} search-grid cells"):
+        planner((side + 0.5) * cell, (side - 0.5) * cell)
+    with pytest.raises(InstanceError, match="more than MAX_CELLS"):
+        planner(1e12, 1e12)
 
 
 def test_replay_check_catches_corruption():
