@@ -4,8 +4,8 @@ The search, the refinement, the verifier and the instance generator share
 one version of each of seven kernels:
 
 - `advance_arc`: exact advance along a constant-curvature arc by a signed
-  length.  The search's `_piece_poses` (its one walk along motion
-  segments, for the primitive table, the goal shots and the replay check),
+  length.  The search's `_walk` (its one walk along motion segments, for
+  the primitive table, the goal shots and the replay check),
   the Reeds-Shepp word check and refinement's resampling of the coarse plan
   all use it.
 - `euler_step`: one forward-Euler step of the kinematic bicycle model over
@@ -24,16 +24,19 @@ one version of each of seven kernels:
   vehicle-pair broadphase, each with its own threshold.  PBS's dirty test, a
   sweep of one agent against its ancestors only, passes their stacked table
   to `disc_center_distance` directly.
-- `box_gaps`: the per-axis gaps between points and axis-aligned obstacle
-  boxes.  `discs_blocked`, the search's flood-fill obstacle cells, its
-  static broadphase (one cell at a time, as the search reaches it) and
+- `box_gaps`: the per-axis gaps between points and the stacked obstacle
+  boxes, (2, K, N) for N points.  `discs_blocked`, the search's static
+  broadphase (one cell at a time, as the search reaches it) and
   refinement's seed relocation use it.
 - `discs_blocked`: whether discs leave the map or come closer than their
-  radius to an obstacle.  It is the search's static test of primitive sweeps
-  and goal shots, and refinement's test of corridor seeds and of their
-  relocated candidates, so both stages agree on free space.  The search's
-  static broadphase only narrows the boxes it passes to those a sweep can
-  reach; it is not a second test.  Two tests stay
+  radius to an obstacle, in one (2, K, N) broadcast over the boxes and one
+  comparison of the centres with the map's two bound pairs (`map_bounds`,
+  made once per map and radius).  It is the search's static
+  test of primitive sweeps and goal shots, and refinement's test of
+  corridor seeds and of their relocated candidates, so both stages agree on
+  free space.  The search's static broadphase only narrows the boxes it
+  passes to those a sweep can reach, and drops the map-edge test where no
+  edge is in reach; it is not a second test.  Two tests stay
   apart on purpose: the generator's square-dilated placement test, whose
   change would move every generated instance, and the flood fill's
   blocked-cell test, a closed centre-in-box test at radius 0.
@@ -41,6 +44,11 @@ one version of each of seven kernels:
   out by `footprints`, whose leading shapes broadcast.  It is the verifier's
   obstacle and vehicle-pair test and the instance checks' and the
   generator's placement test.
+
+Obstacles have one layout, made once per instance by
+`MvtpInstance.obstacle_boxes`: the box centres and half extents, each
+stacked axis-major as (2, K), one row of x and one of y, so that one
+broadcast covers both axes.
 
 Poses are rear-axle poses (x, y, theta).  A state adds the steering angle
 phi; controls are (v, omega) with omega the steering rate.  The kernels leave
@@ -266,29 +274,48 @@ def pair_clearances(discs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return i, j, disc_center_distance(discs[i], discs[j])
 
 
-def box_gaps(px, py, acx, acy, ahx, ahy) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis gaps between points (...) and K axis-aligned boxes, each box
-    centred at (acx, acy) with half extents (ahx, ahy): two arrays (..., K),
-    zero along an axis where the point lies within the box's extent.  The
-    point's distance to a box is the hypotenuse of its two gaps."""
-    dx = np.maximum(np.abs(np.asarray(px)[..., None] - acx) - ahx, 0.0)
-    dy = np.maximum(np.abs(np.asarray(py)[..., None] - acy) - ahy, 0.0)
-    return dx, dy
+def map_bounds(r: float, width: float, height: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bound pairs (lo, hi), each (2, 1) as rows x and y, of
+    `discs_blocked`'s map-edge test for discs of radius r: a centre below lo
+    or above hi on either axis puts its disc past [0, width] x [0, height]
+    by more than 1e-9.  Make them once per map and radius."""
+    eps = 1e-9
+    return np.array([[r - eps], [r - eps]]), np.array([[width - r + eps], [height - r + eps]])
 
 
-def discs_blocked(centers, r, width, height, acx, acy, ahx, ahy) -> np.ndarray:
+def box_gaps(points, centers, halves) -> np.ndarray:
+    """Per-axis gaps between N points, axis-major (2, N), and K axis-aligned
+    boxes, axis-major centres (2, K) and half extents (2, K): (2, K, N), zero
+    along an axis where the point lies within the box's extent.  The point's
+    distance to a box is the hypotenuse of its two gaps."""
+    return np.maximum(np.abs(points[:, None] - centers[:, :, None]) - halves[:, :, None], 0.0)
+
+
+def discs_blocked(centers, r, bounds, boxes) -> np.ndarray:
     """Clearance kernel: True where a disc of radius r centred at centers
-    (..., 2) reaches past [0, width] x [0, height] by more than 1e-9, or comes
-    closer than r to one of the axis-aligned boxes (acx, acy, ahx, ahy);
+    (..., 2) leaves the map, or comes closer than r to one of the
+    axis-aligned boxes (axis-major centres (2, K), half extents (2, K));
     returns (...).
 
-    A disc that touches a box is clear.  The covering discs of a pose cover
-    its body, so a pose whose discs are clear is footprint-clear too.
+    bounds is the map's (lo, hi) from `map_bounds`; None skips the map-edge
+    test, for a caller that knows no disc can reach an edge.  A disc that
+    touches a box is clear.  The covering discs of a pose cover its body, so
+    a pose whose discs are clear is footprint-clear too.
+
+    The centres are flattened and turned axis-major, (2, N), so that every
+    broadcast runs its inner loop along the N points rather than along a
+    length-2 coordinate axis.
     """
-    eps = 1e-9
-    x, y = centers[..., 0], centers[..., 1]
-    out = (x < r - eps) | (x > width - r + eps) | (y < r - eps) | (y > height - r + eps)
-    if acx.size:
-        dx, dy = box_gaps(x, y, acx, acy, ahx, ahy)
-        out |= ((dx * dx + dy * dy) < r ** 2).any(axis=-1)
-    return out
+    xy = np.reshape(centers, (-1, 2)).T
+    out = None
+    if bounds is not None:
+        off = (xy < bounds[0]) | (xy > bounds[1])
+        out = off[0] | off[1]
+    if boxes[0].shape[1]:
+        g = box_gaps(xy, *boxes)
+        g *= g
+        near = (g[0] + g[1] < r ** 2).any(axis=0)
+        out = near if out is None else out | near
+    if out is None:
+        out = np.zeros(xy.shape[1], dtype=bool)
+    return out.reshape(np.shape(centers)[:-1])

@@ -49,18 +49,21 @@ class MvtpInstance:
     vehicle: VehicleParams
 
     def __post_init__(self) -> None:
-        self._obstacle_arrays = None
+        self._obstacle_boxes = None
 
     @property
     def n_agents(self) -> int:
         return len(self.agents)
 
-    def obstacle_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Obstacle centers and half extents as flat arrays (cached)."""
-        if self._obstacle_arrays is None:
-            self._obstacle_arrays = tuple(np.array([getattr(o, f) for o in self.obstacles])
-                                          for f in ("cx", "cy", "hx", "hy"))
-        return self._obstacle_arrays
+    def obstacle_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The obstacles' centres and half extents, each axis-major (2, K),
+        the layout of `discs_blocked` and `box_gaps` (cached)."""
+        if self._obstacle_boxes is None:
+            self._obstacle_boxes = tuple(
+                np.array([[getattr(o, f) for o in self.obstacles] for f in axes],
+                         dtype=float).reshape(2, -1)
+                for axes in (("cx", "cy"), ("hx", "hy")))
+        return self._obstacle_boxes
 
 
 class InstanceError(ValueError):
@@ -70,7 +73,8 @@ class InstanceError(ValueError):
 def _obstacle_rects(inst: MvtpInstance) -> np.ndarray:
     """The obstacles as (K, 5) rectangles for `rects_overlap`; every obstacle
     is axis-aligned."""
-    return np.column_stack([*inst.obstacle_arrays(), np.zeros(len(inst.obstacles))])
+    centers, halves = inst.obstacle_boxes()
+    return np.column_stack([*centers, *halves, np.zeros(len(inst.obstacles))])
 
 
 def _check_instance(inst: MvtpInstance) -> None:
@@ -210,7 +214,7 @@ def _sample_pose(
     rng: np.random.Generator,
     size: float,
     vehicle: VehicleParams,
-    acx, acy, ahx, ahy,
+    boxes: tuple[np.ndarray, np.ndarray],
     taken: np.ndarray,
 ) -> tuple[State, np.ndarray]:
     """Rejection-sample one start/goal pose; return it with its footprint
@@ -234,13 +238,10 @@ def _sample_pose(
         discs = disc_centers_arr(pose, vehicle)[0]
         if (discs < r_safe).any() or (discs > size - r_safe).any():
             continue
-        if acx.size:
-            inside = (
-                (np.abs(acx[None, :] - discs[:, 0:1]) <= ahx[None, :] + r_safe)
-                & (np.abs(acy[None, :] - discs[:, 1:2]) <= ahy[None, :] + r_safe)
-            )
-            if inside.any():
-                continue
+        centers, halves = boxes
+        if (np.abs(centers[:, None] - discs.T[:, :, None])
+                <= halves[:, None] + r_safe).all(axis=0).any():
+            continue
         rect = footprints(pose[0], vehicle)
         rect[2:4] += CLEARANCE / 2.0
         if rects_overlap(rect, taken).any():
@@ -254,12 +255,12 @@ def _place_agents(rng, inst: MvtpInstance, n_agents: int) -> MvtpInstance:
     none yet, each pose sampled clear of the poses placed before it, and
     check the result."""
     size, vehicle = inst.map_width, inst.vehicle
-    acx, acy, ahx, ahy = inst.obstacle_arrays()
+    boxes = inst.obstacle_boxes()
     taken = np.empty((0, 5))
     for i in range(n_agents):
-        s, rect = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken)
+        s, rect = _sample_pose(rng, size, vehicle, boxes, taken)
         taken = np.vstack([taken, rect])
-        g, rect = _sample_pose(rng, size, vehicle, acx, acy, ahx, ahy, taken)
+        g, rect = _sample_pose(rng, size, vehicle, boxes, taken)
         taken = np.vstack([taken, rect])
         inst.agents.append(AgentTask(i, s, g))
     _check_instance(inst)

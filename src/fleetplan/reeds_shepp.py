@@ -4,11 +4,20 @@ Closed-form word families evaluated in the start frame scaled to unit turning
 radius.  A candidate is kept only once re-rolling it through its segments shows
 that it actually reaches the goal pose, so invalid formula branches filter
 themselves out instead of relying on per-family validity conditions.
+
+`shortest_path` runs the 11 words of `_WORDS`, each under 4 reflections (as
+is, flipped in travel direction, mirrored left-right, both), in that order,
+and keeps the first strictly shortest candidate that reaches the goal.  The
+sine and cosine of phi and of -phi are computed once per call and handed to
+the solvers; a candidate's total length is summed from its slots before any
+lengths list exists, and only a candidate that could win gets one and is
+rolled out.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .geometry import advance_arc
 
@@ -31,8 +40,8 @@ def _polar(x: float, y: float) -> tuple[float, float]:
 # each returns (t, u, v) or None; segment patterns are attached below
 
 
-def _LpSpLp(x, y, phi):
-    u, t = _polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
+def _LpSpLp(x, y, phi, sphi, cphi):
+    u, t = _polar(x - sphi, y - 1.0 + cphi)
     if t >= -_EPS:
         v = _mod2pi(phi - t)
         if v >= -_EPS:
@@ -40,8 +49,8 @@ def _LpSpLp(x, y, phi):
     return None
 
 
-def _LpSpRp(x, y, phi):
-    u1, t1 = _polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
+def _LpSpRp(x, y, phi, sphi, cphi):
+    u1, t1 = _polar(x + sphi, y - 1.0 - cphi)
     if u1 * u1 >= 4.0:
         u = math.sqrt(u1 * u1 - 4.0)
         t = _mod2pi(t1 + math.atan2(2.0, u))
@@ -51,8 +60,8 @@ def _LpSpRp(x, y, phi):
     return None
 
 
-def _LpRmL(x, y, phi):
-    xi, eta = x - math.sin(phi), y - 1.0 + math.cos(phi)
+def _LpRmL(x, y, phi, sphi, cphi):
+    xi, eta = x - sphi, y - 1.0 + cphi
     u1, theta = _polar(xi, eta)
     if u1 <= 4.0:
         u = -2.0 * math.asin(0.25 * u1)
@@ -73,8 +82,8 @@ def _tau_omega(u, v, xi, eta, phi):
     return tau, _mod2pi(tau - u + v - phi)
 
 
-def _LpRupLumRm(x, y, phi):
-    xi, eta = x + math.sin(phi), y - 1.0 - math.cos(phi)
+def _LpRupLumRm(x, y, phi, sphi, cphi):
+    xi, eta = x + sphi, y - 1.0 - cphi
     rho = 0.25 * (2.0 + math.hypot(xi, eta))
     if rho <= 1.0:
         u = math.acos(rho)
@@ -84,8 +93,8 @@ def _LpRupLumRm(x, y, phi):
     return None
 
 
-def _LpRumLumRp(x, y, phi):
-    xi, eta = x + math.sin(phi), y - 1.0 - math.cos(phi)
+def _LpRumLumRp(x, y, phi, sphi, cphi):
+    xi, eta = x + sphi, y - 1.0 - cphi
     rho = (20.0 - xi * xi - eta * eta) / 16.0
     if 0.0 <= rho <= 1.0:
         u = -math.acos(rho)
@@ -96,8 +105,8 @@ def _LpRumLumRp(x, y, phi):
     return None
 
 
-def _LpRmSmLm(x, y, phi):
-    xi, eta = x - math.sin(phi), y - 1.0 + math.cos(phi)
+def _LpRmSmLm(x, y, phi, sphi, cphi):
+    xi, eta = x - sphi, y - 1.0 + cphi
     rho, theta = _polar(xi, eta)
     if rho >= 2.0:
         r = math.sqrt(rho * rho - 4.0)
@@ -109,8 +118,8 @@ def _LpRmSmLm(x, y, phi):
     return None
 
 
-def _LpRmSmRm(x, y, phi):
-    xi, eta = x + math.sin(phi), y - 1.0 - math.cos(phi)
+def _LpRmSmRm(x, y, phi, sphi, cphi):
+    xi, eta = x + sphi, y - 1.0 - cphi
     rho, theta = _polar(-eta, xi)
     if rho >= 2.0:
         t = theta
@@ -121,8 +130,8 @@ def _LpRmSmRm(x, y, phi):
     return None
 
 
-def _LpRmSLmRp(x, y, phi):
-    xi, eta = x + math.sin(phi), y - 1.0 - math.cos(phi)
+def _LpRmSLmRp(x, y, phi, sphi, cphi):
+    xi, eta = x + sphi, y - 1.0 - cphi
     rho, _ = _polar(xi, eta)
     if rho >= 2.0:
         u = 4.0 - math.sqrt(rho * rho - 4.0)
@@ -134,23 +143,30 @@ def _LpRmSLmRp(x, y, phi):
     return None
 
 
-# word table: (solver, type string, length pattern builder, backwards flag)
-_WORDS = [
-    (_LpSpLp, "LSL", lambda t, u, v: [t, u, v], False),
-    (_LpSpRp, "LSR", lambda t, u, v: [t, u, v], False),
-    (_LpRmL, "LRL", lambda t, u, v: [t, u, v], False),
-    (_LpRmL, "LRL", lambda t, u, v: [v, u, t], True),
-    (_LpRupLumRm, "LRLR", lambda t, u, v: [t, u, -u, v], False),
-    (_LpRumLumRp, "LRLR", lambda t, u, v: [t, u, u, v], False),
-    (_LpRmSmLm, "LRSL", lambda t, u, v: [t, -_HPI, u, v], False),
-    (_LpRmSmRm, "LRSR", lambda t, u, v: [t, -_HPI, u, v], False),
-    (_LpRmSmLm, "LSRL", lambda t, u, v: [v, u, -_HPI, t], True),
-    (_LpRmSmRm, "RSRL", lambda t, u, v: [v, u, -_HPI, t], True),
-    (_LpRmSLmRp, "LRSLR", lambda t, u, v: [t, -_HPI, u, -_HPI, v], False),
-]
-
 _SWAP = str.maketrans("LR", "RL")
 _CURV = {"L": 1.0, "S": 0.0, "R": -1.0}
+
+# word table: (solver, type string, its L/R mirror, length slots, backwards
+# flag).  A word's unit-scaled segment lengths are the slots of (t, u, v, -u,
+# -pi/2), (t, u, v) the solver's solution; a backwards word solves for the
+# goal in the backwards frame (xb, yb) of `shortest_path` and reads its
+# solution back to front.
+_WORDS = [
+    (solver, word, word.translate(_SWAP), itemgetter(*slots), backwards)
+    for solver, word, slots, backwards in (
+        (_LpSpLp, "LSL", (0, 1, 2), False),
+        (_LpSpRp, "LSR", (0, 1, 2), False),
+        (_LpRmL, "LRL", (0, 1, 2), False),
+        (_LpRmL, "LRL", (2, 1, 0), True),
+        (_LpRupLumRm, "LRLR", (0, 1, 3, 2), False),
+        (_LpRumLumRp, "LRLR", (0, 1, 1, 2), False),
+        (_LpRmSmLm, "LRSL", (0, 4, 1, 2), False),
+        (_LpRmSmRm, "LRSR", (0, 4, 1, 2), False),
+        (_LpRmSmLm, "LSRL", (2, 1, 4, 0), True),
+        (_LpRmSmRm, "RSRL", (2, 1, 4, 0), True),
+        (_LpRmSLmRp, "LRSLR", (0, 4, 1, 4, 2), False),
+    )
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,26 +190,6 @@ def _reaches(types: str, lengths: list[float], x, y, phi) -> bool:
         and abs(py - y) < 1e-6
         and abs(_mod2pi(pth - phi)) < 1e-6
     )
-
-
-def _solutions(x: float, y: float, phi: float):
-    """Every formula branch's (types, unit-scaled signed lengths) for (x, y, phi),
-    in enumeration order and not yet checked against the goal with _reaches."""
-    xb = x * math.cos(phi) + y * math.sin(phi)
-    yb = x * math.sin(phi) - y * math.cos(phi)
-    for solver, types, build, backwards in _WORDS:
-        px, py = (xb, yb) if backwards else (x, y)
-        for flip, reflect in ((False, False), (True, False), (False, True), (True, True)):
-            sx = -px if flip else px
-            sy = -py if reflect else py
-            sphi = phi if flip == reflect else -phi
-            sol = solver(sx, sy, sphi)
-            if sol is None:
-                continue
-            lengths = build(*sol)
-            if flip:
-                lengths = [-l for l in lengths]
-            yield (types.translate(_SWAP) if reflect else types), lengths
 
 
 def _to_curve(word: str, lengths: list[float], radius: float) -> RsCurve:
@@ -222,15 +218,33 @@ def shortest_path(start, goal, radius: float) -> RsCurve | None:
     x, y, phi = _goal_in_start_frame(start, goal, radius)
     if abs(x) < 1e-12 and abs(y) < 1e-12 and abs(phi) < 1e-12:
         return RsCurve((), 0.0)
+    sp, cp = math.sin(phi), math.cos(phi)
+    sm, cm = math.sin(-phi), math.cos(-phi)
+    xb, yb = x * cp + y * sp, x * sp - y * cp
+    # per frame, each reflection's solver arguments (x, y, phi, sin phi, cos
+    # phi), whether it flips the travel direction and whether it mirrors the
+    # word, in the order no change, flip, mirror, both
+    frames = [((px, py, phi, sp, cp, False, False), (-px, py, -phi, sm, cm, True, False),
+               (px, -py, -phi, sm, cm, False, True), (-px, -py, phi, sp, cp, True, True))
+              for px, py in ((x, y), (xb, yb))]
     best = None
     best_len = math.inf
-    for word, lengths in _solutions(x, y, phi):
-        # roll out only a candidate that would win; one that cannot never moves best
-        total = sum(abs(l) for l in lengths)
-        if total < best_len - 1e-12 and _reaches(word, lengths, x, y, phi):
-            best_len = total
-            best = (word, lengths)
+    for solver, word, mirror, pick, backwards in _WORDS:
+        for sx, sy, sphi, s, c, flip, reflect in frames[backwards]:
+            sol = solver(sx, sy, sphi, s, c)
+            if sol is None:
+                continue
+            t, u, v = sol
+            # roll out only a candidate that would win; one that cannot never moves best
+            total = sum(pick((abs(t), abs(u), abs(v), abs(u), _HPI)))
+            if total < best_len - 1e-12:
+                lengths = pick((t, u, v, -u, -_HPI))
+                if flip:
+                    lengths = [-l for l in lengths]
+                types = mirror if reflect else word
+                if _reaches(types, lengths, x, y, phi):
+                    best_len = total
+                    best = (types, lengths)
     if best is None:
         return None
     return _to_curve(best[0], best[1], radius)
-

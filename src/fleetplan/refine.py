@@ -26,6 +26,7 @@ from .geometry import (
     discs_blocked,
     euler_increment,
     euler_step,
+    map_bounds,
     pair_clearances,
 )
 from .instance import MvtpInstance, Plan, validate_plan
@@ -234,25 +235,28 @@ def relocate_unsafe_point(p, map_wh, obstacles, r):
     circle; if other obstacles still block it, the point is rotated around the
     obstacle center in +-1, +-2, ... fixed angular increments at escalating
     radii, up to CORRIDOR_MAX_EXTENT beyond the circle; the first clear one wins.
+    obstacles are the stacked boxes of `MvtpInstance.obstacle_boxes`.
     """
     w, h = map_wh
-    acx, acy, ahx, ahy = obstacles
+    bounds = map_bounds(r, w, h)
+    centers, halves = obstacles
     q = np.array([min(max(float(p[0]), r), w - r), min(max(float(p[1]), r), h - r)])
-    if not discs_blocked(q, r, w, h, *obstacles):
+    if not discs_blocked(q, r, bounds, obstacles):
         return q
-    if acx.size:
-        k = int(np.argmin(np.hypot(*box_gaps(q[0], q[1], *obstacles))))
-        circ = math.hypot(ahx[k], ahy[k]) + r
-        base = math.atan2(q[1] - acy[k], q[0] - acx[k])
-        if math.hypot(q[0] - acx[k], q[1] - acy[k]) < 1e-9:
+    if centers.shape[1]:
+        k = int(np.argmin(np.hypot(*box_gaps(q[:, None], *obstacles)[:, :, 0])))
+        (bx, by), (hx, hy) = centers[:, k], halves[:, k]
+        circ = math.hypot(hx, hy) + r
+        base = math.atan2(q[1] - by, q[0] - bx)
+        if math.hypot(q[0] - bx, q[1] - by) < 1e-9:
             base = 0.0
         steps = np.arange(1, 12)
         offs = np.concatenate([[0.0], np.stack([steps, -steps], 1).ravel() * (math.pi / 12.0)])
         radius = circ + 1e-6
         while radius <= circ + CORRIDOR_MAX_EXTENT:
             ang = base + offs
-            cand = np.stack([acx[k] + radius * np.cos(ang), acy[k] + radius * np.sin(ang)], 1)
-            free = np.flatnonzero(~discs_blocked(cand, r, w, h, *obstacles))
+            cand = np.stack([bx + radius * np.cos(ang), by + radius * np.sin(ang)], 1)
+            free = np.flatnonzero(~discs_blocked(cand, r, bounds, obstacles))
             if free.size:
                 return cand[free[0]]
             radius += 0.25 * r
@@ -303,14 +307,14 @@ def build_corridor(states, instance: MvtpInstance) -> CorridorBoxes:
     """
     params = instance.vehicle
     r = params.disc_radius
-    obs = instance.obstacle_arrays()
-    acx, acy, ahx, ahy = obs
+    obs = instance.obstacle_boxes()
+    (acx, acy), (ahx, ahy) = obs
     wh = instance.map_width, instance.map_height
     w, h = wh
     ext = CORRIDOR_MAX_EXTENT
     states = np.asarray(states)
     seeds = disc_centers_arr(states, params).reshape(-1, 2)   # (... 2T, 2)
-    for s in np.nonzero(discs_blocked(seeds, r, w, h, *obs))[0]:
+    for s in np.nonzero(discs_blocked(seeds, r, map_bounds(r, w, h), obs))[0]:
         try:
             seeds[s] = relocate_unsafe_point(seeds[s], wh, obs, r)
         except RelocationError as exc:

@@ -8,12 +8,17 @@ version can be held to it bit for bit: `reference_flood` and
 `reference_sweep` keep the low-level search's flood fill and static sweep
 test from before their broadphase and flat-list rewrites; and
 `reference_primitive_table` and `reference_shot_walk` keep the search's own
-arc walks from before `_piece_poses` took them over; `loop_rollout` keeps
+arc walks from before `_piece_poses` took them over, and
+`reference_piece_poses` that walk's loop from before `_walk` yielded it;
+`full_walk_shot_mask` keeps the goal shot's static test from before it
+stopped at the first blocked stretch; `loop_rollout` keeps
 refinement's state-by-state rollout from before it summed whole-array
 increments; `loop_validate_plan` keeps the verifier's agent-by-agent loop
-from before it ran each test once on the stacked plan.  `all_paths`, every
-Reeds-Shepp candidate, is built from the module's enumeration to check its
-search for the shortest.
+from before it ran each test once on the stacked plan; `rs_solutions` and
+`reference_shortest_path` keep the Reeds-Shepp word table, its generator
+and the running minimum over it from before `shortest_path`'s lean loop.
+`all_paths`, every Reeds-Shepp candidate, is built from `rs_solutions` to
+check the search for the shortest.
 """
 from __future__ import annotations
 
@@ -27,7 +32,6 @@ from scipy.optimize import linprog
 from fleetplan import reeds_shepp as rs
 from fleetplan.geometry import (
     advance_arc,
-    box_gaps,
     boxes_outside_map,
     disc_centers_arr,
     euler_step,
@@ -49,6 +53,12 @@ from fleetplan.instance import (
     _obstacle_rects,
 )
 from fleetplan.search_low import _NBRS8, _SQRT2, SAMPLE_DS, cell_of
+
+
+def box_columns(obstacles):
+    """The stacked obstacle boxes (axis-major centres (2, K), half extents
+    (2, K)) as the four flat arrays (cx, cy, hx, hy)."""
+    return tuple(np.vstack(obstacles))
 
 
 def point_in_box(px: float, py: float, cx: float, cy: float, hx: float, hy: float,
@@ -327,7 +337,9 @@ def reference_flood(planner, agent_id) -> np.ndarray:
     cx = (np.arange(nx)[:, None] + 0.5) * cell
     cy = (np.arange(ny)[None, :] + 0.5) * cell
     # a cell is blocked where its centre lies in a box, edges included
-    dx, dy = box_gaps(cx, cy, *planner._obs)
+    acx, acy, ahx, ahy = box_columns(planner._boxes)
+    dx = np.maximum(np.abs(cx[..., None] - acx) - ahx, 0.0)
+    dy = np.maximum(np.abs(cy[..., None] - acy) - ahy, 0.0)
     blocked = ((dx == 0.0) & (dy == 0.0)).any(axis=-1)
     goal = planner._task_by_id[agent_id].goal
     gi, gj = cell_of(goal.x, goal.y, planner.grid)
@@ -368,21 +380,47 @@ def brute_near_boxes(planner, i, j):
     """`LowLevelPlanner._near_boxes(i, j)` by scalar loops over the boxes:
     None when no box, widened by half a cell, lies within the broadphase's
     reach of the cell centre ((i + 0.5) cell, (j + 0.5) cell) and no map
-    edge lies within reach + half a cell of it; else the near boxes as
-    (acx, acy, ahx, ahy), in box order."""
+    edge lies within reach + half a cell of it; else ((centres, half
+    extents), edge): the near boxes' stacked rows, in box order, and whether
+    a map edge is that close."""
     cell, reach = planner.grid.cell, planner._reach
     half = 0.5 * cell
     cx, cy = (i + 0.5) * cell, (j + 0.5) * cell
     near = []
-    for k, (bx, by, hx, hy) in enumerate(zip(*(a.tolist() for a in planner._obs))):
+    for k, (bx, by, hx, hy) in enumerate(np.vstack(planner._boxes).T.tolist()):
         dx = max(abs(cx - bx) - (hx + half), 0.0)
         dy = max(abs(cy - by) - (hy + half), 0.0)
         if dx * dx + dy * dy < reach * reach:
             near.append(k)
     w, h = planner.inst.map_width, planner.inst.map_height
-    if not near and min(cx, w - cx) >= reach + half and min(cy, h - cy) >= reach + half:
+    edge = min(cx, w - cx) < reach + half or min(cy, h - cy) < reach + half
+    if not near and not edge:
         return None
-    return tuple(a[near] for a in planner._obs)
+    return tuple(a[:, near] for a in planner._boxes), edge
+
+
+def reference_piece_poses(x, y, th, segments, ds, wheelbase) -> np.ndarray:
+    """`search_low._piece_poses` before it read `_walk`: the same poses,
+    collected in one loop."""
+    fine = []
+    for d, steer, ln in segments:
+        kappa = math.tan(steer) / wheelbase
+        n = max(1, int(math.ceil(ln / ds - 1e-9)))
+        for m in range(1, n + 1):
+            px, py, pth = advance_arc(x, y, th, kappa, d * (ln * m / n))
+            fine.append((px, py, normalize_angle(pth)))
+        x, y, th = fine[-1]
+    return np.array(fine).reshape(-1, 3)
+
+
+def full_walk_shot_mask(planner, pose, timed) -> np.ndarray:
+    """The goal shot's static test before it stopped at the first blocked
+    stretch, per sample: every SAMPLE_DS sample of the timed segments from
+    pose (`reference_piece_poses`), then their disc centres, then the
+    kernel's verdict on each; the shot is blocked where any is True."""
+    par = planner.params
+    cen = disc_centers_arr(reference_piece_poses(*pose, timed, SAMPLE_DS, par.L), par)
+    return planner._blocked(cen).any(axis=-1)
 
 
 def reference_primitive_table(grid, params) -> list[tuple]:
@@ -413,11 +451,68 @@ def reference_shot_walk(pose, segments, wheelbase) -> np.ndarray:
     return np.array(walk).reshape(-1, 3)
 
 
-def all_paths(start, goal, radius: float) -> list:
-    """Every Reeds-Shepp candidate curve that reaches the goal, in the
-    module's enumeration order."""
+# The Reeds-Shepp word table and enumeration from before `shortest_path`'s
+# lean loop: (solver, type string, length pattern builder, backwards flag),
+# each solver handed the sine and cosine it computed itself before then.
+_RS_WORDS = [
+    (rs._LpSpLp, "LSL", lambda t, u, v: [t, u, v], False),
+    (rs._LpSpRp, "LSR", lambda t, u, v: [t, u, v], False),
+    (rs._LpRmL, "LRL", lambda t, u, v: [t, u, v], False),
+    (rs._LpRmL, "LRL", lambda t, u, v: [v, u, t], True),
+    (rs._LpRupLumRm, "LRLR", lambda t, u, v: [t, u, -u, v], False),
+    (rs._LpRumLumRp, "LRLR", lambda t, u, v: [t, u, u, v], False),
+    (rs._LpRmSmLm, "LRSL", lambda t, u, v: [t, -rs._HPI, u, v], False),
+    (rs._LpRmSmRm, "LRSR", lambda t, u, v: [t, -rs._HPI, u, v], False),
+    (rs._LpRmSmLm, "LSRL", lambda t, u, v: [v, u, -rs._HPI, t], True),
+    (rs._LpRmSmRm, "RSRL", lambda t, u, v: [v, u, -rs._HPI, t], True),
+    (rs._LpRmSLmRp, "LRSLR", lambda t, u, v: [t, -rs._HPI, u, -rs._HPI, v], False),
+]
+
+
+def rs_solutions(x: float, y: float, phi: float):
+    """Every formula branch's (types, unit-scaled signed lengths) for (x, y,
+    phi), in enumeration order and not yet checked against the goal with
+    `reeds_shepp._reaches`."""
+    xb = x * math.cos(phi) + y * math.sin(phi)
+    yb = x * math.sin(phi) - y * math.cos(phi)
+    for solver, types, build, backwards in _RS_WORDS:
+        px, py = (xb, yb) if backwards else (x, y)
+        for flip, reflect in ((False, False), (True, False), (False, True), (True, True)):
+            sx = -px if flip else px
+            sy = -py if reflect else py
+            sphi = phi if flip == reflect else -phi
+            sol = solver(sx, sy, sphi, math.sin(sphi), math.cos(sphi))
+            if sol is None:
+                continue
+            lengths = build(*sol)
+            if flip:
+                lengths = [-l for l in lengths]
+            yield (types.translate(str.maketrans("LR", "RL")) if reflect else types), lengths
+
+
+def reference_shortest_path(start, goal, radius: float):
+    """`reeds_shepp.shortest_path` before its lean loop: the first strictly
+    shortest candidate of `rs_solutions` that reaches the goal."""
     x, y, phi = rs._goal_in_start_frame(start, goal, radius)
-    return [rs._to_curve(w, ls, radius) for w, ls in rs._solutions(x, y, phi)
+    if abs(x) < 1e-12 and abs(y) < 1e-12 and abs(phi) < 1e-12:
+        return rs.RsCurve((), 0.0)
+    best = None
+    best_len = math.inf
+    for word, lengths in rs_solutions(x, y, phi):
+        total = sum(abs(l) for l in lengths)
+        if total < best_len - 1e-12 and rs._reaches(word, lengths, x, y, phi):
+            best_len = total
+            best = (word, lengths)
+    if best is None:
+        return None
+    return rs._to_curve(best[0], best[1], radius)
+
+
+def all_paths(start, goal, radius: float) -> list:
+    """Every Reeds-Shepp candidate curve that reaches the goal, in
+    `rs_solutions`' enumeration order."""
+    x, y, phi = rs._goal_in_start_frame(start, goal, radius)
+    return [rs._to_curve(w, ls, radius) for w, ls in rs_solutions(x, y, phi)
             if rs._reaches(w, ls, x, y, phi)]
 
 
@@ -618,7 +713,7 @@ def disc_blocked(px, py, map_wh, obstacles, r) -> bool:
     w, h = map_wh
     if px < r - 1e-9 or px > w - r + 1e-9 or py < r - 1e-9 or py > h - r + 1e-9:
         return True
-    for cx, cy, hx, hy in zip(*obstacles):
+    for cx, cy, hx, hy in zip(*box_columns(obstacles)):
         gx = max(abs(px - cx) - hx, 0.0)
         gy = max(abs(py - cy) - hy, 0.0)
         if gx * gx + gy * gy < r ** 2:
@@ -635,7 +730,7 @@ def loop_relocate(p, map_wh, obstacles, r, extent):
     obstacle centre to the point, then at +-1, +-2, ..., +-11 steps of pi / 12
     (+ before -).  The first clear candidate wins."""
     w, h = map_wh
-    acx, acy, ahx, ahy = obstacles
+    acx, acy, ahx, ahy = box_columns(obstacles)
     px = min(max(float(p[0]), r), w - r)
     py = min(max(float(p[1]), r), h - r)
     if not disc_blocked(px, py, map_wh, obstacles, r):
@@ -643,7 +738,7 @@ def loop_relocate(p, map_wh, obstacles, r, extent):
     if acx.size == 0:
         return None
     gaps = [np.hypot(max(abs(px - cx) - hx, 0.0), max(abs(py - cy) - hy, 0.0))
-            for cx, cy, hx, hy in zip(*obstacles)]
+            for cx, cy, hx, hy in zip(acx, acy, ahx, ahy)]
     k = gaps.index(min(gaps))
     circ = math.hypot(ahx[k], ahy[k]) + r
     base = math.atan2(py - acy[k], px - acx[k])
@@ -669,7 +764,7 @@ def loop_corridor(seeds, map_wh, obstacles, r, extent, relocate):
     bit.  A seed whose disc is blocked (`disc_blocked`) goes through
     relocate(p, map_wh, obstacles, r)."""
     w, h = map_wh
-    acx, acy, ahx, ahy = obstacles
+    acx, acy, ahx, ahy = box_columns(obstacles)
     T = seeds.shape[0]
     lo = np.empty((T, 4))
     hi = np.empty((T, 4))

@@ -17,6 +17,7 @@ from fleetplan.geometry import (
     discs_blocked,
     euler_step,
     footprints,
+    map_bounds,
     normalize_angle,
     pair_clearances,
     rects_overlap,
@@ -324,21 +325,27 @@ def random_centers(rng, n, lo, hi):
 
 def check_discs_blocked(cen, r, width, height, boxes):
     """discs_blocked flags a disc off the map by more than 1e-9, or closer
-    than r_v to a box; checked with the boxes and with none, on (N, 2)
-    points and on other leading shapes.  Returns each pose's any-disc flag
-    for both runs."""
-    obs = tuple(np.array(v) for v in zip(*boxes))
+    than r_v to a box; checked with the boxes and with none (K = 0), on
+    (..., 2, 2) centres, (N, 2) points, single (2,) centres and other
+    leading shapes, and with the map-edge test skipped (bounds None).
+    Returns each pose's any-disc flag for both runs."""
+    cols = np.array(boxes, dtype=float).reshape(-1, 4).T
+    bounds = map_bounds(r, width, height)
     got = {}
     for bx in (boxes, []):
-        o = obs if bx else (np.empty(0),) * 4
-        flags = discs_blocked(cen, r, width, height, *o)
+        o = (cols[:2], cols[2:]) if bx else (np.empty((2, 0)),) * 2
+        flags = discs_blocked(cen, r, bounds, o)
         assert flags.shape == cen.shape[:-1]
         pts = cen.reshape(-1, 2)
-        want = brute_discs_near_boxes(pts, r, bx) | brute_discs_off_map(pts, r, width, height)
+        near = brute_discs_near_boxes(pts, r, bx)
+        want = near | brute_discs_off_map(pts, r, width, height)
         assert np.array_equal(flags.ravel(), want)
-        assert np.array_equal(discs_blocked(pts, r, width, height, *o), want)
-        assert np.array_equal(discs_blocked(cen.reshape(2, -1, 2, 2), r, width, height, *o),
+        assert np.array_equal(discs_blocked(pts, r, bounds, o), want)
+        one = [discs_blocked(p, r, bounds, o) for p in pts[::7]]
+        assert all(np.shape(f) == () for f in one) and [bool(f) for f in one] == want[::7].tolist()
+        assert np.array_equal(discs_blocked(cen.reshape(2, -1, 2, 2), r, bounds, o),
                               flags.reshape(2, -1, 2))
+        assert np.array_equal(discs_blocked(cen, r, None, o).ravel(), near)
         assert 0 < flags.sum() < flags.size
         got[bool(bx)] = flags.any(axis=-1)
     return got

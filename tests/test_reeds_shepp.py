@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fleetplan import reeds_shepp as rs
-from oracles import all_paths, rollout_curve, rs_lower_bound
+from oracles import all_paths, reference_shortest_path, rollout_curve, rs_lower_bound, rs_solutions
 
 
 def rand_poses(n, seed, span=10.0):
@@ -124,7 +124,7 @@ def test_shortest_matches_running_minimum_over_all_paths():
     for k in range(0, 1000, 2):
         start, goal = poses[k], poses[k + 1]
         x, y, phi = rs._goal_in_start_frame(start, goal, radius)
-        valid = [(w, ls) for w, ls in rs._solutions(x, y, phi) if rs._reaches(w, ls, x, y, phi)]
+        valid = [(w, ls) for w, ls in rs_solutions(x, y, phi) if rs._reaches(w, ls, x, y, phi)]
         for w, ls in valid:
             ex, ey, eth = rollout_curve(start, rs._to_curve(w, ls, radius).segments)
             assert math.hypot(ex - goal[0], ey - goal[1]) < 1e-5, (k, w)
@@ -136,6 +136,43 @@ def test_shortest_matches_running_minimum_over_all_paths():
                 best, best_len = (w, ls), total
         # equal segments (signed curvatures and lengths) and equal total length
         assert rs.shortest_path(start, goal, radius) == rs._to_curve(best[0], best[1], radius)
+
+
+def reference_queries(n, seed):
+    """Seeded (start, goal, radius) queries: n random ones, then edge cases:
+    the goal turned by +-pi, straight behind, at the start's position
+    turned, within 1e-12 of it on either axis, and start = goal."""
+    rng = np.random.default_rng(seed)
+    span = rng.choice([0.5, 3.0, 12.0, 40.0], n)
+    lo = np.column_stack([-span, -span, np.full(n, -math.pi)])
+    hi = np.column_stack([span, span, np.full(n, math.pi)])
+    starts, goals = rng.uniform(lo, hi), rng.uniform(lo, hi)
+    radii = rng.choice([1.0, 2.1922419936, 2.3, 3.7], n)
+    out = [(tuple(s), tuple(g), r) for s, g, r in zip(starts.tolist(), goals.tolist(), radii.tolist())]
+    for s, r in zip(starts[:200].tolist(), radii[:200].tolist()):
+        x, y, th = s
+        d = rng.uniform(0.1, 15.0)
+        out += [(s, (x + d * math.cos(th), y + d * math.sin(th), th + math.pi), r),
+                (s, (x + d * math.cos(th), y + d * math.sin(th), th - math.pi), r),
+                (s, (x, y, th + math.pi), r), (s, (x, y, th - math.pi), r),
+                (s, (x - d * math.cos(th), y - d * math.sin(th), th), r),
+                (s, (x, y, th + rng.uniform(-math.pi, math.pi)), r),
+                (s, (x + 1e-13, y, th), r), (s, (x, y - 1e-13, th + 0.5), r),
+                (s, (x + 5e-13, y - 5e-13, th - 2.0), r), (s, s, r)]
+    return out
+
+
+def test_shortest_path_matches_the_reference_enumeration():
+    """The lean loop returns the generator enumeration's curve, segment for
+    segment and bit for bit, on 20,000 seeded random queries and 2,000 edge
+    cases."""
+    queries = reference_queries(20000, seed=31)
+    kinds = {"none": 0, "empty": 0, "curve": 0}
+    for start, goal, radius in queries:
+        got = rs.shortest_path(start, goal, radius)
+        assert got == reference_shortest_path(start, goal, radius), (start, goal, radius)
+        kinds["none" if got is None else "empty" if not got.segments else "curve"] += 1
+    assert kinds["empty"] >= 200 and kinds["curve"] >= 21000
 
 
 def test_symmetric_under_swap():

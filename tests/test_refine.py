@@ -11,6 +11,7 @@ from fleetplan.geometry import (
     disc_centers_arr,
     discs_blocked,
     euler_step,
+    map_bounds,
 )
 from fleetplan.instance import AgentTask, MvtpInstance, generate_random_instance
 from fleetplan.qp import QpSolution
@@ -140,7 +141,8 @@ def test_corridor_boxes_are_clear_bounded_and_hold_their_seeds():
     p = inst.vehicle
     r = p.disc_radius
     w, h = inst.map_width, inst.map_height
-    obs = inst.obstacle_arrays()
+    obs = inst.obstacle_boxes()
+    bounds = map_bounds(r, w, h)
     rng = np.random.default_rng(4)
     # poses anywhere on the map, so some discs start inside a dilated
     # obstacle or past the eroded boundary and need relocating
@@ -154,14 +156,14 @@ def test_corridor_boxes_are_clear_bounded_and_hold_their_seeds():
         for d in (0, 1):
             lo, hi = boxes.lo[t, 2 * d:2 * d + 2], boxes.hi[t, 2 * d:2 * d + 2]
             seed = seeds[t, d]
-            if discs_blocked(seed, r, w, h, *obs):
+            if discs_blocked(seed, r, bounds, obs):
                 seed = refine.relocate_unsafe_point(seed, (w, h), obs, r)
                 relocated += 1
             assert np.all(lo <= seed) and np.all(seed <= hi)
             assert np.all(lo >= r) and hi[0] <= w - r and hi[1] <= h - r
             assert np.all(seed - lo <= refine.CORRIDOR_MAX_EXTENT + 1e-9)
             assert np.all(hi - seed <= refine.CORRIDOR_MAX_EXTENT + 1e-9)
-            for cx, cy, hx, hy in zip(*obs):
+            for cx, cy, hx, hy in np.vstack(obs).T.tolist():
                 assert brute_box_aabb_distance(lo, hi, cx, cy, hx, hy) >= r - 1e-9, (t, d)
     assert relocated >= 20
 
@@ -170,12 +172,13 @@ def test_relocation_leaves_an_obstacle():
     inst = generate_random_instance(3, 30.0, 12, 1)
     r = inst.vehicle.disc_radius
     wh = (inst.map_width, inst.map_height)
-    obs = inst.obstacle_arrays()
-    for cx, cy in zip(obs[0], obs[1]):
-        assert discs_blocked(np.array([cx, cy]), r, *wh, *obs)
+    obs = inst.obstacle_boxes()
+    bounds = map_bounds(r, *wh)
+    for cx, cy in obs[0].T.tolist():
+        assert discs_blocked(np.array([cx, cy]), r, bounds, obs)
         q = refine.relocate_unsafe_point((cx, cy), wh, obs, r)
-        assert not discs_blocked(q, r, *wh, *obs)
-        assert all(brute_box_aabb_distance(q, q, *box) >= r for box in zip(*obs))
+        assert not discs_blocked(q, r, bounds, obs)
+        assert all(brute_box_aabb_distance(q, q, *box) >= r for box in np.vstack(obs).T.tolist())
 
 
 def test_relocation_matches_one_candidate_at_a_time_scan():
@@ -198,7 +201,7 @@ def test_relocation_matches_one_candidate_at_a_time_scan():
     for inst, points in cases:
         r = inst.vehicle.disc_radius
         wh = (inst.map_width, inst.map_height)
-        obs = inst.obstacle_arrays()
+        obs = inst.obstacle_boxes()
         for p in points:
             want = loop_relocate(p, wh, obs, r, refine.CORRIDOR_MAX_EXTENT)
             if want is None:
@@ -219,7 +222,7 @@ def test_relocation_fails_where_no_disc_fits_the_map():
     relocation raises rather than return a blocked point, with or without an
     obstacle to turn around."""
     r = VehicleParams().disc_radius
-    for obs in ((np.empty(0),) * 4, tuple(np.array([v]) for v in (1.0, 12.0, 0.5, 0.5))):
+    for obs in ((np.empty((2, 0)),) * 2, (np.array([[1.0], [12.0]]), np.array([[0.5], [0.5]]))):
         with pytest.raises(refine.RelocationError):
             refine.relocate_unsafe_point((1.0, 5.0), (2.0, 20.0), obs, r)
 
@@ -258,7 +261,7 @@ def test_batched_corridor_matches_per_seed_loop(coarse, first_round, refine30_ru
         p = inst.vehicle
         boxes = refine.build_corridor(states, inst)
         lo, hi = loop_corridor(disc_centers_arr(states, p),
-                               (inst.map_width, inst.map_height), inst.obstacle_arrays(),
+                               (inst.map_width, inst.map_height), inst.obstacle_boxes(),
                                p.disc_radius, refine.CORRIDOR_MAX_EXTENT, relocate)
         assert np.array_equal(boxes.lo, lo) and np.array_equal(boxes.hi, hi)
     assert len(relocated) >= 100
@@ -288,8 +291,9 @@ def test_stacked_linearization_and_corridor_match_per_agent_calls(coarse, first_
                     assert np.array_equal(getattr(lin[i], name), getattr(one, name)), name
                 box = refine.build_corridor(states[i], inst)
                 assert np.array_equal(boxes[i].lo, box.lo) and np.array_equal(boxes[i].hi, box.hi)
-            relocated += discs_blocked(disc_centers_arr(states, p), p.disc_radius, inst.map_width,
-                                       inst.map_height, *inst.obstacle_arrays()).sum()
+            relocated += discs_blocked(disc_centers_arr(states, p), p.disc_radius,
+                                       map_bounds(p.disc_radius, inst.map_width, inst.map_height),
+                                       inst.obstacle_boxes()).sum()
     assert relocated >= 50
 
 

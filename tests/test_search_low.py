@@ -19,12 +19,15 @@ from fleetplan.instance import (
 )
 from fleetplan import reeds_shepp as rs
 from fleetplan import search_low as sl
+from fleetplan.search_high import PrioritySearch
 from oracles import (
     body_rect,
     brute_flood,
     brute_near_boxes,
     corner_sat,
+    full_walk_shot_mask,
     reference_flood,
+    reference_piece_poses,
     reference_primitive_table,
     reference_shot_walk,
     reference_sweep,
@@ -110,7 +113,8 @@ def test_analytic_expand_zero_and_straight(params):
 def flood_oracle(inst, planner, agent_id=0):
     goal = inst.agents[agent_id].goal
     return brute_flood(inst.map_width, inst.map_height, planner.grid.cell,
-                       zip(*inst.obstacle_arrays()), sl.cell_of(goal.x, goal.y, planner.grid))
+                       np.vstack(inst.obstacle_boxes()).T.tolist(),
+                       sl.cell_of(goal.x, goal.y, planner.grid))
 
 
 def flood_cases():
@@ -190,7 +194,7 @@ def sweep_poses(planner, rng):
     out.append(np.column_stack([w - d, rng.uniform(0.0, h, n), th(n)]))
     out.append(np.column_stack([rng.uniform(0.0, w, n), d, th(n)]))
     out.append(np.column_stack([rng.uniform(0.0, w, n), h - d, th(n)]))
-    for cx, cy, hx, hy in zip(*planner._obs):
+    for cx, cy, hx, hy in np.vstack(planner._boxes).T.tolist():
         ang = rng.uniform(0.0, 2.0 * math.pi, 12)
         rad = rng.uniform(reach - 1.0, reach + 1.0, 12)
         px = cx + np.clip(np.cos(ang) * (hx + rad), -hx - rad, hx + rad)
@@ -219,9 +223,9 @@ def test_sweep_matches_reference_sweep():
     nx, ny = planner._shape
     assert planner._near_boxes(nx // 2, ny // 2) is None
     for i, j in rim_cells(0, nx - 1, 0, ny - 1) + rim_cells(-1, nx, -1, ny):
-        boxes = planner._near_boxes(i, j)
-        assert boxes is not None and len(boxes) == 4, (i, j)
-        assert all(a.size == 0 for a in boxes), (i, j)
+        entry = planner._near_boxes(i, j)
+        assert entry is not None and entry[1] is True, (i, j)
+        assert all(a.shape == (2, 0) for a in entry[0]), (i, j)
 
 
 def rim_cells(i0, i1, j0, j1):
@@ -232,8 +236,8 @@ def rim_cells(i0, i1, j0, j1):
 
 def test_near_boxes_match_brute_near_boxes():
     """Every cell of a pbs50 map and a rooms40 map, and the ring of cells
-    just off each grid, gets the scalar loop's entry: the same None or the
-    same boxes in the same order."""
+    just off each grid, gets the scalar loop's entry: the same None, or the
+    same boxes in the same order and the same edge flag."""
     insts = bench_instances()
     kinds = set()
     for inst in (insts[0], insts[10]):
@@ -242,14 +246,48 @@ def test_near_boxes_match_brute_near_boxes():
         cells = list(itertools.product(range(nx), range(ny))) + rim_cells(-1, nx, -1, ny)
         for i, j in cells:
             got, want = planner._near_boxes(i, j), brute_near_boxes(planner, i, j)
-            kinds.add(None if got is None else min(len(got[0]), 1))
+            kinds.add(None if got is None else (min(got[0][0].shape[1], 1), got[1]))
             assert (got is None) == (want is None), (i, j)
             if want is not None:
-                assert len(got) == 4, (i, j)
-                for a, b in zip(got, want):
-                    assert a.dtype == b.dtype and np.array_equal(a, b), (i, j)
+                assert len(got) == 2 and len(got[0]) == 2 and got[1] is want[1], (i, j)
+                for a, b in zip(got[0], want[0]):
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (i, j)
         assert len(planner._cells) == len(cells)
-    assert kinds == {None, 0, 1}   # free cells, edge-only cells and cells near a box
+    # free cells, edge-only cells, and cells near a box with and without an edge
+    assert kinds == {None, (0, True), (1, False), (1, True)}
+
+
+def test_edge_free_cells_keep_every_sweep_off_the_map_edge():
+    """Where a cell's entry is None or marks no map edge, `_sweep` skips the
+    map-edge test.  From the corners of each such cell and two seeded points
+    inside it, at every yaw bin, no disc centre of any primitive's sweep
+    comes within r_v + 1e-9 of a map edge: every cell of a pbs50 map and a
+    rooms40 map, and the ring of cells just off each grid."""
+    insts = bench_instances()
+    rng = np.random.default_rng(15)
+    for inst in (insts[0], insts[10]):
+        planner = sl.LowLevelPlanner(inst, sl.GridSpec())
+        cell, (nx, ny) = planner.grid.cell, planner._shape
+        cells = list(itertools.product(range(nx), range(ny))) + rim_cells(-1, nx, -1, ny)
+        free = np.array([c for c in cells
+                         if (e := planner._near_boxes(*c)) is None or not e[1]], dtype=float)
+        assert 0 < len(free) < len(cells)
+        corners = [free + d for d in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        inside = [free + rng.uniform(0.0, 1.0, free.shape) for _ in range(2)]
+        xy = np.concatenate(corners + inside) * cell
+        base = np.zeros((len(xy), 1, 8))
+        base[..., 0] = base[..., 3] = -0.0
+        base[..., [1, 4, 6]] = xy[:, None, :1]
+        base[..., [2, 5, 7]] = xy[:, None, 1:]
+        r = inst.vehicle.disc_radius + 1e-9
+        for k in range(sl.N_YAW):
+            lead, lag, disc = planner._heading(sl.normalize_angle(k * sl._YAW_BIN)).stack
+            rows = base + lead
+            rows += lag
+            rows += disc
+            cx, cy = rows[..., 4::2], rows[..., 5::2]
+            assert cx.min() >= r and cx.max() <= inst.map_width - r, k
+            assert cy.min() >= r and cy.max() <= inst.map_height - r, k
 
 
 def test_heading_successors_match_discretize():
@@ -795,6 +833,48 @@ def test_goal_shots_match_reference_walk():
                 built += 1
                 cusps += any(s.is_wait for s in timed)
     assert built > 100 and cusps > 0
+
+
+def test_shot_static_test_stops_at_the_first_blocked_stretch(monkeypatch):
+    """Every goal shot's static test while PBS solves a pbs50 and a rooms40
+    instance gives the verdict of the full walk over all samples.  Its walk
+    yields exactly `_piece_poses`' samples, which are the old loop's, and
+    stops after SHOT_HEAD of them when one of those is blocked."""
+    walked = []
+    walk, test = sl._walk, sl.LowLevelPlanner._shot_blocked
+
+    def spy_walk(*args):
+        walked.append([])
+        mine = walked[-1]
+        for pose in walk(*args):
+            mine.append(pose)
+            yield pose
+
+    calls = []
+
+    def spy_test(self, pose, timed):
+        walked.clear()
+        verdict = test(self, pose, timed)
+        assert len(walked) == 1
+        calls.append((self, pose, timed, verdict, walked.pop()))
+        return verdict
+
+    monkeypatch.setattr(sl, "_walk", spy_walk)
+    monkeypatch.setattr(sl.LowLevelPlanner, "_shot_blocked", spy_test)
+    insts = bench_instances()
+    for inst, warm in ((insts[0], False), (insts[10], True)):
+        assert PrioritySearch(inst, sl.GridSpec(), warm_start=warm).solve(time_budget=60.0).ok
+    kinds = {"head": 0, "rest": 0, "clear": 0}
+    for planner, pose, timed, verdict, got in calls:
+        want = reference_piece_poses(*pose, timed, sl.SAMPLE_DS, planner.params.L)
+        assert np.array_equal(sl._piece_poses(*pose, timed, sl.SAMPLE_DS, planner.params.L), want)
+        mask = full_walk_shot_mask(planner, pose, timed)
+        assert verdict == bool(mask.any()), pose
+        kind = "clear" if not mask.any() else "head" if mask[:sl.SHOT_HEAD].any() else "rest"
+        kinds[kind] += 1
+        walked_to = sl.SHOT_HEAD if kind == "head" else len(want)
+        assert np.array_equal(np.array(got).reshape(-1, 3), want[:walked_to]), pose
+    assert min(kinds.values()) >= 5, kinds
 
 
 @pytest.mark.parametrize("grid", [sl.GridSpec(), unit_grid()], ids=["default", "sqrt2"])

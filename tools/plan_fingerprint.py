@@ -43,6 +43,9 @@ def dump(checkout: Path, out: Path) -> None:
     import workloads
     from fleetplan import instance, refine, search_low
 
+    if not Path(instance.__file__).resolve().is_relative_to(checkout):
+        sys.exit(f"imported fleetplan from {instance.__file__}, not from {checkout}")
+
     low_calls = []
     plan = search_low.LowLevelPlanner.plan
 
