@@ -4,6 +4,17 @@ Each node holds a full set of single-agent trajectories plus a DAG of
 priority pairs (i, j) meaning "j must stay clear of i".  Conflicts are
 resolved depth-first by branching on the two orientations of one new pair
 and replanning only the agents whose trajectories violate the grown order.
+
+The second child of an expansion (i yields to j) is planned only when it
+can change the search.  Its replans never touch an agent that has no
+ancestor under its order set, so its makespan is at least the largest
+makespan among those agents.  When the first child's makespan is at most
+1e-12 above that bound, the first child goes first whatever the second child
+turns out to be, so the second waits on the stack as a (parent, pair)
+entry and is planned only if the search backtracks to it.  The stack then
+holds the same nodes in the same places as when both children are planned
+at once: `a + 1e-12` rounds monotonically in a, and plans depend neither
+on the low-level pose memo nor on telemetry.
 """
 from __future__ import annotations
 
@@ -73,6 +84,19 @@ def detect_conflicts(trajs_by_id, params):
 def pick_conflict(node: PbsNode):
     """Earliest time index, then lexicographically smallest agent pair."""
     return min(node.conflicts, key=lambda c: (c[2], c[0], c[1]))
+
+
+def _ancestors(orders, a) -> set:
+    """Every agent that a must avoid under `orders`, directly or through
+    other agents."""
+    out, todo = set(), [a]
+    while todo:
+        lo = todo.pop()
+        for hi, b in orders:
+            if b == lo and hi not in out:
+                out.add(hi)
+                todo.append(hi)
+    return out
 
 
 def _topological(ids, orders):
@@ -155,12 +179,27 @@ class PrioritySearch:
             discs = _disc_table(trajs, self.params)
         return self._make_node(orders, trajs)
 
-    def expand(self, node: PbsNode, conflict, deadline: float = math.inf) -> list[PbsNode]:
+    def expand(self, node: PbsNode, conflict, deadline: float = math.inf) -> list:
         """Children for both orientations of the conflicting pair, ordered so
-        the first list element should be explored first."""
+        the first list element should be explored first.
+
+        A pair whose agents are already ordered, directly or through other
+        agents, is a dead end: no order can resolve it, and the node gets no
+        children.  The second child (i yields to j) comes back unplanned, as
+        the entry (node, (j, i)), when the first child is known to go first:
+        when its makespan is at most 1e-12 above the largest makespan among the
+        agents with no ancestor under the second child's orders, which that
+        child keeps as they are.  `solve` plans such an entry when it pops
+        it."""
         i, j, _ = conflict
-        assert (i, j) not in node.orders and (j, i) not in node.orders
+        if i in _ancestors(node.orders, j) or j in _ancestors(node.orders, i):
+            return []
         ci = self.update_plan(node, (i, j), deadline)  # j yields to i
+        if ci is not None:
+            below = {lo for _, lo in node.orders} | {i}
+            kept = max(t.makespan_s for a, t in node.trajs.items() if a not in below)
+            if ci.makespan <= kept + 1e-12:
+                return [ci, (node, (j, i))]
         cj = self.update_plan(node, (j, i), deadline)  # i yields to j
         if ci is None and cj is None:
             return []
@@ -173,8 +212,10 @@ class PrioritySearch:
     # -- main loop ---------------------------------------------------------
 
     def solve(self, time_budget: float | None = None) -> PbsResult:
-        """Search from a fresh root with fresh telemetry.  On every exit the
-        low-level pose memo that the replans share is dropped."""
+        """Search from a fresh root with fresh telemetry.  A deferred second
+        child from `expand` is planned when it is popped and skipped when it
+        cannot be planned, as if `expand` had never returned it.  On every
+        exit the low-level pose memo that the replans share is dropped."""
         deadline = math.inf if time_budget is None else time.monotonic() + time_budget
         tele = self.telemetry = PbsTelemetry()
         try:
@@ -188,6 +229,10 @@ class PrioritySearch:
                 if time.monotonic() > deadline:
                     return PbsResult("timeout", None, tele)
                 node = frontier.pop()
+                if isinstance(node, tuple):
+                    node = self.update_plan(*node, deadline)
+                    if node is None:
+                        continue
                 if not node.conflicts:
                     return PbsResult("ok", node, tele)
                 conflict = pick_conflict(node)

@@ -18,7 +18,9 @@ from before it ran each test once on the stacked plan; `rs_solutions` and
 `reference_shortest_path` keep the Reeds-Shepp word table, its generator
 and the running minimum over it from before `shortest_path`'s lean loop.
 `all_paths`, every Reeds-Shepp candidate, is built from `rs_solutions` to
-check the search for the shortest.
+check the search for the shortest.  `eager_expand` keeps the priority
+search's expansion from before it deferred the second child, with the
+dead-end rule in place of its assertion.
 """
 from __future__ import annotations
 
@@ -782,3 +784,28 @@ def loop_corridor(seeds, map_wh, obstacles, r, extent, relocate):
             lo[t, 2 * d:2 * d + 2] = (x0, y0)
             hi[t, 2 * d:2 * d + 2] = (x1, y1)
     return lo, hi
+
+
+def _ordered(orders, hi, lo) -> bool:
+    """Whether lo must avoid hi under `orders`, through any chain of pairs."""
+    reach, grown = {hi}, True
+    while grown:
+        more = {b for a, b in orders if a in reach} - reach
+        reach |= more
+        grown = bool(more)
+    return lo in reach
+
+
+def eager_expand(search, node, conflict, deadline: float = math.inf) -> list:
+    """`PrioritySearch.expand` planning both children every time: nothing
+    for a pair already ordered, directly or through other agents; else both
+    orientations' children, the one of smaller makespan first (ties within
+    1e-12 to i's priority), dropping one that cannot be planned."""
+    i, j, _ = conflict
+    if _ordered(node.orders, i, j) or _ordered(node.orders, j, i):
+        return []
+    ci = search.update_plan(node, (i, j), deadline)
+    cj = search.update_plan(node, (j, i), deadline)
+    if ci is None or cj is None:
+        return [c for c in (ci, cj) if c is not None]
+    return [ci, cj] if ci.makespan <= cj.makespan + 1e-12 else [cj, ci]

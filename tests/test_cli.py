@@ -59,6 +59,20 @@ def test_solve_writes_verified_plan(tmp_path, capsys, monkeypatch):
     assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
 
 
+def test_start_discs_that_overlap_end_the_search_exhausted(tmp_path, capsys):
+    """Covering discs that overlap at t = 0 cannot be separated by any
+    priority order: the script prints an `exhausted` line and exits 1."""
+    inst = MvtpInstance(40.0, 40.0, [],
+                        [AgentTask(0, State(10.0, 10.0, 0.0), State(25.0, 10.0, 0.0)),
+                         AgentTask(1, State(10.0, 12.3, 0.0), State(25.0, 25.0, 0.0))],
+                        VehicleParams())
+    save_instance(tmp_path / "inst.yaml", inst)
+    code, out, _ = run(capsys, "solve", str(tmp_path / "inst.yaml"))
+    assert code == 1
+    assert json.loads(out) == {"status": "exhausted",
+                               "failure": {"stage": "search", "reason": "exhausted"}}
+
+
 def test_agents_at_their_goals_get_a_one_sample_plan(tmp_path, capsys):
     """Agents that start at their goals get coarse trajectories with no
     segment, and the one-sample guess interpolated from them verifies, so

@@ -40,6 +40,31 @@ def test_compare_prints_the_largest_difference_of_a_numeric_field(tmp_path, caps
                      "compared 1 instances: 2 differences"]
 
 
+def test_compare_names_the_calls_a_low_log_leaves_out(tmp_path, capsys):
+    """A `low` log whose calls are the other side's in order, less some,
+    reads with how many it leaves out, whichever side is shorter; a log
+    that reorders calls reads as differing in more than numbers; the last
+    line and the exit code stay those CI reads."""
+    calls = [(0, "ok", 40), (1, "ok", 12), (1, "ok", 30), (2, "exhausted", 9)]
+    fewer = [calls[0], calls[2], calls[3]]
+    swapped = [calls[1], calls[0], calls[3]]
+    paths = {}
+    for name, low in (("all", calls), ("fewer", fewer), ("swapped", swapped)):
+        paths[name] = tmp_path / f"{name}.pkl"
+        paths[name].write_bytes(pickle.dumps({("w", 0): {"low": low, "low_calls": len(low)}}))
+
+    for a, b, line in (
+            ("all", "fewer", "second is an in-order subsequence of first, leaving out 1 of 4 calls"),
+            ("fewer", "all", "first is an in-order subsequence of second, leaving out 1 of 4 calls"),
+            ("all", "swapped", "not in numbers only")):
+        assert fingerprint.compare(paths[a], paths[b]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"differs: ('w', 0) low ({line})"
+        assert out[-1] == f"compared 1 instances: {len(out) - 1} differences"
+    assert fingerprint.compare(paths["fewer"], paths["fewer"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(": identical")
+
+
 def test_largest_difference_reads_equal_infinities_as_no_gap():
     """A QP's bounds hold infinities: where both sides hold the same one the
     entry does not differ, so moved finite entries give a finite gap (and no

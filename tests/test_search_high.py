@@ -21,6 +21,7 @@ from fleetplan.search_low import (
 )
 from fleetplan import search_high as sh
 from fleetplan import search_low as sl
+from oracles import eager_expand
 
 
 # ---------------------------------------------------------------- fixtures
@@ -58,6 +59,17 @@ def cascade_instance():
         [AgentTask(0, State(3.0, 5.5, 0.0), State(21.0, 5.5, 0.0)),
          AgentTask(1, State(21.0, 5.5, np.pi), State(3.0, 5.5, np.pi)),
          AgentTask(2, State(1.9, 2.2, 0.0), State(21.0, 2.2, 0.0))],
+        VehicleParams(),
+    )
+
+
+def close_start_instance():
+    """Two agents whose bodies are clear at the start but whose covering
+    discs overlap there: no priority order can resolve that conflict."""
+    return MvtpInstance(
+        40.0, 40.0, [],
+        [AgentTask(0, State(10.0, 10.0, 0.0), State(25.0, 10.0, 0.0)),
+         AgentTask(1, State(10.0, 12.3, 0.0), State(25.0, 25.0, 0.0))],
         VehicleParams(),
     )
 
@@ -101,6 +113,47 @@ def record_replans(searcher):
 
     searcher.low.plan = wrapped
     return log
+
+
+def record_calls(searcher):
+    """Wrap the shared low-level planner so each call's (agent, status,
+    expansions) is logged in call order."""
+    log = []
+    orig = searcher.low.plan
+
+    def wrapped(agent_id, table=None, **kw):
+        res = orig(agent_id, table, **kw)
+        log.append((agent_id, res.status, res.expansions))
+        return res
+
+    searcher.low.plan = wrapped
+    return log
+
+
+def record_deferred_pops(searcher):
+    """Wrap `expand` and `update_plan` so that each second child `expand`
+    deferred logs whether it could be planned once `solve` popped it."""
+    deferred, pops = [], []
+    expand, update = searcher.expand, searcher.update_plan
+
+    def wrapped_expand(node, conflict, deadline=math.inf):
+        kids = expand(node, conflict, deadline)
+        deferred.extend(k for k in kids if isinstance(k, tuple))
+        return kids
+
+    def wrapped_update(node, pair, deadline=math.inf):
+        child = update(node, pair, deadline)
+        if any(parent is node and p == pair for parent, p in deferred):
+            pops.append(child is not None)
+        return child
+
+    searcher.expand, searcher.update_plan = wrapped_expand, wrapped_update
+    return pops
+
+
+def resolved(searcher, kids):
+    """`expand`'s children with a deferred second child planned."""
+    return [searcher.update_plan(*k) if isinstance(k, tuple) else k for k in kids]
 
 
 # ---------------------------------------------------------- reusable checks
@@ -297,7 +350,7 @@ def test_expand_symmetric_tie_prefers_low_id_priority():
     s = sh.PrioritySearch(inst, grid, warm_start=False)
     root = s.generate_root()
     conflict = sh.pick_conflict(root)
-    kids = s.expand(root, conflict)
+    kids = resolved(s, s.expand(root, conflict))
     assert len(kids) == 2
     assert kids[0].makespan <= kids[1].makespan + 1e-12
     if abs(kids[0].makespan - kids[1].makespan) <= 1e-12:
@@ -416,7 +469,7 @@ def test_each_solve_has_its_own_telemetry():
     assert first.ok and second.ok
     assert first.telemetry is not second.telemetry
     counts = [(r.telemetry.nodes_expanded, r.telemetry.low_level_calls) for r in (first, second)]
-    assert counts == [(6, 20)] * 2
+    assert counts == [(6, 16)] * 2
 
 
 def test_solve_deterministic():
@@ -438,3 +491,99 @@ def test_two_agent_order_surrogate_suite():
 
 def test_warm_start_agreement_suite():
     assert warm_agreement_mismatches(range(300, 330)) == []
+
+
+def solve_eagerly(monkeypatch, inst, warm_start):
+    """Solve with `expand` planning both children every time, logging every
+    low-level call."""
+    with monkeypatch.context() as m:
+        m.setattr(sh.PrioritySearch, "expand", eager_expand)
+        search = sh.PrioritySearch(inst, GridSpec(), warm_start=warm_start)
+        log = record_calls(search)
+        return search.solve(60.0), log
+
+
+def is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(call in rest for call in short)
+
+
+def test_lazy_second_child_leaves_the_search_unchanged(monkeypatch):
+    """The deferred second child changes no status, node count, order or
+    plan; it only leaves out low-level calls, keeping the rest in order."""
+    cases = [(generate_random_instance(s, 50.0, 8, 8), False) for s in (1, 5, 8)]
+    cases += [(close_start_instance(), warm) for warm in (False, True)]
+    left_out = []
+    for inst, warm in cases:
+        search = sh.PrioritySearch(inst, GridSpec(), warm_start=warm)
+        log = record_calls(search)
+        lazy = search.solve(60.0)
+        eager, eager_log = solve_eagerly(monkeypatch, inst, warm)
+        assert lazy.status == eager.status
+        assert lazy.telemetry.nodes_expanded == eager.telemetry.nodes_expanded
+        assert (lazy.telemetry.low_level_calls, eager.telemetry.low_level_calls) \
+            == (len(log), len(eager_log))
+        assert (lazy.node is None) == (eager.node is None)
+        if lazy.node is not None:
+            assert lazy.node.orders == eager.node.orders
+            assert lazy.node.trajs.keys() == eager.node.trajs.keys()
+            for a, t in lazy.node.trajs.items():
+                assert np.array_equal(t.states, eager.node.trajs[a].states)
+                assert t.segments == eager.node.trajs[a].segments
+        assert is_subsequence(log, eager_log)
+        left_out.append(len(eager_log) - len(log))
+    assert max(left_out) > 0
+
+
+def test_close_start_pair_is_a_dead_end():
+    """Discs that overlap at t = 0 conflict under either order; once the
+    pair is ordered the node has no children, so the search runs out of
+    nodes instead of stopping on an assertion."""
+    for warm in (False, True):
+        search = sh.PrioritySearch(close_start_instance(), GridSpec(), warm_start=warm)
+        pops = record_deferred_pops(search)
+        res = search.solve(60.0)
+        assert res.status == "exhausted"
+        # root, then each orientation's child; the second is deferred and popped
+        assert (res.telemetry.nodes_expanded, res.telemetry.low_level_calls) == (3, 4)
+        assert pops == [True]
+
+
+def test_expand_gives_no_children_to_a_transitively_ordered_pair():
+    search = sh.PrioritySearch(cascade_instance(), GridSpec(), warm_start=False)
+    root = search.generate_root()
+    log = record_calls(search)
+    node = sh.PbsNode(frozenset({(0, 2), (2, 1)}), root.trajs, root.conflicts, root.makespan)
+    assert search.expand(node, (0, 1, 0)) == []
+    assert search.expand(node, (1, 2, 0)) == []
+    assert log == []
+
+
+def test_deferred_sibling_that_cannot_be_planned_is_skipped(monkeypatch):
+    """When the search backtracks to a deferred second child that cannot be
+    planned, it skips it, just as `expand` would have dropped it."""
+    def no_yielding(search):
+        plan = search.low.plan
+
+        def wrapped(agent_id, table=None, **kw):
+            if agent_id == 0 and table is not None:
+                return sl.LowLevelResult("exhausted", None, 0)
+            return plan(agent_id, table, **kw)
+
+        search.low.plan = wrapped
+
+    search = sh.PrioritySearch(close_start_instance(), GridSpec(), warm_start=False)
+    no_yielding(search)
+    pops = record_deferred_pops(search)
+    res = search.solve(60.0)
+    assert pops == [False]
+    assert (res.status, res.telemetry.nodes_expanded, res.telemetry.low_level_calls) \
+        == ("exhausted", 2, 4)
+
+    with monkeypatch.context() as m:
+        m.setattr(sh.PrioritySearch, "expand", eager_expand)
+        eager = sh.PrioritySearch(close_start_instance(), GridSpec(), warm_start=False)
+        no_yielding(eager)
+        res = eager.solve(60.0)
+    assert (res.status, res.telemetry.nodes_expanded, res.telemetry.low_level_calls) \
+        == ("exhausted", 2, 4)

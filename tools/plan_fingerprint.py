@@ -24,8 +24,11 @@ The per-call record makes `compare` catch a change that reorders or lengthens
 the search even when the final plans match.  `compare` names each differing
 field by its dotted path (such as `refine.qps`), with the largest absolute
 difference over its numbers when the two sides differ in numbers only (so a
-rounding shift reads apart from a changed plan), and exits 1 on any
-difference or when either record set holds no instance.
+rounding shift reads apart from a changed plan), or, for a `low` log, with
+the number of calls one side leaves out when its calls are the other's in
+the same order, less some (so a search that skips replans reads apart from
+one that plans differently).  It exits 1 on any difference or when either
+record set holds no instance.
 """
 from __future__ import annotations
 
@@ -167,6 +170,25 @@ def largest_difference(x, y) -> float | None:
     return gap if math.isfinite(gap) else None
 
 
+def subsequence(x, y) -> bool:
+    """Whether the items of x appear in y in the same order."""
+    rest = iter(y)
+    return all(item in rest for item in x)
+
+
+def describe(path: str, x, y) -> str:
+    """How x and y differ: for a `low` log that is an in-order subsequence
+    of the other side's, the calls it leaves out; otherwise the largest
+    difference in numbers, or that they differ in more than numbers."""
+    if path == "low" and isinstance(x, list) and isinstance(y, list):
+        for short, long, names in ((y, x, ("second", "first")), (x, y, ("first", "second"))):
+            if len(short) < len(long) and subsequence(short, long):
+                return (f"({names[0]} is an in-order subsequence of {names[1]}, leaving out "
+                        f"{len(long) - len(short)} of {len(long)} calls)")
+    gap = largest_difference(x, y)
+    return "(not in numbers only)" if gap is None else f"(largest |difference| {gap:.3g})"
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a = pickle.loads(a_path.read_bytes())
     b = pickle.loads(b_path.read_bytes())
@@ -176,9 +198,7 @@ def compare(a_path: Path, b_path: Path) -> int:
     diffs = [(key, *d) for key in sorted(a.keys() | b.keys())
              for d in differing(a.get(key, _MISSING), b.get(key, _MISSING), "")]
     for key, path, x, y in diffs:
-        gap = largest_difference(x, y)
-        print("differs:", key, path,
-              "(not in numbers only)" if gap is None else f"(largest |difference| {gap:.3g})")
+        print("differs:", key, path, describe(path, x, y))
     print(f"compared {len(a)} instances:", f"{len(diffs)} differences" if diffs else "identical")
     return 1 if diffs else 0
 
