@@ -112,6 +112,15 @@ class VehicleParams:
         return math.hypot((self.L_F + self.L_B) / 4.0, self.W / 2.0)
 
     @property
+    def conflict_distance(self) -> float:
+        """Disc-centre distance below which two vehicles conflict.  The disc
+        metric (min center distance < 2 r_v) is what the downstream separating
+        planes require, so the coarse stage polices exactly the clearance the
+        refinement stage will need, and an instance whose starts or goals are
+        closer is refused."""
+        return 2.0 * self.disc_radius - 1e-9
+
+    @property
     def min_turn_radius(self) -> float:
         return self.L / math.tan(self.phi_max)
 

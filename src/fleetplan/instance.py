@@ -121,6 +121,17 @@ def _check_instance(inst: MvtpInstance) -> None:
     if len(pairs):
         (ai, ni, _), (aj, nj, _) = ends[pairs[0][0]], ends[pairs[0][1]]
         raise InstanceError(f"agent {ai} {ni} overlaps agent {aj} {nj}")
+    # two agents' covering discs closer than the search's conflict distance
+    # at their starts, or at their goals, are a conflict no plan can remove;
+    # a start may still come that close to another agent's goal
+    i, j, d = pair_clearances(disc_centers_arr(poses.reshape(-1, 2, 3), inst.vehicle))
+    close = np.argwhere(d < inst.vehicle.conflict_distance)
+    if len(close):
+        p, e = close[0]
+        (ai, name, _), (aj, _, _) = ends[2 * i[p] + e], ends[2 * j[p] + e]
+        raise InstanceError(
+            f"agent {ai} {name}'s covering discs overlap agent {aj} {name}'s (centres "
+            f"{d[p, e]:.3f} m apart, under {2.0 * inst.vehicle.disc_radius:.3f} m)")
 
 
 # ---------------------------------------------------------------------------

@@ -543,6 +543,16 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
     naming the first agent in agent order that owns such a seed.  Stops on
     verifier acceptance, iterate convergence (CONVERGENCE_TOL) or
     MAX_SQP_ITERS; only a verifier-clean plan counts.
+
+    It also stops, `qp_infeasible`, once a round's report holds a violation
+    that involves rejected agents only: a per-agent violation of a rejected
+    agent, or an `inter_agent` one between two.  A rejected agent's controls
+    never change again and its rollout reads nothing else, so every later
+    round would report that violation too and none could verify; the status
+    and the failure (the first rejection) are those the remaining rounds
+    would end with, and the QPs solved are the first of theirs.  The two
+    outcomes those rounds could still reach, a later `relocation_failed` or
+    `timeout`, are given up for the earlier `qp_infeasible`.
     """
     params = instance.vehicle
     tele = RefineTelemetry()
@@ -623,9 +633,14 @@ def sqp_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf) -> Refine
         zs, us = zip(*(rollout_controls(task.start.as_array(), cur_u[m], params, dt)
                        for m, task in enumerate(instance.agents)))
         plan = Plan(states=list(zs), controls=list(us), dt=dt, tau_f=(T - 1) * dt)
-        if not validate_plan(instance, plan).violations:
+        violations = validate_plan(instance, plan).violations
+        if not violations:
             return RefineResult("ok", plan, tele)
-        if resid < eps:
+        # a violation among rejected agents alone recurs in every later round
+        frozen = {order[m] for m in rejected}
+        decided = any(v.agent in frozen and (v.kind != "inter_agent" or v.partner in frozen)
+                      for v in violations)
+        if resid < eps or decided:
             break
     if tele.qp_rejections:
         return fail("qp_infeasible", *tele.qp_rejections[0])

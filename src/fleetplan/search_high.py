@@ -65,19 +65,11 @@ def _disc_table(trajs_by_id, params) -> np.ndarray:
     return disc_table([trajs_by_id[a].states for a in sorted(trajs_by_id)], params)
 
 
-def _conflict_distance(params) -> float:
-    """Disc-centre distance below which two vehicles conflict.  The disc
-    metric (min center distance < 2 r_v) is what the downstream separating
-    planes require, so the coarse stage polices exactly the clearance the
-    refinement stage will need."""
-    return 2.0 * params.disc_radius - 1e-9
-
-
 def detect_conflicts(trajs_by_id, params):
     """(a, b, t) of every disc conflict, agent ids a < b, by pair then time."""
     ids = sorted(trajs_by_id)
     i, j, d = pair_clearances(_disc_table(trajs_by_id, params))
-    p, t = np.nonzero(d < _conflict_distance(params))
+    p, t = np.nonzero(d < params.conflict_distance)
     return [(ids[a], ids[b], k) for a, b, k in zip(i[p].tolist(), j[p].tolist(), t.tolist())]
 
 
@@ -169,7 +161,7 @@ class PrioritySearch:
                 continue
             table = discs[[row[b] for b in anc]]
             if not (disc_center_distance(discs[row[a]], table)
-                    < _conflict_distance(self.params)).any():
+                    < self.params.conflict_distance).any():
                 continue
             res = self.low.plan(a, table, deadline=deadline)
             self.telemetry.low_level_calls += 1

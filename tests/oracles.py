@@ -20,18 +20,22 @@ and the running minimum over it from before `shortest_path`'s lean loop.
 `all_paths`, every Reeds-Shepp candidate, is built from `rs_solutions` to
 check the search for the shortest.  `eager_expand` keeps the priority
 search's expansion from before it deferred the second child, with the
-dead-end rule in place of its assertion.
+dead-end rule in place of its assertion.  `full_round_refine` keeps
+refinement's loop from before it stopped at the round whose report no later
+round can clear.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import time
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from fleetplan import reeds_shepp as rs
+from fleetplan import refine
 from fleetplan.geometry import (
     advance_arc,
     boxes_outside_map,
@@ -809,3 +813,87 @@ def eager_expand(search, node, conflict, deadline: float = math.inf) -> list:
     if ci is None or cj is None:
         return [c for c in (ci, cj) if c is not None]
     return [ci, cj] if ci.makespan <= cj.makespan + 1e-12 else [cj, ci]
+
+
+def full_round_refine(trajs_by_id, instance: MvtpInstance, deadline=math.inf):
+    """`refine.sqp_refine` running every round after a rejection: it stops
+    only on verifier acceptance, iterate convergence or MAX_SQP_ITERS.  Each
+    name is looked up on `refine` at call time, so a spy set there sees
+    this loop's calls too."""
+    params = instance.vehicle
+    tele = refine.RefineTelemetry()
+    order = [a.id for a in instance.agents]
+    states, controls, dt = refine.interpolate(trajs_by_id, order, params)
+    M, T = states.shape[:2]
+    guess = Plan(states=list(states), controls=list(controls), dt=dt, tau_f=(T - 1) * dt)
+    if refine.validate_plan(instance, guess).feasible:
+        return refine.RefineResult("ok", guess, tele)
+
+    pad = refine.N_INTERP + 1
+    states = np.concatenate([states, np.repeat(states[:, -1:], pad, axis=1)], axis=1)
+    controls = np.concatenate([controls, np.zeros((M, pad, 2))], axis=1)
+    T = states.shape[1]
+
+    base_s = np.empty_like(states)
+    base_u = np.empty_like(controls)
+    for m in range(M):
+        base_s[m], base_u[m] = refine._track_guess(states[m], controls[m], dt, params)
+
+    planes = refine.build_separation(refine.find_neighbor_pairs(base_s, params), base_s, params)
+    Y0 = disc_centers_arr(base_s, params).reshape(M, T, 4)
+
+    eps = refine.CONVERGENCE_TOL * math.sqrt(M * (6 * T - 2))
+
+    cur_s = base_s
+    cur_u = base_u
+    rejected = {}
+
+    def fail(status, agent, k, reason):
+        tele.failure = {"reason": reason, "agent": agent, "iteration": k}
+        return refine.RefineResult(status, None, tele)
+
+    for k in range(refine.MAX_SQP_ITERS):
+        if time.monotonic() > deadline:
+            return fail("timeout", None, k, "deadline exceeded")
+        new_s, new_u = cur_s.copy(), cur_u.copy()
+        try:
+            corridors = refine.build_corridor(cur_s, instance)
+        except refine.RelocationError as exc:
+            return fail("relocation_failed", order[exc.index[0]], k, str(exc))
+        lins = refine.linearize_dynamics(cur_s, cur_u, params, dt)
+        for m, task in enumerate(instance.agents):
+            aid = task.id
+            if m in rejected:
+                tele.qp_rejections.append((aid, k, rejected[m]))
+                continue
+            qp = refine.assemble_qp(task.start.as_array(), task.goal.as_array(),
+                                    cur_s[m], lins[m], corridors[m], planes[m], Y0[m], params,
+                                    vbar0=float(cur_u[m, 0, 0]))
+            if qp is None:
+                sol = None
+            else:
+                t0 = time.monotonic()
+                sol = refine.qp_solve(qp)
+                tele.qp_time_s += time.monotonic() - t0
+            if sol is None or sol.status != "optimal":
+                rejected[m] = "empty_box" if sol is None else sol.status
+                tele.qp_rejections.append((aid, k, rejected[m]))
+                continue
+            new_s[m], new_u[m] = refine._unpack(sol.x, T)
+        resid = float(np.sqrt(((new_s - cur_s) ** 2).sum()
+                              + ((new_u - cur_u) ** 2).sum()))
+        tele.residuals.append(resid)
+        tele.iterations = k + 1
+        cur_s, cur_u = new_s, new_u
+
+        zs, us = zip(*(refine.rollout_controls(task.start.as_array(), cur_u[m], params, dt)
+                       for m, task in enumerate(instance.agents)))
+        plan = Plan(states=list(zs), controls=list(us), dt=dt, tau_f=(T - 1) * dt)
+        if not refine.validate_plan(instance, plan).violations:
+            return refine.RefineResult("ok", plan, tele)
+        if resid < eps:
+            break
+    if tele.qp_rejections:
+        return fail("qp_infeasible", *tele.qp_rejections[0])
+    return fail("not_feasible", None, tele.iterations,
+                "iterate converged or capped while still infeasible")

@@ -78,6 +78,34 @@ agents:
                        .replace("[0.5, 10, 0]", "[5, 10, 0]"))
 
 
+def test_check_refuses_start_or_goal_discs_closer_than_the_conflict_distance():
+    """Two agents whose covering discs lie closer than the search's conflict
+    distance at their starts, or at their goals, can never be separated, so
+    the instance is refused with both agents named, though their bodies are
+    clear; discs exactly 2 r_v apart are not refused, nor is a start that
+    close to another agent's goal."""
+    v = VehicleParams()
+    two_r = 2.0 * v.disc_radius
+    assert v.conflict_distance == two_r - 1e-9
+
+    def check(a_start, a_goal, b_start, b_goal):
+        poses = [(10.0, 10.0 + dy, 0.0) for dy in (a_start, a_goal, b_start, b_goal)]
+        agents = [AgentTask(k, State(*poses[2 * k]), State(*poses[2 * k + 1])) for k in (0, 1)]
+        parse_instance(serialize_instance(MvtpInstance(40.0, 40.0, [], agents, v)))
+
+    near = 2.3   # bodies of width 2 are clear, the discs of radius 1.25 are not
+    with pytest.raises(InstanceError, match=re.escape(
+            "agent 0 start's covering discs overlap agent 1 start's "
+            "(centres 2.300 m apart, under 2.500 m)")):
+        check(0.0, 20.0, near, 10.0)
+    with pytest.raises(InstanceError, match="agent 0 goal's covering discs overlap agent 1 goal's"):
+        check(0.0, 20.0, 10.0, 20.0 + near)
+    with pytest.raises(InstanceError, match="agent 0 start's"):
+        check(0.0, 20.0, two_r - 1e-6, 10.0)
+    check(0.0, 20.0, two_r, 20.0 + two_r)   # exactly 2 r_v apart at both ends
+    check(0.0, 20.0, 20.0 + near, near)     # each start beside the other's goal
+
+
 def test_parse_rejects_empty_agents():
     with pytest.raises(InstanceError):
         parse_instance(MINIMAL.replace("- {id: 0, start: [5, 5, 0], goal: [15, 15, 0]}", "[]").replace("agents:\n", "agents: "))

@@ -11,6 +11,7 @@ from fleetplan import qp, refine
 from fleetplan.instance import Plan, generate_random_instance, validate_plan
 from fleetplan.search_high import PrioritySearch
 from fleetplan.search_low import GridSpec
+from oracles import full_round_refine
 
 _SPEC = importlib.util.spec_from_file_location(
     "plan_fingerprint", Path(__file__).parents[1] / "tools" / "plan_fingerprint.py")
@@ -65,6 +66,42 @@ def test_compare_names_the_calls_a_low_log_leaves_out(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].endswith(": identical")
 
 
+def test_compare_names_where_a_refine_run_stops(tmp_path, capsys):
+    """A refine run whose QPs (or residuals) are the other side's first
+    ones, with the same status and failure, reads with the number after
+    which it stops, whichever side is shorter; with another failure, or QPs
+    that are not the other side's first ones, its `qps` read as differing in
+    more than numbers; the last line and the exit code stay those CI
+    reads."""
+    rng = np.random.default_rng(3)
+    qps = [(status, k, rng.normal(size=(5, 4)), rng.normal(size=(4, 2)), rng.normal(size=9))
+           for k, status in enumerate(["optimal", "primal_infeasible", "optimal"])]
+    failure = {"reason": "primal_infeasible", "agent": 1, "iteration": 0}
+    moved = (qps[1][0], qps[1][1], qps[1][2] + 1e-9, *qps[1][3:])
+    runs = {"full": (qps, failure), "short": (qps[:2], failure),
+            "other_failure": (qps[:2], {**failure, "agent": 0}),
+            "moved": ([qps[0], moved], failure)}
+    paths = {}
+    for name, (q, fail) in runs.items():
+        paths[name] = tmp_path / f"{name}.pkl"
+        rec = {"refine": {"status": "qp_infeasible", "failure": fail, "qps": q,
+                          "residuals": [0.5, 0.25, 0.125][:len(q)]}}
+        paths[name].write_bytes(pickle.dumps({("w", 0): rec}))
+
+    for a, b, line in (
+            ("full", "short", "second stops after 2 of 3 QPs, with the same status and failure"),
+            ("short", "full", "first stops after 2 of 3 QPs, with the same status and failure"),
+            ("full", "other_failure", "not in numbers only"),
+            ("full", "moved", "not in numbers only")):
+        assert fingerprint.compare(paths[a], paths[b]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"differs: ('w', 0) refine.qps ({line})" in out
+        assert out[-1] == f"compared 1 instances: {len(out) - 1} differences"
+        if "stops" in line:
+            assert (f"differs: ('w', 0) refine.residuals ({line.replace('QPs', 'rounds')})"
+                    in out)
+
+
 def test_largest_difference_reads_equal_infinities_as_no_gap():
     """A QP's bounds hold infinities: where both sides hold the same one the
     entry does not differ, so moved finite entries give a finite gap (and no
@@ -79,14 +116,16 @@ def test_largest_difference_reads_equal_infinities_as_no_gap():
         assert fingerprint.largest_difference(l, -l) is None
 
 
-def test_refine_record_keeps_every_verifier_report(tmp_path, capsys):
+def test_refine_record_keeps_every_verifier_report(tmp_path, capsys, monkeypatch):
     """The record holds one report per `validate_plan` call of `sqp_refine`,
     the interpolated guess's first, and the data of every QP it solves,
     restores the spied functions, and a report that changes reads as a
     difference of `refine.reports`, one A value that moves as a difference
-    of `refine.qp_data`."""
+    of `refine.qp_data`.  The record is taken of `full_round_refine`, whose
+    rounds after a rejection report `inter_agent` violations."""
     inst = generate_random_instance(1, 30.0, 6, 4)
     trajs = PrioritySearch(inst, GridSpec()).solve().trajectories
+    monkeypatch.setattr(refine, "sqp_refine", full_round_refine)
     rec = fingerprint.refine_record(refine, trajs, inst)
 
     assert (refine.qp_solve, refine.validate_plan) == (qp.solve, validate_plan)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from fleetplan import qp, refine
-from oracles import kkt_solve, lp_margin
+from oracles import full_round_refine, kkt_solve, lp_margin
 
 
 def make_eq_qp(rng):
@@ -75,15 +75,15 @@ def band_solves(monkeypatch):
     return calls
 
 
-def test_each_direction_takes_one_band_solve(band_solves, refine30_solves):
+def test_each_direction_takes_one_band_solve(band_solves, full_round_solves):
     """An interior-point direction need not be exact, so each of an
     iteration's three (the embedding's fixed right side, the predictor and
     the corrector) is one solve with the regularized factor; only the start
     and the polish refine theirs, at two solves each.  So an optimal QP
-    makes exactly 3 iterations + 4 band solves, on sparse QPs and on
-    refine30's optimal QPs."""
+    makes exactly 3 iterations + 4 band solves, on sparse QPs and on the
+    optimal QPs of refine30's every round (`full_round_refine`)."""
     probs = [make_sparse_qp(np.random.default_rng(seed)) for seed in range(4)]
-    probs += [args[0] for _, _, ss in refine30_solves.values()
+    probs += [args[0] for _, _, ss in full_round_solves.values()
               for args, _, sol in ss if sol.status == "optimal"]
     assert len(probs) == 4 + 16
     for prob in probs:
@@ -141,17 +141,18 @@ def dense_kkt(P, E, AI, w):
     return K
 
 
-def test_kkt_factor_solves_the_dense_system(refine30_solves):
+def test_kkt_factor_solves_the_dense_system(full_round_solves):
     """The band LU of `qp._Kkt` solves the same system as numpy's dense
-    solve, on refine30's QPs and on sparse QPs, at two spreads of the
-    inequality weights; its half-width is the widest entry's distance from
-    the diagonal in the interleaved order, at most 11 on refine30, where
-    each row's multiplier sits halfway along its columns.  Refinement's
-    dependent equality rows (a tight disc box beside the endpoint rows) and
-    widely spread weights make the system ill-conditioned, so the solve is
-    held to a rounding-sized residual, and on the sparse QPs also to the
-    dense solution within what the condition number allows."""
-    refine_qps = [args[0] for _, _, ss in refine30_solves.values() for args, _, _ in ss]
+    solve, on the QPs of refine30's every round and on sparse QPs, at two
+    spreads of the inequality weights; its half-width is the widest entry's
+    distance from the diagonal in the interleaved order, at most 11 on
+    refine30, where each row's multiplier sits halfway along its columns.
+    Refinement's dependent equality rows (a tight disc box beside the
+    endpoint rows) and widely spread weights make the system
+    ill-conditioned, so the solve is held to a rounding-sized residual, and
+    on the sparse QPs also to the dense solution within what the condition
+    number allows."""
+    refine_qps = [args[0] for _, _, ss in full_round_solves.values() for args, _, _ in ss]
     sparse_qps = [make_sparse_qp(np.random.default_rng(seed)) for seed in (0, 3)]
     rng = np.random.default_rng(1)
     widths = []
@@ -207,7 +208,7 @@ def test_refine30_verdicts_agree_with_linprog(refine30_solves):
     each `primal_infeasible` verdict is on bounds that `linprog` proves
     infeasible by more than 1e-7."""
     solves = [(args[0], sol) for _, _, ss in refine30_solves.values() for args, _, sol in ss]
-    assert len(solves) == 21
+    assert len(solves) == 12
     for prob, sol in solves:
         says = lp_says(lp_margin(prob.A, prob.l, prob.u))
         if sol.status == "optimal":
@@ -218,8 +219,9 @@ def test_refine30_verdicts_agree_with_linprog(refine30_solves):
 
 
 def agent_solves(coarse, n):
-    """(agent, QpProblem, QpSolution) of every QP that `sqp_refine` solves
-    on the refine30 instance with n agents, in solve order."""
+    """(agent, QpProblem, QpSolution) of every QP that `full_round_refine`
+    solves on the refine30 instance with n agents, in solve order; it runs
+    the rounds after a rejection that `sqp_refine` stops before."""
     inst, trajs = coarse[n]
     agent_of = {tuple(a.start.as_array()): a.id for a in inst.agents}
     out = []
@@ -238,7 +240,7 @@ def agent_solves(coarse, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "assemble_qp", spy_assemble)
         mp.setattr(refine, "qp_solve", spy_solve)
-        refine.sqp_refine(trajs, inst)
+        full_round_refine(trajs, inst)
     return [tuple(rec) for rec in out if rec[1] is not None]
 
 
@@ -445,11 +447,11 @@ def test_edge_cases():
     assert np.allclose(sol.x, [0.5, -0.5, 2.0], atol=1e-7)
 
 
-def test_symmetry_check_matches_the_dense_difference(refine30_solves):
+def test_symmetry_check_matches_the_dense_difference(full_round_solves):
     """`QpProblem` refuses P when max |P - P'| > 1e-9, as the sparse
-    difference reads it: the same verdict on refine30's P matrices and on
-    matrices with an asymmetric pattern, explicit zeros, duplicate entries
-    and entries just inside and outside the tolerance."""
+    difference reads it: the same verdict on the P matrices of refine30's
+    every round and on matrices with an asymmetric pattern, explicit zeros,
+    duplicate entries and entries just inside and outside the tolerance."""
     def dense_verdict(P):
         D = P.toarray()
         return bool(np.abs(D - D.T).max(initial=0.0) > 1e-9)
@@ -457,7 +459,7 @@ def test_symmetry_check_matches_the_dense_difference(refine30_solves):
     rng = np.random.default_rng(4)
     M = sp.random(8, 8, density=0.4, random_state=5, format="csc")
     S = (M + M.T).tocsc()
-    mats = [args[0].P for _, _, ss in refine30_solves.values() for args, _, _ in ss]
+    mats = [args[0].P for _, _, ss in full_round_solves.values() for args, _, _ in ss]
     mats += [S, M, sp.csc_matrix((5, 5))]
     for eps in (0.5e-9, 2e-9):
         T = S.copy()

@@ -59,12 +59,12 @@ def test_main_exits_1_on_a_rejected_verdict_or_nothing_checked(monkeypatch):
 
 
 def test_refine30_sweep_records_every_solve():
-    """The refine30 set, recorded through `refine.qp_solve`: 21 QPs, each
+    """The refine30 set, recorded through `refine.qp_solve`: 12 QPs, each
     with a verdict the LP check accepts, and the spy removed afterwards."""
     solve = qp_sweep.refine.qp_solve
     records, failed = qp_sweep.record(qp_sweep.SETS["refine30"])
     assert qp_sweep.refine.qp_solve is solve
     assert failed == []
-    assert len(records) == 21
+    assert len(records) == 12
     assert {spec for spec, _, _, _ in records} == set(qp_sweep.SETS["refine30"])
     assert qp_sweep.summarize("refine30", records) == []

@@ -13,7 +13,13 @@ from fleetplan.geometry import (
     euler_step,
     map_bounds,
 )
-from fleetplan.instance import AgentTask, MvtpInstance, generate_random_instance
+from fleetplan.instance import (
+    AgentTask,
+    MvtpInstance,
+    VerificationReport,
+    Violation,
+    generate_random_instance,
+)
 from fleetplan.qp import QpSolution
 from fleetplan.search_high import PrioritySearch
 from fleetplan.search_low import GridSpec
@@ -22,6 +28,7 @@ from oracles import (
     brute_neighbor_pairs,
     fd_disc_jacobian,
     fd_jacobians,
+    full_round_refine,
     loop_corridor,
     loop_relocate,
     loop_rollout,
@@ -227,16 +234,16 @@ def test_relocation_fails_where_no_disc_fits_the_map():
             refine.relocate_unsafe_point((1.0, 5.0), (2.0, 20.0), obs, r)
 
 
-def test_batched_corridor_matches_per_seed_loop(coarse, first_round, refine30_runs):
+def test_batched_corridor_matches_per_seed_loop(coarse, first_round, full_round_solves):
     """`build_corridor` grows all seeds at once; it must give the boxes of the
     per-seed loop bit for bit, on the refine30 iterates (every round-0 QP's
-    of n = 2, 4, 6 and every agent's of each stacked call of the full n = 2
-    and 4 runs), on those iterates jittered by metres, and on poses anywhere
-    on the map, so that many seeds are relocated; also on a map without
-    obstacles."""
+    of n = 2, 4, 6 and every agent's of each stacked call of the n = 2 and 4
+    runs of every round, `full_round_refine`'s), on those iterates jittered
+    by metres, and on poses anywhere on the map, so that many seeds are
+    relocated; also on a map without obstacles."""
     round0_insts = [inst for inst, _ in coarse.values() for _ in inst.agents]
     calls = [(args[2], inst) for (args, _), inst in zip(first_round[1], round0_insts)]
-    calls += [c for _, corridors, _ in refine30_runs.values() for c in corridors]
+    calls += [c for n in (2, 4) for c in full_round_solves[n][1]]
     assert len(calls) >= 20
     rng = np.random.default_rng(9)
     jittered = [(s + rng.normal(0.0, [1.5, 1.5, 0.5, 0.0], s.shape), inst)
@@ -297,6 +304,28 @@ def test_stacked_linearization_and_corridor_match_per_agent_calls(coarse, first_
     assert relocated >= 50
 
 
+def relabelled(inst, trajs, relabel):
+    """inst and its coarse trajectories with each agent id a read as
+    relabel[a]."""
+    moved = MvtpInstance(inst.map_width, inst.map_height, inst.obstacles,
+                         [AgentTask(relabel[a.id], a.start, a.goal) for a in inst.agents],
+                         inst.vehicle)
+    return moved, {relabel[a]: t for a, t in trajs.items()}
+
+
+def drop_own_violations(monkeypatch, aid):
+    """Have `sqp_refine`'s verifier, as it stands, leave out the per-agent
+    violations of agent aid, so that aid's rejection alone does not end
+    refinement and the later rounds run."""
+    validate = refine.validate_plan
+
+    def kept(instance, plan):
+        return VerificationReport([v for v in validate(instance, plan).violations
+                                   if v.agent != aid or v.kind == "inter_agent"])
+
+    monkeypatch.setattr(refine, "validate_plan", kept)
+
+
 def test_relocation_failure_names_the_first_agent_and_round(coarse, monkeypatch):
     """A corridor seed that cannot be relocated ends refinement
     `relocation_failed`, naming by id the first agent, in agent order, that
@@ -305,13 +334,9 @@ def test_relocation_failure_names_the_first_agent_and_round(coarse, monkeypatch)
     on, so agent 2 is named.  Agent 0's QP is an empty box in round 0; every
     corridor pass still stacks all four agents, agent 0's rows unchanged
     (they pass 0.295 m from agent 2's start discs, so a 0.3 m radius would
-    poison them too)."""
-    inst, trajs = coarse[4]
-    relabel = {0: 7, 1: 3, 2: 5, 3: 1}
-    inst = MvtpInstance(inst.map_width, inst.map_height, inst.obstacles,
-                        [AgentTask(relabel[a.id], a.start, a.goal) for a in inst.agents],
-                        inst.vehicle)
-    trajs = {relabel[a]: t for a, t in trajs.items()}
+    poison them too).  The verifier drops agent 0's own violations, which
+    would otherwise end refinement after round 0."""
+    inst, trajs = relabelled(*coarse[4], {0: 7, 1: 3, 2: 5, 3: 1})
     p = inst.vehicle
     agent_of = {tuple(a.start.as_array()): m for m, a in enumerate(inst.agents)}
     poisoned = np.concatenate([disc_centers_arr(np.array([*inst.agents[m].start.as_array(), 0.0]), p)
@@ -346,6 +371,7 @@ def test_relocation_failure_names_the_first_agent_and_round(coarse, monkeypatch)
     monkeypatch.setattr(refine, "assemble_qp", assemble)
     monkeypatch.setattr(refine, "qp_solve", solve)
     monkeypatch.setattr(refine, "CONVERGENCE_TOL", 1e-12)
+    drop_own_violations(monkeypatch, 7)
     rr = refine.sqp_refine(trajs, inst)
 
     # both rounds stack all four agents; only agents 2 and 3 own poisoned seeds
@@ -375,7 +401,8 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
     """A QP stopped at its iteration cap is not a solution: the agent keeps
     its iterate and the rejection is recorded.  Its QP cannot change after
     that, so later rounds record the rejection again without assembling or
-    solving it."""
+    solving it.  The verifier drops agent 0's own violations, which would
+    otherwise end refinement after round 0."""
     inst = generate_random_instance(1, 30.0, 6, 2)
     res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
     assert res.ok
@@ -410,6 +437,7 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
     monkeypatch.setattr(refine, "validate_plan", record_plan)
     monkeypatch.setattr(refine, "MAX_SQP_ITERS", 3)
     monkeypatch.setattr(refine, "CONVERGENCE_TOL", 1e-12)
+    drop_own_violations(monkeypatch, 0)
     rr = refine.sqp_refine(res.trajectories, inst)
 
     assert rr.status == "qp_infeasible"
@@ -427,7 +455,9 @@ def test_max_iters_qp_result_is_rejected(monkeypatch):
 
 def test_rejection_reasons_name_empty_box_and_qp_status(monkeypatch):
     """Agent 0's corridor and trust region never intersect (no QP at all);
-    agent 1's QP is primal-infeasible from the second round on."""
+    agent 1's QP is primal-infeasible from the second round on.  The
+    verifier drops agent 0's own violations, which would otherwise end
+    refinement after round 0."""
     inst = generate_random_instance(1, 30.0, 6, 2)
     res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
     assert res.ok
@@ -451,12 +481,66 @@ def test_rejection_reasons_name_empty_box_and_qp_status(monkeypatch):
     monkeypatch.setattr(refine, "qp_solve", solve)
     monkeypatch.setattr(refine, "MAX_SQP_ITERS", 2)
     monkeypatch.setattr(refine, "CONVERGENCE_TOL", 1e-12)
+    drop_own_violations(monkeypatch, 0)
     rr = refine.sqp_refine(res.trajectories, inst)
 
     assert rr.status == "qp_infeasible"
     assert rr.telemetry.qp_rejections == [(0, 0, "empty_box"), (0, 1, "empty_box"),
                                           (1, 1, "primal_infeasible")]
     assert rr.telemetry.failure == {"reason": "empty_box", "agent": 0, "iteration": 0}
+
+
+PER_AGENT_KINDS = ("boundary", "kinematic", "control_limit", "static", "off_map")
+
+
+@pytest.mark.parametrize("reject_in,report,rounds,solved,first", [
+    # a per-agent violation of the agent rejected in round 0 ends that round
+    *[({7: 0}, [Violation(kind, 7, 3, 0.0)], 1, 3, (7, 0)) for kind in PER_AGENT_KINDS],
+    # and one of an agent rejected in round 2 ends round 2
+    ({3: 2}, [Violation("boundary", 3, 0, 1.0)], 3, 11, (3, 2)),
+    # an inter_agent violation ends the round that rejects the second of its agents
+    ({7: 0, 5: 1}, [Violation("inter_agent", 7, 4, 0.1, partner=5)], 2, 5, (7, 0)),
+    # a rejected agent's violations with live agents, and a live agent's
+    # own, end no round
+    ({7: 0}, [Violation("inter_agent", 7, 4, 0.1, partner=3),
+              Violation("inter_agent", 1, 4, 0.1, partner=7),
+              Violation("static", 3, 5, 0.0)], 10, 30, (7, 0)),
+])
+def test_stop_at_a_violation_among_rejected_agents(coarse, monkeypatch, reject_in, report,
+                                                    rounds, solved, first):
+    """Refinement ends `qp_infeasible`, naming the first rejection, after
+    the first round whose report holds a violation that involves rejected
+    agents only: a per-agent violation of a rejected agent, or an
+    `inter_agent` one between two.  On the suite's n = 4 instance, agents
+    relabelled 7, 3, 5, 1, agent a's QP is an empty box from round
+    reject_in[a] on; every other QP is solved and moves its iterate by 1e-2,
+    and the verifier reports `report` on the guess and on every round."""
+    inst, trajs = relabelled(*coarse[4], {0: 7, 1: 3, 2: 5, 3: 1})
+    agent_of = {tuple(a.start.as_array()): a.id for a in inst.agents}
+    assembled = {}   # agent -> QPs assembled, one per round until rejected
+    solves = []
+
+    def assemble(start, goal, states, *args, **kw):
+        aid = agent_of[tuple(start)]
+        k = assembled[aid] = assembled.get(aid, 0) + 1
+        return None if k > reject_in.get(aid, math.inf) else states
+
+    def solve(states):
+        solves.append(1)
+        x = pack_qp_x(states, np.zeros((len(states) - 1, 2))) + 1e-2
+        return QpSolution(x, np.zeros(1), "optimal", 0.0, 0.0, 10)
+
+    monkeypatch.setattr(refine, "assemble_qp", assemble)
+    monkeypatch.setattr(refine, "qp_solve", solve)
+    monkeypatch.setattr(refine, "validate_plan", lambda *args: VerificationReport(list(report)))
+    monkeypatch.setattr(refine, "CONVERGENCE_TOL", 1e-12)
+    rr = refine.sqp_refine(trajs, inst)
+
+    assert refine.MAX_SQP_ITERS == 10
+    assert rr.status == "qp_infeasible"
+    assert (rr.telemetry.iterations, len(solves)) == (rounds, solved)
+    assert rr.telemetry.failure == {"reason": "empty_box", "agent": first[0],
+                                    "iteration": first[1]}
 
 
 def test_guess_is_verified_once_then_once_per_round(monkeypatch):
@@ -486,10 +570,7 @@ def test_agent_ids_only_label_the_output(monkeypatch):
     res = PrioritySearch(inst, GridSpec()).solve(time_budget=30.0)
     assert res.ok
     relabel = {0: 9, 1: 4, 2: 12, 3: 1}
-    moved = MvtpInstance(inst.map_width, inst.map_height, inst.obstacles,
-                         [AgentTask(relabel[a.id], a.start, a.goal) for a in inst.agents],
-                         inst.vehicle)
-    trajs = {relabel[a]: t for a, t in res.trajectories.items()}
+    moved, trajs = relabelled(inst, res.trajectories, relabel)
     monkeypatch.setattr(refine, "MAX_SQP_ITERS", 3)
     a = refine.sqp_refine(res.trajectories, inst)
     b = refine.sqp_refine(trajs, moved)
@@ -672,24 +753,21 @@ def test_round0_qps_are_banded_as_built(first_round):
 
 
 # (status, solver iterations, x checksum) of every QP that `sqp_refine`
-# solves on the suite's n = 2 and 4, in solve order; a rejected agent's QP is
-# solved once, not again in later rounds.  The checksum is the mean of the
-# solution's states then controls, as `_unpack` reads them from x and stacked
-# in that order, weighted by position (weights 0, 1, ..., n - 1, scaled to
-# sum to 1), so it does not depend on the QP's variable layout but catches a
-# solution that `_unpack` reads in another order.  A `primal_infeasible`
-# QP's x is the solver's best estimate, pinned all the same.
+# solves on the suite's n = 2 and 4, in solve order: each list is the start
+# of `full_round_refine`'s, which also solves the QPs of the rounds after the
+# deciding one.  The checksum is the mean of the solution's states then
+# controls, as `_unpack` reads them from x and stacked in that order,
+# weighted by position (weights 0, 1, ..., n - 1, scaled to sum to 1), so it
+# does not depend on the QP's variable layout but catches a solution that
+# `_unpack` reads in another order.  A `primal_infeasible` QP's x is the
+# solver's best estimate, pinned all the same.
 QP_PINS = {
     2: [("optimal", 11, 1.50777683606689),
         ("primal_infeasible", 6, 3.4256316964086437)],
     4: [("optimal", 14, 1.652975480324489),
         ("primal_infeasible", 6, 3.44115842574976),
         ("optimal", 12, 4.402895677970571),
-        ("optimal", 14, 4.374109789989412),
-        ("optimal", 15, 4.372981331625481),
-        ("optimal", 16, 4.373557048824791),
-        ("optimal", 15, 4.373859885585945),
-        ("optimal", 16, 4.373853911415897)],
+        ("optimal", 14, 4.374109789989412)],
 }
 
 
@@ -707,56 +785,51 @@ def test_refine30_qp_pins(refine30_runs):
 
 # (SQP rounds, QP rejections, failure reason, failing agent) of `sqp_refine`
 # on `generate_random_instance(seed, 30.0, 6, n)`; every run ends
-# `qp_infeasible` on a QP of round 0
+# `qp_infeasible` on a QP of round 0, and round 0's report already holds a
+# violation of rejected agents only
 SUITE_PINS = {
-    (1, 2): (2, 3, "primal_infeasible", 1),
-    (1, 4): (5, 13, "primal_infeasible", 1),
-    (1, 6): (5, 22, "primal_infeasible", 1),
-    (2, 2): (10, 10, "primal_infeasible", 0),
-    (2, 4): (9, 27, "primal_infeasible", 0),
-    (2, 6): (9, 45, "primal_infeasible", 0),
-    (3, 2): (2, 3, "primal_infeasible", 1),
-    (3, 4): (4, 11, "primal_infeasible", 1),
-    (3, 6): (8, 31, "primal_infeasible", 1),
+    (1, 2): (1, 1, "primal_infeasible", 1),
+    (1, 4): (1, 1, "primal_infeasible", 1),
+    (1, 6): (1, 2, "primal_infeasible", 1),
+    (2, 2): (1, 1, "primal_infeasible", 0),
+    (2, 4): (1, 3, "primal_infeasible", 0),
+    (2, 6): (1, 5, "primal_infeasible", 0),
+    (3, 2): (1, 1, "primal_infeasible", 1),
+    (3, 4): (1, 1, "primal_infeasible", 1),
+    (3, 6): (1, 2, "primal_infeasible", 1),
 }
 
 # the same on the held-out seeds 4-9, which no refinement change is tuned on
 HELD_OUT_PINS = {
-    (4, 2): (10, 10, "primal_infeasible", 1),
-    (4, 4): (10, 10, "primal_infeasible", 1),
-    (4, 6): (9, 9, "primal_infeasible", 1),
-    (5, 2): (4, 4, "primal_infeasible", 1),
-    (5, 4): (10, 10, "primal_infeasible", 1),
-    (5, 6): (10, 20, "primal_infeasible", 1),
+    (4, 2): (1, 1, "primal_infeasible", 1),
+    (4, 4): (1, 1, "primal_infeasible", 1),
+    (4, 6): (1, 1, "primal_infeasible", 1),
+    (5, 2): (1, 1, "primal_infeasible", 1),
+    (5, 4): (1, 1, "primal_infeasible", 1),
+    (5, 6): (1, 2, "primal_infeasible", 1),
     (6, 2): (1, 2, "primal_infeasible", 0),
     (6, 4): (1, 4, "primal_infeasible", 0),
     (6, 6): (1, 6, "primal_infeasible", 0),
-    (7, 2): (2, 3, "primal_infeasible", 1),
-    (7, 4): (2, 7, "primal_infeasible", 1),
-    (7, 6): (2, 11, "primal_infeasible", 1),
-    (8, 2): (7, 7, "primal_infeasible", 0),
-    (8, 4): (7, 20, "primal_infeasible", 0),
-    (8, 6): (6, 29, "primal_infeasible", 0),
+    (7, 2): (1, 1, "primal_infeasible", 1),
+    (7, 4): (1, 3, "primal_infeasible", 1),
+    (7, 6): (1, 5, "primal_infeasible", 1),
+    (8, 2): (1, 1, "primal_infeasible", 0),
+    (8, 4): (1, 2, "primal_infeasible", 0),
+    (8, 6): (1, 4, "primal_infeasible", 0),
     (9, 2): (1, 2, "primal_infeasible", 0),
-    (9, 4): (10, 30, "primal_infeasible", 0),
-    (9, 6): (10, 49, "primal_infeasible", 0),
+    (9, 4): (1, 3, "primal_infeasible", 0),
+    (9, 6): (1, 4, "primal_infeasible", 0),
 }
 
 
-def test_refinement_suite_outcomes(coarse):
+def test_refinement_suite_outcomes(refinement_sets):
     """Refinement on the 9-instance suite (seeds 1-3, n = 2, 4, 6) and on the
     18 held-out instances (seeds 4-9): each run's outcome is pinned, and each
     set's count of verified plans has its own floor that only ever rises."""
     for pins, floor in ((SUITE_PINS, 0), (HELD_OUT_PINS, 0)):
         verified = 0
         for (seed, n), pin in pins.items():
-            if seed == 1:
-                inst, trajs = coarse[n]
-            else:
-                inst = generate_random_instance(seed, 30.0, 6, n)
-                res = PrioritySearch(inst, GridSpec()).solve(time_budget=60.0)
-                assert res.ok
-                trajs = res.trajectories
+            inst, trajs = refinement_sets[(seed, 30.0, 6, n)]
             rr = refine.sqp_refine(trajs, inst)
             verified += rr.ok
             tele = rr.telemetry
@@ -764,3 +837,42 @@ def test_refinement_suite_outcomes(coarse):
             assert (tele.iterations, len(tele.qp_rejections), tele.failure) == (
                 pin[0], pin[1], {"reason": pin[2], "agent": pin[3], "iteration": 0}), (seed, n)
         assert verified >= floor
+
+
+def spied_solves(run, trajs, inst):
+    """`run(trajs, inst)` with `refine.qp_solve` spied on: its result and
+    the (status, solver iterations, x) of each QP it solves, in order."""
+    solves, solve = [], refine.qp_solve
+
+    def spy(qp):
+        sol = solve(qp)
+        solves.append((sol.status, sol.iterations, sol.x.copy()))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "qp_solve", spy)
+        return run(trajs, inst), solves
+
+
+def test_stop_keeps_the_full_round_outcome(refinement_sets):
+    """`sqp_refine` stops at the round whose report no later round can
+    clear, where `full_round_refine` runs on.  On the suite, the held-out
+    set and the 50 m maps of seeds 1, 3 and 9, every run ends with the full
+    loop's status and failure, and the QPs it solves are the full loop's
+    first ones, in order and bit for bit.  The full loop runs 10, 4 and 7
+    rounds on those 50 m maps and solves 437 QPs over all 30 instances;
+    the stop leaves 127."""
+    full_rounds, counts = [], [0, 0]
+    for spec, (inst, trajs) in refinement_sets.items():
+        want, full = spied_solves(full_round_refine, trajs, inst)
+        got, short = spied_solves(refine.sqp_refine, trajs, inst)
+        assert (got.status, got.telemetry.failure) == (want.status, want.telemetry.failure), spec
+        assert len(short) <= len(full), spec
+        for (s, k, x), (fs, fk, fx) in zip(short, full):
+            assert (s, k) == (fs, fk) and np.array_equal(x, fx), spec
+        if spec[1] == 50.0:
+            full_rounds.append(want.telemetry.iterations)
+        counts[0] += len(full)
+        counts[1] += len(short)
+    assert full_rounds == [10, 4, 7]
+    assert counts == [437, 127]

@@ -27,7 +27,11 @@ difference over its numbers when the two sides differ in numbers only (so a
 rounding shift reads apart from a changed plan), or, for a `low` log, with
 the number of calls one side leaves out when its calls are the other's in
 the same order, less some (so a search that skips replans reads apart from
-one that plans differently).  It exits 1 on any difference or when either
+one that plans differently), or, for a refine record's lists of QPs,
+reports, residuals and rejections, with the number after which one side
+stops when its list is the other's first items and both runs end with the
+same status and failure (so a refinement that stops early reads apart from
+one that solves differently).  It exits 1 on any difference or when either
 record set holds no instance.
 """
 from __future__ import annotations
@@ -176,15 +180,36 @@ def subsequence(x, y) -> bool:
     return all(item in rest for item in x)
 
 
-def describe(path: str, x, y) -> str:
-    """How x and y differ: for a `low` log that is an in-order subsequence
-    of the other side's, the calls it leaves out; otherwise the largest
-    difference in numbers, or that they differ in more than numbers."""
-    if path == "low" and isinstance(x, list) and isinstance(y, list):
+# the refine record's lists that grow round by round, and what they count
+_PER_ROUND = {"refine.qps": "QPs", "refine.qp_data": "QPs", "refine.reports": "reports",
+              "refine.residuals": "rounds", "refine.rejections": "rejections"}
+
+
+def same_outcome(a_rec, b_rec) -> bool:
+    """Whether two instance records' refine runs end with the same status
+    and failure."""
+    return all(same(a_rec["refine"][k], b_rec["refine"][k]) for k in ("status", "failure"))
+
+
+def describe(path: str, x, y, a_rec, b_rec) -> str:
+    """How x and y, the field at path of the instance records a_rec and
+    b_rec, differ: for a `low` log that is an in-order subsequence of the
+    other side's, the calls it leaves out; for a refine run's QPs, reports,
+    residuals or rejections that are the other side's first ones, when both
+    runs end with the same status and failure, after how many it stops;
+    otherwise the largest difference in numbers, or that they differ in
+    more than numbers."""
+    if isinstance(x, list) and isinstance(y, list):
         for short, long, names in ((y, x, ("second", "first")), (x, y, ("first", "second"))):
-            if len(short) < len(long) and subsequence(short, long):
+            if len(short) >= len(long):
+                continue
+            if path == "low" and subsequence(short, long):
                 return (f"({names[0]} is an in-order subsequence of {names[1]}, leaving out "
                         f"{len(long) - len(short)} of {len(long)} calls)")
+            if (path in _PER_ROUND and same(short, long[:len(short)])
+                    and same_outcome(a_rec, b_rec)):
+                return (f"({names[0]} stops after {len(short)} of {len(long)} "
+                        f"{_PER_ROUND[path]}, with the same status and failure)")
     gap = largest_difference(x, y)
     return "(not in numbers only)" if gap is None else f"(largest |difference| {gap:.3g})"
 
@@ -198,7 +223,7 @@ def compare(a_path: Path, b_path: Path) -> int:
     diffs = [(key, *d) for key in sorted(a.keys() | b.keys())
              for d in differing(a.get(key, _MISSING), b.get(key, _MISSING), "")]
     for key, path, x, y in diffs:
-        print("differs:", key, path, describe(path, x, y))
+        print("differs:", key, path, describe(path, x, y, a.get(key), b.get(key)))
     print(f"compared {len(a)} instances:", f"{len(diffs)} differences" if diffs else "identical")
     return 1 if diffs else 0
 

@@ -8,13 +8,16 @@ Run from anywhere; the planner is imported from this checkout's `src/`.  For
 each instance of a set the tool plans the coarse search (`PrioritySearch`
 with its default warm start), runs `refine.sqp_refine` on it with
 `refine.qp_solve` spied on, and keeps every QP with its solution and solve
-time.  Per set it prints the count of each status, the solver's iterations
-per QP (mean, max) and the milliseconds per QP (mean, max), then every
-verdict that `perfbench/checks.check_qp_verdict` rejects: an `optimal` x
-that misses its bounds, or a `primal_infeasible` verdict that HiGHS does not
-confirm.  A coarse search that fails, and a set that records no QP, are
-rejected too, since they leave verdicts unchecked.  It exits 1 when anything
-is rejected.
+time.  These are the QPs that refinement actually solves: it stops at the
+round whose verifier report no later round can clear, so the rounds after
+that, and their QPs, are not in the sets (refine30 holds 12 QPs, where
+running every round to the cap or to convergence solves 21).  Per set it
+prints the count of each status, the solver's iterations per QP (mean,
+max) and the milliseconds per QP (mean, max), then every verdict that
+`perfbench/checks.check_qp_verdict` rejects: an `optimal` x that misses
+its bounds, or a `primal_infeasible` verdict that HiGHS does not confirm.
+A coarse search that fails, and a set that records no QP, are rejected too,
+since they leave verdicts unchecked.  It exits 1 when anything is rejected.
 
 Sets, as `generate_random_instance(seed, size, obstacles, agents)`:
   refine30  seed 1, 30 m, 6 obstacles, n = 2, 4, 6 (the refine30 workload)
